@@ -16,6 +16,7 @@ from .errors import (
     DuplicateAtom,
     FloatLawRejected,
     HorizonTooShort,
+    InvariantViolation,
     NonPositiveValue,
     NotALaw,
     NotAProbability,

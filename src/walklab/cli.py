@@ -107,29 +107,26 @@ def _seeds(run: _Run, paths: int) -> list[int]:
     return [rnglib.mix64(run.seed, i) for i in range(paths)]
 
 
-def _emit(run: _Run, name: str, payload: dict, csv_text: str | None = None) -> None:
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
+    """Print the JSON body (or the CSV under --format csv); save both under --out."""
     if run.fmt == "csv" and csv_text is not None:
         click.echo(csv_text, nl=False)
-    else:
-        click.echo(body, nl=False)
-    if run.out is not None:
-        run.out.mkdir(parents=True, exist_ok=True)
-        (run.out / f"{name}.json").write_bytes(body.encode())
-        if csv_text is not None:
-            (run.out / f"{name}.csv").write_bytes(csv_text.encode())
-
-
-def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
-    body = report.to_json_bytes()
-    if run.fmt == "csv":
-        click.echo(report.to_csv(), nl=False)
     else:
         click.echo(body.decode(), nl=False)
     if run.out is not None:
         run.out.mkdir(parents=True, exist_ok=True)
         (run.out / f"{name}.json").write_bytes(body)
-        (run.out / f"{name}.csv").write_bytes(report.to_csv().encode())
+        if csv_text is not None:
+            (run.out / f"{name}.csv").write_bytes(csv_text.encode())
+
+
+def _emit(run: _Run, name: str, payload: dict, csv_text: str | None = None) -> None:
+    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write(run, name, body.encode(), csv_text)
+
+
+def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
+    _write(run, name, report.to_json_bytes(), report.to_csv())
     if not report.verdict:
         click.echo(f"FAIL: {', '.join(report.failures())}", err=True)
         sys.exit(2)

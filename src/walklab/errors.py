@@ -65,5 +65,9 @@ class NonPositiveValue(WalklabError):
     """Log-log fitting needs strictly positive values."""
 
 
+class InvariantViolation(WalklabError):
+    """A result object breaks an invariant that its type guarantees."""
+
+
 class ConfigError(WalklabError):
     """Malformed configuration (JSON config file or law descriptor)."""

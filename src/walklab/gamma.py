@@ -9,13 +9,17 @@ Three independent routes to the escape probability gamma:
 * mc_escape: fraction of simulated walks that avoid the origin up to a
   horizon n (estimates gamma(n), an upper bound for gamma).
 
-The return-probability sequence P(S_m = 0) is computed by the cheapest
-exact engine available for the law: a dense box dynamic program (any law,
-cost grows with the spread), an axis-decomposition recursion (laws whose
-atoms are signed unit vectors and optionally the zero vector, e.g. simple
-and drifted simple walks, cost O(d N^2)), or a torus Fourier grid (any
-law, cost N * grid cells).  All engines agree to float precision; the
-tests cross-check them.
+Every evolution of the law of S_m runs through one step loop,
+_evolution: exact sparse convolution for rational laws, a pruned float
+box DP otherwise.  The return-probability sequence P(S_m = 0) has two
+engines, and the law picks one: an axis-decomposition recursion for laws
+whose atoms are signed unit vectors and optionally the zero vector (simple
+and drifted simple walks, cost O(d N^2)), and a half-horizon box DP for
+every other law.  The latter uses the iid split of S_2m into two
+independent copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and
+likewise for odd times), so it evolves only to ceil(N/2).  Both engines
+agree with exact convolution to float precision; the tests cross-check
+them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rnglib
-from .errors import BadParam, ResourceLimit, SuspectedRecurrence
+from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
 from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays
 
 DEFAULT_PRUNE = 1e-16
@@ -52,9 +56,6 @@ class PmfField:
 
     def mass_at(self, point: Sequence[int]):
         return self.masses.get(tuple(int(c) for c in point), 0)
-
-    def sup(self):
-        return max(self.masses.values())
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,19 @@ class ReturnLaw:
 
     def check_invariants(self, tol: float = 1e-9) -> None:
         g = self.gamma_seq
-        assert g[0] == 1
-        assert all(a >= b - 1e-15 for a, b in zip(g, g[1:]))
-        assert g[-1] >= -1e-15
+        if g[0] != 1:
+            raise InvariantViolation(f"gamma(0) = {g[0]!r}, not 1")
+        if not all(a >= b - 1e-15 for a, b in zip(g, g[1:])):
+            raise InvariantViolation("no-return sequence is increasing")
+        if g[-1] < -1e-15:
+            raise InvariantViolation(f"gamma(N) = {g[-1]!r} is negative")
         total = sum(self.tau_pmf()) + g[-1]
         if self.exact:
-            assert total == 1
+            off = total != 1
         else:
-            assert abs(total - 1.0) <= tol + self.prune_loss
+            off = abs(total - 1.0) > tol + self.prune_loss
+        if off:
+            raise InvariantViolation(f"return-time law sums to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,11 @@ class GammaEstimate:
     seed: int | None = None
 
     def __post_init__(self):
-        assert self.error >= 0
-        assert self.value - self.error >= -1e-12
-        assert self.value <= 1 + self.error + 1e-12
+        if not (self.error >= 0 and self.value - self.error >= -1e-12
+                and self.value <= 1 + self.error + 1e-12):
+            raise InvariantViolation(
+                f"gamma estimate {self.value!r} +- {self.error!r} "
+                "is not a probability with a nonnegative error")
 
 
 @dataclass(frozen=True)
@@ -126,17 +134,16 @@ class TailDiagnostic:
 # ---------------------------------------------------------------------------
 
 class SparseEvolver:
-    """Exact sparse convolution of the step law, optionally origin-killed."""
+    """Exact sparse convolution of a rational step law, optionally origin-killed."""
 
     def __init__(self, law: StepLaw, kill_origin: bool = False,
                  site_budget: int = DEFAULT_SITE_BUDGET):
-        zero = Fraction(0) if law.exact else 0.0
         self.law = law
-        self.zero = zero
+        self.zero = Fraction(0)
         self.origin = (0,) * law.d
-        self.masses = {self.origin: Fraction(1) if law.exact else 1.0}
+        self.masses = {self.origin: Fraction(1)}
         self.kill_origin = kill_origin
-        self.killed = zero
+        self.killed = self.zero
         self.site_budget = site_budget
         self.m = 0
 
@@ -159,6 +166,12 @@ class SparseEvolver:
 
     def surviving_mass(self):
         return 1 - self.killed
+
+    def sup(self):
+        return max(self.masses.values())
+
+    def to_masses(self) -> dict[LatticePoint, Mass]:
+        return dict(self.masses)
 
 
 class DenseEvolver:
@@ -256,6 +269,28 @@ class DenseEvolver:
         return out
 
 
+def _evolution(law: StepLaw, n: int, kill_origin: bool = False,
+               site_budget: int = DEFAULT_SITE_BUDGET,
+               cell_budget: int = DEFAULT_CELL_BUDGET,
+               prune: float = DEFAULT_PRUNE):
+    """Yield the evolver of the law of S_m at m = 0, 1, ..., n.
+
+    The one step loop of the package: rational laws evolve exactly and
+    sparsely, float laws by the pruned box DP.  The same evolver object is
+    yielded each time, advanced by one step.
+    """
+    if law.exact:
+        ev: SparseEvolver | DenseEvolver = SparseEvolver(
+            law, kill_origin=kill_origin, site_budget=site_budget)
+    else:
+        ev = DenseEvolver(law, kill_origin=kill_origin, cell_budget=cell_budget,
+                          prune=prune)
+    yield ev
+    for _ in range(n):
+        ev.step()
+        yield ev
+
+
 def pmf_evolve(law: StepLaw, m: int,
                site_budget: int = DEFAULT_SITE_BUDGET,
                cell_budget: int = DEFAULT_CELL_BUDGET) -> PmfField:
@@ -266,14 +301,7 @@ def pmf_evolve(law: StepLaw, m: int,
     """
     if m < 0:
         raise BadParam(f"step count must be >= 0, got {m}")
-    if law.exact:
-        ev = SparseEvolver(law, site_budget=site_budget)
-        for _ in range(m):
-            ev.step()
-        return PmfField(m=m, masses=dict(ev.masses))
-    ev = DenseEvolver(law, cell_budget=cell_budget)
-    for _ in range(m):
-        ev.step()
+    *_, ev = _evolution(law, m, site_budget=site_budget, cell_budget=cell_budget)
     return PmfField(m=m, masses=ev.to_masses())
 
 
@@ -373,71 +401,54 @@ def _axis_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     return v
 
 
-def _fourier_return_sequence(law: StepLaw, n: int, cell_budget: int) -> np.ndarray:
-    """Return probabilities via a torus Fourier grid.
-
-    The rectangle-rule average of phi(theta)^m over a K-point grid equals
-    the total mass of S_m on the sublattice K Z^d; the grid is sized so
-    the aliased mass (anything at distance >= 5 sqrt(n) step-ranges from
-    the drift center) is below 1e-21.
-    """
-    law = law.to_float()
-    pts = np.array([p for p, _ in law.atoms], dtype=np.int64)
-    w = np.array([m for _, m in law.atoms])
-    mu = (w[:, None] * pts).sum(axis=0)
-    spread = pts.max(axis=0) - pts.min(axis=0)
-    ks = [int(math.ceil(n * abs(mu[j]) + 5.0 * spread[j] * math.sqrt(n) + 8))
-          for j in range(law.d)]
-    if math.prod(ks) > cell_budget:
-        raise ResourceLimit(f"fourier grid {ks} exceeds {cell_budget} cells")
-    phi = np.zeros(tuple(ks), dtype=np.complex128)
-    for point, mass in zip(pts, w):
-        term = np.complex128(mass)
-        for j, k in enumerate(ks):
-            shape = [1] * law.d
-            shape[j] = k
-            term = term * np.exp(2j * np.pi * np.arange(k) * point[j] / k).reshape(shape)
-        phi += term
-    r = np.empty(n + 1)
-    r[0] = 1.0
-    power = np.ones_like(phi)
-    for m in range(1, n + 1):
-        power *= phi
-        r[m] = power.mean().real
-    return np.maximum(r, 0.0)
+def _cross_sum(a: np.ndarray, lo_a: np.ndarray,
+               b: np.ndarray, lo_b: np.ndarray) -> float:
+    """sum_x a(x) b(-x) for box arrays whose index 0 sits at lattice point lo."""
+    flipped = b[(slice(None, None, -1),) * b.ndim]
+    lo_f = -(lo_b + np.array(b.shape) - 1)
+    start = np.maximum(lo_a, lo_f)
+    stop = np.minimum(lo_a + np.array(a.shape), lo_f + np.array(b.shape))
+    if (stop <= start).any():
+        return 0.0
+    sa = tuple(slice(int(s - l), int(e - l)) for s, e, l in zip(start, stop, lo_a))
+    sf = tuple(slice(int(s - l), int(e - l)) for s, e, l in zip(start, stop, lo_f))
+    return float((a[sa] * flipped[sf]).sum())
 
 
 def _dense_return_sequence(law: StepLaw, n: int, cell_budget: int) -> np.ndarray:
-    ev = DenseEvolver(law, cell_budget=cell_budget)
+    """Return probabilities by the half-horizon box DP.
+
+    S_2m - S_m is an independent copy of S_m, so with p_m the law of S_m,
+    P(S_2m = 0) = sum_x p_m(x) p_m(-x) and P(S_2m+1 = 0) =
+    sum_x p_m+1(x) p_m(-x); evolving to ceil(n/2) gives the whole
+    sequence.  A parity the law cannot reach has disjoint supports and
+    comes out as an exact zero.  Each step rebinds the evolver's arrays,
+    so the previous step's arrays stay valid without copies.
+    """
     r = np.empty(n + 1)
-    r[0] = 1.0
-    for m in range(1, n + 1):
-        ev.step()
-        r[m] = ev.origin_mass()
+    prev = None
+    for ev in _evolution(law.to_float(), (n + 1) // 2, cell_budget=cell_budget):
+        cur = (ev.arr, ev.lo)
+        if 2 * ev.m <= n:
+            r[2 * ev.m] = _cross_sum(*cur, *cur)
+        if prev is not None:
+            r[2 * ev.m - 1] = _cross_sum(*cur, *prev)
+        prev = cur
     return r
 
 
-def return_sequence(law: StepLaw, n: int, engine: str = "auto",
+def return_sequence(law: StepLaw, n: int,
                     cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
-    """P(S_m = 0) for m = 0..n, in doubles, by the cheapest exact engine."""
+    """P(S_m = 0) for m = 0..n, in doubles.
+
+    Laws that decompose along the axes use the axis recursion, every other
+    law the half-horizon box DP.
+    """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
-    if engine == "auto":
-        if _axis_decomposition(law) is not None:
-            engine = "axis"
-        elif law.d == 1:
-            engine = "dense"
-        else:
-            engine = "fourier"
-    if engine == "axis":
-        if _axis_decomposition(law) is None:
-            raise BadParam("axis engine needs signed-unit-vector (or zero) atoms")
+    if _axis_decomposition(law) is not None:
         return _axis_return_sequence(law, n)
-    if engine == "dense":
-        return _dense_return_sequence(law, n, cell_budget)
-    if engine == "fourier":
-        return _fourier_return_sequence(law, n, cell_budget)
-    raise BadParam(f"unknown engine {engine!r}")
+    return _dense_return_sequence(law, n, cell_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +490,17 @@ def _geometric_tail(ms, rv, n) -> float:
     return math.exp(a + b * (n + p)) / (1.0 - math.exp(b * p))
 
 
-def green_at_origin(law: StepLaw, n: int, tail_mode: str = "auto",
-                    engine: str = "auto",
+def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
+    """Fitted sum_{m>n} P(S_m = 0): diffusive in d >= 3, geometric below."""
+    ms, rv, window_len = _fit_window(r, n)
+    if len(ms) == 0:
+        return 0.0
+    if d >= 3:
+        return _diffusive_tail(ms, rv, window_len, n, d)
+    return _geometric_tail(ms, rv, n)
+
+
+def green_at_origin(law: StepLaw, n: int,
                     cell_budget: int = DEFAULT_CELL_BUDGET) -> GammaEstimate:
     """Escape probability via gamma = 1 / sum_m P(S_m = 0).
 
@@ -496,9 +516,9 @@ def green_at_origin(law: StepLaw, n: int, tail_mode: str = "auto",
     growing and the fitted decay exponent of P(S_m=0) is <= 1 (a
     non-summable envelope).
     """
-    r = return_sequence(law, n, engine=engine, cell_budget=cell_budget)
+    r = return_sequence(law, n, cell_budget=cell_budget)
     total = float(r.sum())
-    ms, rv, window_len = _fit_window(r, n)
+    ms, rv, _ = _fit_window(r, n)
     if len(ms) >= 3:
         eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
         head = float(r[:max(4, n // 10)].sum())
@@ -506,12 +526,7 @@ def green_at_origin(law: StepLaw, n: int, tail_mode: str = "auto",
             raise SuspectedRecurrence(
                 f"partial sums of P(S_m=0) still growing at N={n} "
                 f"(fitted decay exponent {eta_hat:.3f} <= 1)")
-    if len(ms) == 0:
-        tail = 0.0
-    elif tail_mode == "diffusive" or (tail_mode == "auto" and law.d >= 3):
-        tail = _diffusive_tail(ms, rv, window_len, n, law.d)
-    else:
-        tail = _geometric_tail(ms, rv, n)
+    tail = _fitted_tail(r, n, law.d)
     value = 1.0 / (total + tail)
     return GammaEstimate(value=value, error=value * value * tail,
                          method="green_series",
@@ -533,16 +548,9 @@ def taboo_survival(law: StepLaw, n: int,
     """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
-    if law.exact:
-        ev: SparseEvolver | DenseEvolver = SparseEvolver(
-            law, kill_origin=True, site_budget=site_budget)
-        seq = [Fraction(1)]
-    else:
-        ev = DenseEvolver(law, kill_origin=True, cell_budget=cell_budget,
-                          prune=prune)
-        seq = [1.0]
-    for _ in range(n):
-        ev.step()
+    seq = []
+    for ev in _evolution(law, n, kill_origin=True, site_budget=site_budget,
+                         cell_budget=cell_budget, prune=prune):
         seq.append(ev.surviving_mass())
     loss = 0.0 if law.exact else ev.pruned
     return ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
@@ -559,14 +567,7 @@ def taboo_gamma_estimate(law: StepLaw, n: int, **kwargs) -> GammaEstimate:
     """
     ret = taboo_survival(law, n, **kwargs)
     g_n = float(ret.gamma_seq[-1])
-    r = return_sequence(law, n)
-    ms, rv, window_len = _fit_window(r, n)
-    if len(ms) == 0:
-        bias = 0.0
-    elif law.d >= 3:
-        bias = g_n * g_n * _diffusive_tail(ms, rv, window_len, n, law.d)
-    else:
-        bias = g_n * g_n * _geometric_tail(ms, rv, n)
+    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d)
     return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
                          method="taboo_dp", params={"N": n})
 
@@ -637,7 +638,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
 # Tail diagnostic (the d in {1,2} assumption check)
 # ---------------------------------------------------------------------------
 
-def return_tail(law: StepLaw, n: int, big_n: int, engine: str = "auto",
+def return_tail(law: StepLaw, n: int, big_n: int,
                 cell_budget: int = DEFAULT_CELL_BUDGET) -> TailDiagnostic:
     """Partial tail sum_{k=n}^{N} P(S_k = 0) with fitted decay exponent.
 
@@ -649,7 +650,7 @@ def return_tail(law: StepLaw, n: int, big_n: int, engine: str = "auto",
     """
     if not 0 <= n < big_n:
         raise BadParam("need 0 <= n < N")
-    r = return_sequence(law, big_n, engine=engine, cell_budget=cell_budget)
+    r = return_sequence(law, big_n, cell_budget=cell_budget)
     suffix = np.cumsum(r[::-1])[::-1]  # suffix[k] = sum_{j>=k} r[j]
     value = float(suffix[n])
     if value == 0.0:

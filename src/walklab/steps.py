@@ -73,10 +73,6 @@ class StepLaw:
                 return m
         return Fraction(0) if self.exact else 0.0
 
-    def max_step_magnitude(self) -> int:
-        """Largest |coordinate| over all atoms (0 for the zero law)."""
-        return max(abs(c) for p, _ in self.atoms for c in p)
-
     def describe(self) -> dict:
         return law_to_json(self)
 

@@ -16,13 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadGamma, BadParam, HorizonTooShort
+from .errors import BadGamma, BadParam, HorizonTooShort, InvariantViolation
 from .gamma import (
     DEFAULT_CELL_BUDGET,
     DEFAULT_SITE_BUDGET,
-    DenseEvolver,
     ReturnLaw,
-    SparseEvolver,
+    _evolution,
     return_sequence,
 )
 from .steps import StepLaw
@@ -38,8 +37,11 @@ class Prediction:
     truncation_error: float
 
     def __post_init__(self):
-        assert self.truncation_error >= 0 and math.isfinite(self.truncation_error)
-        assert self.value >= 0
+        if not (self.truncation_error >= 0 and math.isfinite(self.truncation_error)
+                and self.value >= 0):
+            raise InvariantViolation(
+                f"{self.kind} prediction {self.value!r} with truncation error "
+                f"{self.truncation_error!r} is not nonnegative and finite")
 
 
 def _check_gamma(gamma: float) -> float:
@@ -185,12 +187,12 @@ def green_cross_sum(law: StepLaw, n: int, method: str = "auto",
         return float(np.dot(weights, r[2:]))
     if method != "direct":
         raise BadParam(f"unknown method {method!r}")
-    ev = SparseEvolver(law, site_budget=site_budget)
     zero = Fraction(0) if law.exact else 0.0
     green: dict = {}
-    for _ in range(n):
-        ev.step()
-        for point, mass in ev.masses.items():
+    for ev in _evolution(law, n, site_budget=site_budget, cell_budget=cell_budget):
+        if ev.m == 0:
+            continue
+        for point, mass in ev.to_masses().items():
             green[point] = green.get(point, zero) + mass
     total = zero
     for point, gy in green.items():
@@ -206,24 +208,12 @@ def sup_pmf(law: StepLaw, m: int,
     """sup over x of P(S_m = x); exact for rational laws."""
     if m < 0:
         raise BadParam(f"m must be >= 0, got {m}")
-    if m == 0:
-        return Fraction(1) if law.exact else 1.0
-    if law.exact:
-        ev: SparseEvolver | DenseEvolver = SparseEvolver(law, site_budget=site_budget)
-    else:
-        ev = DenseEvolver(law, cell_budget=cell_budget)
-    for _ in range(m):
-        ev.step()
-    return max(ev.masses.values()) if law.exact else ev.sup()
+    *_, ev = _evolution(law, m, site_budget=site_budget, cell_budget=cell_budget)
+    return ev.sup()
 
 
 def sup_pmf_sequence(law: StepLaw, m_max: int,
                      cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
     """sup_x P(S_m = x) for every m = 0..m_max in one float DP sweep."""
-    ev = DenseEvolver(law, cell_budget=cell_budget)
-    sups = np.empty(m_max + 1)
-    sups[0] = 1.0
-    for m in range(1, m_max + 1):
-        ev.step()
-        sups[m] = ev.sup()
-    return sups
+    return np.array([ev.sup() for ev in
+                     _evolution(law.to_float(), m_max, cell_budget=cell_budget)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,10 +10,25 @@ from walklab.gamma import (
     SparseEvolver,
     _axis_return_sequence,
     _dense_return_sequence,
-    _fourier_return_sequence,
 )
 
 SRW3_GAMMA = 0.6594626  # 1 - 1/G for the d=3 simple walk
+# gamma(diag3) by the Green series at N=128, as the full-horizon box DP gave it
+DIAG3_GAMMA_128 = 0.71784437029121
+
+
+def diag3(exact=False):
+    """Uniform law on the 8 diagonal unit steps (+-1, +-1, +-1): not axis-decomposable."""
+    mass = Fraction(1, 8) if exact else 0.125
+    return wl.make_law(3, [(v, mass) for v in itertools.product((1, -1), repeat=3)],
+                       exact)
+
+
+def king2(exact=False):
+    """Uniform law on the 8 king moves of Z^2: not axis-decomposable."""
+    mass = Fraction(1, 8) if exact else 0.125
+    moves = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
+    return wl.make_law(2, [(v, mass) for v in moves], exact)
 
 
 class TestPmfEvolve:
@@ -55,9 +71,18 @@ class TestReturnSequenceEngines:
         n = 20
         ax = _axis_return_sequence(law, n)
         de = _dense_return_sequence(law, n, 1 << 25)
-        fr = _fourier_return_sequence(law, n, 1 << 25)
         assert np.abs(ax - de).max() < 1e-13
-        assert np.abs(fr - de).max() < 1e-13
+
+    @pytest.mark.parametrize("law_maker", [diag3, king2])
+    def test_dense_matches_exact_non_axis(self, law_maker):
+        n = 16
+        ev = SparseEvolver(law_maker(exact=True))
+        exact = [1.0]
+        for _ in range(n):
+            ev.step()
+            exact.append(float(ev.origin_mass()))
+        de = _dense_return_sequence(law_maker(), n, 1 << 25)
+        assert np.abs(np.array(exact) - de).max() < 1e-15
 
     def test_against_exact_convolution(self):
         ev = SparseEvolver(wl.srw(3, exact=True))
@@ -111,6 +136,13 @@ class TestGreen:
         est = wl.green_at_origin(wl.drifted_srw(2, 0.5), 256)
         assert 0 < est.value <= 1
 
+    def test_diag3_is_transient(self):
+        # odd-time returns are impossible for diag3; rounding noise there
+        # once entered the tail fit and raised SuspectedRecurrence
+        assert (wl.return_sequence(diag3(), 128)[1::2] == 0).all()
+        est = wl.green_at_origin(diag3(), 128)
+        assert est.value == pytest.approx(DIAG3_GAMMA_128, rel=1e-9)
+
 
 class TestTaboo:
     def test_bernoulli_exact_small(self, bern07_exact):
@@ -133,6 +165,14 @@ class TestTaboo:
         g = [float(x) for x in ret.gamma_seq]
         assert all(a >= b for a, b in zip(g, g[1:]))
 
+    def test_check_invariants_raises(self):
+        ret = wl.ReturnLaw(horizon=2, gamma_seq=(1.0, 0.5, 0.7), exact=False)
+        with pytest.raises(wl.InvariantViolation):
+            ret.check_invariants()
+        bad_start = wl.ReturnLaw(horizon=0, gamma_seq=(Fraction(1, 2),), exact=True)
+        with pytest.raises(wl.InvariantViolation):
+            bad_start.check_invariants()
+
     def test_tau_pmf_sums(self, bern07_exact):
         ret = wl.taboo_survival(bern07_exact, 12)
         assert sum(ret.tau_pmf()) + ret.gamma_seq[-1] == 1
@@ -143,6 +183,14 @@ class TestTaboo:
         assert est.method == "taboo_dp"
         assert est.value >= SRW3_GAMMA  # upward bias, documented
         assert est.value - est.error <= SRW3_GAMMA + 2e-3
+
+
+class TestGammaEstimate:
+    @pytest.mark.parametrize("value,error", [
+        (0.5, -0.1), (1.5, 0.1), (-0.2, 0.1), (math.nan, 0.0)])
+    def test_invalid_raises(self, value, error):
+        with pytest.raises(wl.InvariantViolation):
+            wl.GammaEstimate(value=value, error=error, method="m", params={})
 
 
 class TestMcEscape:

@@ -41,6 +41,14 @@ class TestMomentLimit:
         assert wl.moment_limit(1, g).value == pytest.approx(1.0, rel=1e-7)
 
 
+class TestPrediction:
+    @pytest.mark.parametrize("value,err", [
+        (-1.0, 0.0), (1.0, -1e-3), (1.0, float("inf")), (1.0, float("nan"))])
+    def test_invalid_raises(self, value, err):
+        with pytest.raises(wl.InvariantViolation):
+            wl.Prediction(kind="k", inputs={}, value=value, truncation_error=err)
+
+
 class TestGeometricPmf:
     def test_point_mass(self):
         assert wl.geometric_pmf(1.0, 1) == 1.0
