@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from . import rng as rnglib
 from .errors import BadParam, NonPositiveValue, NotALaw, TooFewPoints
@@ -102,7 +101,13 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float,
     expected = [pr * total for pr in probs]
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, expected) if e > 0)
     dof = len(probs) - 1
-    pvalue = float(chi2_dist.sf(stat, dof)) if dof > 0 else 1.0
+    if dof > 0:
+        # chdtrc is the chi-square survival function that scipy.stats.chi2.sf
+        # evaluates; importing it alone keeps scipy.stats out of start-up.
+        from scipy.special import chdtrc
+        pvalue = float(chdtrc(dof, stat))
+    else:
+        pvalue = 1.0
     buckets = tuple({"bucket": lb, "observed": int(o), "expected": float(e)}
                     for lb, o, e in zip(labels, obs, expected))
     return ChiSquareResult(statistic=float(stat), pvalue=pvalue, dof=dof,
@@ -136,13 +141,24 @@ def fit_exponent(points: Sequence[tuple[float, float]]) -> FitResult:
 # Reports
 # ---------------------------------------------------------------------------
 
+def _finite_or_none(obj):
+    """obj with every non-finite float replaced by None (JSON has no NaN)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
 def _to_py(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return _finite_or_none(float(obj))
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _finite_or_none(obj.tolist())
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     raise TypeError(f"not JSON-serializable: {type(obj)}")
@@ -188,8 +204,8 @@ class ExperimentReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_json_dict(), sort_keys=True, indent=2,
-                          default=_to_py)
+        text = json.dumps(_finite_or_none(self.to_json_dict()), sort_keys=True,
+                          indent=2, default=_to_py, allow_nan=False)
         return text.encode() + b"\n"
 
     def csv_columns(self) -> list[str]:
@@ -385,6 +401,8 @@ def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise BadParam(f"variance scan needs integer alpha >= 1, got {alpha}")
+    if m < 3:
+        raise BadParam(f"variance scan needs M >= 3 replicas for its jackknife, got {m}")
     alpha = int(alpha)
     grid = [int(n) for n in grid]
     if sorted(grid) != grid or len(set(grid)) != len(grid):

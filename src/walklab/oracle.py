@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParam, BudgetExceeded, FloatLawRejected
+from .errors import BadParam, BudgetExceeded, FloatLawRejected, InvariantViolation
 from .gamma import ReturnLaw
 from .steps import LatticePoint, StepLaw
 
@@ -40,10 +40,16 @@ class ExactSummary:
     gamma_seq: tuple[Fraction, ...]
 
     def check_invariants(self) -> None:
-        assert sum(j * q for j, q in self.expected_q.items()) == self.n + 1
-        assert sum(self.expected_q.values()) <= self.n + 1
-        assert sum(self.joint_law.values()) == 1
-        assert all(v >= 0 for v in self.variance_l.values())
+        weighted = sum(j * q for j, q in self.expected_q.items())
+        if weighted != self.n + 1:
+            raise InvariantViolation(f"sum of j E Q_j is {weighted}, not n+1 = {self.n + 1}")
+        if sum(self.expected_q.values()) > self.n + 1:
+            raise InvariantViolation("expected range exceeds n+1")
+        mass = sum(self.joint_law.values())
+        if mass != 1:
+            raise InvariantViolation(f"joint law sums to {mass}, not 1")
+        if any(v < 0 for v in self.variance_l.values()):
+            raise InvariantViolation("a variance is negative")
 
 
 def enumerate_paths(law: StepLaw, n: int, alphas: tuple[int, ...] = (2,),

@@ -14,39 +14,70 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as rnglib
-from .errors import BadParam, ResourceLimit
+from .errors import BadParam, InvariantViolation, ResourceLimit
 from .steps import LatticePoint, StepLaw, _sampling_arrays, sample_indices
 
 _INT64_SAFE = 1 << 62
 
 
-def _positions(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
-    """S_0..S_n as an (n+1, d) int64 array."""
-    coords, _ = _sampling_arrays(law)
-    out = np.zeros((n + 1, law.d), dtype=np.int64)
-    if n > 0:
-        idx = sample_indices(law, gen, n)
-        np.cumsum(coords[idx], axis=0, out=out[1:])
-    return out
+def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
+               ) -> tuple[np.ndarray, tuple]:
+    """One int64 key per time point of S_0..S_n, and the layers that decode it.
 
+    The keys are built one axis at a time, without an (n+1, d) positions
+    array: each axis is a gather of that axis's step coordinate and an
+    in-place prefix sum, folded in as a mixed-radix digit,
+    keys = keys*span + (x - lo).  The code is monotone in lexicographic
+    order of the positions, so sorting keys sorts sites.
 
-def _pack_rows(points: np.ndarray) -> np.ndarray:
-    """Mixed-radix encode integer rows into one int64 key per row.
-
-    The encoding is monotone in lexicographic row order, so sorting keys
-    sorts rows.  Falls back to per-row void views only if the coordinate
-    ranges cannot fit 63 bits (never the case for the walks handled here).
+    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length(), so a key
+    and its time index share one int64 (see _occurrence_numbers).  When a
+    digit would cross that budget, the partial key is replaced by its
+    dense rank (same order, at most n+1 values); an axis too wide to be
+    multiplied in within int64 is ranked first.  layers holds
+    (lo, span, axis rank table, key rank table) per axis for _decode_sites.
     """
-    lo = points.min(axis=0)
-    spans = points.max(axis=0) - lo + 1
-    total_bits = int(np.sum(np.ceil(np.log2(spans.astype(float) + 1))))
-    if total_bits > 62:
-        raise ResourceLimit("coordinate ranges too wide to pack into 64-bit keys")
-    keys = np.zeros(len(points), dtype=np.int64)
-    for j in range(points.shape[1]):
-        keys *= int(spans[j])
-        keys += points[:, j] - lo[j]
-    return keys
+    coords, _ = _sampling_arrays(law)
+    tbits = (n + 1).bit_length()
+    if 2 * tbits > 63:
+        raise ResourceLimit(f"horizon {n} too long for 64-bit time-site keys")
+    budget = 1 << (63 - tbits)
+    idx = sample_indices(law, gen, n) if n > 0 else np.empty(0, dtype=np.intp)
+    keys = np.zeros(n + 1, dtype=np.int64)
+    x = np.empty(n + 1, dtype=np.int64)
+    radix = 1
+    layers = []
+    for j in range(law.d):
+        x[0] = 0
+        np.take(coords[:, j], idx, out=x[1:], mode="clip")
+        np.cumsum(x[1:], out=x[1:])
+        lo = int(x.min())
+        span = int(x.max()) - lo + 1
+        x -= lo
+        axis_table = key_table = None
+        if radix * span > 1 << 63:
+            axis_table, x = np.unique(x, return_inverse=True)
+            span = len(axis_table)
+        keys *= span
+        keys += x
+        radix *= span
+        if radix > budget:
+            key_table, keys = np.unique(keys, return_inverse=True)
+            radix = len(key_table)
+        layers.append((lo, span, axis_table, key_table))
+    return keys, tuple(layers)
+
+
+def _decode_sites(keys: np.ndarray, layers: tuple) -> np.ndarray:
+    """Invert _walk_keys: the (len(keys), d) lattice points of the keys."""
+    sites = np.empty((len(keys), len(layers)), dtype=np.int64)
+    for j in reversed(range(len(layers))):
+        lo, span, axis_table, key_table = layers[j]
+        if key_table is not None:
+            keys = key_table[keys]
+        keys, x = np.divmod(keys, span)
+        np.add(x if axis_table is None else axis_table[x], lo, out=sites[:, j])
+    return sites
 
 
 @dataclass(frozen=True)
@@ -77,9 +108,13 @@ class LocalTimeField:
                 for s, v in zip(self.sites, self.counts)}
 
     def check_invariants(self) -> None:
-        assert int(self.counts.sum()) == self.n + 1
-        assert (self.counts >= 1).all()
-        assert self.count_of((0,) * self.sites.shape[1]) >= 1
+        total = int(self.counts.sum())
+        if total != self.n + 1:
+            raise InvariantViolation(f"visit counts sum to {total}, not n+1 = {self.n + 1}")
+        if not (self.counts >= 1).all():
+            raise InvariantViolation("a listed site has no visits")
+        if self.count_of((0,) * self.sites.shape[1]) < 1:
+            raise InvariantViolation("the origin is not among the visited sites")
 
 
 @dataclass(frozen=True)
@@ -96,22 +131,18 @@ class QHistogram:
         return sum(j * q for j, q in self.buckets.items())
 
 
-def _field_from_positions(n: int, positions: np.ndarray,
-                          key_budget: int | None) -> LocalTimeField:
-    keys = _pack_rows(positions)
-    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if key_budget is not None and len(uniq) > key_budget:
-        raise ResourceLimit(f"field has {len(uniq)} sites, budget {key_budget}")
-    return LocalTimeField(n=n, sites=positions[first], counts=counts)
-
-
 def simulate(law: StepLaw, n: int, seed: int,
              key_budget: int | None = None) -> LocalTimeField:
     """Simulate one n-step path and return its local-time field."""
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     gen = rnglib.generator(seed)
-    return _field_from_positions(n, _positions(law, n, gen), key_budget)
+    keys, layers = _walk_keys(law, n, gen)
+    uniq, counts = np.unique(keys, return_counts=True)
+    del keys
+    if key_budget is not None and len(uniq) > key_budget:
+        raise ResourceLimit(f"field has {len(uniq)} sites, budget {key_budget}")
+    return LocalTimeField(n=n, sites=_decode_sites(uniq, layers), counts=counts)
 
 
 def l_alpha(field: LocalTimeField, alpha: float):
@@ -181,15 +212,29 @@ class CheckpointSeries:
 
 
 def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
-    """k[t] = how many times keys[t] has appeared among keys[0..t]."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    new_group = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(np.r_[starts, len(keys)])
-    ranks = np.arange(len(keys)) - np.repeat(starts, sizes)
-    k = np.empty(len(keys), dtype=np.int64)
-    k[order] = ranks + 1
+    """k[t] = how many times keys[t] has appeared among keys[0..t].
+
+    keys come from _walk_keys, so key << tbits | t fits in int64 and one
+    unstable sort of those distinct composites orders the times by key,
+    then by t.  keys is overwritten.
+    """
+    size = len(keys)
+    tbits = size.bit_length()
+    t = np.arange(size, dtype=np.int64)
+    keys <<= tbits
+    keys |= t
+    keys.sort()
+    order = keys & ((1 << tbits) - 1)
+    keys >>= tbits
+    new_group = np.empty(size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+    group_start = np.multiply(t, new_group, out=keys)
+    np.maximum.accumulate(group_start, out=group_start)
+    t -= group_start
+    t += 1
+    k = np.empty(size, dtype=np.int64)
+    k[order] = t
     return k
 
 
@@ -229,13 +274,13 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
         raise BadParam("alphas must be >= 0")
     n_max = checkpoints[-1]
     gen = rnglib.generator(seed)
-    positions = _positions(law, n_max, gen)
-    keys = _pack_rows(positions)
-    if key_budget is not None and len(np.unique(keys)) > key_budget:
-        raise ResourceLimit(f"field exceeds key budget {key_budget}")
+    keys, _ = _walk_keys(law, n_max, gen)
     k = _occurrence_numbers(keys)
+    running_range = np.cumsum(k == 1)
+    if key_budget is not None and running_range[-1] > key_budget:
+        raise ResourceLimit(f"field exceeds key budget {key_budget}")
     idx = np.asarray(checkpoints)
-    ranges = tuple(int(v) for v in np.cumsum(k == 1)[idx])
+    ranges = tuple(int(v) for v in running_range[idx])
     l_rows = []
     for a in alphas:
         running = _running_l(k, a)[idx]

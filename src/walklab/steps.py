@@ -358,6 +358,11 @@ def law_from_json(obj: Mapping) -> StepLaw:
         atoms = [(entry["x"], _parse_param(entry["p"], exact)) for entry in raw]
         return make_law(obj["d"], atoms, exact=bool(exact))
 
+    implied = {"bernoulli": 1}.get(family)
+    if family == "deterministic" and isinstance(obj.get("v"), Sequence):
+        implied = len(obj["v"])
+    if implied is not None and obj.get("d", implied) != implied:
+        raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")
     exact = bool(obj.get("exact", isinstance(obj.get("p", obj.get("bias", 0.0)), str)))
     params = {k: v for k, v in obj.items() if k in ("p", "bias", "v")}
     return builtin(family, d=obj.get("d"), exact=exact, **params)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import walklab
 from walklab.cli import cli
 
 BERN = '{"family": "bernoulli", "p": 0.7}'
@@ -180,3 +185,15 @@ class TestOutFiles:
         assert r1.exit_code == 0 and r2.exit_code == 0
         for name in ("verify-geometric.json", "verify-geometric.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is imported only when a chi-square p-value is needed
+    src = str(Path(walklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, walklab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -159,6 +160,11 @@ class TestVarianceScan:
         with pytest.raises(wl.BadParam):
             wl.variance_scan(srw3, 1.5, [8, 16], 10, seed=0)
 
+    def test_too_few_replicas_for_jackknife_rejected(self, srw3):
+        # the leave-one-out variance divides by M - 2
+        with pytest.raises(wl.BadParam):
+            wl.variance_scan(srw3, 2, [64, 128, 256], m=2, seed=1)
+
     def test_replica_seeds_documented(self, bern07):
         a = wl.variance_scan(bern07, 2, [16, 32, 64], 25, seed=3)
         b = wl.variance_scan(bern07, 2, [16, 32, 64], 25, seed=3)
@@ -185,3 +191,30 @@ class TestReportSerialization:
     def test_verdict_pure_function_of_checks(self, det1):
         rep = wl.run_slln(det1, [0], [8], seeds=[1])
         assert rep.verdict == all(c["ok"] for c in rep.checks)
+
+    def test_non_finite_floats_become_null(self, det1):
+        # the return-tail fit of a deterministic walk has eta_hat = inf
+        rep = wl.run_slln(det1, [2.0], [100, 200], [1])
+        assert rep.notes["low_dim_assumptions"]["return_tail_eta_hat"] == math.inf
+        out = json.loads(rep.to_json_bytes(), parse_constant=_reject_constant)
+        assert out["notes"]["low_dim_assumptions"]["return_tail_eta_hat"] is None
+
+    def test_numpy_non_finite_become_null(self, det1):
+        rep = wl.run_slln(det1, [0], [8], seeds=[1])
+        rep.stats = {"nan": np.float64("nan"), "array": np.array([1.0, -np.inf]),
+                     "f32": np.float32("inf")}
+        out = json.loads(rep.to_json_bytes(), parse_constant=_reject_constant)
+        assert out["stats"] == {"nan": None, "array": [1.0, None], "f32": None}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report JSON contains {name}")
+
+
+class TestChiSquareSurvival:
+    def test_chdtrc_is_chi2_sf(self):
+        from scipy.special import chdtrc
+        from scipy.stats import chi2
+        dof, x = np.meshgrid(np.arange(1, 41),
+                             np.r_[0.0, np.geomspace(1e-6, 500.0, 200)])
+        assert np.array_equal(chdtrc(dof, x), chi2.sf(x, dof))

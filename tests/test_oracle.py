@@ -24,6 +24,14 @@ class TestEnumerate:
         s = wl.enumerate_paths(lazy_walk_exact, 6, alphas=(2,))
         s.check_invariants()
 
+    def test_check_invariants_raises(self, bern07_exact):
+        s = wl.enumerate_paths(bern07_exact, 3, alphas=(2,))
+        bad = wl.ExactSummary(n=s.n + 1, expected_q=s.expected_q,
+                              expected_l=s.expected_l, variance_l=s.variance_l,
+                              joint_law=s.joint_law, gamma_seq=s.gamma_seq)
+        with pytest.raises(wl.InvariantViolation):
+            bad.check_invariants()
+
     def test_budget_exceeded(self, bern07_exact):
         with pytest.raises(wl.BudgetExceeded):
             wl.enumerate_paths(bern07_exact, 30, budget=1000)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import path_reference as ref
 import walklab as wl
 from walklab import rng
-from walklab.path import LocalTimeField
+from walklab.path import LocalTimeField, _walk_keys
 
 
 def field_from_counts(counts: dict) -> LocalTimeField:
@@ -42,6 +43,15 @@ class TestSimulate:
     def test_key_budget(self, det1):
         with pytest.raises(wl.ResourceLimit):
             wl.simulate(det1, 100, seed=0, key_budget=10)
+
+    def test_invariant_violation_raises(self):
+        f = field_from_counts({(0,): 2, (1,): 1})
+        short = LocalTimeField(n=5, sites=f.sites, counts=f.counts)
+        with pytest.raises(wl.InvariantViolation):
+            short.check_invariants()
+        no_origin = LocalTimeField(n=2, sites=f.sites + 1, counts=f.counts)
+        with pytest.raises(wl.InvariantViolation):
+            no_origin.check_invariants()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 200))
@@ -165,3 +175,75 @@ class TestSeries:
             wl.simulate_series(det1, [5, 5], [1.0], seed=0)
         with pytest.raises(wl.BadParam):
             wl.simulate_series(det1, [], [1.0], seed=0)
+
+
+def _lazy(d):
+    """srw(d) that stays put with probability 1/5."""
+    atoms = [(e, 0.8 * m) for e, m in wl.srw(d).atoms] + [((0,) * d, 0.2)]
+    return wl.make_law(d, atoms, exact=False)
+
+
+def _long_step(d):
+    """Unit steps on every axis except a +2 step on the first."""
+    atoms = [((2,) + e[1:] if e[0] == 1 else e, m) for e, m in wl.srw(d).atoms]
+    return wl.make_law(d, atoms, exact=False)
+
+
+# Steps of 2^22 on both axes: past the 64-bit key budget within a few
+# thousand steps, so the kernel must fall back on dense ranks.
+_HUGE_STEPS = wl.make_law(2, [((1 << 22, 0), 0.3), ((0, 1 << 22), 0.3),
+                              ((-(1 << 22), 0), 0.2), ((0, -(1 << 22)), 0.2)],
+                          exact=False)
+
+
+@st.composite
+def walk_laws(draw):
+    d = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["srw", "deterministic", "lazy", "long_step"]))
+    if family == "deterministic":
+        return wl.deterministic([draw(st.sampled_from([1, -1, 3]))])
+    return {"srw": wl.srw, "lazy": _lazy, "long_step": _long_step}[family](d)
+
+
+class TestKernelMatchesPositionsReference:
+    """The axis-at-a-time kernel against the (n+1, d) positions construction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=walk_laws(), n=st.integers(0, 3000), seed=st.integers(0, 2 ** 32))
+    def test_simulate(self, law, n, seed):
+        f = wl.simulate(law, n, seed)
+        sites, counts = ref.field(law, n, seed)
+        assert f.sites.dtype == sites.dtype and f.sites.shape == sites.shape
+        assert np.array_equal(f.sites, sites)
+        assert np.array_equal(f.counts, counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=walk_laws(), n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32),
+           data=st.data())
+    def test_simulate_series(self, law, n, seed, data):
+        cks = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=5)))
+        alphas = [0.0, 1.0, 2.0, 3.0, 0.5, 1.7]
+        s = wl.simulate_series(law, cks, alphas, seed)
+        keys = ref.pack_rows(ref.positions(law, cks[-1], seed))
+        assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+
+    @pytest.mark.parametrize("law, n, ranked", [
+        (wl.srw(10), 100_000, "key"),
+        (wl.srw(8), 1_000_000, "key"),
+        (_HUGE_STEPS, 3000, "key"),
+        (_HUGE_STEPS, 10_000, "axis"),
+    ], ids=["srw10-1e5", "srw8-1e6", "huge-steps-3000", "huge-steps-10000"])
+    def test_wide_coordinate_ranges(self, law, n, ranked):
+        _, layers = _walk_keys(law, n, rng.generator(7))
+        table = {"axis": 2, "key": 3}[ranked]
+        assert any(layer[table] is not None for layer in layers)
+        pos = ref.positions(law, n, 7)
+        sites, row_rank, counts = np.unique(pos, axis=0, return_inverse=True,
+                                            return_counts=True)
+        f = wl.simulate(law, n, seed=7)
+        assert np.array_equal(f.sites, sites)
+        assert np.array_equal(f.counts, counts)
+        cks, alphas = [n // 3, n], [0.0, 2.0, 0.5]
+        s = wl.simulate_series(law, cks, alphas, seed=7)
+        expected = ref.series(row_rank.reshape(-1), cks, alphas)
+        assert (s.l_table, s.ranges) == expected

@@ -173,6 +173,23 @@ class TestJson:
         with pytest.raises(wl.UnknownFamily):
             wl.law_from_json({"family": "cauchy"})
 
+    @pytest.mark.parametrize("obj", [
+        {"family": "bernoulli", "d": 3, "p": 0.7},
+        {"family": "deterministic", "d": 2, "v": [1]},
+        {"family": "deterministic", "d": 1, "v": [1, 0]},
+    ])
+    def test_dimension_disagreeing_with_family_rejected(self, obj):
+        with pytest.raises(wl.ConfigError):
+            wl.law_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "bernoulli", "d": 1, "p": 0.7},
+        {"family": "deterministic", "d": 1, "v": [2]},
+        {"family": "deterministic", "v": [2]},
+    ])
+    def test_dimension_agreeing_with_family_accepted(self, obj):
+        assert wl.law_from_json(obj).d == 1
+
     def test_describe_roundtrips(self, bern07_exact):
         again = wl.law_from_json(wl.law_to_json(bern07_exact))
         assert again.atoms == bern07_exact.atoms
