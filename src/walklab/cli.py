@@ -92,13 +92,20 @@ def _resolve_law(run: _Run, law_text: str | None) -> StepLaw:
     raise ConfigError("no law given: pass --law '<json>' or a --config with a law")
 
 
-def _param(run: _Run, cli_value, key: str, default, allowed: set[str]):
-    unknown = set(run.experiment) - allowed
+def _options(run: _Run, table: dict) -> dict:
+    """Each experiment key the command reads -> its flag, else config, else default.
+
+    table maps key -> (flag value, default); None counts as not given.  A
+    config key outside the table is rejected rather than silently ignored.
+    """
+    unknown = set(run.experiment) - set(table)
     if unknown:
         raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
-    if cli_value is not None:
-        return cli_value
-    return run.experiment.get(key, default)
+    out = {}
+    for key, (flag, default) in table.items():
+        value = flag if flag is not None else run.experiment.get(key)
+        out[key] = default if value is None else value
+    return out
 
 
 def _seeds(run: _Run, paths: int) -> list[int]:
@@ -132,13 +139,13 @@ def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
         sys.exit(2)
 
 
-def _parse_list(text: str, cast):
-    return [cast(x) for x in text.split(",") if x.strip() != ""]
+def _parse_list(text: str | None, cast):
+    return [cast(x) for x in text.split(",") if x.strip() != ""] if text else None
 
 
-def _dyadic_checkpoints(n: int, start: int = 1024) -> list[int]:
+def _dyadic_checkpoints(n: int) -> list[int]:
     cks = []
-    c = min(start, n)
+    c = min(1024, n)
     while c < n:
         cks.append(c)
         c *= 2
@@ -179,14 +186,13 @@ def cli(ctx, config, seed, out, fmt, threads):
 @click.pass_obj
 def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
-    allowed = {"n", "alphas", "checkpoints"}
+    opt = _options(run, {"n": (n, 4096),
+                         "alphas": (_parse_list(alphas, float), [0.0, 1.0, 2.0]),
+                         "checkpoints": (_parse_list(checkpoints, int), None)})
     law = _resolve_law(run, law_text)
-    n = int(_param(run, n, "n", 4096, allowed))
-    alpha_list = (_parse_list(alphas, float) if alphas
-                  else run.experiment.get("alphas", [0.0, 1.0, 2.0]))
-    cks = (_parse_list(checkpoints, int) if checkpoints
-           else run.experiment.get("checkpoints") or _dyadic_checkpoints(n))
-    series = simulate_series(law, cks, alpha_list, run.seed)
+    n = int(opt["n"])
+    cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
+    series = simulate_series(law, cks, opt["alphas"], run.seed)
     payload = {
         "law": law.describe(), "seed": run.seed,
         "checkpoints": list(series.checkpoints),
@@ -212,18 +218,15 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
 @click.pass_obj
 def estimate_gamma(run: _Run, law_text, method, n, big_n, replicas):
     """Estimate the escape probability by one of the three methods."""
-    allowed = {"n", "N", "M", "method"}
+    opt = _options(run, {"n": (n, 10_000), "M": (replicas, 100_000)} if method == "mc"
+                   else {"N": (big_n, 1000 if method == "dp" else None)})
     law = _resolve_law(run, law_text)
     if method == "mc":
-        n = int(_param(run, n, "n", 10_000, allowed))
-        replicas = int(_param(run, replicas, "M", 100_000, allowed))
-        est = mc_escape(law, n, replicas, run.seed, threads=run.threads)
+        est = mc_escape(law, int(opt["n"]), int(opt["M"]), run.seed, threads=run.threads)
     elif method == "dp":
-        big_n = int(_param(run, big_n, "N", 1000, allowed))
-        est = taboo_gamma_estimate(law, big_n)
+        est = taboo_gamma_estimate(law, int(opt["N"]))
     else:
-        big_n_opt = _param(run, big_n, "N", None, allowed)
-        est = (green_at_origin(law, int(big_n_opt)) if big_n_opt is not None
+        est = (green_at_origin(law, int(opt["N"])) if opt["N"] is not None
                else auto_gamma(law))
     payload = {"method": est.method, "value": est.value, "error": est.error,
                "params": est.params}
@@ -255,6 +258,7 @@ def _frac_json(x):
 @click.pass_obj
 def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, tol):
     """Evaluate one closed-form prediction."""
+    _options(run, {})
 
     def need(value, flag):
         if value is None:
@@ -308,16 +312,15 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
 @cli.command()
 @click.option("--law", "law_text", default=None)
 @click.option("--n", type=int, default=None)
-@click.option("--alphas", default="2,3", show_default=True,
-              help="Integer powers for exact moments.")
+@click.option("--alphas", default=None,
+              help="Integer powers for exact moments.  [default: 2,3]")
 @click.pass_obj
 def oracle(run: _Run, law_text, n, alphas):
     """Exact enumeration of all paths at a small horizon."""
-    allowed = {"n", "alphas"}
+    opt = _options(run, {"n": (n, 6), "alphas": (_parse_list(alphas, int), [2, 3])})
     law = _resolve_law(run, law_text)
-    n = int(_param(run, n, "n", 6, allowed))
-    alpha_list = tuple(_parse_list(alphas, int))
-    summary = enumerate_paths(law, n, alpha_list)
+    n = int(opt["n"])
+    summary = enumerate_paths(law, n, tuple(int(a) for a in opt["alphas"]))
     payload = {
         "law": law.describe(), "n": n,
         "expected_q": {str(j): _frac_json(v) for j, v in summary.expected_q.items()},
@@ -339,15 +342,15 @@ def oracle(run: _Run, law_text, n, alphas):
 @click.pass_obj
 def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
-    allowed = {"n", "alphas", "paths", "gamma_n", "checkpoints"}
+    opt = _options(run, {"n": (n, 1_000_000),
+                         "alphas": (_parse_list(alphas, float), [0.0, 2.0, 3.0, 0.5]),
+                         "paths": (paths, 3), "gamma_n": (gamma_n, None),
+                         "checkpoints": (None, None)})
     law = _resolve_law(run, law_text)
-    n = int(_param(run, n, "n", 1_000_000, allowed))
-    alpha_list = (_parse_list(alphas, float) if alphas
-                  else run.experiment.get("alphas", [0.0, 2.0, 3.0, 0.5]))
-    paths = int(_param(run, paths, "paths", 3, allowed))
-    cks = run.experiment.get("checkpoints") or _dyadic_checkpoints(n)
-    gamma_est = auto_gamma(law, gamma_n) if gamma_n else auto_gamma(law)
-    report = run_slln(law, alpha_list, cks, _seeds(run, paths),
+    n = int(opt["n"])
+    cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
+    gamma_est = auto_gamma(law, int(opt["gamma_n"]) if opt["gamma_n"] else None)
+    report = run_slln(law, opt["alphas"], cks, _seeds(run, int(opt["paths"])),
                       gamma_est=gamma_est,
                       rel_tol=float(run.tolerances.get("rel_tol", 0.05)))
     _finish_report(run, "verify-slln", report)
@@ -361,13 +364,11 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
 @click.pass_obj
 def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
-    allowed = {"n", "M", "paths"}
+    opt = _options(run, {"n": (n, 100_000), "M": (resamples, 100_000),
+                         "paths": (paths, 1)})
     law = _resolve_law(run, law_text)
-    n = int(_param(run, n, "n", 100_000, allowed))
-    resamples = int(_param(run, resamples, "M", 100_000, allowed))
-    paths = int(_param(run, paths, "paths", 1, allowed))
     report = run_geometric(
-        law, n, resamples, _seeds(run, paths),
+        law, int(opt["n"]), int(opt["M"]), _seeds(run, int(opt["paths"])),
         tv_bar=float(run.tolerances.get("tv_bar", 0.02)),
         p_floor=float(run.tolerances.get("p_floor", 1e-4)))
     _finish_report(run, "verify-geometric", report)
@@ -383,23 +384,22 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
 @click.pass_obj
 def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_cap):
     """Check the variance growth of L_n(alpha) against its envelope."""
-    allowed = {"alpha", "n_min", "n_max", "M", "slope_cap"}
+    # a tolerances.slope_cap overrides experiment.slope_cap, the flag both
+    opt = _options(run, {"alpha": (alpha, 2), "n_min": (n_min, 1 << 10),
+                         "n_max": (n_max, 1 << 16), "M": (replicas, 200),
+                         "slope_cap": (run.tolerances.get("slope_cap")
+                                       if slope_cap is None else slope_cap, None)})
     law = _resolve_law(run, law_text)
-    alpha = int(_param(run, alpha, "alpha", 2, allowed))
-    n_min = int(_param(run, n_min, "n_min", 1 << 10, allowed))
-    n_max = int(_param(run, n_max, "n_max", 1 << 16, allowed))
-    replicas = int(_param(run, replicas, "M", 200, allowed))
-    if slope_cap is None:
-        slope_cap = run.tolerances.get("slope_cap",
-                                       run.experiment.get("slope_cap"))
+    n_max = int(opt["n_max"])
     grid = []
-    n = n_min
+    n = int(opt["n_min"])
     while n < n_max:
         grid.append(n)
         n *= 2
     grid.append(n_max)
+    slope_cap = opt["slope_cap"]
     report = variance_scan(
-        law, alpha, grid, replicas, run.seed,
+        law, int(opt["alpha"]), grid, int(opt["M"]), run.seed,
         safety=float(run.tolerances.get("safety", 10.0)),
         slope_cap=None if slope_cap is None else float(slope_cap))
     _finish_report(run, "variance-scan", report)
@@ -412,6 +412,7 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
 @click.pass_obj
 def return_tail_cmd(run: _Run, law_text, n, big_n):
     """Tail sum of return probabilities with fitted decay exponent."""
+    _options(run, {})
     law = _resolve_law(run, law_text)
     diag = return_tail(law, n, big_n)
     payload = {

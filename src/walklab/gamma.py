@@ -35,9 +35,10 @@ from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
 from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays
 
-DEFAULT_PRUNE = 1e-16
+PRUNE_THRESHOLD = 1e-16
 DEFAULT_CELL_BUDGET = 1 << 25
 DEFAULT_SITE_BUDGET = 5_000_000
+MC_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +179,15 @@ class DenseEvolver:
     """Float box DP over the support bounding box, with edge pruning.
 
     The array covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis;
-    mass below the prune threshold is dropped (and accounted) when the
-    box is re-trimmed, which keeps the box at the diffusive scale instead
-    of the ballistic one.
+    cells below PRUNE_THRESHOLD are dropped (and accounted) when the box
+    is re-trimmed, which keeps the box at the diffusive scale instead of
+    the ballistic one.
     """
 
     TRIM_EVERY = 8
 
     def __init__(self, law: StepLaw, kill_origin: bool = False,
-                 cell_budget: int = DEFAULT_CELL_BUDGET,
-                 prune: float = DEFAULT_PRUNE):
+                 cell_budget: int = DEFAULT_CELL_BUDGET):
         law = law.to_float()
         self.d = law.d
         self.offsets = np.array([p for p, _ in law.atoms], dtype=np.int64)
@@ -198,7 +198,6 @@ class DenseEvolver:
         self.killed = 0.0
         self.pruned = 0.0
         self.cell_budget = cell_budget
-        self.prune = prune
         self.m = 0
 
     def _origin_index(self) -> tuple | None:
@@ -232,7 +231,7 @@ class DenseEvolver:
             self._trim()
 
     def _trim(self) -> None:
-        small = (self.arr < self.prune) & (self.arr > 0)
+        small = (self.arr < PRUNE_THRESHOLD) & (self.arr > 0)
         if small.any():
             self.pruned += float(self.arr[small].sum())
             self.arr[small] = 0.0
@@ -262,7 +261,7 @@ class DenseEvolver:
 
     def to_masses(self) -> dict[LatticePoint, float]:
         out = {}
-        for flat in np.flatnonzero(self.arr >= self.prune):
+        for flat in np.flatnonzero(self.arr >= PRUNE_THRESHOLD):
             idx = np.unravel_index(flat, self.arr.shape)
             point = tuple(int(i + l) for i, l in zip(idx, self.lo))
             out[point] = float(self.arr[idx])
@@ -271,8 +270,7 @@ class DenseEvolver:
 
 def _evolution(law: StepLaw, n: int, kill_origin: bool = False,
                site_budget: int = DEFAULT_SITE_BUDGET,
-               cell_budget: int = DEFAULT_CELL_BUDGET,
-               prune: float = DEFAULT_PRUNE):
+               cell_budget: int = DEFAULT_CELL_BUDGET):
     """Yield the evolver of the law of S_m at m = 0, 1, ..., n.
 
     The one step loop of the package: rational laws evolve exactly and
@@ -283,8 +281,7 @@ def _evolution(law: StepLaw, n: int, kill_origin: bool = False,
         ev: SparseEvolver | DenseEvolver = SparseEvolver(
             law, kill_origin=kill_origin, site_budget=site_budget)
     else:
-        ev = DenseEvolver(law, kill_origin=kill_origin, cell_budget=cell_budget,
-                          prune=prune)
+        ev = DenseEvolver(law, kill_origin=kill_origin, cell_budget=cell_budget)
     yield ev
     for _ in range(n):
         ev.step()
@@ -297,7 +294,7 @@ def pmf_evolve(law: StepLaw, m: int,
     """Exact law of S_m as a sparse field.
 
     Rational laws evolve exactly; float laws use the dense box DP and drop
-    only mass below the prune threshold (total drift < 1e-12 in practice).
+    only cells below PRUNE_THRESHOLD (total drift < 1e-12 in practice).
     """
     if m < 0:
         raise BadParam(f"step count must be >= 0, got {m}")
@@ -539,25 +536,25 @@ def green_at_origin(law: StepLaw, n: int,
 
 def taboo_survival(law: StepLaw, n: int,
                    site_budget: int = DEFAULT_SITE_BUDGET,
-                   cell_budget: int = DEFAULT_CELL_BUDGET,
-                   prune: float = DEFAULT_PRUNE) -> ReturnLaw:
+                   cell_budget: int = DEFAULT_CELL_BUDGET) -> ReturnLaw:
     """No-return probabilities gamma(0..n) by origin-killed evolution.
 
     Rational laws are evolved exactly and never pruned; float laws use
-    the dense DP with the pruned mass reported in prune_loss.
+    the dense DP, which drops cells below PRUNE_THRESHOLD, with the
+    pruned mass reported in prune_loss.
     """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     seq = []
     for ev in _evolution(law, n, kill_origin=True, site_budget=site_budget,
-                         cell_budget=cell_budget, prune=prune):
+                         cell_budget=cell_budget):
         seq.append(ev.surviving_mass())
     loss = 0.0 if law.exact else ev.pruned
     return ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
                      prune_loss=loss)
 
 
-def taboo_gamma_estimate(law: StepLaw, n: int, **kwargs) -> GammaEstimate:
+def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     """Gamma estimate from the taboo DP.
 
     The value is gamma(n), which exceeds gamma by P(n < tau < infinity);
@@ -565,7 +562,7 @@ def taboo_gamma_estimate(law: StepLaw, n: int, **kwargs) -> GammaEstimate:
     return-probability tail (renewal: P(tau = m) ~ gamma^2 P(S_m = 0)),
     plus any pruned mass.
     """
-    ret = taboo_survival(law, n, **kwargs)
+    ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
     bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d)
     return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
@@ -576,15 +573,15 @@ def taboo_gamma_estimate(law: StepLaw, n: int, **kwargs) -> GammaEstimate:
 # Monte Carlo escape
 # ---------------------------------------------------------------------------
 
-def _replica_escapes(law_arrays, d: int, n: int, seed: int, block: int) -> bool:
-    """True iff one walk stays off the origin for steps 1..n."""
+def _replica_escapes(law_arrays, d: int, n: int, seed: int) -> bool:
+    """True iff one walk stays off the origin for steps 1..n (drawn MC_BLOCK at a time)."""
     coords, cdf = law_arrays
     max_step = np.abs(coords).max(axis=0)
     gen = rnglib.generator(seed)
     pos = np.zeros(d, dtype=np.int64)
     done = 0
     while done < n:
-        b = min(block, n - done)
+        b = min(MC_BLOCK, n - done)
         idx = np.searchsorted(cdf, gen.random(b), side="right")
         path = np.cumsum(coords[idx], axis=0)
         path += pos
@@ -600,34 +597,36 @@ def _replica_escapes(law_arrays, d: int, n: int, seed: int, block: int) -> bool:
 
 
 def _escape_range(args) -> int:
-    law_arrays, d, n, master_seed, lo, hi, block = args
+    law_arrays, d, n, master_seed, lo, hi = args
     count = 0
     for i in range(lo, hi):
-        count += _replica_escapes(law_arrays, d, n, rnglib.mix64(master_seed, i), block)
+        count += _replica_escapes(law_arrays, d, n, rnglib.mix64(master_seed, i))
     return count
 
 
 def mc_escape(law: StepLaw, n: int, m: int, seed: int,
-              threads: int = 1, block: int = 2048) -> GammaEstimate:
+              threads: int = 1) -> GammaEstimate:
     """Monte Carlo estimate of gamma(n) over m independent replicas.
 
     Replica i is a pure function of mix64(seed, i), so the result does
     not depend on threads; estimates gamma(n) >= gamma (upward bias by
-    the walks that would return after n, reported as-is).
+    the walks that would return after n, reported as-is).  threads > 1
+    splits the replicas over a process pool of the platform's default
+    start method; tasks are top-level and picklable, so spawn works too.
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
     coords, cdf = _sampling_arrays(law)
     arrays = (coords, cdf)
     if threads > 1:
-        from multiprocessing import get_context
+        from multiprocessing import Pool
         bounds = np.linspace(0, m, threads + 1).astype(int)
-        tasks = [(arrays, law.d, n, seed, int(lo), int(hi), block)
+        tasks = [(arrays, law.d, n, seed, int(lo), int(hi))
                  for lo, hi in zip(bounds, bounds[1:])]
-        with get_context("fork").Pool(threads) as pool:
+        with Pool(threads) as pool:
             escapes = sum(pool.map(_escape_range, tasks))
     else:
-        escapes = _escape_range((arrays, law.d, n, seed, 0, m, block))
+        escapes = _escape_range((arrays, law.d, n, seed, 0, m))
     value = escapes / m
     stderr = math.sqrt(max(value * (1 - value), 0.0) / m)
     return GammaEstimate(value=value, error=stderr, method="mc_escape",

@@ -23,6 +23,10 @@ from .path import l_alpha, sample_visited_local_time, simulate, simulate_series
 from .steps import StepLaw, law_to_json, mean_and_second_moment
 from .theory import geometric_pmf, moment_limit
 
+# Bucketing rule of geometric_chi_square.
+CHI_TAIL_MASS = 1e-3
+CHI_MIN_EXPECTED = 5.0
+
 
 # ---------------------------------------------------------------------------
 # Small statistics helpers
@@ -72,14 +76,13 @@ class ChiSquareResult:
     buckets: tuple[dict, ...]
 
 
-def geometric_chi_square(counts: Mapping[int, int], gamma: float,
-                         tail_mass: float = 1e-3,
-                         min_expected: float = 5.0) -> ChiSquareResult:
+def geometric_chi_square(counts: Mapping[int, int], gamma: float) -> ChiSquareResult:
     """Chi-square fit of observed visit-count draws against Geom(gamma).
 
     Buckets {1..U, >U} with U chosen so the geometric tail beyond U is
-    below tail_mass; buckets with expected count below min_expected are
-    merged from the right (standard validity conditions).
+    below CHI_TAIL_MASS; buckets with expected count below
+    CHI_MIN_EXPECTED are merged from the right (standard validity
+    conditions).
     """
     total = sum(counts.values())
     if total < 1:
@@ -87,13 +90,13 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float,
     if gamma >= 1.0:
         u_cut = 1
     else:
-        u_cut = max(1, math.ceil(math.log(tail_mass) / math.log(1.0 - gamma)))
+        u_cut = max(1, math.ceil(math.log(CHI_TAIL_MASS) / math.log(1.0 - gamma)))
     ref = GeometricLaw(gamma)
     probs = [ref.pmf(u) for u in range(1, u_cut + 1)] + [ref.tail_beyond(u_cut)]
     obs = [counts.get(u, 0) for u in range(1, u_cut + 1)]
     obs.append(total - sum(obs))
     labels = [str(u) for u in range(1, u_cut + 1)] + [f">{u_cut}"]
-    while len(probs) > 1 and probs[-1] * total < min_expected:
+    while len(probs) > 1 and probs[-1] * total < CHI_MIN_EXPECTED:
         p_tail, o_tail, l_tail = probs.pop(), obs.pop(), labels.pop()
         probs[-1] += p_tail
         obs[-1] += o_tail
@@ -271,8 +274,7 @@ def _low_dim_notes(law: StepLaw) -> dict:
 
 def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
              seeds: Sequence[int], gamma_est: GammaEstimate | None = None,
-             rel_tol: float = 0.05,
-             key_budget: int | None = None) -> ExperimentReport:
+             rel_tol: float = 0.05) -> ExperimentReport:
     """Strong-law experiment: L_n(alpha)/n against the geometric moment sum.
 
     One path per seed; the verdict compares the final-checkpoint ratio
@@ -290,8 +292,7 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
     checks = []
     n_final = int(checkpoints[-1])
     for seed in seeds:
-        series = simulate_series(law, checkpoints, alphas, seed,
-                                 key_budget=key_budget)
+        series = simulate_series(law, checkpoints, alphas, seed)
         for i, n in enumerate(series.checkpoints):
             for j, a in enumerate(series.alphas):
                 records.append({
@@ -331,13 +332,12 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
 
 def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
                   gamma_est: GammaEstimate | None = None,
-                  tv_bar: float = 0.02, p_floor: float = 1e-4,
-                  key_budget: int | None = None) -> ExperimentReport:
+                  tv_bar: float = 0.02, p_floor: float = 1e-4) -> ExperimentReport:
     """Limit-law experiment: empirical visit count at a uniform visited site.
 
     One path per seed, resampled m times; reports the total-variation
     distance of the empirical law to Geom(gamma) and a chi-square over
-    buckets holding all but 1e-3 of the geometric mass.
+    buckets holding all but CHI_TAIL_MASS of the geometric mass.
     """
     gamma_est = gamma_est or auto_gamma(law)
     g = gamma_est.value
@@ -346,7 +346,7 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
     checks = []
     stats: dict = {"per_seed": []}
     for seed in seeds:
-        fld = simulate(law, n, seed, key_budget=key_budget)
+        fld = simulate(law, n, seed)
         draws = sample_visited_local_time(fld, rnglib.replica_generator(seed, 1), m)
         tally = np.bincount(draws)
         counts = {int(u): int(tally[u]) for u in np.flatnonzero(tally)}
@@ -390,8 +390,7 @@ def variance_envelope(d: int) -> tuple[str, Callable[[float], float]]:
 
 def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
                   seed: int, safety: float = 10.0,
-                  slope_cap: float | None = None,
-                  key_budget: int | None = None) -> ExperimentReport:
+                  slope_cap: float | None = None) -> ExperimentReport:
     """Sample-variance growth of L_n(alpha) against its envelope.
 
     m independent replicas per grid point (replica seeds are
@@ -414,7 +413,7 @@ def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
         vals = np.empty(m)
         for i in range(m):
             replica_seed = rnglib.mix64(seed, gi * m + i)
-            fld = simulate(law, n, replica_seed, key_budget=key_budget)
+            fld = simulate(law, n, replica_seed)
             vals[i] = float(l_alpha(fld, alpha))
         var = float(np.var(vals, ddof=1))
         s1, s2 = vals.sum(), (vals ** 2).sum()

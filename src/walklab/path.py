@@ -131,8 +131,7 @@ class QHistogram:
         return sum(j * q for j, q in self.buckets.items())
 
 
-def simulate(law: StepLaw, n: int, seed: int,
-             key_budget: int | None = None) -> LocalTimeField:
+def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
     """Simulate one n-step path and return its local-time field."""
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
@@ -140,8 +139,6 @@ def simulate(law: StepLaw, n: int, seed: int,
     keys, layers = _walk_keys(law, n, gen)
     uniq, counts = np.unique(keys, return_counts=True)
     del keys
-    if key_budget is not None and len(uniq) > key_budget:
-        raise ResourceLimit(f"field has {len(uniq)} sites, budget {key_budget}")
     return LocalTimeField(n=n, sites=_decode_sites(uniq, layers), counts=counts)
 
 
@@ -239,9 +236,7 @@ def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
 
 
 def _running_l(k: np.ndarray, alpha: float) -> np.ndarray:
-    """Cumulative L(alpha): each visit bumps L by k^alpha - (k-1)^alpha."""
-    if alpha == 0:
-        return np.cumsum(k == 1)
+    """Cumulative L(alpha) for alpha > 0: each visit bumps L by k^alpha - (k-1)^alpha."""
     if float(alpha).is_integer():
         a = int(alpha)
         kmax = int(k.max())
@@ -255,8 +250,7 @@ def _running_l(k: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def simulate_series(law: StepLaw, checkpoints: Sequence[int],
-                    alphas: Sequence[float], seed: int,
-                    key_budget: int | None = None) -> CheckpointSeries:
+                    alphas: Sequence[float], seed: int) -> CheckpointSeries:
     """One path, evaluated incrementally at every checkpoint.
 
     Checkpoint records coincide with a from-scratch l_alpha evaluation of
@@ -276,14 +270,12 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
     gen = rnglib.generator(seed)
     keys, _ = _walk_keys(law, n_max, gen)
     k = _occurrence_numbers(keys)
-    running_range = np.cumsum(k == 1)
-    if key_budget is not None and running_range[-1] > key_budget:
-        raise ResourceLimit(f"field exceeds key budget {key_budget}")
     idx = np.asarray(checkpoints)
-    ranges = tuple(int(v) for v in running_range[idx])
+    running_range = np.cumsum(k == 1)[idx]
+    ranges = tuple(int(v) for v in running_range)
     l_rows = []
     for a in alphas:
-        running = _running_l(k, a)[idx]
+        running = running_range if a == 0 else _running_l(k, a)[idx]
         l_rows.append(tuple(
             int(v) if float(a).is_integer() else float(v) for v in running))
     l_table = tuple(tuple(row[i] for row in l_rows)

@@ -26,6 +26,9 @@ from .gamma import (
 )
 from .steps import StepLaw
 
+MOMENT_MAX_TERMS = 10 ** 7
+GREEN_DIRECT_MAX_N = 64
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -51,34 +54,39 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def moment_limit(alpha: float, gamma: float, tol: float = 1e-10,
-                 max_terms: int = 10 ** 7) -> Prediction:
+def moment_limit(alpha: float, gamma: float, tol: float = 1e-10) -> Prediction:
     """lim L_n(alpha)/n = sum_j j^alpha gamma^2 (1-gamma)^(j-1).
 
     Partial sum with a geometric-envelope tail bound: once the ratio
     q = (1-gamma)(1+1/J)^alpha drops below 1, the tail after J terms is
     at most gamma^2 (1-gamma)^J (J+1)^alpha / (1-q).  gamma = 1 is the
-    degenerate point mass at 1, where the value is exactly 1.
+    degenerate point mass at 1, where the value is exactly 1.  Raises
+    BadParam for a non-finite or negative alpha, a tol that is not a
+    positive number, a sum that overflows a double, and a sum that has
+    not met tol after MOMENT_MAX_TERMS terms.
     """
     gamma = _check_gamma(gamma)
-    if alpha < 0:
-        raise BadParam(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise BadParam(f"alpha must be finite and >= 0, got {alpha}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadParam(f"tol must be finite and > 0, got {tol}")
     one_minus = 1.0 - gamma
     total = 0.0
     weight = gamma * gamma  # gamma^2 (1-gamma)^(j-1)
-    j = 0
-    while j < max_terms:
-        j += 1
-        total += weight * j ** alpha
-        weight *= one_minus
-        q = one_minus * (1.0 + 1.0 / j) ** alpha
-        if q < 1.0:
-            bound = weight * (j + 1) ** alpha / (1.0 - q)
-            if bound < tol:
-                return Prediction(kind="moment_limit",
-                                  inputs={"alpha": alpha, "gamma": gamma},
-                                  value=total, truncation_error=bound)
-    raise BadParam(f"moment_limit did not converge within {max_terms} terms")
+    try:
+        for j in range(1, MOMENT_MAX_TERMS + 1):
+            total += weight * j ** alpha
+            weight *= one_minus
+            q = one_minus * (1.0 + 1.0 / j) ** alpha
+            if q < 1.0:
+                bound = weight * (j + 1) ** alpha / (1.0 - q)
+                if bound < tol:
+                    return Prediction(kind="moment_limit",
+                                      inputs={"alpha": alpha, "gamma": gamma},
+                                      value=total, truncation_error=bound)
+    except OverflowError:
+        raise BadParam(f"moment sum overflows a double at alpha = {alpha}") from None
+    raise BadParam(f"moment_limit did not converge within {MOMENT_MAX_TERMS} terms")
 
 
 def geometric_pmf(gamma: float, u: int) -> float:
@@ -165,29 +173,26 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
                       value=value, truncation_error=factor_tail + coeff_tail)
 
 
-def green_cross_sum(law: StepLaw, n: int, method: str = "auto",
+def green_cross_sum(law: StepLaw, n: int,
                     site_budget: int = DEFAULT_SITE_BUDGET,
                     cell_budget: int = DEFAULT_CELL_BUDGET):
     """sum_y G_n(0,y) G_n(0,-y) for the n-step Green's function.
 
     Because increments are iid, G_n(0,y) G_n(0,-y) summed over y equals
-    sum over m, m' in [1,n] of P(S_{m+m'} = 0); the identity route needs
-    only the return-probability sequence up to 2n.  The direct route
-    accumulates the Green's function from pmf snapshots and is kept for
-    cross-checks (exact for rational laws) at small n.
+    sum over m, m' in [1,n] of P(S_{m+m'} = 0); this identity route needs
+    only the return-probability sequence up to 2n and serves float laws
+    and n > GREEN_DIRECT_MAX_N.  Rational laws at n <= GREEN_DIRECT_MAX_N
+    take the direct route, which accumulates the Green's function from
+    exact pmf snapshots and returns a Fraction.
     """
     if n < 1:
         raise BadParam(f"n must be >= 1, got {n}")
-    if method == "auto":
-        method = "direct" if (law.exact and n <= 64) else "identity"
-    if method == "identity":
+    if not (law.exact and n <= GREEN_DIRECT_MAX_N):
         r = return_sequence(law, 2 * n, cell_budget=cell_budget)
         s = np.arange(2, 2 * n + 1)
         weights = np.minimum(s - 1, 2 * n + 1 - s)
         return float(np.dot(weights, r[2:]))
-    if method != "direct":
-        raise BadParam(f"unknown method {method!r}")
-    zero = Fraction(0) if law.exact else 0.0
+    zero = Fraction(0)
     green: dict = {}
     for ev in _evolution(law, n, site_budget=site_budget, cell_budget=cell_budget):
         if ev.m == 0:

@@ -68,10 +68,11 @@ def series(keys: np.ndarray, checkpoints: Sequence[int],
     """(l_table, ranges) as CheckpointSeries lays them out, from path keys."""
     k = occurrence_numbers(keys)
     idx = np.asarray(checkpoints)
-    ranges = tuple(int(v) for v in np.cumsum(k == 1)[idx])
+    running_range = np.cumsum(k == 1)
+    ranges = tuple(int(v) for v in running_range[idx])
     l_rows = []
     for a in alphas:
-        running = _running_l(k, a)[idx]
+        running = (running_range if a == 0 else _running_l(k, a))[idx]
         l_rows.append(tuple(
             int(v) if float(a).is_integer() else float(v) for v in running))
     l_table = tuple(tuple(row[i] for row in l_rows)

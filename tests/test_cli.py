@@ -88,6 +88,18 @@ class TestPredict:
         res = runner.invoke(cli, ["predict", "--what", "moment", "--gamma", "0.4"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("flags,word", [
+        (["--alpha", "nan"], "alpha"),
+        (["--alpha", "2", "--tol", "0"], "tol"),
+        (["--alpha", "700"], "overflows"),
+    ], ids=["alpha-nan", "tol-zero", "alpha-700"])
+    def test_moment_bad_input_is_bad_param(self, runner, flags, word):
+        res = runner.invoke(cli, ["predict", "--what", "moment", "--gamma", "0.5",
+                                  *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.BadParam)
+        assert word in str(res.exception)
+
 
 class TestOracleCommand:
     def test_bernoulli_n2(self, runner):
@@ -164,6 +176,36 @@ class TestConfig:
         res = runner.invoke(cli, ["--config", str(cfg), "simulate"])
         out = json.loads(res.output)
         assert out["checkpoints"][-1] == 8
+
+    def test_experiment_gamma_n_used(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"gamma_n": 8}}))
+        res = runner.invoke(cli, ["--config", str(cfg), "verify-slln", "--law", DET,
+                                  "--n", "64", "--alphas", "1", "--paths", "1"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["gamma"]["params"]["N"] == 8
+
+    def test_experiment_alphas_used_by_oracle(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"alphas": [4]}}))
+        res = runner.invoke(cli, ["--config", str(cfg), "oracle",
+                                  "--law", BERN_EXACT, "--n", "2"])
+        assert res.exit_code == 0
+        assert list(json.loads(res.output)["expected_l"]) == ["4"]
+
+    @pytest.mark.parametrize("key,args", [
+        ("method", ["estimate-gamma", "--law", BERN, "--method", "green",
+                    "--N", "64"]),
+        ("bogus", ["predict", "--what", "geom", "--u", "2", "--gamma", "0.4"]),
+        ("bogus", ["return-tail", "--law", BERN]),
+    ], ids=["estimate-gamma-method", "predict-bogus", "return-tail-bogus"])
+    def test_unread_experiment_key_rejected(self, runner, tmp_path, key, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {key: 1}}))
+        res = runner.invoke(cli, ["--config", str(cfg), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert repr(key) in str(res.exception)
 
     def test_config_seeds_used(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

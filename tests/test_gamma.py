@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,24 @@ class TestMcEscape:
         a = wl.mc_escape(bern07, 128, 400, seed=9, threads=1)
         b = wl.mc_escape(bern07, 128, 400, seed=9, threads=3)
         assert a.value == b.value
+
+    def test_thread_invariance_under_spawn(self):
+        # os.fork is disabled, so the pool must take the spawn start method
+        code = ("import multiprocessing, os\n"
+                "import walklab as wl\n"
+                "def no_fork():\n"
+                "    raise RuntimeError('fork called')\n"
+                "os.fork = no_fork\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "law = wl.bernoulli(0.7)\n"
+                "a = wl.mc_escape(law, 128, 400, seed=9, threads=1)\n"
+                "b = wl.mc_escape(law, 128, 400, seed=9, threads=2)\n"
+                "print(a.value == b.value)\n")
+        src = str(Path(wl.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "True"
 
     def test_consistency_with_taboo_same_horizon(self, bern07):
         n = 200

@@ -40,10 +40,6 @@ class TestSimulate:
         assert np.array_equal(f1.sites, f2.sites)
         assert np.array_equal(f1.counts, f2.counts)
 
-    def test_key_budget(self, det1):
-        with pytest.raises(wl.ResourceLimit):
-            wl.simulate(det1, 100, seed=0, key_budget=10)
-
     def test_invariant_violation_raises(self):
         f = field_from_counts({(0,): 2, (1,): 1})
         short = LocalTimeField(n=5, sites=f.sites, counts=f.counts)

@@ -153,8 +153,9 @@ class TestGreenCross:
 
     def test_identity_matches_direct(self):
         for law in (wl.srw(3, exact=True), wl.srw(2, exact=True)):
-            direct = wl.green_cross_sum(law, 10, method="direct")
-            ident = wl.green_cross_sum(law.to_float(), 10, method="identity")
+            direct = wl.green_cross_sum(law, 10)
+            ident = wl.green_cross_sum(law.to_float(), 10)
+            assert isinstance(direct, Fraction)
             assert ident == pytest.approx(float(direct), rel=1e-12)
 
     def test_srw5_bounded(self):
