@@ -40,7 +40,6 @@ from .theory import (
 )
 
 _CONFIG_KEYS = {"law", "experiment", "seeds", "tolerances"}
-_TOLERANCE_KEYS = {"rel_tol", "tv_bar", "p_floor", "safety", "slope_cap"}
 
 
 class _Run:
@@ -73,14 +72,10 @@ def _load_run(config, seed, out, fmt, threads) -> _Run:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         run.law_cfg = data.get("law")
         run.experiment = data.get("experiment", {})
-        if not isinstance(run.experiment, dict):
-            raise ConfigError("config 'experiment' must be an object")
+        run.tolerances = data.get("tolerances", {})
+        if not (isinstance(run.experiment, dict) and isinstance(run.tolerances, dict)):
+            raise ConfigError("config 'experiment' and 'tolerances' must be objects")
         run.seeds_cfg = data.get("seeds")
-        tol = data.get("tolerances", {})
-        bad = set(tol) - _TOLERANCE_KEYS
-        if bad:
-            raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
-        run.tolerances = tol
     return run
 
 
@@ -92,25 +87,52 @@ def _resolve_law(run: _Run, law_text: str | None) -> StepLaw:
     raise ConfigError("no law given: pass --law '<json>' or a --config with a law")
 
 
-def _options(run: _Run, table: dict) -> dict:
-    """Each experiment key the command reads -> its flag, else config, else default.
+def _list_of(cast):
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [cast(x) for x in value]
+    convert.__name__ = f"list of {cast.__name__}"
+    return convert
 
-    table maps key -> (flag value, default); None counts as not given.  A
-    config key outside the table is rejected rather than silently ignored.
+
+def _options(run: _Run, table: dict, tolerances: dict | None = None) -> dict:
+    """Each config key the command reads -> its value, converted.
+
+    table maps an experiment key -> (flag value, default, cast) and
+    tolerances a tolerance key -> (default, cast).  A value is the flag,
+    else the config's tolerance, else its experiment value, else the
+    default; None counts as not given.  A config key outside the tables is
+    rejected rather than silently ignored, and a flag or config value that
+    cast refuses is a ConfigError naming the key.
     """
-    unknown = set(run.experiment) - set(table)
-    if unknown:
-        raise ConfigError(f"unknown experiment keys: {sorted(unknown)}")
+    tolerances = tolerances or {}
+    for section, given, known in (("experiment", run.experiment, table),
+                                  ("tolerance", run.tolerances, tolerances)):
+        unknown = set(given) - set(known)
+        if unknown:
+            raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     out = {}
-    for key, (flag, default) in table.items():
-        value = flag if flag is not None else run.experiment.get(key)
-        out[key] = default if value is None else value
+    for key in {**table, **tolerances}:
+        flag, default, cast = table.get(key, (None, None, None))
+        if key in tolerances:
+            default, cast = tolerances[key]
+        given = (flag, run.tolerances.get(key), run.experiment.get(key))
+        value = next((v for v in given if v is not None), default)
+        out[key] = None if value is None else _convert(key, value, cast)
     return out
+
+
+def _convert(key: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} = {value!r} is not a valid {cast.__name__}") from None
 
 
 def _seeds(run: _Run, paths: int) -> list[int]:
     if run.seeds_cfg is not None:
-        return [int(s) for s in run.seeds_cfg]
+        return _convert("seeds", run.seeds_cfg, _list_of(int))
     return [rnglib.mix64(run.seed, i) for i in range(paths)]
 
 
@@ -139,8 +161,9 @@ def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
         sys.exit(2)
 
 
-def _parse_list(text: str | None, cast):
-    return [cast(x) for x in text.split(",") if x.strip() != ""] if text else None
+def _parse_list(text: str | None):
+    """A comma-separated flag as a list of strings; its table entry converts them."""
+    return [x for x in text.split(",") if x.strip() != ""] if text else None
 
 
 def _dyadic_checkpoints(n: int) -> list[int]:
@@ -186,11 +209,12 @@ def cli(ctx, config, seed, out, fmt, threads):
 @click.pass_obj
 def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
-    opt = _options(run, {"n": (n, 4096),
-                         "alphas": (_parse_list(alphas, float), [0.0, 1.0, 2.0]),
-                         "checkpoints": (_parse_list(checkpoints, int), None)})
+    opt = _options(run, {
+        "n": (n, 4096, int),
+        "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(float)),
+        "checkpoints": (_parse_list(checkpoints), None, _list_of(int))})
     law = _resolve_law(run, law_text)
-    n = int(opt["n"])
+    n = opt["n"]
     cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
     series = simulate_series(law, cks, opt["alphas"], run.seed)
     payload = {
@@ -218,21 +242,17 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
 @click.pass_obj
 def estimate_gamma(run: _Run, law_text, method, n, big_n, replicas):
     """Estimate the escape probability by one of the three methods."""
-    opt = _options(run, {"n": (n, 10_000), "M": (replicas, 100_000)} if method == "mc"
-                   else {"N": (big_n, 1000 if method == "dp" else None)})
+    opt = _options(run, {"n": (n, 10_000, int), "M": (replicas, 100_000, int)}
+                   if method == "mc"
+                   else {"N": (big_n, 1000 if method == "dp" else None, int)})
     law = _resolve_law(run, law_text)
     if method == "mc":
-        est = mc_escape(law, int(opt["n"]), int(opt["M"]), run.seed, threads=run.threads)
+        est = mc_escape(law, opt["n"], opt["M"], run.seed, threads=run.threads)
     elif method == "dp":
-        est = taboo_gamma_estimate(law, int(opt["N"]))
+        est = taboo_gamma_estimate(law, opt["N"])
     else:
-        est = (green_at_origin(law, int(opt["N"])) if opt["N"] is not None
-               else auto_gamma(law))
-    payload = {"method": est.method, "value": est.value, "error": est.error,
-               "params": est.params}
-    if est.seed is not None:
-        payload["seed"] = est.seed
-    _emit(run, "estimate-gamma", payload)
+        est = green_at_origin(law, opt["N"]) if opt["N"] is not None else auto_gamma(law)
+    _emit(run, "estimate-gamma", est.to_json_dict())
 
 
 def _frac_json(x):
@@ -317,10 +337,11 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
 @click.pass_obj
 def oracle(run: _Run, law_text, n, alphas):
     """Exact enumeration of all paths at a small horizon."""
-    opt = _options(run, {"n": (n, 6), "alphas": (_parse_list(alphas, int), [2, 3])})
+    opt = _options(run, {"n": (n, 6, int),
+                         "alphas": (_parse_list(alphas), [2, 3], _list_of(int))})
     law = _resolve_law(run, law_text)
-    n = int(opt["n"])
-    summary = enumerate_paths(law, n, tuple(int(a) for a in opt["alphas"]))
+    n = opt["n"]
+    summary = enumerate_paths(law, n, tuple(opt["alphas"]))
     payload = {
         "law": law.describe(), "n": n,
         "expected_q": {str(j): _frac_json(v) for j, v in summary.expected_q.items()},
@@ -342,17 +363,18 @@ def oracle(run: _Run, law_text, n, alphas):
 @click.pass_obj
 def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
-    opt = _options(run, {"n": (n, 1_000_000),
-                         "alphas": (_parse_list(alphas, float), [0.0, 2.0, 3.0, 0.5]),
-                         "paths": (paths, 3), "gamma_n": (gamma_n, None),
-                         "checkpoints": (None, None)})
+    opt = _options(run, {
+        "n": (n, 1_000_000, int),
+        "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(float)),
+        "paths": (paths, 3, int), "gamma_n": (gamma_n, None, int),
+        "checkpoints": (None, None, _list_of(int))},
+        tolerances={"rel_tol": (0.05, float)})
     law = _resolve_law(run, law_text)
-    n = int(opt["n"])
+    n = opt["n"]
     cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
-    gamma_est = auto_gamma(law, int(opt["gamma_n"]) if opt["gamma_n"] else None)
-    report = run_slln(law, opt["alphas"], cks, _seeds(run, int(opt["paths"])),
-                      gamma_est=gamma_est,
-                      rel_tol=float(run.tolerances.get("rel_tol", 0.05)))
+    gamma_est = auto_gamma(law, opt["gamma_n"] or None)
+    report = run_slln(law, opt["alphas"], cks, _seeds(run, opt["paths"]),
+                      gamma_est=gamma_est, rel_tol=opt["rel_tol"])
     _finish_report(run, "verify-slln", report)
 
 
@@ -364,13 +386,12 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
 @click.pass_obj
 def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
-    opt = _options(run, {"n": (n, 100_000), "M": (resamples, 100_000),
-                         "paths": (paths, 1)})
+    opt = _options(run, {"n": (n, 100_000, int), "M": (resamples, 100_000, int),
+                         "paths": (paths, 1, int)},
+                   tolerances={"tv_bar": (0.02, float), "p_floor": (1e-4, float)})
     law = _resolve_law(run, law_text)
-    report = run_geometric(
-        law, int(opt["n"]), int(opt["M"]), _seeds(run, int(opt["paths"])),
-        tv_bar=float(run.tolerances.get("tv_bar", 0.02)),
-        p_floor=float(run.tolerances.get("p_floor", 1e-4)))
+    report = run_geometric(law, opt["n"], opt["M"], _seeds(run, opt["paths"]),
+                           tv_bar=opt["tv_bar"], p_floor=opt["p_floor"])
     _finish_report(run, "verify-geometric", report)
 
 
@@ -385,23 +406,20 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
 def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_cap):
     """Check the variance growth of L_n(alpha) against its envelope."""
     # a tolerances.slope_cap overrides experiment.slope_cap, the flag both
-    opt = _options(run, {"alpha": (alpha, 2), "n_min": (n_min, 1 << 10),
-                         "n_max": (n_max, 1 << 16), "M": (replicas, 200),
-                         "slope_cap": (run.tolerances.get("slope_cap")
-                                       if slope_cap is None else slope_cap, None)})
+    opt = _options(run, {"alpha": (alpha, 2, int), "n_min": (n_min, 1 << 10, int),
+                         "n_max": (n_max, 1 << 16, int), "M": (replicas, 200, int),
+                         "slope_cap": (slope_cap, None, float)},
+                   tolerances={"safety": (10.0, float), "slope_cap": (None, float)})
     law = _resolve_law(run, law_text)
-    n_max = int(opt["n_max"])
+    n_max = opt["n_max"]
     grid = []
-    n = int(opt["n_min"])
+    n = opt["n_min"]
     while n < n_max:
         grid.append(n)
         n *= 2
     grid.append(n_max)
-    slope_cap = opt["slope_cap"]
-    report = variance_scan(
-        law, int(opt["alpha"]), grid, int(opt["M"]), run.seed,
-        safety=float(run.tolerances.get("safety", 10.0)),
-        slope_cap=None if slope_cap is None else float(slope_cap))
+    report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
+                           safety=opt["safety"], slope_cap=opt["slope_cap"])
     _finish_report(run, "variance-scan", report)
 
 

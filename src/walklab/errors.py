@@ -30,7 +30,11 @@ class BadParam(WalklabError):
 
 
 class ResourceLimit(WalklabError):
-    """A computation would exceed its configured memory/size budget."""
+    """A computation would exceed a fixed size limit.
+
+    The limits are gamma.CELL_BUDGET, gamma.SITE_BUDGET and the 64-bit
+    time-site keys of the path kernel.
+    """
 
 
 class SuspectedRecurrence(WalklabError):
@@ -46,7 +50,7 @@ class HorizonTooShort(WalklabError):
 
 
 class BudgetExceeded(WalklabError):
-    """Exhaustive enumeration would exceed the configured path budget."""
+    """Exhaustive enumeration would exceed oracle.PATH_BUDGET."""
 
 
 class FloatLawRejected(WalklabError):

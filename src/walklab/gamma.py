@@ -36,8 +36,11 @@ from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurr
 from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays
 
 PRUNE_THRESHOLD = 1e-16
-DEFAULT_CELL_BUDGET = 1 << 25
-DEFAULT_SITE_BUDGET = 5_000_000
+# Memory budgets of the two evolvers, checked by their step() as the box
+# or the support grows: a float box of at most CELL_BUDGET cells, an exact
+# sparse law on at most SITE_BUDGET sites.
+CELL_BUDGET = 1 << 25
+SITE_BUDGET = 5_000_000
 MC_BLOCK = 2048
 
 
@@ -114,6 +117,14 @@ class GammaEstimate:
                 f"gamma estimate {self.value!r} +- {self.error!r} "
                 "is not a probability with a nonnegative error")
 
+    def to_json_dict(self) -> dict:
+        """The estimate as reports print it; seed only for seeded methods."""
+        out = {"value": self.value, "error": self.error, "method": self.method,
+               "params": self.params}
+        if self.seed is not None:
+            out["seed"] = self.seed
+        return out
+
 
 @dataclass(frozen=True)
 class TailDiagnostic:
@@ -137,15 +148,13 @@ class TailDiagnostic:
 class SparseEvolver:
     """Exact sparse convolution of a rational step law, optionally origin-killed."""
 
-    def __init__(self, law: StepLaw, kill_origin: bool = False,
-                 site_budget: int = DEFAULT_SITE_BUDGET):
+    def __init__(self, law: StepLaw, kill_origin: bool = False):
         self.law = law
         self.zero = Fraction(0)
         self.origin = (0,) * law.d
         self.masses = {self.origin: Fraction(1)}
         self.kill_origin = kill_origin
         self.killed = self.zero
-        self.site_budget = site_budget
         self.m = 0
 
     def step(self) -> None:
@@ -154,9 +163,10 @@ class SparseEvolver:
             for off, w in self.law.atoms:
                 dest = tuple(a + b for a, b in zip(point, off))
                 new[dest] = new.get(dest, self.zero) + mass * w
-        if len(new) > self.site_budget:
+        if len(new) > SITE_BUDGET:
             raise ResourceLimit(
-                f"sparse pmf support {len(new)} exceeds budget {self.site_budget}")
+                f"sparse pmf support of {len(new)} sites at step {self.m + 1} "
+                f"exceeds SITE_BUDGET = {SITE_BUDGET} sites")
         if self.kill_origin and self.origin in new:
             self.killed += new.pop(self.origin)
         self.masses = new
@@ -186,8 +196,7 @@ class DenseEvolver:
 
     TRIM_EVERY = 8
 
-    def __init__(self, law: StepLaw, kill_origin: bool = False,
-                 cell_budget: int = DEFAULT_CELL_BUDGET):
+    def __init__(self, law: StepLaw, kill_origin: bool = False):
         law = law.to_float()
         self.d = law.d
         self.offsets = np.array([p for p, _ in law.atoms], dtype=np.int64)
@@ -197,7 +206,6 @@ class DenseEvolver:
         self.kill_origin = kill_origin
         self.killed = 0.0
         self.pruned = 0.0
-        self.cell_budget = cell_budget
         self.m = 0
 
     def _origin_index(self) -> tuple | None:
@@ -211,9 +219,10 @@ class DenseEvolver:
         maxs = self.offsets.max(axis=0)
         shape = np.array(self.arr.shape)
         new_shape = tuple(int(s) for s in shape + (maxs - mins))
-        if math.prod(new_shape) > self.cell_budget:
+        if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
-                f"dense pmf box {new_shape} exceeds {self.cell_budget} cells")
+                f"dense pmf box {new_shape} at step {self.m + 1} "
+                f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
         new = np.zeros(new_shape)
         for off, w in zip(self.offsets, self.weights):
             dest = tuple(slice(int(o - mn), int(o - mn + s))
@@ -268,29 +277,22 @@ class DenseEvolver:
         return out
 
 
-def _evolution(law: StepLaw, n: int, kill_origin: bool = False,
-               site_budget: int = DEFAULT_SITE_BUDGET,
-               cell_budget: int = DEFAULT_CELL_BUDGET):
+def _evolution(law: StepLaw, n: int, kill_origin: bool = False):
     """Yield the evolver of the law of S_m at m = 0, 1, ..., n.
 
     The one step loop of the package: rational laws evolve exactly and
     sparsely, float laws by the pruned box DP.  The same evolver object is
     yielded each time, advanced by one step.
     """
-    if law.exact:
-        ev: SparseEvolver | DenseEvolver = SparseEvolver(
-            law, kill_origin=kill_origin, site_budget=site_budget)
-    else:
-        ev = DenseEvolver(law, kill_origin=kill_origin, cell_budget=cell_budget)
+    evolver = SparseEvolver if law.exact else DenseEvolver
+    ev = evolver(law, kill_origin=kill_origin)
     yield ev
     for _ in range(n):
         ev.step()
         yield ev
 
 
-def pmf_evolve(law: StepLaw, m: int,
-               site_budget: int = DEFAULT_SITE_BUDGET,
-               cell_budget: int = DEFAULT_CELL_BUDGET) -> PmfField:
+def pmf_evolve(law: StepLaw, m: int) -> PmfField:
     """Exact law of S_m as a sparse field.
 
     Rational laws evolve exactly; float laws use the dense box DP and drop
@@ -298,7 +300,7 @@ def pmf_evolve(law: StepLaw, m: int,
     """
     if m < 0:
         raise BadParam(f"step count must be >= 0, got {m}")
-    *_, ev = _evolution(law, m, site_budget=site_budget, cell_budget=cell_budget)
+    *_, ev = _evolution(law, m)
     return PmfField(m=m, masses=ev.to_masses())
 
 
@@ -412,7 +414,7 @@ def _cross_sum(a: np.ndarray, lo_a: np.ndarray,
     return float((a[sa] * flipped[sf]).sum())
 
 
-def _dense_return_sequence(law: StepLaw, n: int, cell_budget: int) -> np.ndarray:
+def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     """Return probabilities by the half-horizon box DP.
 
     S_2m - S_m is an independent copy of S_m, so with p_m the law of S_m,
@@ -424,7 +426,7 @@ def _dense_return_sequence(law: StepLaw, n: int, cell_budget: int) -> np.ndarray
     """
     r = np.empty(n + 1)
     prev = None
-    for ev in _evolution(law.to_float(), (n + 1) // 2, cell_budget=cell_budget):
+    for ev in _evolution(law.to_float(), (n + 1) // 2):
         cur = (ev.arr, ev.lo)
         if 2 * ev.m <= n:
             r[2 * ev.m] = _cross_sum(*cur, *cur)
@@ -434,8 +436,7 @@ def _dense_return_sequence(law: StepLaw, n: int, cell_budget: int) -> np.ndarray
     return r
 
 
-def return_sequence(law: StepLaw, n: int,
-                    cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def return_sequence(law: StepLaw, n: int) -> np.ndarray:
     """P(S_m = 0) for m = 0..n, in doubles.
 
     Laws that decompose along the axes use the axis recursion, every other
@@ -445,7 +446,7 @@ def return_sequence(law: StepLaw, n: int,
         raise BadParam(f"horizon must be >= 0, got {n}")
     if _axis_decomposition(law) is not None:
         return _axis_return_sequence(law, n)
-    return _dense_return_sequence(law, n, cell_budget)
+    return _dense_return_sequence(law, n)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +498,7 @@ def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
     return _geometric_tail(ms, rv, n)
 
 
-def green_at_origin(law: StepLaw, n: int,
-                    cell_budget: int = DEFAULT_CELL_BUDGET) -> GammaEstimate:
+def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     """Escape probability via gamma = 1 / sum_m P(S_m = 0).
 
     Works in doubles even for exact laws (the tail is an estimate, so
@@ -513,7 +513,7 @@ def green_at_origin(law: StepLaw, n: int,
     growing and the fitted decay exponent of P(S_m=0) is <= 1 (a
     non-summable envelope).
     """
-    r = return_sequence(law, n, cell_budget=cell_budget)
+    r = return_sequence(law, n)
     total = float(r.sum())
     ms, rv, _ = _fit_window(r, n)
     if len(ms) >= 3:
@@ -534,9 +534,7 @@ def green_at_origin(law: StepLaw, n: int,
 # Taboo DP
 # ---------------------------------------------------------------------------
 
-def taboo_survival(law: StepLaw, n: int,
-                   site_budget: int = DEFAULT_SITE_BUDGET,
-                   cell_budget: int = DEFAULT_CELL_BUDGET) -> ReturnLaw:
+def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
     """No-return probabilities gamma(0..n) by origin-killed evolution.
 
     Rational laws are evolved exactly and never pruned; float laws use
@@ -546,8 +544,7 @@ def taboo_survival(law: StepLaw, n: int,
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     seq = []
-    for ev in _evolution(law, n, kill_origin=True, site_budget=site_budget,
-                         cell_budget=cell_budget):
+    for ev in _evolution(law, n, kill_origin=True):
         seq.append(ev.surviving_mass())
     loss = 0.0 if law.exact else ev.pruned
     return ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
@@ -637,8 +634,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
 # Tail diagnostic (the d in {1,2} assumption check)
 # ---------------------------------------------------------------------------
 
-def return_tail(law: StepLaw, n: int, big_n: int,
-                cell_budget: int = DEFAULT_CELL_BUDGET) -> TailDiagnostic:
+def return_tail(law: StepLaw, n: int, big_n: int) -> TailDiagnostic:
     """Partial tail sum_{k=n}^{N} P(S_k = 0) with fitted decay exponent.
 
     Diagnostic only.  Decay is measured on the dyadic block masses
@@ -649,7 +645,7 @@ def return_tail(law: StepLaw, n: int, big_n: int,
     """
     if not 0 <= n < big_n:
         raise BadParam("need 0 <= n < N")
-    r = return_sequence(law, big_n, cell_budget=cell_budget)
+    r = return_sequence(law, big_n)
     suffix = np.cumsum(r[::-1])[::-1]  # suffix[k] = sum_{j>=k} r[j]
     value = float(suffix[n])
     if value == 0.0:

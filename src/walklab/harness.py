@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, NonPositiveValue, NotALaw, TooFewPoints
-from .gamma import GammaEstimate, green_at_origin, return_tail
+from .gamma import GammaEstimate, _axis_decomposition, green_at_origin, return_tail
 from .path import l_alpha, sample_visited_local_time, simulate, simulate_series
 from .steps import StepLaw, law_to_json, mean_and_second_moment
 from .theory import geometric_pmf, moment_limit
@@ -231,17 +231,8 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _gamma_dict(est: GammaEstimate) -> dict:
-    out = {"value": est.value, "error": est.error, "method": est.method,
-           "params": est.params}
-    if est.seed is not None:
-        out["seed"] = est.seed
-    return out
-
-
 def auto_gamma(law: StepLaw, n: int | None = None) -> GammaEstimate:
     """Default Green-series gamma estimate with an engine-aware horizon."""
-    from .gamma import _axis_decomposition
     if n is None:
         if _axis_decomposition(law) is not None:
             n = 4096
@@ -325,7 +316,7 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
         params={"alphas": [float(a) for a in alphas],
                 "checkpoints": [int(c) for c in checkpoints]},
         seeds=tuple(int(s) for s in seeds),
-        gamma=_gamma_dict(gamma_est), theory=theory, records=records,
+        gamma=gamma_est.to_json_dict(), theory=theory, records=records,
         stats={}, checks=checks, tolerances={"rel_tol": rel_tol},
         notes=_low_dim_notes(law))
 
@@ -368,7 +359,7 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
         kind="geometric", law=law_to_json(law),
         params={"n": int(n), "M": int(m)},
         seeds=tuple(int(s) for s in seeds),
-        gamma=_gamma_dict(gamma_est),
+        gamma=gamma_est.to_json_dict(),
         theory={"pmf": "geometric", "gamma": g},
         records=records, stats=stats, checks=checks,
         tolerances={"tv_bar": tv_bar, "p_floor": p_floor})

@@ -18,7 +18,8 @@ from .errors import BadParam, BudgetExceeded, FloatLawRejected, InvariantViolati
 from .gamma import ReturnLaw
 from .steps import LatticePoint, StepLaw
 
-DEFAULT_PATH_BUDGET = 10 ** 7
+# Most paths enumerate_paths walks; more is refused before the first leaf.
+PATH_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class ExactSummary:
             raise InvariantViolation("a variance is negative")
 
 
-def enumerate_paths(law: StepLaw, n: int, alphas: tuple[int, ...] = (2,),
-                    budget: int = DEFAULT_PATH_BUDGET) -> ExactSummary:
+def enumerate_paths(law: StepLaw, n: int,
+                    alphas: tuple[int, ...] = (2,)) -> ExactSummary:
     """Walk every path of length n and tally exact statistics."""
     if not law.exact:
         raise FloatLawRejected("the oracle needs a law with rational masses")
@@ -63,8 +64,9 @@ def enumerate_paths(law: StepLaw, n: int, alphas: tuple[int, ...] = (2,),
     if any(a < 0 for a in alphas):
         raise BadParam("alphas must be nonnegative integers")
     paths = len(law.atoms) ** n
-    if paths > budget:
-        raise BudgetExceeded(f"{paths} paths exceed budget {budget}")
+    if paths > PATH_BUDGET:
+        raise BudgetExceeded(
+            f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
 
     denom = math.lcm(*(m.denominator for m in law.masses)) if n else 1
     atoms = [(off, int(m * denom)) for off, m in law.atoms]
@@ -138,8 +140,7 @@ def exact_zn_law(summary: ExactSummary) -> dict[int, Fraction]:
     return dict(sorted(out.items()))
 
 
-def exact_return_law(law: StepLaw, n: int,
-                     budget: int = DEFAULT_PATH_BUDGET) -> ReturnLaw:
+def exact_return_law(law: StepLaw, n: int) -> ReturnLaw:
     """Exact gamma(0..n) by enumeration; must agree with the taboo DP."""
-    summary = enumerate_paths(law, n, alphas=(), budget=budget)
+    summary = enumerate_paths(law, n, alphas=())
     return ReturnLaw(horizon=n, gamma_seq=summary.gamma_seq, exact=True)

@@ -17,13 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadGamma, BadParam, HorizonTooShort, InvariantViolation
-from .gamma import (
-    DEFAULT_CELL_BUDGET,
-    DEFAULT_SITE_BUDGET,
-    ReturnLaw,
-    _evolution,
-    return_sequence,
-)
+from .gamma import ReturnLaw, _evolution, return_sequence
 from .steps import StepLaw
 
 MOMENT_MAX_TERMS = 10 ** 7
@@ -130,7 +124,7 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     if ret.horizon < n:
         raise HorizonTooShort(f"ReturnLaw horizon {ret.horizon} < n={n}")
     g = list(ret.gamma_seq[:n + 1])
-    tau = [g[0] * 0] + [a - b for a, b in zip(ret.gamma_seq, ret.gamma_seq[1:])][:n]
+    tau = [g[0] * 0, *ret.tau_pmf()[:n]]
     if ret.exact:
         conv = g
         for _ in range(j - 1):
@@ -160,8 +154,7 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
         raise HorizonTooShort(f"ReturnLaw horizon {ret.horizon} < N={n}")
     powers = np.power(s, np.arange(n + 1))
     g = np.asarray([float(x) for x in ret.gamma_seq[:n + 1]])
-    tau = np.asarray([0.0] + [float(a - b) for a, b in
-                              zip(ret.gamma_seq, ret.gamma_seq[1:])][:n])
+    tau = np.asarray([0.0] + [float(x) for x in ret.tau_pmf()[:n]])
     a_val = float(np.dot(powers, g))
     b_val = float(np.dot(powers, tau))
     value = a_val ** 2 * b_val ** (j - 1)
@@ -173,9 +166,7 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
                       value=value, truncation_error=factor_tail + coeff_tail)
 
 
-def green_cross_sum(law: StepLaw, n: int,
-                    site_budget: int = DEFAULT_SITE_BUDGET,
-                    cell_budget: int = DEFAULT_CELL_BUDGET):
+def green_cross_sum(law: StepLaw, n: int):
     """sum_y G_n(0,y) G_n(0,-y) for the n-step Green's function.
 
     Because increments are iid, G_n(0,y) G_n(0,-y) summed over y equals
@@ -188,13 +179,13 @@ def green_cross_sum(law: StepLaw, n: int,
     if n < 1:
         raise BadParam(f"n must be >= 1, got {n}")
     if not (law.exact and n <= GREEN_DIRECT_MAX_N):
-        r = return_sequence(law, 2 * n, cell_budget=cell_budget)
+        r = return_sequence(law, 2 * n)
         s = np.arange(2, 2 * n + 1)
         weights = np.minimum(s - 1, 2 * n + 1 - s)
         return float(np.dot(weights, r[2:]))
     zero = Fraction(0)
     green: dict = {}
-    for ev in _evolution(law, n, site_budget=site_budget, cell_budget=cell_budget):
+    for ev in _evolution(law, n):
         if ev.m == 0:
             continue
         for point, mass in ev.to_masses().items():
@@ -207,18 +198,14 @@ def green_cross_sum(law: StepLaw, n: int,
     return total
 
 
-def sup_pmf(law: StepLaw, m: int,
-            site_budget: int = DEFAULT_SITE_BUDGET,
-            cell_budget: int = DEFAULT_CELL_BUDGET):
+def sup_pmf(law: StepLaw, m: int):
     """sup over x of P(S_m = x); exact for rational laws."""
     if m < 0:
         raise BadParam(f"m must be >= 0, got {m}")
-    *_, ev = _evolution(law, m, site_budget=site_budget, cell_budget=cell_budget)
+    *_, ev = _evolution(law, m)
     return ev.sup()
 
 
-def sup_pmf_sequence(law: StepLaw, m_max: int,
-                     cell_budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def sup_pmf_sequence(law: StepLaw, m_max: int) -> np.ndarray:
     """sup_x P(S_m = x) for every m = 0..m_max in one float DP sweep."""
-    return np.array([ev.sup() for ev in
-                     _evolution(law.to_float(), m_max, cell_budget=cell_budget)])
+    return np.array([ev.sup() for ev in _evolution(law.to_float(), m_max)])

@@ -1,0 +1,39 @@
+import inspect
+
+import walklab
+
+# Every parameter with a default (plus **kwargs) on the callables that
+# walklab exports.  A new knob is a deliberate edit of this set.
+OPTION_SURFACE = {
+    "ExperimentReport.notes", "GammaEstimate.seed", "ReturnLaw.prune_loss",
+    "auto_gamma.n", "bernoulli.exact", "builtin.d", "builtin.exact",
+    "builtin.params", "deterministic.exact", "drifted_srw.exact",
+    "enumerate_paths.alphas", "mc_escape.threads", "moment_limit.tol",
+    "run_geometric.gamma_est", "run_geometric.tv_bar", "run_geometric.p_floor",
+    "run_slln.gamma_est", "run_slln.rel_tol", "srw.exact",
+    "variance_scan.safety", "variance_scan.slope_cap",
+}
+
+
+def _exported_parameters():
+    """(callable name, parameter) for every function and class walklab exports."""
+    for name in dir(walklab):
+        obj = getattr(walklab, name)
+        if name.startswith("_") or not callable(obj) or inspect.ismodule(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            yield name, param
+
+
+def test_option_surface_is_pinned():
+    surface = {f"{name}.{param.name}" for name, param in _exported_parameters()
+               if param.default is not inspect.Parameter.empty
+               or param.kind is param.VAR_KEYWORD}
+    assert surface == OPTION_SURFACE
+
+
+def test_no_budget_parameter_is_exported():
+    assert not [f"{name}.{param.name}" for name, param in _exported_parameters()
+                if "budget" in param.name]

@@ -44,6 +44,15 @@ class TestEstimateGamma:
         assert abs(out["value"] - 0.4) < 0.05
         assert out["seed"] == 9
 
+    def test_budget_names_constant_and_step(self, runner, monkeypatch):
+        monkeypatch.setattr(walklab.gamma, "CELL_BUDGET", 1000)
+        res = runner.invoke(cli, ["estimate-gamma", "--law", '{"family": "srw", "d": 5}',
+                                  "--method", "dp", "--N", "1000"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ResourceLimit)
+        assert str(res.exception) == ("dense pmf box (5, 5, 5, 5, 5) at step 2 "
+                                      "exceeds CELL_BUDGET = 1000 cells")
+
     def test_recurrent_is_error(self, runner):
         res = runner.invoke(cli, ["estimate-gamma",
                                   "--law", '{"family": "srw", "d": 1}',
@@ -202,6 +211,55 @@ class TestConfig:
     def test_unread_experiment_key_rejected(self, runner, tmp_path, key, args):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": {key: 1}}))
+        res = runner.invoke(cli, ["--config", str(cfg), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert repr(key) in str(res.exception)
+
+    @pytest.mark.parametrize("key,args", [
+        ("rel_tol", ["variance-scan", "--law", DET, "--n-min", "16", "--n-max", "64",
+                     "--M", "3"]),
+        ("tv_bar", ["verify-slln", "--law", DET, "--n", "64", "--alphas", "1"]),
+        ("slope_cap", ["verify-geometric", "--law", DET, "--n", "64", "--M", "10"]),
+        ("safety", ["simulate", "--law", DET, "--n", "4"]),
+        ("p_floor", ["predict", "--what", "geom", "--u", "2", "--gamma", "0.4"]),
+    ], ids=["variance-scan-rel_tol", "verify-slln-tv_bar",
+            "verify-geometric-slope_cap", "simulate-safety", "predict-p_floor"])
+    def test_unread_tolerance_rejected(self, runner, tmp_path, key, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {key: 0.5}}))
+        res = runner.invoke(cli, ["--config", str(cfg), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert repr(key) in str(res.exception)
+
+    def test_tolerances_read(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"tv_bar": 0.5, "p_floor": 0}}))
+        res = runner.invoke(cli, ["--config", str(cfg), "verify-geometric",
+                                  "--law", DET, "--n", "64", "--M", "10"])
+        assert json.loads(res.output)["tolerances"] == {"tv_bar": 0.5, "p_floor": 0.0}
+        cfg.write_text(json.dumps({"tolerances": {"slope_cap": 1.5, "safety": 3},
+                                   "experiment": {"slope_cap": 9}}))
+        args = ["--config", str(cfg), "variance-scan", "--law", DET,
+                "--n-min", "16", "--n-max", "64", "--M", "3"]
+        res = runner.invoke(cli, args)
+        assert json.loads(res.output)["tolerances"] == {"safety": 3.0, "slope_cap": 1.5}
+        res = runner.invoke(cli, args + ["--slope-cap", "2"])
+        assert json.loads(res.output)["tolerances"]["slope_cap"] == 2.0
+
+    @pytest.mark.parametrize("config,key,args", [
+        ({"experiment": {"n": "abc"}}, "n", ["simulate", "--law", DET]),
+        ({"tolerances": {"tv_bar": "x"}}, "tv_bar",
+         ["verify-geometric", "--law", DET, "--n", "64", "--M", "10"]),
+        ({"experiment": {"alphas": 2}}, "alphas", ["simulate", "--law", DET]),
+        ({"seeds": ["s"]}, "seeds", ["verify-slln", "--law", DET, "--n", "64"]),
+        ({}, "alphas", ["simulate", "--law", DET, "--alphas", "1,a"]),
+    ], ids=["experiment-n", "tolerance-tv_bar", "alphas-not-a-list", "seeds",
+            "alphas-flag"])
+    def test_wrong_type_is_config_error(self, runner, tmp_path, config, key, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
         res = runner.invoke(cli, ["--config", str(cfg), *args])
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.ConfigError)

@@ -58,11 +58,17 @@ class TestPmfEvolve:
         for point, mass in f_exact.masses.items():
             assert f_float.masses[point] == pytest.approx(float(mass), abs=1e-14)
 
-    def test_budget(self):
-        with pytest.raises(wl.ResourceLimit):
-            wl.pmf_evolve(wl.srw(3, exact=True), 30, site_budget=100)
-        with pytest.raises(wl.ResourceLimit):
-            wl.pmf_evolve(wl.srw(3), 300, cell_budget=1000)
+    def test_budget(self, monkeypatch):
+        # the evolvers read the constants at step time; the messages name
+        # the constant, its value and the step that went over it
+        monkeypatch.setattr(wl.gamma, "SITE_BUDGET", 100)
+        with pytest.raises(wl.ResourceLimit,
+                           match=r"146 sites at step 5 exceeds SITE_BUDGET = 100 sites"):
+            wl.pmf_evolve(wl.srw(3, exact=True), 30)
+        monkeypatch.setattr(wl.gamma, "CELL_BUDGET", 1000)
+        with pytest.raises(wl.ResourceLimit, match=(
+                r"box \(11, 11, 11\) at step 5 exceeds CELL_BUDGET = 1000 cells")):
+            wl.pmf_evolve(wl.srw(3), 300)
 
 
 class TestReturnSequenceEngines:
@@ -74,7 +80,7 @@ class TestReturnSequenceEngines:
         law = law_maker()
         n = 20
         ax = _axis_return_sequence(law, n)
-        de = _dense_return_sequence(law, n, 1 << 25)
+        de = _dense_return_sequence(law, n)
         assert np.abs(ax - de).max() < 1e-13
 
     @pytest.mark.parametrize("law_maker", [diag3, king2])
@@ -85,7 +91,7 @@ class TestReturnSequenceEngines:
         for _ in range(n):
             ev.step()
             exact.append(float(ev.origin_mass()))
-        de = _dense_return_sequence(law_maker(), n, 1 << 25)
+        de = _dense_return_sequence(law_maker(), n)
         assert np.abs(np.array(exact) - de).max() < 1e-15
 
     def test_against_exact_convolution(self):

@@ -33,8 +33,9 @@ class TestEnumerate:
             bad.check_invariants()
 
     def test_budget_exceeded(self, bern07_exact):
-        with pytest.raises(wl.BudgetExceeded):
-            wl.enumerate_paths(bern07_exact, 30, budget=1000)
+        # 2^30 paths exceed PATH_BUDGET = 10^7 before the first leaf
+        with pytest.raises(wl.BudgetExceeded, match="exceed PATH_BUDGET = 10000000 paths"):
+            wl.enumerate_paths(bern07_exact, 30)
 
     def test_float_law_rejected(self, bern07):
         with pytest.raises(wl.FloatLawRejected):
