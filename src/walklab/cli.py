@@ -25,7 +25,14 @@ from .gamma import (
     taboo_gamma_estimate,
     taboo_survival,
 )
-from .harness import ExperimentReport, auto_gamma, run_geometric, run_slln, variance_scan
+from .harness import (
+    ExperimentReport,
+    _finite_or_none,
+    auto_gamma,
+    run_geometric,
+    run_slln,
+    variance_scan,
+)
 from .oracle import enumerate_paths, exact_zn_law
 from .path import simulate_series
 from .steps import StepLaw, law_from_json
@@ -61,10 +68,16 @@ def _load_run(config, seed, out, fmt, threads) -> _Run:
     run.seed = 0 if seed is None else int(seed)
     run.out = Path(out) if out else None
     run.fmt = fmt
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     run.threads = threads
     if config:
         with open(config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"config file {config} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -81,10 +94,21 @@ def _load_run(config, seed, out, fmt, threads) -> _Run:
 
 def _resolve_law(run: _Run, law_text: str | None) -> StepLaw:
     if law_text:
-        return law_from_json(json.loads(law_text))
+        try:
+            descriptor = json.loads(law_text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--law is not valid JSON: {exc}") from None
+        return law_from_json(descriptor)
     if run.law_cfg is not None:
         return law_from_json(run.law_cfg)
     raise ConfigError("no law given: pass --law '<json>' or a --config with a law")
+
+
+def integer(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
 
 
 def _list_of(cast):
@@ -132,7 +156,7 @@ def _convert(key: str, value, cast):
 
 def _seeds(run: _Run, paths: int) -> list[int]:
     if run.seeds_cfg is not None:
-        return _convert("seeds", run.seeds_cfg, _list_of(int))
+        return _convert("seeds", run.seeds_cfg, _list_of(integer))
     return [rnglib.mix64(run.seed, i) for i in range(paths)]
 
 
@@ -150,7 +174,8 @@ def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
 
 
 def _emit(run: _Run, name: str, payload: dict, csv_text: str | None = None) -> None:
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    body = json.dumps(_finite_or_none(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     _write(run, name, body.encode(), csv_text)
 
 
@@ -210,9 +235,9 @@ def cli(ctx, config, seed, out, fmt, threads):
 def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
     opt = _options(run, {
-        "n": (n, 4096, int),
+        "n": (n, 4096, integer),
         "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(float)),
-        "checkpoints": (_parse_list(checkpoints), None, _list_of(int))})
+        "checkpoints": (_parse_list(checkpoints), None, _list_of(integer))})
     law = _resolve_law(run, law_text)
     n = opt["n"]
     cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
@@ -242,9 +267,9 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
 @click.pass_obj
 def estimate_gamma(run: _Run, law_text, method, n, big_n, replicas):
     """Estimate the escape probability by one of the three methods."""
-    opt = _options(run, {"n": (n, 10_000, int), "M": (replicas, 100_000, int)}
+    opt = _options(run, {"n": (n, 10_000, integer), "M": (replicas, 100_000, integer)}
                    if method == "mc"
-                   else {"N": (big_n, 1000 if method == "dp" else None, int)})
+                   else {"N": (big_n, 1000 if method == "dp" else None, integer)})
     law = _resolve_law(run, law_text)
     if method == "mc":
         est = mc_escape(law, opt["n"], opt["M"], run.seed, threads=run.threads)
@@ -337,8 +362,8 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
 @click.pass_obj
 def oracle(run: _Run, law_text, n, alphas):
     """Exact enumeration of all paths at a small horizon."""
-    opt = _options(run, {"n": (n, 6, int),
-                         "alphas": (_parse_list(alphas), [2, 3], _list_of(int))})
+    opt = _options(run, {"n": (n, 6, integer),
+                         "alphas": (_parse_list(alphas), [2, 3], _list_of(integer))})
     law = _resolve_law(run, law_text)
     n = opt["n"]
     summary = enumerate_paths(law, n, tuple(opt["alphas"]))
@@ -364,17 +389,18 @@ def oracle(run: _Run, law_text, n, alphas):
 def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
     opt = _options(run, {
-        "n": (n, 1_000_000, int),
+        "n": (n, 1_000_000, integer),
         "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(float)),
-        "paths": (paths, 3, int), "gamma_n": (gamma_n, None, int),
-        "checkpoints": (None, None, _list_of(int))},
+        "paths": (paths, 3, integer), "gamma_n": (gamma_n, None, integer),
+        "checkpoints": (None, None, _list_of(integer))},
         tolerances={"rel_tol": (0.05, float)})
     law = _resolve_law(run, law_text)
     n = opt["n"]
     cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
     gamma_est = auto_gamma(law, opt["gamma_n"] or None)
     report = run_slln(law, opt["alphas"], cks, _seeds(run, opt["paths"]),
-                      gamma_est=gamma_est, rel_tol=opt["rel_tol"])
+                      gamma_est=gamma_est, rel_tol=opt["rel_tol"],
+                      threads=run.threads)
     _finish_report(run, "verify-slln", report)
 
 
@@ -386,12 +412,13 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
 @click.pass_obj
 def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
-    opt = _options(run, {"n": (n, 100_000, int), "M": (resamples, 100_000, int),
-                         "paths": (paths, 1, int)},
+    opt = _options(run, {"n": (n, 100_000, integer), "M": (resamples, 100_000, integer),
+                         "paths": (paths, 1, integer)},
                    tolerances={"tv_bar": (0.02, float), "p_floor": (1e-4, float)})
     law = _resolve_law(run, law_text)
     report = run_geometric(law, opt["n"], opt["M"], _seeds(run, opt["paths"]),
-                           tv_bar=opt["tv_bar"], p_floor=opt["p_floor"])
+                           tv_bar=opt["tv_bar"], p_floor=opt["p_floor"],
+                           threads=run.threads)
     _finish_report(run, "verify-geometric", report)
 
 
@@ -406,8 +433,10 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
 def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_cap):
     """Check the variance growth of L_n(alpha) against its envelope."""
     # a tolerances.slope_cap overrides experiment.slope_cap, the flag both
-    opt = _options(run, {"alpha": (alpha, 2, int), "n_min": (n_min, 1 << 10, int),
-                         "n_max": (n_max, 1 << 16, int), "M": (replicas, 200, int),
+    opt = _options(run, {"alpha": (alpha, 2, integer),
+                         "n_min": (n_min, 1 << 10, integer),
+                         "n_max": (n_max, 1 << 16, integer),
+                         "M": (replicas, 200, integer),
                          "slope_cap": (slope_cap, None, float)},
                    tolerances={"safety": (10.0, float), "slope_cap": (None, float)})
     law = _resolve_law(run, law_text)
@@ -419,7 +448,8 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
         n *= 2
     grid.append(n_max)
     report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
-                           safety=opt["safety"], slope_cap=opt["slope_cap"])
+                           safety=opt["safety"], slope_cap=opt["slope_cap"],
+                           threads=run.threads)
     _finish_report(run, "variance-scan", report)
 
 
@@ -435,10 +465,9 @@ def return_tail_cmd(run: _Run, law_text, n, big_n):
     diag = return_tail(law, n, big_n)
     payload = {
         "n": n, "N": big_n, "value": diag.value,
-        "eta_hat": None if math.isinf(diag.eta_hat) else diag.eta_hat,
+        "eta_hat": diag.eta_hat,
         "infinite_decay": math.isinf(diag.eta_hat),
-        "windows": [{"start": s, "slope": (None if math.isinf(sl) else sl)}
-                    for s, sl in diag.windows],
+        "windows": [{"start": s, "slope": sl} for s, sl in diag.windows],
     }
     _emit(run, "return-tail", payload)
 

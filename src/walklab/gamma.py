@@ -607,23 +607,15 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
 
     Replica i is a pure function of mix64(seed, i), so the result does
     not depend on threads; estimates gamma(n) >= gamma (upward bias by
-    the walks that would return after n, reported as-is).  threads > 1
-    splits the replicas over a process pool of the platform's default
-    start method; tasks are top-level and picklable, so spawn works too.
+    the walks that would return after n, reported as-is).  The replicas
+    are split into threads contiguous blocks run by rng.replica_map.
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
-    coords, cdf = _sampling_arrays(law)
-    arrays = (coords, cdf)
-    if threads > 1:
-        from multiprocessing import Pool
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        tasks = [(arrays, law.d, n, seed, int(lo), int(hi))
-                 for lo, hi in zip(bounds, bounds[1:])]
-        with Pool(threads) as pool:
-            escapes = sum(pool.map(_escape_range, tasks))
-    else:
-        escapes = _escape_range((arrays, law.d, n, seed, 0, m))
+    arrays = _sampling_arrays(law)
+    tasks = [(arrays, law.d, n, seed, lo, hi)
+             for lo, hi in rnglib.replica_blocks(m, threads)]
+    escapes = sum(rnglib.replica_map(_escape_range, tasks, threads))
     value = escapes / m
     stderr = math.sqrt(max(value * (1 - value), 0.0) / m)
     return GammaEstimate(value=value, error=stderr, method="mc_escape",

@@ -263,15 +263,22 @@ def _low_dim_notes(law: StepLaw) -> dict:
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _slln_series(task):
+    """One run_slln path's checkpoint series; task = (law, checkpoints, alphas, seed)."""
+    return simulate_series(*task)
+
+
 def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
              seeds: Sequence[int], gamma_est: GammaEstimate | None = None,
-             rel_tol: float = 0.05) -> ExperimentReport:
+             rel_tol: float = 0.05, threads: int = 1) -> ExperimentReport:
     """Strong-law experiment: L_n(alpha)/n against the geometric moment sum.
 
     One path per seed; the verdict compares the final-checkpoint ratio
     for each alpha with the theory value at the estimated gamma, and the
     range ratio R(n)/n with gamma itself.  The relative tolerance is an
-    engineering band: almost-sure convergence comes with no rate.
+    engineering band: almost-sure convergence comes with no rate.  The
+    paths run on threads worker processes (rng.replica_map), one task
+    per seed, and are reduced in seed order.
     """
     alphas = [float(a) for a in alphas]
     gamma_est = gamma_est or auto_gamma(law)
@@ -282,8 +289,9 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
     records = []
     checks = []
     n_final = int(checkpoints[-1])
-    for seed in seeds:
-        series = simulate_series(law, checkpoints, alphas, seed)
+    all_series = rnglib.replica_map(
+        _slln_series, [(law, checkpoints, alphas, seed) for seed in seeds], threads)
+    for seed, series in zip(seeds, all_series):
         for i, n in enumerate(series.checkpoints):
             for j, a in enumerate(series.alphas):
                 records.append({
@@ -321,14 +329,26 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
         notes=_low_dim_notes(law))
 
 
+def _visit_counts(task) -> dict[int, int]:
+    """Tally of one run_geometric path's m visit-count draws; task = (law, n, m, seed)."""
+    law, n, m, seed = task
+    fld = simulate(law, n, seed)
+    draws = sample_visited_local_time(fld, rnglib.replica_generator(seed, 1), m)
+    tally = np.bincount(draws)
+    return {int(u): int(tally[u]) for u in np.flatnonzero(tally)}
+
+
 def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
                   gamma_est: GammaEstimate | None = None,
-                  tv_bar: float = 0.02, p_floor: float = 1e-4) -> ExperimentReport:
+                  tv_bar: float = 0.02, p_floor: float = 1e-4,
+                  threads: int = 1) -> ExperimentReport:
     """Limit-law experiment: empirical visit count at a uniform visited site.
 
     One path per seed, resampled m times; reports the total-variation
     distance of the empirical law to Geom(gamma) and a chi-square over
-    buckets holding all but CHI_TAIL_MASS of the geometric mass.
+    buckets holding all but CHI_TAIL_MASS of the geometric mass.  The
+    paths run on threads worker processes (rng.replica_map), one task
+    per seed, and are reduced in seed order.
     """
     gamma_est = gamma_est or auto_gamma(law)
     g = gamma_est.value
@@ -336,11 +356,9 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
     records = []
     checks = []
     stats: dict = {"per_seed": []}
-    for seed in seeds:
-        fld = simulate(law, n, seed)
-        draws = sample_visited_local_time(fld, rnglib.replica_generator(seed, 1), m)
-        tally = np.bincount(draws)
-        counts = {int(u): int(tally[u]) for u in np.flatnonzero(tally)}
+    all_counts = rnglib.replica_map(
+        _visit_counts, [(law, n, m, seed) for seed in seeds], threads)
+    for seed, counts in zip(seeds, all_counts):
         emp = {u: c / m for u, c in counts.items()}
         tv = tv_distance(emp, ref)
         chi = geometric_chi_square(counts, g)
@@ -379,15 +397,34 @@ def variance_envelope(d: int) -> tuple[str, Callable[[float], float]]:
     return _ENVELOPES[min(d, 5)]
 
 
+def _l_alpha_block(task) -> list[float]:
+    """float(L_n(alpha)) of replicas lo..hi-1 at one grid point.
+
+    task = (law, n, alpha, seed, base, lo, hi); replica i has seed
+    mix64(seed, base + i), base being the grid index times M.  Each field
+    is released only once the next one is built: released first, malloc
+    hands its pages back to the OS and the next path faults them in again
+    (six times the minor page faults at the bench's variance-scan size).
+    """
+    law, n, alpha, seed, base, lo, hi = task
+    vals = []
+    for i in range(lo, hi):
+        fld = simulate(law, n, rnglib.mix64(seed, base + i))
+        vals.append(float(l_alpha(fld, alpha)))
+    return vals
+
+
 def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
                   seed: int, safety: float = 10.0,
-                  slope_cap: float | None = None) -> ExperimentReport:
+                  slope_cap: float | None = None, threads: int = 1) -> ExperimentReport:
     """Sample-variance growth of L_n(alpha) against its envelope.
 
     m independent replicas per grid point (replica seeds are
     mix64(seed, flat index)); the envelope constant is calibrated at the
     smallest grid point and multiplied by the safety factor, since the
-    bounds hold up to an unspecified constant.
+    bounds hold up to an unspecified constant.  Each grid point's
+    replicas are split into threads blocks run by rng.replica_map, the
+    largest n first so the workers finish together.
     """
     if not float(alpha).is_integer() or alpha < 1:
         raise BadParam(f"variance scan needs integer alpha >= 1, got {alpha}")
@@ -398,14 +435,17 @@ def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise BadParam("grid must be strictly increasing")
     env_name, env = variance_envelope(law.d)
+    split = rnglib.replica_blocks(m, threads)
+    blocks = [(gi, lo, hi) for gi in reversed(range(len(grid))) for lo, hi in split]
+    results = rnglib.replica_map(
+        _l_alpha_block, [(law, grid[gi], alpha, seed, gi * m, lo, hi)
+                         for gi, lo, hi in blocks], threads)
+    samples = [np.empty(m) for _ in grid]
+    for (gi, lo, hi), block in zip(blocks, results):
+        samples[gi][lo:hi] = block
     records = []
     variances = []
-    for gi, n in enumerate(grid):
-        vals = np.empty(m)
-        for i in range(m):
-            replica_seed = rnglib.mix64(seed, gi * m + i)
-            fld = simulate(law, n, replica_seed)
-            vals[i] = float(l_alpha(fld, alpha))
+    for n, vals in zip(grid, samples):
         var = float(np.var(vals, ddof=1))
         s1, s2 = vals.sum(), (vals ** 2).sum()
         loo = (s2 - vals ** 2 - (s1 - vals) ** 2 / (m - 1)) / (m - 2)

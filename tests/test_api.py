@@ -10,8 +10,9 @@ OPTION_SURFACE = {
     "builtin.params", "deterministic.exact", "drifted_srw.exact",
     "enumerate_paths.alphas", "mc_escape.threads", "moment_limit.tol",
     "run_geometric.gamma_est", "run_geometric.tv_bar", "run_geometric.p_floor",
-    "run_slln.gamma_est", "run_slln.rel_tol", "srw.exact",
-    "variance_scan.safety", "variance_scan.slope_cap",
+    "run_geometric.threads", "run_slln.gamma_est", "run_slln.rel_tol",
+    "run_slln.threads", "srw.exact", "variance_scan.safety",
+    "variance_scan.slope_cap", "variance_scan.threads",
 }
 
 

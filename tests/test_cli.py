@@ -8,11 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 import walklab
-from walklab.cli import cli
+from walklab.cli import _emit, _Run, cli, main
 
 BERN = '{"family": "bernoulli", "p": 0.7}'
 BERN_EXACT = '{"family": "bernoulli", "p": "7/10"}'
 DET = '{"family": "deterministic", "d": 1, "v": [1]}'
+SRW3 = '{"family": "srw", "d": 3}'
 
 
 @pytest.fixture
@@ -163,6 +164,53 @@ class TestVerdictExitCodes:
         assert res.exit_code not in (0, 2)
 
 
+class TestMalformedJson:
+    def _main_error(self, capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_law_flag(self, capsys):
+        err = self._main_error(capsys, ["estimate-gamma", "--law", "not json",
+                                        "--method", "green"])
+        assert err.startswith("error: --law is not valid JSON")
+
+    def test_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        err = self._main_error(capsys, ["--config", str(cfg), "simulate",
+                                        "--law", DET])
+        assert err.startswith(f"error: config file {cfg} is not valid JSON")
+
+
+class TestThreads:
+    @pytest.mark.parametrize("args", [
+        ["variance-scan", "--law", SRW3, "--n-min", "32", "--n-max", "256",
+         "--M", "15"],
+        ["verify-slln", "--law", SRW3, "--n", "4096", "--paths", "2"],
+        ["verify-geometric", "--law", SRW3, "--n", "4096", "--M", "1000",
+         "--paths", "2"],
+        ["estimate-gamma", "--law", SRW3, "--method", "mc", "--n", "128",
+         "--M", "300"],
+    ], ids=["variance-scan", "verify-slln", "verify-geometric", "estimate-gamma-mc"])
+    def test_stdout_does_not_depend_on_threads(self, runner, args):
+        one = runner.invoke(cli, ["--seed", "4", "--threads", "1", *args])
+        two = runner.invoke(cli, ["--seed", "4", "--threads", "2", *args])
+        assert one.exit_code in (0, 2), one.output
+        assert (two.exit_code, two.stdout_bytes) == (one.exit_code, one.stdout_bytes)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, runner, threads):
+        res = runner.invoke(cli, ["--threads", threads, "estimate-gamma", "--law", BERN,
+                                  "--method", "mc", "--n", "16", "--M", "10"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert "--threads" in str(res.exception)
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -255,8 +303,14 @@ class TestConfig:
         ({"experiment": {"alphas": 2}}, "alphas", ["simulate", "--law", DET]),
         ({"seeds": ["s"]}, "seeds", ["verify-slln", "--law", DET, "--n", "64"]),
         ({}, "alphas", ["simulate", "--law", DET, "--alphas", "1,a"]),
+        ({"experiment": {"n": 4.7}}, "n", ["simulate", "--law", DET]),
+        ({"experiment": {"n": True}}, "n", ["simulate", "--law", DET]),
+        ({"experiment": {"checkpoints": [8, 16.5]}}, "checkpoints",
+         ["verify-slln", "--law", DET, "--alphas", "1"]),
+        ({"seeds": [1, 2.5]}, "seeds", ["verify-slln", "--law", DET, "--n", "64"]),
     ], ids=["experiment-n", "tolerance-tv_bar", "alphas-not-a-list", "seeds",
-            "alphas-flag"])
+            "alphas-flag", "n-fractional", "n-boolean", "checkpoints-fractional",
+            "seeds-fractional"])
     def test_wrong_type_is_config_error(self, runner, tmp_path, config, key, args):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -264,6 +318,13 @@ class TestConfig:
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.ConfigError)
         assert repr(key) in str(res.exception)
+
+    def test_integral_float_is_an_integer(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"n": 4.0}}))
+        res = runner.invoke(cli, ["--config", str(cfg), "simulate", "--law", DET])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["checkpoints"] == [4]
 
     def test_config_seeds_used(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -285,6 +346,19 @@ class TestOutFiles:
         assert r1.exit_code == 0 and r2.exit_code == 0
         for name in ("verify-geometric.json", "verify-geometric.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_emit_writes_strict_json(capsys):
+    _emit(_Run(), "x", {"a": float("nan"), "b": [float("inf"), 1.5]})
+    assert capsys.readouterr().out == json.dumps(
+        {"a": None, "b": [None, 1.5]}, sort_keys=True, indent=2) + "\n"
+
+
+def test_return_tail_infinite_decay_is_null(runner):
+    res = runner.invoke(cli, ["return-tail", "--law", DET, "--n", "4", "--N", "64"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert (out["eta_hat"], out["infinite_decay"], out["windows"]) == (None, True, [])
 
 
 def test_import_leaves_scipy_unloaded():

@@ -223,7 +223,8 @@ class TestMcEscape:
         assert a.value == b.value
 
     def test_thread_invariance_under_spawn(self):
-        # os.fork is disabled, so the pool must take the spawn start method
+        # os.fork is disabled, so the pool must take the spawn start method;
+        # variance_scan shares the pool helper with mc_escape
         code = ("import multiprocessing, os\n"
                 "import walklab as wl\n"
                 "def no_fork():\n"
@@ -233,12 +234,14 @@ class TestMcEscape:
                 "law = wl.bernoulli(0.7)\n"
                 "a = wl.mc_escape(law, 128, 400, seed=9, threads=1)\n"
                 "b = wl.mc_escape(law, 128, 400, seed=9, threads=2)\n"
-                "print(a.value == b.value)\n")
+                "va = wl.variance_scan(law, 2, [16, 32, 64], 10, seed=4, threads=1)\n"
+                "vb = wl.variance_scan(law, 2, [16, 32, 64], 10, seed=4, threads=2)\n"
+                "print(a.value == b.value, va.to_json_bytes() == vb.to_json_bytes())\n")
         src = str(Path(wl.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src), check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert out.strip() == "True"
+        assert out.strip() == "True True"
 
     def test_consistency_with_taboo_same_horizon(self, bern07):
         n = 200

@@ -170,6 +170,33 @@ class TestVarianceScan:
         b = wl.variance_scan(bern07, 2, [16, 32, 64], 25, seed=3)
         assert a.to_json_bytes() == b.to_json_bytes()
 
+    def test_thread_invariance(self, srw3):
+        # 3 workers cut M = 25 into uneven blocks at every grid point
+        a = wl.variance_scan(srw3, 2, [16, 32, 64], 25, seed=3, threads=1)
+        b = wl.variance_scan(srw3, 2, [16, 32, 64], 25, seed=3, threads=3)
+        assert a.to_json_bytes() == b.to_json_bytes()
+
+
+class TestReplicaMap:
+    def test_results_in_task_order(self):
+        tasks = [5, 0, 3, 1, 4]
+        expected = [math.factorial(t) for t in tasks]
+        assert rng.replica_map(math.factorial, tasks, 1) == expected
+        assert rng.replica_map(math.factorial, tasks, 2) == expected
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(wl.BadParam, match="threads"):
+            rng.replica_map(math.factorial, [1, 2], threads)
+        with pytest.raises(wl.BadParam, match="threads"):
+            rng.replica_blocks(10, threads)
+
+    @pytest.mark.parametrize("m,threads", [(10, 1), (10, 3), (2, 5), (1, 2)])
+    def test_blocks_cover_the_replicas(self, m, threads):
+        blocks = rng.replica_blocks(m, threads)
+        assert len(blocks) == min(m, threads)
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(m))
+
 
 class TestReportSerialization:
     def test_json_bytes_reproducible(self, bern07):
