@@ -68,7 +68,6 @@ from .rng import generator, mix64, replica_generator
 from .steps import (
     StepLaw,
     bernoulli,
-    builtin,
     deterministic,
     drifted_srw,
     law_from_json,

@@ -27,15 +27,15 @@ from .gamma import (
 )
 from .harness import (
     ExperimentReport,
-    _finite_or_none,
     auto_gamma,
+    json_bytes,
     run_geometric,
     run_slln,
     variance_scan,
 )
 from .oracle import enumerate_paths, exact_zn_law
 from .path import simulate_series
-from .steps import StepLaw, law_from_json
+from .steps import StepLaw, law_from_json, law_to_json
 from .theory import (
     expected_qj_formula,
     geometric_pmf,
@@ -174,9 +174,7 @@ def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
 
 
 def _emit(run: _Run, name: str, payload: dict, csv_text: str | None = None) -> None:
-    body = json.dumps(_finite_or_none(payload), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
-    _write(run, name, body.encode(), csv_text)
+    _write(run, name, json_bytes(payload), csv_text)
 
 
 def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
@@ -191,14 +189,22 @@ def _parse_list(text: str | None):
     return [x for x in text.split(",") if x.strip() != ""] if text else None
 
 
-def _dyadic_checkpoints(n: int) -> list[int]:
-    cks = []
-    c = min(1024, n)
-    while c < n:
-        cks.append(c)
-        c *= 2
-    cks.append(n)
-    return cks
+def _doubling(key: str, start: int, stop: int) -> list[int]:
+    """start, 2 start, 4 start, ... while below stop, then stop itself."""
+    if start < 1:
+        raise ConfigError(f"{key!r} must be >= 1, got {start}")
+    grid = []
+    while start < stop:
+        grid.append(start)
+        start *= 2
+    return grid + [stop]
+
+
+def _checkpoints(opt: dict) -> list[int]:
+    """The configured checkpoints, else dyadic ones from min(1024, n) up to n."""
+    if opt["checkpoints"] is not None:
+        return opt["checkpoints"]
+    return _doubling("n", min(1024, opt["n"]), opt["n"])
 
 
 @click.group()
@@ -239,19 +245,12 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
         "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(float)),
         "checkpoints": (_parse_list(checkpoints), None, _list_of(integer))})
     law = _resolve_law(run, law_text)
-    n = opt["n"]
-    cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
-    series = simulate_series(law, cks, opt["alphas"], run.seed)
+    series = simulate_series(law, _checkpoints(opt), opt["alphas"], run.seed)
     payload = {
-        "law": law.describe(), "seed": run.seed,
+        "law": law_to_json(law), "seed": run.seed,
         "checkpoints": list(series.checkpoints),
         "alphas": list(series.alphas),
-        "records": [
-            {"n": ck, "alpha": a, "L": float(series.l_table[i][j]),
-             "L_over_n": float(series.l_table[i][j]) / ck,
-             "R": series.ranges[i], "R_over_n": series.ranges[i] / ck}
-            for i, ck in enumerate(series.checkpoints)
-            for j, a in enumerate(series.alphas)],
+        "records": series.records(),
     }
     _emit(run, "simulate", payload, series.to_csv())
 
@@ -315,43 +314,37 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
             return gamma_opt
         return auto_gamma(_resolve_law(run, law_text)).value
 
+    error = 0.0  # closed forms and exact values carry no truncation error
     if what == "moment":
         pred = moment_limit(need(alpha, "--alpha"), gamma_value(), tol=tol)
-        payload = {"what": what, "inputs": pred.inputs, "value": pred.value,
-                   "error": pred.truncation_error}
+        inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "qj":
         g = gamma_value()
-        payload = {"what": what, "inputs": {"j": need(j_idx, "--j"), "gamma": g},
-                   "value": qj_limit(g, j_idx), "error": 0.0}
+        inputs, value = {"j": need(j_idx, "--j"), "gamma": g}, qj_limit(g, j_idx)
     elif what == "geom":
         g = gamma_value()
-        payload = {"what": what, "inputs": {"u": need(u, "--u"), "gamma": g},
-                   "value": geometric_pmf(g, u), "error": 0.0}
+        inputs, value = {"u": need(u, "--u"), "gamma": g}, geometric_pmf(g, u)
     elif what == "qj-exact":
         law = _resolve_law(run, law_text)
         n = need(n, "--n")
         ret = taboo_survival(law, n)
-        value = expected_qj_formula(ret, need(j_idx, "--j"), n)
-        payload = {"what": what, "inputs": {"j": j_idx, "n": n},
-                   "value": _frac_json(value), "error": 0.0}
+        value = _frac_json(expected_qj_formula(ret, need(j_idx, "--j"), n))
+        inputs = {"j": j_idx, "n": n}
     elif what == "gf":
         law = _resolve_law(run, law_text)
         big_n = need(big_n, "--N")
         ret = taboo_survival(law, big_n)
         pred = qj_generating(ret, need(j_idx, "--j"), need(s, "--s"), big_n)
-        payload = {"what": what, "inputs": pred.inputs, "value": pred.value,
-                   "error": pred.truncation_error}
+        inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "green-cross":
         law = _resolve_law(run, law_text)
-        value = green_cross_sum(law, need(n, "--n"))
-        payload = {"what": what, "inputs": {"n": n},
-                   "value": float(value), "error": 0.0}
+        value = float(green_cross_sum(law, need(n, "--n")))
+        inputs = {"n": n}
     else:
         law = _resolve_law(run, law_text)
-        value = sup_pmf(law, need(n, "--n"))
-        payload = {"what": what, "inputs": {"m": n},
-                   "value": float(value), "error": 0.0}
-    _emit(run, "predict", payload)
+        value = float(sup_pmf(law, need(n, "--n")))
+        inputs = {"m": n}
+    _emit(run, "predict", {"what": what, "inputs": inputs, "value": value, "error": error})
 
 
 @cli.command()
@@ -368,7 +361,7 @@ def oracle(run: _Run, law_text, n, alphas):
     n = opt["n"]
     summary = enumerate_paths(law, n, tuple(opt["alphas"]))
     payload = {
-        "law": law.describe(), "n": n,
+        "law": law_to_json(law), "n": n,
         "expected_q": {str(j): _frac_json(v) for j, v in summary.expected_q.items()},
         "expected_l": {str(a): _frac_json(v) for a, v in summary.expected_l.items()},
         "variance_l": {str(a): _frac_json(v) for a, v in summary.variance_l.items()},
@@ -395,10 +388,9 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
         "checkpoints": (None, None, _list_of(integer))},
         tolerances={"rel_tol": (0.05, float)})
     law = _resolve_law(run, law_text)
-    n = opt["n"]
-    cks = _dyadic_checkpoints(n) if opt["checkpoints"] is None else opt["checkpoints"]
-    gamma_est = auto_gamma(law, opt["gamma_n"] or None)
-    report = run_slln(law, opt["alphas"], cks, _seeds(run, opt["paths"]),
+    gamma_est = (auto_gamma(law) if opt["gamma_n"] is None
+                 else green_at_origin(law, opt["gamma_n"]))
+    report = run_slln(law, opt["alphas"], _checkpoints(opt), _seeds(run, opt["paths"]),
                       gamma_est=gamma_est, rel_tol=opt["rel_tol"],
                       threads=run.threads)
     _finish_report(run, "verify-slln", report)
@@ -440,13 +432,7 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
                          "slope_cap": (slope_cap, None, float)},
                    tolerances={"safety": (10.0, float), "slope_cap": (None, float)})
     law = _resolve_law(run, law_text)
-    n_max = opt["n_max"]
-    grid = []
-    n = opt["n_min"]
-    while n < n_max:
-        grid.append(n)
-        n *= 2
-    grid.append(n_max)
+    grid = _doubling("n_min", opt["n_min"], opt["n_max"])
     report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
                            safety=opt["safety"], slope_cap=opt["slope_cap"],
                            threads=run.threads)

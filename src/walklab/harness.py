@@ -167,6 +167,14 @@ def _to_py(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+def json_bytes(obj) -> bytes:
+    """The report format: strict JSON (non-finite floats as null), sorted
+    keys, indent 2, one trailing newline."""
+    text = json.dumps(_finite_or_none(obj), sort_keys=True, indent=2,
+                      default=_to_py, allow_nan=False)
+    return text.encode() + b"\n"
+
+
 @dataclass
 class ExperimentReport:
     """Machine-readable outcome of one experiment."""
@@ -207,20 +215,11 @@ class ExperimentReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(_finite_or_none(self.to_json_dict()), sort_keys=True,
-                          indent=2, default=_to_py, allow_nan=False)
-        return text.encode() + b"\n"
-
-    def csv_columns(self) -> list[str]:
-        cols: list[str] = []
-        for rec in self.records:
-            for key in rec:
-                if key not in cols:
-                    cols.append(key)
-        return cols
+        return json_bytes(self.to_json_dict())
 
     def to_csv(self) -> str:
-        cols = self.csv_columns()
+        """One row per record; the columns are every record key, in first-seen order."""
+        cols = list(dict.fromkeys(key for rec in self.records for key in rec))
         lines = [",".join(cols)]
         for rec in self.records:
             cells = []
@@ -231,15 +230,14 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def auto_gamma(law: StepLaw, n: int | None = None) -> GammaEstimate:
+def auto_gamma(law: StepLaw) -> GammaEstimate:
     """Default Green-series gamma estimate with an engine-aware horizon."""
-    if n is None:
-        if _axis_decomposition(law) is not None:
-            n = 4096
-        elif law.d == 1:
-            n = 2048
-        else:
-            n = 512
+    if _axis_decomposition(law) is not None:
+        n = 4096
+    elif law.d == 1:
+        n = 2048
+    else:
+        n = 512
     return green_at_origin(law, n)
 
 
@@ -262,6 +260,13 @@ def _low_dim_notes(law: StepLaw) -> dict:
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
+
+def _rel_check(name: str, observed: float, expected: float, rel_tol: float) -> dict:
+    """Check |observed - expected| <= rel_tol * expected, with the numbers compared."""
+    return {"name": name, "observed": observed, "expected": expected,
+            "rel_err": abs(observed - expected) / expected, "rel_tol": rel_tol,
+            "ok": abs(observed - expected) <= rel_tol * expected}
+
 
 def _slln_series(task):
     """One run_slln path's checkpoint series; task = (law, checkpoints, alphas, seed)."""
@@ -292,33 +297,13 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
     all_series = rnglib.replica_map(
         _slln_series, [(law, checkpoints, alphas, seed) for seed in seeds], threads)
     for seed, series in zip(seeds, all_series):
-        for i, n in enumerate(series.checkpoints):
-            for j, a in enumerate(series.alphas):
-                records.append({
-                    "seed": seed, "n": n, "alpha": a,
-                    "L": float(series.l_table[i][j]),
-                    "L_over_n": float(series.l_table[i][j]) / n,
-                    "R": series.ranges[i],
-                    "R_over_n": series.ranges[i] / n,
-                })
+        records.extend({"seed": seed, **row} for row in series.records())
         for j, a in enumerate(series.alphas):
-            ratio = float(series.l_table[-1][j]) / n_final
-            t_val = theory[str(a)]["value"]
-            checks.append({
-                "name": f"slln/seed={seed}/alpha={a}",
-                "observed": ratio, "expected": t_val,
-                "rel_err": abs(ratio - t_val) / t_val,
-                "rel_tol": rel_tol,
-                "ok": abs(ratio - t_val) <= rel_tol * t_val,
-            })
-        range_ratio = series.ranges[-1] / n_final
-        checks.append({
-            "name": f"slln/seed={seed}/range",
-            "observed": range_ratio, "expected": g,
-            "rel_err": abs(range_ratio - g) / g,
-            "rel_tol": rel_tol,
-            "ok": abs(range_ratio - g) <= rel_tol * g,
-        })
+            checks.append(_rel_check(f"slln/seed={seed}/alpha={a}",
+                                     float(series.l_table[-1][j]) / n_final,
+                                     theory[str(a)]["value"], rel_tol))
+        checks.append(_rel_check(f"slln/seed={seed}/range",
+                                 series.ranges[-1] / n_final, g, rel_tol))
     return ExperimentReport(
         kind="slln", law=law_to_json(law),
         params={"alphas": [float(a) for a in alphas],

@@ -198,6 +198,14 @@ class CheckpointSeries:
     l_table: tuple[tuple[float, ...], ...]
     ranges: tuple[int, ...]
 
+    def records(self) -> list[dict]:
+        """One n, alpha, L, L_over_n, R, R_over_n row per (checkpoint, alpha); L as a float."""
+        return [{"n": n, "alpha": a, "L": float(self.l_table[i][j]),
+                 "L_over_n": float(self.l_table[i][j]) / n,
+                 "R": self.ranges[i], "R_over_n": self.ranges[i] / n}
+                for i, n in enumerate(self.checkpoints)
+                for j, a in enumerate(self.alphas)]
+
     def to_csv(self) -> str:
         lines = ["n,alpha,L,L_over_n,R,R_over_n"]
         for i, n in enumerate(self.checkpoints):

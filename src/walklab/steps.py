@@ -53,10 +53,6 @@ class StepLaw:
     exact: bool
 
     @property
-    def support(self) -> tuple[LatticePoint, ...]:
-        return tuple(p for p, _ in self.atoms)
-
-    @property
     def masses(self) -> tuple[Mass, ...]:
         return tuple(m for _, m in self.atoms)
 
@@ -72,9 +68,6 @@ class StepLaw:
             if p == point:
                 return m
         return Fraction(0) if self.exact else 0.0
-
-    def describe(self) -> dict:
-        return law_to_json(self)
 
 
 def _rank_exact(vectors: Sequence[Sequence[int]], d: int) -> int:
@@ -168,14 +161,7 @@ def srw(d: int, exact: bool = False) -> StepLaw:
     """Simple random walk: mass 1/(2d) on each of the 2d unit vectors."""
     if d < 1:
         raise BadParam(f"srw needs d >= 1, got {d}")
-    mass = Fraction(1, 2 * d) if exact else 1.0 / (2 * d)
-    atoms = []
-    for axis in range(d):
-        for sign in (1, -1):
-            v = [0] * d
-            v[axis] = sign
-            atoms.append((v, mass))
-    return make_law(d, atoms, exact)
+    return drifted_srw(d, 0, exact=exact)
 
 
 def bernoulli(p, exact: bool = False) -> StepLaw:
@@ -215,31 +201,13 @@ def deterministic(v: Sequence[int], exact: bool = False) -> StepLaw:
     return make_law(len(v), [(v, one)], exact)
 
 
+# family -> (constructor, the descriptor keys it takes, in call order)
 _FAMILIES = {
-    "srw": srw,
-    "bernoulli": bernoulli,
-    "drifted_srw": drifted_srw,
-    "deterministic": deterministic,
+    "srw": (srw, ("d",)),
+    "bernoulli": (bernoulli, ("p",)),
+    "drifted_srw": (drifted_srw, ("d", "bias")),
+    "deterministic": (deterministic, ("v",)),
 }
-
-
-def builtin(name: str, d: int | None = None, exact: bool = False, **params) -> StepLaw:
-    """Construct a builtin family by name (srw, bernoulli, drifted_srw, deterministic)."""
-    if name not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {name!r}; choices: {sorted(_FAMILIES)}")
-    if name == "srw":
-        return srw(d if d is not None else 1, exact=exact)
-    if name == "bernoulli":
-        if "p" not in params:
-            raise BadParam("bernoulli needs parameter p")
-        return bernoulli(params["p"], exact=exact)
-    if name == "drifted_srw":
-        if "bias" not in params:
-            raise BadParam("drifted_srw needs parameter bias")
-        return drifted_srw(d if d is not None else 1, params["bias"], exact=exact)
-    if "v" not in params:
-        raise BadParam("deterministic needs parameter v")
-    return deterministic(params["v"], exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +296,10 @@ def law_from_json(obj: Mapping) -> StepLaw:
     if "family" not in obj:
         raise ConfigError("law descriptor needs a 'family' key")
     family = obj["family"]
-    known = {
-        "srw": {"family", "d", "exact"},
-        "bernoulli": {"family", "d", "p", "exact"},
-        "drifted_srw": {"family", "d", "bias", "exact"},
-        "deterministic": {"family", "d", "v", "exact"},
-        "custom": {"family", "d", "atoms", "exact"},
-    }
-    if family not in known:
+    if family != "custom" and family not in _FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}")
-    extra = set(obj) - known[family]
+    ctor, keys = _FAMILIES.get(family, (None, ("atoms",)))
+    extra = set(obj) - {"family", "d", "exact", *keys}
     if extra:
         raise ConfigError(f"unknown keys in law descriptor: {sorted(extra)}")
 
@@ -363,6 +325,10 @@ def law_from_json(obj: Mapping) -> StepLaw:
         implied = len(obj["v"])
     if implied is not None and obj.get("d", implied) != implied:
         raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")
+    for key in keys:
+        if key != "d" and key not in obj:
+            raise BadParam(f"{family} needs parameter {key}")
     exact = bool(obj.get("exact", isinstance(obj.get("p", obj.get("bias", 0.0)), str)))
-    params = {k: v for k, v in obj.items() if k in ("p", "bias", "v")}
-    return builtin(family, d=obj.get("d"), exact=exact, **params)
+    # a missing or null d means 1
+    args = [1 if key == "d" and obj.get("d") is None else obj[key] for key in keys]
+    return ctor(*args, exact=exact)

@@ -6,8 +6,7 @@ import walklab
 # walklab exports.  A new knob is a deliberate edit of this set.
 OPTION_SURFACE = {
     "ExperimentReport.notes", "GammaEstimate.seed", "ReturnLaw.prune_loss",
-    "auto_gamma.n", "bernoulli.exact", "builtin.d", "builtin.exact",
-    "builtin.params", "deterministic.exact", "drifted_srw.exact",
+    "bernoulli.exact", "deterministic.exact", "drifted_srw.exact",
     "enumerate_paths.alphas", "mc_escape.threads", "moment_limit.tol",
     "run_geometric.gamma_est", "run_geometric.tv_bar", "run_geometric.p_floor",
     "run_geometric.threads", "run_slln.gamma_est", "run_slln.rel_tol",

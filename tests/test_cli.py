@@ -336,6 +336,27 @@ class TestConfig:
         assert res.exit_code == 0
 
 
+class TestDoublingGrid:
+    @pytest.mark.parametrize("args,key", [
+        (["variance-scan", "--n-min", "0"], "n_min"),
+        (["variance-scan", "--n-min", "-4"], "n_min"),
+        (["simulate", "--n", "0"], "n"),
+        (["verify-slln", "--n", "-3"], "n"),
+    ], ids=["n-min-zero", "n-min-negative", "simulate-n-zero", "verify-slln-n-negative"])
+    def test_start_below_one_is_config_error(self, runner, args, key):
+        res = runner.invoke(cli, [*args, "--law", DET])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert f"{key!r} must be >= 1" in str(res.exception)
+
+    def test_empty_checkpoints_reach_simulate_series(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"checkpoints": []}}))
+        res = runner.invoke(cli, ["--config", str(cfg), "simulate", "--law", DET])
+        assert isinstance(res.exception, walklab.BadParam)
+        assert "checkpoints must be nonempty" in str(res.exception)
+
+
 class TestOutFiles:
     def test_report_files_reproducible(self, runner, tmp_path):
         args = ["--seed", "5", "verify-geometric", "--law", DET,

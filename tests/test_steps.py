@@ -57,7 +57,7 @@ class TestBuiltins:
 
     def test_unknown_family(self):
         with pytest.raises(wl.UnknownFamily):
-            wl.builtin("levy", d=1)
+            wl.law_from_json({"family": "levy", "d": 1})
 
     def test_bad_p(self):
         with pytest.raises(wl.BadParam):
@@ -76,7 +76,10 @@ class TestBuiltins:
         ("deterministic", None, {"v": [2]}),
     ])
     def test_builtin_always_validates(self, name, d, params, exact):
-        law = wl.builtin(name, d=d, exact=exact, **params)
+        descriptor = {"family": name, "exact": exact, **params}
+        if d is not None:
+            descriptor["d"] = d
+        law = wl.law_from_json(descriptor)
         assert wl.validate(law) is law
         assert law.exact is exact
 
@@ -172,6 +175,20 @@ class TestJson:
     def test_unknown_family(self):
         with pytest.raises(wl.UnknownFamily):
             wl.law_from_json({"family": "cauchy"})
+
+    @pytest.mark.parametrize("family,key", [
+        ("bernoulli", "p"), ("drifted_srw", "bias"), ("deterministic", "v")])
+    def test_missing_parameter_is_bad_param(self, family, key):
+        with pytest.raises(wl.BadParam, match=f"{family} needs parameter {key}"):
+            wl.law_from_json({"family": family})
+
+    @pytest.mark.parametrize("descriptor,law", [
+        ({"family": "srw"}, wl.srw(1)),
+        ({"family": "srw", "d": None}, wl.srw(1)),
+        ({"family": "drifted_srw", "d": None, "bias": 0.5}, wl.drifted_srw(1, 0.5)),
+    ])
+    def test_missing_or_null_d_means_one(self, descriptor, law):
+        assert wl.law_from_json(descriptor) == law
 
     @pytest.mark.parametrize("obj", [
         {"family": "bernoulli", "d": 3, "p": 0.7},
