@@ -111,6 +111,13 @@ def integer(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """float(value), refusing booleans and non-finite numbers."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _list_of(cast):
     def convert(value):
         if not isinstance(value, list):
@@ -242,7 +249,7 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
     opt = _options(run, {
         "n": (n, 4096, integer),
-        "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(float)),
+        "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(real)),
         "checkpoints": (_parse_list(checkpoints), None, _list_of(integer))})
     law = _resolve_law(run, law_text)
     series = simulate_series(law, _checkpoints(opt), opt["alphas"], run.seed)
@@ -315,6 +322,7 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
         return auto_gamma(_resolve_law(run, law_text)).value
 
     error = 0.0  # closed forms and exact values carry no truncation error
+    law = None if what in ("moment", "qj", "geom") else _resolve_law(run, law_text)
     if what == "moment":
         pred = moment_limit(need(alpha, "--alpha"), gamma_value(), tol=tol)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
@@ -325,23 +333,19 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
         g = gamma_value()
         inputs, value = {"u": need(u, "--u"), "gamma": g}, geometric_pmf(g, u)
     elif what == "qj-exact":
-        law = _resolve_law(run, law_text)
         n = need(n, "--n")
         ret = taboo_survival(law, n)
         value = _frac_json(expected_qj_formula(ret, need(j_idx, "--j"), n))
         inputs = {"j": j_idx, "n": n}
     elif what == "gf":
-        law = _resolve_law(run, law_text)
         big_n = need(big_n, "--N")
         ret = taboo_survival(law, big_n)
         pred = qj_generating(ret, need(j_idx, "--j"), need(s, "--s"), big_n)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "green-cross":
-        law = _resolve_law(run, law_text)
         value = float(green_cross_sum(law, need(n, "--n")))
         inputs = {"n": n}
     else:
-        law = _resolve_law(run, law_text)
         value = float(sup_pmf(law, need(n, "--n")))
         inputs = {"m": n}
     _emit(run, "predict", {"what": what, "inputs": inputs, "value": value, "error": error})
@@ -383,10 +387,10 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
     opt = _options(run, {
         "n": (n, 1_000_000, integer),
-        "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(float)),
+        "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(real)),
         "paths": (paths, 3, integer), "gamma_n": (gamma_n, None, integer),
         "checkpoints": (None, None, _list_of(integer))},
-        tolerances={"rel_tol": (0.05, float)})
+        tolerances={"rel_tol": (0.05, real)})
     law = _resolve_law(run, law_text)
     gamma_est = (auto_gamma(law) if opt["gamma_n"] is None
                  else green_at_origin(law, opt["gamma_n"]))
@@ -406,7 +410,7 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
     opt = _options(run, {"n": (n, 100_000, integer), "M": (resamples, 100_000, integer),
                          "paths": (paths, 1, integer)},
-                   tolerances={"tv_bar": (0.02, float), "p_floor": (1e-4, float)})
+                   tolerances={"tv_bar": (0.02, real), "p_floor": (1e-4, real)})
     law = _resolve_law(run, law_text)
     report = run_geometric(law, opt["n"], opt["M"], _seeds(run, opt["paths"]),
                            tv_bar=opt["tv_bar"], p_floor=opt["p_floor"],
@@ -429,8 +433,8 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
                          "n_min": (n_min, 1 << 10, integer),
                          "n_max": (n_max, 1 << 16, integer),
                          "M": (replicas, 200, integer),
-                         "slope_cap": (slope_cap, None, float)},
-                   tolerances={"safety": (10.0, float), "slope_cap": (None, float)})
+                         "slope_cap": (slope_cap, None, real)},
+                   tolerances={"safety": (10.0, real), "slope_cap": (None, real)})
     law = _resolve_law(run, law_text)
     grid = _doubling("n_min", opt["n_min"], opt["n_max"])
     report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,

@@ -453,10 +453,18 @@ def return_sequence(law: StepLaw, n: int) -> np.ndarray:
 # Green's series estimate
 # ---------------------------------------------------------------------------
 
+# First index of the Green tail-fit window; a shorter horizon leaves no
+# terms to fit, so its tail, and the error derived from it, would read 0.
+TAIL_FIT_START = 4
+
+
 def _fit_window(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(m values, r values, window length) of the nonzero terms in the
-    last decade [max(4, n/10), n]."""
-    start = max(4, n // 10)
+    last decade [max(TAIL_FIT_START, n/10), n]."""
+    if n < TAIL_FIT_START:
+        raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
+                       "the first term of the tail fit")
+    start = max(TAIL_FIT_START, n // 10)
     ms = np.arange(start, n + 1)
     rv = r[start:n + 1]
     nz = rv > 0
@@ -518,7 +526,7 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     ms, rv, _ = _fit_window(r, n)
     if len(ms) >= 3:
         eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
-        head = float(r[:max(4, n // 10)].sum())
+        head = float(r[:max(TAIL_FIT_START, n // 10)].sum())
         if eta_hat <= 1.05 and (total - head) / total > 1e-3:
             raise SuspectedRecurrence(
                 f"partial sums of P(S_m=0) still growing at N={n} "

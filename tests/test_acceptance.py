@@ -116,7 +116,7 @@ def test_criterion_05_gamma_triangle():
     bern = wl.bernoulli(0.7)
     b_green = wl.green_at_origin(bern, 600)
     b_taboo = wl.taboo_gamma_estimate(bern, 1000)
-    b_mc = wl.mc_escape(bern, 10_000, 100_000, seed=tag(50))
+    b_mc = wl.mc_escape(bern, 10_000, 100_000, seed=tag(50), threads=2)
     for label, est in [("green", b_green), ("taboo", b_taboo), ("mc", b_mc)]:
         if abs(est.value - 0.4) > 0.01:
             failures.append(f"bernoulli {label}={est.value}")
@@ -124,7 +124,7 @@ def test_criterion_05_gamma_triangle():
     srw3 = wl.srw(3)
     s_green = wl.green_at_origin(srw3, 512)
     s_taboo = wl.taboo_gamma_estimate(srw3, 256)
-    s_mc = wl.mc_escape(srw3, 4096, 30_000, seed=tag(51))
+    s_mc = wl.mc_escape(srw3, 4096, 30_000, seed=tag(51), threads=2)
     if abs(s_green.value - SRW3_GAMMA) > 0.003:
         failures.append(f"srw3 green={s_green.value} off central value")
     pairs = [("green/taboo", s_green.value, s_green.error,
@@ -190,7 +190,8 @@ def test_criterion_08_variance_envelopes():
              ("srw3", wl.srw(3), 82, 1.6),
              ("bernoulli", wl.bernoulli(0.7), 83, None)]
     for name, law, t, cap in cases:
-        report = wl.variance_scan(law, 2, grid, 200, seed=tag(t), slope_cap=cap)
+        report = wl.variance_scan(law, 2, grid, 200, seed=tag(t), slope_cap=cap,
+                                  threads=2)
         if not report.verdict:
             failures.append(f"{name}: {report.failures()}")
     _criterion(8, "variance envelopes and slopes, alpha=2, M=200", failures)

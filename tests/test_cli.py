@@ -54,6 +54,17 @@ class TestEstimateGamma:
         assert str(res.exception) == ("dense pmf box (5, 5, 5, 5, 5) at step 2 "
                                       "exceeds CELL_BUDGET = 1000 cells")
 
+    @pytest.mark.parametrize("args", [
+        ["estimate-gamma", "--method", "green", "--N", "2"],
+        ["estimate-gamma", "--method", "dp", "--N", "0"],
+        ["verify-slln", "--gamma-n", "0", "--n", "64"],
+    ], ids=["green-N-2", "dp-N-0", "verify-slln-gamma-n-0"])
+    def test_horizon_below_fit_window_is_error(self, runner, args):
+        res = runner.invoke(cli, [*args, "--law", SRW3])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.BadParam)
+        assert "TAIL_FIT_START" in str(res.exception)
+
     def test_recurrent_is_error(self, runner):
         res = runner.invoke(cli, ["estimate-gamma",
                                   "--law", '{"family": "srw", "d": 1}',
@@ -308,9 +319,22 @@ class TestConfig:
         ({"experiment": {"checkpoints": [8, 16.5]}}, "checkpoints",
          ["verify-slln", "--law", DET, "--alphas", "1"]),
         ({"seeds": [1, 2.5]}, "seeds", ["verify-slln", "--law", DET, "--n", "64"]),
+        ({"tolerances": {"tv_bar": True}}, "tv_bar",
+         ["verify-geometric", "--law", DET, "--n", "64", "--M", "10"]),
+        ({"tolerances": {"tv_bar": float("inf"), "p_floor": -float("inf")}}, "tv_bar",
+         ["--seed", "7", "verify-geometric", "--law", SRW3, "--n", "20000",
+          "--M", "2000", "--paths", "2"]),
+        ({"tolerances": {"p_floor": float("nan")}}, "p_floor",
+         ["verify-geometric", "--law", DET, "--n", "64", "--M", "10"]),
+        ({"tolerances": {"rel_tol": False}}, "rel_tol", ["verify-slln", "--law", DET]),
+        ({"tolerances": {"safety": float("inf")}}, "safety", ["variance-scan", "--law", DET]),
+        ({}, "slope_cap", ["variance-scan", "--law", DET, "--slope-cap", "inf"]),
+        ({}, "alphas", ["simulate", "--law", DET, "--alphas", "1,nan"]),
     ], ids=["experiment-n", "tolerance-tv_bar", "alphas-not-a-list", "seeds",
             "alphas-flag", "n-fractional", "n-boolean", "checkpoints-fractional",
-            "seeds-fractional"])
+            "seeds-fractional", "tv_bar-boolean", "tolerances-infinite",
+            "p_floor-nan", "rel_tol-boolean", "safety-infinite", "slope-cap-flag-inf",
+            "alphas-nan"])
     def test_wrong_type_is_config_error(self, runner, tmp_path, config, key, args):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -334,6 +358,20 @@ class TestConfig:
         res = runner.invoke(cli, ["--config", str(cfg), "verify-slln",
                                   "--n", "64", "--alphas", "1"])
         assert res.exit_code == 0
+
+
+class TestNoVacuousVerdict:
+    @pytest.mark.parametrize("command", ["verify-slln", "verify-geometric"])
+    @pytest.mark.parametrize("config,flags", [({}, ["--paths", "0"]), ({"seeds": []}, [])],
+                             ids=["paths-0", "seeds-empty"])
+    def test_no_seed_is_bad_param(self, runner, tmp_path, command, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = runner.invoke(cli, ["--config", str(cfg), command, "--law", DET,
+                                  "--n", "64", *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.BadParam)
+        assert "needs at least one seed" in str(res.exception)
 
 
 class TestDoublingGrid:

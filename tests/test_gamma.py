@@ -126,6 +126,15 @@ class TestGreen:
         est = wl.green_at_origin(det1, 50)
         assert est.value == 1.0 and est.error == 0.0
 
+    @pytest.mark.parametrize("estimator", [wl.green_at_origin, wl.taboo_gamma_estimate],
+                             ids=["green", "taboo"])
+    @pytest.mark.parametrize("n", [0, 2, wl.gamma.TAIL_FIT_START - 1])
+    def test_horizon_below_fit_window_is_bad_param(self, srw3, estimator, n):
+        # below the window the tail would be 0: gamma 0.857 +- 0.0 at N = 2
+        with pytest.raises(wl.BadParam, match="TAIL_FIT_START = 4"):
+            estimator(srw3, n)
+        assert estimator(srw3, wl.gamma.TAIL_FIT_START).error > 0
+
     def test_srw3(self, srw3):
         est = wl.green_at_origin(srw3, 512)
         assert est.value == pytest.approx(SRW3_GAMMA, abs=1e-3)
