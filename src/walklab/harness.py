@@ -285,7 +285,7 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
     paths run on threads worker processes (rng.replica_map), one task
     per seed, and are reduced in seed order.
     """
-    if not seeds:
+    if len(seeds) == 0:
         raise BadParam("run_slln needs at least one seed")
     alphas = [float(a) for a in alphas]
     gamma_est = gamma_est or auto_gamma(law)
@@ -337,7 +337,7 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
     paths run on threads worker processes (rng.replica_map), one task
     per seed, and are reduced in seed order.
     """
-    if not seeds:
+    if len(seeds) == 0:
         raise BadParam("run_geometric needs at least one seed")
     gamma_est = gamma_est or auto_gamma(law)
     g = gamma_est.value
