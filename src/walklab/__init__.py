@@ -31,6 +31,7 @@ from .gamma import (
     PmfField,
     ReturnLaw,
     TailDiagnostic,
+    auto_gamma,
     green_at_origin,
     mc_escape,
     pmf_evolve,
@@ -44,7 +45,6 @@ from .harness import (
     ExperimentReport,
     FitResult,
     GeometricLaw,
-    auto_gamma,
     fit_exponent,
     geometric_chi_square,
     run_geometric,
@@ -86,7 +86,6 @@ from .theory import (
     moment_limit,
     qj_generating,
     qj_limit,
-    sup_pmf,
     sup_pmf_sequence,
 )
 

@@ -19,6 +19,7 @@ import click
 from . import rng as rnglib
 from .errors import ConfigError, WalklabError
 from .gamma import (
+    auto_gamma,
     green_at_origin,
     mc_escape,
     return_tail,
@@ -27,7 +28,7 @@ from .gamma import (
 )
 from .harness import (
     ExperimentReport,
-    auto_gamma,
+    csv_text,
     json_bytes,
     run_geometric,
     run_slln,
@@ -43,7 +44,7 @@ from .theory import (
     moment_limit,
     qj_generating,
     qj_limit,
-    sup_pmf,
+    sup_pmf_sequence,
 )
 
 _CONFIG_KEYS = {"law", "experiment", "seeds", "tolerances"}
@@ -207,11 +208,18 @@ def _doubling(key: str, start: int, stop: int) -> list[int]:
     return grid + [stop]
 
 
-def _checkpoints(opt: dict) -> list[int]:
-    """The configured checkpoints, else dyadic ones from min(1024, n) up to n."""
-    if opt["checkpoints"] is not None:
-        return opt["checkpoints"]
-    return _doubling("n", min(1024, opt["n"]), opt["n"])
+def _checkpoints(opt: dict, default_n: int) -> list[int]:
+    """The configured checkpoints, else dyadic ones from min(1024, n) up to n.
+
+    n defaults to default_n; an n that is given must be the last checkpoint.
+    """
+    n, given = opt["n"], opt["checkpoints"]
+    if given is None:
+        n = default_n if n is None else n
+        return _doubling("n", min(1024, n), n)
+    if n is not None and given and n != given[-1]:
+        raise ConfigError(f"'n' = {n} is not the last checkpoint {given[-1]}")
+    return given
 
 
 @click.group()
@@ -248,18 +256,19 @@ def cli(ctx, config, seed, out, fmt, threads):
 def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
     opt = _options(run, {
-        "n": (n, 4096, integer),
+        "n": (n, None, integer),
         "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(real)),
         "checkpoints": (_parse_list(checkpoints), None, _list_of(integer))})
+    checkpoints = _checkpoints(opt, 4096)
     law = _resolve_law(run, law_text)
-    series = simulate_series(law, _checkpoints(opt), opt["alphas"], run.seed)
+    series = simulate_series(law, checkpoints, opt["alphas"], run.seed)
     payload = {
         "law": law_to_json(law), "seed": run.seed,
         "checkpoints": list(series.checkpoints),
         "alphas": list(series.alphas),
         "records": series.records(),
     }
-    _emit(run, "simulate", payload, series.to_csv())
+    _emit(run, "simulate", payload, csv_text(payload["records"]))
 
 
 @cli.command("estimate-gamma")
@@ -310,11 +319,13 @@ def _frac_json(x):
 def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, tol):
     """Evaluate one closed-form prediction."""
     _options(run, {})
-
-    def need(value, flag):
+    required = {"moment": {"--alpha": alpha}, "qj": {"--j": j_idx}, "geom": {"--u": u},
+                "qj-exact": {"--n": n, "--j": j_idx},
+                "gf": {"--N": big_n, "--j": j_idx, "--s": s},
+                "green-cross": {"--n": n}, "sup-pmf": {"--n": n}}
+    for flag, value in required[what].items():
         if value is None:
             raise ConfigError(f"predict --what {what} needs {flag}")
-        return value
 
     def gamma_value():
         if gamma_opt is not None:
@@ -324,29 +335,27 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
     error = 0.0  # closed forms and exact values carry no truncation error
     law = None if what in ("moment", "qj", "geom") else _resolve_law(run, law_text)
     if what == "moment":
-        pred = moment_limit(need(alpha, "--alpha"), gamma_value(), tol=tol)
+        pred = moment_limit(alpha, gamma_value(), tol=tol)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "qj":
         g = gamma_value()
-        inputs, value = {"j": need(j_idx, "--j"), "gamma": g}, qj_limit(g, j_idx)
+        inputs, value = {"j": j_idx, "gamma": g}, qj_limit(g, j_idx)
     elif what == "geom":
         g = gamma_value()
-        inputs, value = {"u": need(u, "--u"), "gamma": g}, geometric_pmf(g, u)
+        inputs, value = {"u": u, "gamma": g}, geometric_pmf(g, u)
     elif what == "qj-exact":
-        n = need(n, "--n")
         ret = taboo_survival(law, n)
-        value = _frac_json(expected_qj_formula(ret, need(j_idx, "--j"), n))
+        value = _frac_json(expected_qj_formula(ret, j_idx, n))
         inputs = {"j": j_idx, "n": n}
     elif what == "gf":
-        big_n = need(big_n, "--N")
         ret = taboo_survival(law, big_n)
-        pred = qj_generating(ret, need(j_idx, "--j"), need(s, "--s"), big_n)
+        pred = qj_generating(ret, j_idx, s, big_n)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "green-cross":
-        value = float(green_cross_sum(law, need(n, "--n")))
+        value = green_cross_sum(law, n)
         inputs = {"n": n}
     else:
-        value = float(sup_pmf(law, need(n, "--n")))
+        value = float(sup_pmf_sequence(law, n)[n])
         inputs = {"m": n}
     _emit(run, "predict", {"what": what, "inputs": inputs, "value": value, "error": error})
 
@@ -386,15 +395,16 @@ def oracle(run: _Run, law_text, n, alphas):
 def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
     opt = _options(run, {
-        "n": (n, 1_000_000, integer),
+        "n": (n, None, integer),
         "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(real)),
         "paths": (paths, 3, integer), "gamma_n": (gamma_n, None, integer),
         "checkpoints": (None, None, _list_of(integer))},
         tolerances={"rel_tol": (0.05, real)})
+    checkpoints = _checkpoints(opt, 1_000_000)
     law = _resolve_law(run, law_text)
     gamma_est = (auto_gamma(law) if opt["gamma_n"] is None
                  else green_at_origin(law, opt["gamma_n"]))
-    report = run_slln(law, opt["alphas"], _checkpoints(opt), _seeds(run, opt["paths"]),
+    report = run_slln(law, opt["alphas"], checkpoints, _seeds(run, opt["paths"]),
                       gamma_est=gamma_est, rel_tol=opt["rel_tol"],
                       threads=run.threads)
     _finish_report(run, "verify-slln", report)

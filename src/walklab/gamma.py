@@ -178,9 +178,6 @@ class SparseEvolver:
     def surviving_mass(self):
         return 1 - self.killed
 
-    def sup(self):
-        return max(self.masses.values())
-
     def to_masses(self) -> dict[LatticePoint, Mass]:
         return dict(self.masses)
 
@@ -257,10 +254,6 @@ class DenseEvolver:
                 self.arr = self.arr[tuple(sl)]
                 self.lo[axis] += first
         self.arr = np.ascontiguousarray(self.arr)
-
-    def origin_mass(self) -> float:
-        idx = self._origin_index()
-        return float(self.arr[idx]) if idx is not None else 0.0
 
     def surviving_mass(self) -> float:
         return 1.0 - self.killed
@@ -536,6 +529,19 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     return GammaEstimate(value=value, error=value * value * tail,
                          method="green_series",
                          params={"N": n, "series_sum": total, "tail": tail})
+
+
+def auto_gamma(law: StepLaw) -> GammaEstimate:
+    """Default Green-series gamma estimate, its horizon set by the engine
+    return_sequence picks: 4096 for the axis recursion, else 2048 in d = 1
+    and 512 above."""
+    if _axis_decomposition(law) is not None:
+        n = 4096
+    elif law.d == 1:
+        n = 2048
+    else:
+        n = 512
+    return green_at_origin(law, n)
 
 
 # ---------------------------------------------------------------------------

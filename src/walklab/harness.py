@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, NonPositiveValue, NotALaw, TooFewPoints
-from .gamma import GammaEstimate, _axis_decomposition, green_at_origin, return_tail
+from .gamma import GammaEstimate, auto_gamma, return_tail
 from .path import l_alpha, sample_visited_local_time, simulate, simulate_series
 from .steps import StepLaw, law_to_json, mean_and_second_moment
 from .theory import geometric_pmf, moment_limit
@@ -175,6 +175,20 @@ def json_bytes(obj) -> bytes:
     return text.encode() + b"\n"
 
 
+def csv_text(records: Sequence[Mapping]) -> str:
+    """The CSV format: one row per record, the columns every record key in
+    first-seen order, floats as repr, missing cells empty."""
+    cols = list(dict.fromkeys(key for rec in records for key in rec))
+    lines = [",".join(cols)]
+    for rec in records:
+        cells = []
+        for key in cols:
+            v = rec.get(key, "")
+            cells.append(repr(v) if isinstance(v, float) else str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class ExperimentReport:
     """Machine-readable outcome of one experiment."""
@@ -218,27 +232,7 @@ class ExperimentReport:
         return json_bytes(self.to_json_dict())
 
     def to_csv(self) -> str:
-        """One row per record; the columns are every record key, in first-seen order."""
-        cols = list(dict.fromkeys(key for rec in self.records for key in rec))
-        lines = [",".join(cols)]
-        for rec in self.records:
-            cells = []
-            for key in cols:
-                v = rec.get(key, "")
-                cells.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def auto_gamma(law: StepLaw) -> GammaEstimate:
-    """Default Green-series gamma estimate with an engine-aware horizon."""
-    if _axis_decomposition(law) is not None:
-        n = 4096
-    elif law.d == 1:
-        n = 2048
-    else:
-        n = 512
-    return green_at_origin(law, n)
+        return csv_text(self.records)
 
 
 def _low_dim_notes(law: StepLaw) -> dict:

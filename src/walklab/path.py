@@ -206,15 +206,6 @@ class CheckpointSeries:
                 for i, n in enumerate(self.checkpoints)
                 for j, a in enumerate(self.alphas)]
 
-    def to_csv(self) -> str:
-        lines = ["n,alpha,L,L_over_n,R,R_over_n"]
-        for i, n in enumerate(self.checkpoints):
-            for j, a in enumerate(self.alphas):
-                lv = self.l_table[i][j]
-                lines.append(f"{n},{a!r},{lv!r},{lv / n!r},"
-                             f"{self.ranges[i]},{self.ranges[i] / n!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
     """k[t] = how many times keys[t] has appeared among keys[0..t].

@@ -5,14 +5,14 @@ parameter gamma (the escape probability): the almost-sure limit of
 L_n(alpha)/n is gamma * E(Z^alpha) for Z ~ Geom(gamma), the limit law of
 the local time at a uniform visited site is Geom(gamma), and the expected
 occupation counts E(Q_j(n)) admit an exact finite-n convolution formula
-in terms of the no-return sequence.
+in terms of the no-return sequence.  The variance-bound inputs, the Green
+cross-sum and sup_x P(S_m = x), are computed in doubles for every law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .gamma import ReturnLaw, _evolution, return_sequence
 from .steps import StepLaw
 
 MOMENT_MAX_TERMS = 10 ** 7
-GREEN_DIRECT_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -99,17 +98,6 @@ def qj_limit(gamma: float, j: int) -> float:
     return gamma * gamma * (1.0 - gamma) ** (j - 1)
 
 
-def _convolve_prefix(a, b, n):
-    """First n+1 coefficients of the sequence convolution a*b (exact lists)."""
-    out = [a[0] * 0 for _ in range(n + 1)]
-    for i, ai in enumerate(a[:n + 1]):
-        if ai == 0:
-            continue
-        for k in range(min(len(b), n + 1 - i)):
-            out[i + k] += ai * b[k]
-    return out
-
-
 def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     """Exact E(Q_j(n)) from the no-return sequence.
 
@@ -123,19 +111,16 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
         raise BadParam(f"j must be >= 1, got {j}")
     if ret.horizon < n:
         raise HorizonTooShort(f"ReturnLaw horizon {ret.horizon} < n={n}")
-    g = list(ret.gamma_seq[:n + 1])
-    tau = [g[0] * 0, *ret.tau_pmf()[:n]]
-    if ret.exact:
-        conv = g
-        for _ in range(j - 1):
-            conv = _convolve_prefix(conv, tau, n)
-        return sum(conv[k] * g[n - k] for k in range(n + 1))
-    g_arr = np.asarray(g, dtype=np.float64)
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    conv = g_arr
+    dtype = object if ret.exact else np.float64
+    g = np.array(ret.gamma_seq[:n + 1], dtype=dtype)
+    tau = np.array([0, *ret.tau_pmf()[:n]], dtype=dtype)
+    conv = g.copy()
     for _ in range(j - 1):
-        conv = np.convolve(conv, tau_arr)[:n + 1]
-    return float(np.dot(conv, g_arr[::-1]))
+        # descending m reads only the old conv[:m]; tau[0] = 0 drops conv[m]
+        for m in range(n, -1, -1):
+            conv[m] = np.dot(conv[:m + 1], tau[m::-1])
+    value = np.dot(conv, g[::-1])
+    return value if ret.exact else float(value)
 
 
 def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
@@ -166,46 +151,24 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
                       value=value, truncation_error=factor_tail + coeff_tail)
 
 
-def green_cross_sum(law: StepLaw, n: int):
-    """sum_y G_n(0,y) G_n(0,-y) for the n-step Green's function.
+def green_cross_sum(law: StepLaw, n: int) -> float:
+    """sum_y G_n(0,y) G_n(0,-y) for the n-step Green's function, in doubles.
 
     Because increments are iid, G_n(0,y) G_n(0,-y) summed over y equals
-    sum over m, m' in [1,n] of P(S_{m+m'} = 0); this identity route needs
-    only the return-probability sequence up to 2n and serves float laws
-    and n > GREEN_DIRECT_MAX_N.  Rational laws at n <= GREEN_DIRECT_MAX_N
-    take the direct route, which accumulates the Green's function from
-    exact pmf snapshots and returns a Fraction.
+    sum over m, m' in [1,n] of P(S_{m+m'} = 0), and s = m+m' arises
+    min(s-1, 2n+1-s) times; so only the return-probability sequence up to
+    2n is needed, for rational and float laws alike.
     """
     if n < 1:
         raise BadParam(f"n must be >= 1, got {n}")
-    if not (law.exact and n <= GREEN_DIRECT_MAX_N):
-        r = return_sequence(law, 2 * n)
-        s = np.arange(2, 2 * n + 1)
-        weights = np.minimum(s - 1, 2 * n + 1 - s)
-        return float(np.dot(weights, r[2:]))
-    zero = Fraction(0)
-    green: dict = {}
-    for ev in _evolution(law, n):
-        if ev.m == 0:
-            continue
-        for point, mass in ev.to_masses().items():
-            green[point] = green.get(point, zero) + mass
-    total = zero
-    for point, gy in green.items():
-        neg = tuple(-c for c in point)
-        if neg in green:
-            total += gy * green[neg]
-    return total
-
-
-def sup_pmf(law: StepLaw, m: int):
-    """sup over x of P(S_m = x); exact for rational laws."""
-    if m < 0:
-        raise BadParam(f"m must be >= 0, got {m}")
-    *_, ev = _evolution(law, m)
-    return ev.sup()
+    r = return_sequence(law, 2 * n)
+    s = np.arange(2, 2 * n + 1)
+    weights = np.minimum(s - 1, 2 * n + 1 - s)
+    return float(np.dot(weights, r[2:]))
 
 
 def sup_pmf_sequence(law: StepLaw, m_max: int) -> np.ndarray:
     """sup_x P(S_m = x) for every m = 0..m_max in one float DP sweep."""
+    if m_max < 0:
+        raise BadParam(f"m_max must be >= 0, got {m_max}")
     return np.array([ev.sup() for ev in _evolution(law.to_float(), m_max)])

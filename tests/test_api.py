@@ -2,6 +2,28 @@ import inspect
 
 import walklab
 
+# Every public name walklab exports, submodules aside.  Adding or deleting
+# an export is a deliberate edit of this set.
+PUBLIC_NAMES = {
+    "BadGamma", "BadParam", "BudgetExceeded", "CheckpointSeries", "ChiSquareResult",
+    "ConfigError", "DegenerateDimension", "DuplicateAtom", "ExactSummary",
+    "ExperimentReport", "FitResult", "FloatLawRejected", "GammaEstimate",
+    "GeometricLaw", "HorizonTooShort", "InvariantViolation", "LocalTimeField",
+    "NonPositiveValue", "NotALaw", "NotAProbability", "PmfField", "Prediction",
+    "QHistogram", "ResourceLimit", "ReturnLaw", "StepLaw", "SuspectedRecurrence",
+    "TailDiagnostic", "TooFewPoints", "UnknownFamily", "WalklabError",
+    "auto_gamma", "bernoulli", "deterministic", "drifted_srw", "enumerate_paths",
+    "exact_return_law", "exact_zn_law", "expected_qj_formula", "fit_exponent",
+    "generator", "geometric_chi_square", "geometric_pmf", "green_at_origin",
+    "green_cross_sum", "l_alpha", "law_from_json", "law_to_json", "make_law",
+    "mc_escape", "mean_and_second_moment", "mix64", "moment_limit", "pmf_evolve",
+    "q_histogram", "qj_generating", "qj_limit", "replica_generator",
+    "return_sequence", "return_tail", "run_geometric", "run_slln", "sample_step",
+    "sample_visited_local_time", "simulate", "simulate_series", "srw",
+    "sup_pmf_sequence", "taboo_gamma_estimate", "taboo_survival", "tv_distance",
+    "validate", "variance_envelope", "variance_scan",
+}
+
 # Every parameter with a default (plus **kwargs) on the callables that
 # walklab exports.  A new knob is a deliberate edit of this set.
 OPTION_SURFACE = {
@@ -25,6 +47,12 @@ def _exported_parameters():
             continue
         for param in inspect.signature(obj).parameters.values():
             yield name, param
+
+
+def test_public_names_are_pinned():
+    exported = {name for name in dir(walklab) if not name.startswith("_")
+                and not inspect.ismodule(getattr(walklab, name))}
+    assert exported == PUBLIC_NAMES
 
 
 def test_option_surface_is_pinned():

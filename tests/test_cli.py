@@ -109,6 +109,17 @@ class TestPredict:
         res = runner.invoke(cli, ["predict", "--what", "moment", "--gamma", "0.4"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("what,flags", [("qj-exact", ["--n", "4"]),
+                                            ("gf", ["--N", "4", "--s", "0.5"])])
+    def test_flags_checked_before_computation(self, runner, monkeypatch, what, flags):
+        def computed(*args):
+            raise AssertionError("taboo_survival ran before the flags were checked")
+        monkeypatch.setattr(walklab.cli, "taboo_survival", computed)
+        res = runner.invoke(cli, ["predict", "--what", what, "--law", BERN_EXACT, *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == f"predict --what {what} needs --j"
+
     @pytest.mark.parametrize("flags,word", [
         (["--alpha", "nan"], "alpha"),
         (["--alpha", "2", "--tol", "0"], "tol"),
@@ -386,6 +397,19 @@ class TestDoublingGrid:
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.ConfigError)
         assert f"{key!r} must be >= 1" in str(res.exception)
+
+    @pytest.mark.parametrize("args,experiment", [
+        (["simulate", "--n", "100", "--checkpoints", "10,50"], {}),
+        (["verify-slln", "--n", "100"], {"checkpoints": [10, 50]}),
+        (["verify-slln"], {"n": 100, "checkpoints": [10, 50]}),
+    ], ids=["simulate-flags", "verify-slln-flag", "verify-slln-config"])
+    def test_given_n_must_be_last_checkpoint(self, runner, tmp_path, args, experiment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment}))
+        res = runner.invoke(cli, ["--config", str(cfg), *args, "--law", DET])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == "'n' = 100 is not the last checkpoint 50"
 
     def test_empty_checkpoints_reach_simulate_series(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

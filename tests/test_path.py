@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import path_reference as ref
 import walklab as wl
 from walklab import rng
+from walklab.harness import csv_text
 from walklab.path import LocalTimeField, _walk_keys
 
 
@@ -162,7 +163,7 @@ class TestSeries:
 
     def test_csv_header(self, det1):
         s = wl.simulate_series(det1, [5], [1.0], seed=0)
-        text = s.to_csv()
+        text = csv_text(s.records())
         assert text.splitlines()[0] == "n,alpha,L,L_over_n,R,R_over_n"
         assert len(text.splitlines()) == 2
 

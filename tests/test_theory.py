@@ -152,11 +152,17 @@ class TestGreenCross:
         assert wl.green_cross_sum(det1, 8) == 0.0
 
     def test_identity_matches_direct(self):
+        # the direct sum over y of G_n(0,y) G_n(0,-y), from exact pmf snapshots
+        n = 10
         for law in (wl.srw(3, exact=True), wl.srw(2, exact=True)):
-            direct = wl.green_cross_sum(law, 10)
-            ident = wl.green_cross_sum(law.to_float(), 10)
+            green = {}
+            for m in range(1, n + 1):
+                for y, mass in wl.pmf_evolve(law, m).masses.items():
+                    green[y] = green.get(y, 0) + mass
+            direct = sum(gy * green.get(tuple(-c for c in y), 0)
+                         for y, gy in green.items())
             assert isinstance(direct, Fraction)
-            assert ident == pytest.approx(float(direct), rel=1e-12)
+            assert wl.green_cross_sum(law, n) == pytest.approx(float(direct), rel=1e-12)
 
     def test_srw5_bounded(self):
         vals = {n: wl.green_cross_sum(wl.srw(5), n) for n in (64, 128, 256)}
@@ -166,18 +172,25 @@ class TestGreenCross:
 
 class TestSupPmf:
     def test_m_zero(self, srw3):
-        assert wl.sup_pmf(srw3, 0) == 1.0
+        assert wl.sup_pmf_sequence(srw3, 0).tolist() == [1.0]
 
     def test_bernoulli_m2(self, bern07):
-        assert wl.sup_pmf(bern07, 2) == pytest.approx(0.49)
+        assert wl.sup_pmf_sequence(bern07, 2)[2] == pytest.approx(0.49)
 
-    def test_exact_mode(self, bern07_exact):
-        assert wl.sup_pmf(bern07_exact, 2) == Fraction(49, 100)
+    def test_exact_mode(self, bern07_exact, bern07):
+        # a rational law runs in doubles, like its float twin
+        assert (wl.sup_pmf_sequence(bern07_exact, 2).tolist()
+                == wl.sup_pmf_sequence(bern07, 2).tolist())
 
-    def test_sequence_matches_single(self, srw3):
-        seq = wl.sup_pmf_sequence(srw3, 16)
-        assert seq[7] == pytest.approx(wl.sup_pmf(srw3, 7), rel=1e-12)
-        assert seq[16] == pytest.approx(wl.sup_pmf(srw3, 16), rel=1e-12)
+    def test_sequence_matches_single(self):
+        seq = wl.sup_pmf_sequence(wl.srw(3), 16)
+        for m in (7, 16):
+            exact = max(wl.pmf_evolve(wl.srw(3, exact=True), m).masses.values())
+            assert seq[m] == pytest.approx(float(exact), rel=1e-12)
+
+    def test_negative_m_is_bad_param(self, srw3):
+        with pytest.raises(wl.BadParam):
+            wl.sup_pmf_sequence(srw3, -1)
 
 
 class TestMomentIdentityAgainstOracle:
