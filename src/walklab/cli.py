@@ -163,9 +163,16 @@ def _convert(key: str, value, cast):
 
 
 def _seeds(run: _Run, paths: int) -> list[int]:
+    """The config's seed list, else paths seeds mixed from --seed; never empty."""
     if run.seeds_cfg is not None:
-        return _convert("seeds", run.seeds_cfg, _list_of(integer))
-    return [rnglib.mix64(run.seed, i) for i in range(paths)]
+        key, value = "seeds", run.seeds_cfg
+        seeds = _convert(key, value, _list_of(integer))
+    else:
+        key, value = "paths", paths
+        seeds = [rnglib.mix64(run.seed, i) for i in range(paths)]
+    if not seeds:
+        raise ConfigError(f"{key!r} = {value!r}: the run needs at least one seed")
+    return seeds
 
 
 def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
@@ -401,10 +408,11 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
         "checkpoints": (None, None, _list_of(integer))},
         tolerances={"rel_tol": (0.05, real)})
     checkpoints = _checkpoints(opt, 1_000_000)
+    seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
     gamma_est = (auto_gamma(law) if opt["gamma_n"] is None
                  else green_at_origin(law, opt["gamma_n"]))
-    report = run_slln(law, opt["alphas"], checkpoints, _seeds(run, opt["paths"]),
+    report = run_slln(law, opt["alphas"], checkpoints, seeds,
                       gamma_est=gamma_est, rel_tol=opt["rel_tol"],
                       threads=run.threads)
     _finish_report(run, "verify-slln", report)
@@ -421,8 +429,9 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
     opt = _options(run, {"n": (n, 100_000, integer), "M": (resamples, 100_000, integer),
                          "paths": (paths, 1, integer)},
                    tolerances={"tv_bar": (0.02, real), "p_floor": (1e-4, real)})
+    seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
-    report = run_geometric(law, opt["n"], opt["M"], _seeds(run, opt["paths"]),
+    report = run_geometric(law, opt["n"], opt["M"], seeds,
                            tv_bar=opt["tv_bar"], p_floor=opt["p_floor"],
                            threads=run.threads)
     _finish_report(run, "verify-geometric", report)

@@ -32,8 +32,8 @@ class BadParam(WalklabError):
 class ResourceLimit(WalklabError):
     """A computation would exceed a fixed size limit.
 
-    The limits are gamma.CELL_BUDGET, gamma.SITE_BUDGET and the 64-bit
-    time-site keys of the path kernel.
+    The limits are gamma.CELL_BUDGET, the cells of any pmf evolution box,
+    and the 64-bit time-site keys of the path kernel.
     """
 
 

@@ -10,12 +10,12 @@ Three independent routes to the escape probability gamma:
   horizon n (estimates gamma(n), an upper bound for gamma).
 
 Every evolution of the law of S_m runs through one step loop,
-_evolution: exact sparse convolution for rational laws, a pruned float
-box DP otherwise.  The return-probability sequence P(S_m = 0) has two
-engines, and the law picks one: an axis-decomposition recursion for laws
-whose atoms are signed unit vectors and optionally the zero vector (simple
-and drifted simple walks, cost O(d N^2)), and a half-horizon box DP for
-every other law.  The latter uses the iid split of S_2m into two
+_evolution, and one box DP: exact integer numerators for rational laws, a
+pruned float box otherwise.  The return-probability sequence P(S_m = 0)
+has two engines, and the law picks one: an axis-decomposition recursion
+for laws whose atoms are signed unit vectors and optionally the zero
+vector (simple and drifted simple walks, cost O(d N^2)), and a
+half-horizon box DP for every other law.  The latter uses the iid split of S_2m into two
 independent copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and
 likewise for odd times), so it evolves only to ceil(N/2).  Both engines
 agree with exact convolution to float precision; the tests cross-check
@@ -33,14 +33,12 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
-from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays
+from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays, sample_indices
 
 PRUNE_THRESHOLD = 1e-16
-# Memory budgets of the two evolvers, checked by their step() as the box
-# or the support grows: a float box of at most CELL_BUDGET cells, an exact
-# sparse law on at most SITE_BUDGET sites.
+# Memory budget of every pmf evolution, checked by DenseEvolver.step as
+# the box grows: a box of at most CELL_BUDGET cells, float or exact.
 CELL_BUDGET = 1 << 25
-SITE_BUDGET = 5_000_000
 MC_BLOCK = 2048
 
 
@@ -145,63 +143,36 @@ class TailDiagnostic:
 # Evolution engines
 # ---------------------------------------------------------------------------
 
-class SparseEvolver:
-    """Exact sparse convolution of a rational step law, optionally origin-killed."""
-
-    def __init__(self, law: StepLaw, kill_origin: bool = False):
-        self.law = law
-        self.zero = Fraction(0)
-        self.origin = (0,) * law.d
-        self.masses = {self.origin: Fraction(1)}
-        self.kill_origin = kill_origin
-        self.killed = self.zero
-        self.m = 0
-
-    def step(self) -> None:
-        new: dict[LatticePoint, Mass] = {}
-        for point, mass in self.masses.items():
-            for off, w in self.law.atoms:
-                dest = tuple(a + b for a, b in zip(point, off))
-                new[dest] = new.get(dest, self.zero) + mass * w
-        if len(new) > SITE_BUDGET:
-            raise ResourceLimit(
-                f"sparse pmf support of {len(new)} sites at step {self.m + 1} "
-                f"exceeds SITE_BUDGET = {SITE_BUDGET} sites")
-        if self.kill_origin and self.origin in new:
-            self.killed += new.pop(self.origin)
-        self.masses = new
-        self.m += 1
-
-    def origin_mass(self):
-        return self.masses.get(self.origin, self.zero)
-
-    def surviving_mass(self):
-        return 1 - self.killed
-
-    def to_masses(self) -> dict[LatticePoint, Mass]:
-        return dict(self.masses)
-
-
 class DenseEvolver:
-    """Float box DP over the support bounding box, with edge pruning.
+    """Box DP over the support bounding box of the law of S_m.
 
-    The array covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis;
-    cells below PRUNE_THRESHOLD are dropped (and accounted) when the box
-    is re-trimmed, which keeps the box at the diffusive scale instead of
-    the ballistic one.
+    The array covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis.
+    A rational law keeps exact integer numerators over denom**m in an
+    object box, where denom is the lcm of the atom denominators and each
+    weight is mass * denom; mass() turns a numerator into a Fraction.  A
+    float law keeps a float64 box with denom 1; cells below
+    PRUNE_THRESHOLD are dropped (and accounted) when the box is
+    re-trimmed, which keeps the box at the diffusive scale instead of the
+    ballistic one.
     """
 
     TRIM_EVERY = 8
 
     def __init__(self, law: StepLaw, kill_origin: bool = False):
-        law = law.to_float()
         self.d = law.d
+        self.exact = law.exact
         self.offsets = np.array([p for p, _ in law.atoms], dtype=np.int64)
-        self.weights = np.array([m for _, m in law.atoms])
-        self.arr = np.ones((1,) * law.d)
+        if law.exact:
+            self.denom = math.lcm(*(m.denominator for m in law.masses))
+            self.weights = np.array([int(m * self.denom) for m in law.masses],
+                                    dtype=object)
+        else:
+            self.denom = 1
+            self.weights = np.array(law.masses)
+        self.arr = np.ones((1,) * law.d, dtype=self.weights.dtype)
         self.lo = np.zeros(law.d, dtype=np.int64)
         self.kill_origin = kill_origin
-        self.killed = 0.0
+        self.killed = 0
         self.pruned = 0.0
         self.m = 0
 
@@ -220,7 +191,7 @@ class DenseEvolver:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
                 f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
-        new = np.zeros(new_shape)
+        new = np.zeros(new_shape, dtype=self.arr.dtype)
         for off, w in zip(self.offsets, self.weights):
             dest = tuple(slice(int(o - mn), int(o - mn + s))
                          for o, mn, s in zip(off, mins, shape))
@@ -229,18 +200,20 @@ class DenseEvolver:
         self.lo = self.lo + mins
         self.m += 1
         if self.kill_origin:
+            self.killed *= self.denom
             idx = self._origin_index()
             if idx is not None:
-                self.killed += float(self.arr[idx])
-                self.arr[idx] = 0.0
+                self.killed += self.arr[idx]
+                self.arr[idx] = 0
         if self.m % self.TRIM_EVERY == 0:
             self._trim()
 
     def _trim(self) -> None:
-        small = (self.arr < PRUNE_THRESHOLD) & (self.arr > 0)
-        if small.any():
-            self.pruned += float(self.arr[small].sum())
-            self.arr[small] = 0.0
+        if not self.exact:
+            small = (self.arr < PRUNE_THRESHOLD) & (self.arr > 0)
+            if small.any():
+                self.pruned += float(self.arr[small].sum())
+                self.arr[small] = 0.0
         for axis in range(self.d):
             other = tuple(a for a in range(self.d) if a != axis)
             profile = self.arr.max(axis=other) if other else self.arr
@@ -255,30 +228,35 @@ class DenseEvolver:
                 self.lo[axis] += first
         self.arr = np.ascontiguousarray(self.arr)
 
-    def surviving_mass(self) -> float:
-        return 1.0 - self.killed
+    def mass(self, num) -> Mass:
+        """The probability a box numerator stands for at the current step."""
+        if self.exact:
+            return Fraction(num, self.denom ** self.m)
+        return float(num)
 
-    def sup(self) -> float:
-        return float(self.arr.max())
+    def surviving_mass(self) -> Mass:
+        return self.mass(self.denom ** self.m - self.killed)
 
-    def to_masses(self) -> dict[LatticePoint, float]:
+    def sup(self) -> Mass:
+        return self.mass(self.arr.max())
+
+    def to_masses(self) -> dict[LatticePoint, Mass]:
+        # an exact numerator is an int, so it passes the threshold iff it is nonzero
         out = {}
         for flat in np.flatnonzero(self.arr >= PRUNE_THRESHOLD):
             idx = np.unravel_index(flat, self.arr.shape)
             point = tuple(int(i + l) for i, l in zip(idx, self.lo))
-            out[point] = float(self.arr[idx])
+            out[point] = self.mass(self.arr[idx])
         return out
 
 
 def _evolution(law: StepLaw, n: int, kill_origin: bool = False):
     """Yield the evolver of the law of S_m at m = 0, 1, ..., n.
 
-    The one step loop of the package: rational laws evolve exactly and
-    sparsely, float laws by the pruned box DP.  The same evolver object is
-    yielded each time, advanced by one step.
+    The one step loop of the package.  The same evolver object is yielded
+    each time, advanced by one step.
     """
-    evolver = SparseEvolver if law.exact else DenseEvolver
-    ev = evolver(law, kill_origin=kill_origin)
+    ev = DenseEvolver(law, kill_origin=kill_origin)
     yield ev
     for _ in range(n):
         ev.step()
@@ -286,10 +264,10 @@ def _evolution(law: StepLaw, n: int, kill_origin: bool = False):
 
 
 def pmf_evolve(law: StepLaw, m: int) -> PmfField:
-    """Exact law of S_m as a sparse field.
+    """Law of S_m as a sparse field of its nonzero cells.
 
-    Rational laws evolve exactly; float laws use the dense box DP and drop
-    only cells below PRUNE_THRESHOLD (total drift < 1e-12 in practice).
+    Rational laws give exact Fractions; float laws drop only cells below
+    PRUNE_THRESHOLD (total drift < 1e-12 in practice).
     """
     if m < 0:
         raise BadParam(f"step count must be >= 0, got {m}")
@@ -551,18 +529,17 @@ def auto_gamma(law: StepLaw) -> GammaEstimate:
 def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
     """No-return probabilities gamma(0..n) by origin-killed evolution.
 
-    Rational laws are evolved exactly and never pruned; float laws use
-    the dense DP, which drops cells below PRUNE_THRESHOLD, with the
-    pruned mass reported in prune_loss.
+    Rational laws are evolved exactly and never pruned; float laws drop
+    cells below PRUNE_THRESHOLD, with the pruned mass reported in
+    prune_loss.
     """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     seq = []
     for ev in _evolution(law, n, kill_origin=True):
         seq.append(ev.surviving_mass())
-    loss = 0.0 if law.exact else ev.pruned
     return ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
-                     prune_loss=loss)
+                     prune_loss=ev.pruned)
 
 
 def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
@@ -584,16 +561,16 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
 # Monte Carlo escape
 # ---------------------------------------------------------------------------
 
-def _replica_escapes(law_arrays, d: int, n: int, seed: int) -> bool:
+def _replica_escapes(law: StepLaw, n: int, seed: int) -> bool:
     """True iff one walk stays off the origin for steps 1..n (drawn MC_BLOCK at a time)."""
-    coords, cdf = law_arrays
+    coords, _ = _sampling_arrays(law)
     max_step = np.abs(coords).max(axis=0)
     gen = rnglib.generator(seed)
-    pos = np.zeros(d, dtype=np.int64)
+    pos = np.zeros(law.d, dtype=np.int64)
     done = 0
     while done < n:
         b = min(MC_BLOCK, n - done)
-        idx = np.searchsorted(cdf, gen.random(b), side="right")
+        idx = sample_indices(law, gen, b)
         path = np.cumsum(coords[idx], axis=0)
         path += pos
         if (path == 0).all(axis=1).any():
@@ -608,10 +585,10 @@ def _replica_escapes(law_arrays, d: int, n: int, seed: int) -> bool:
 
 
 def _escape_range(args) -> int:
-    law_arrays, d, n, master_seed, lo, hi = args
+    law, n, master_seed, lo, hi = args
     count = 0
     for i in range(lo, hi):
-        count += _replica_escapes(law_arrays, d, n, rnglib.mix64(master_seed, i))
+        count += _replica_escapes(law, n, rnglib.mix64(master_seed, i))
     return count
 
 
@@ -626,8 +603,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
-    arrays = _sampling_arrays(law)
-    tasks = [(arrays, law.d, n, seed, lo, hi)
+    tasks = [(law, n, seed, lo, hi)
              for lo, hi in rnglib.replica_blocks(m, threads)]
     escapes = sum(rnglib.replica_map(_escape_range, tasks, threads))
     value = escapes / m

@@ -375,14 +375,31 @@ class TestNoVacuousVerdict:
     @pytest.mark.parametrize("command", ["verify-slln", "verify-geometric"])
     @pytest.mark.parametrize("config,flags", [({}, ["--paths", "0"]), ({"seeds": []}, [])],
                              ids=["paths-0", "seeds-empty"])
-    def test_no_seed_is_bad_param(self, runner, tmp_path, command, config, flags):
+    def test_no_seed_is_config_error(self, runner, tmp_path, command, config, flags):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         res = runner.invoke(cli, ["--config", str(cfg), command, "--law", DET,
                                   "--n", "64", *flags])
         assert res.exit_code == 1
-        assert isinstance(res.exception, walklab.BadParam)
-        assert "needs at least one seed" in str(res.exception)
+        assert isinstance(res.exception, walklab.ConfigError)
+        key = "'seeds' = []" if config else "'paths' = 0"
+        assert str(res.exception) == f"{key}: the run needs at least one seed"
+
+    @pytest.mark.parametrize("config,flags", [({}, ["--paths", "0"]), ({"seeds": []}, [])],
+                             ids=["paths-0", "seeds-empty"])
+    def test_no_seed_fails_before_gamma(self, runner, tmp_path, monkeypatch, config, flags):
+        # the seeds are checked first: a long Green series can run for minutes
+        def no_gamma(*args):
+            raise AssertionError("gamma estimated before the seeds were checked")
+        monkeypatch.setattr(walklab.cli, "green_at_origin", no_gamma)
+        monkeypatch.setattr(walklab.cli, "auto_gamma", no_gamma)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for gamma_flags in ([], ["--gamma-n", "1000000"]):
+            res = runner.invoke(cli, ["--config", str(cfg), "verify-slln", "--law", SRW3,
+                                      "--n", "64", *flags, *gamma_flags])
+            assert res.exit_code == 1
+            assert isinstance(res.exception, walklab.ConfigError), res.exception
 
 
 class TestDoublingGrid:

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab.gamma import (
-    SparseEvolver,
-    _axis_return_sequence,
-    _dense_return_sequence,
-)
+from walklab.gamma import _axis_return_sequence, _dense_return_sequence
 
 SRW3_GAMMA = 0.6594626  # 1 - 1/G for the d=3 simple walk
 # gamma(diag3) by the Green series at N=128, as the full-horizon box DP gave it
@@ -33,6 +29,35 @@ def king2(exact=False):
     mass = Fraction(1, 8) if exact else 0.125
     moves = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
     return wl.make_law(2, [(v, mass) for v in moves], exact)
+
+
+def long2():
+    """Exact 2-D law with atoms (3,0), (0,3), (-1,-1): it fills about 1/30 of its box."""
+    return wl.make_law(2, [((3, 0), Fraction(1, 3)), ((0, 3), Fraction(1, 3)),
+                           ((-1, -1), Fraction(1, 3))], True)
+
+
+def exact_convolution(law, n, kill_origin=False):
+    """(laws of S_0..S_n, surviving masses) by dict convolution of Fractions.
+
+    A reference that shares no code with the package's evolver; with
+    kill_origin, mass that lands on the origin is removed and counted.
+    """
+    origin = (0,) * law.d
+    masses, killed = {origin: Fraction(1)}, Fraction(0)
+    fields, survival = [masses], [Fraction(1)]
+    for _ in range(n):
+        new = {}
+        for point, mass in masses.items():
+            for off, w in law.atoms:
+                dest = tuple(a + b for a, b in zip(point, off))
+                new[dest] = new.get(dest, 0) + mass * w
+        if kill_origin:
+            killed += new.pop(origin, 0)
+        masses = new
+        fields.append(masses)
+        survival.append(1 - killed)
+    return fields, survival
 
 
 class TestPmfEvolve:
@@ -59,16 +84,27 @@ class TestPmfEvolve:
             assert f_float.masses[point] == pytest.approx(float(mass), abs=1e-14)
 
     def test_budget(self, monkeypatch):
-        # the evolvers read the constants at step time; the messages name
-        # the constant, its value and the step that went over it
-        monkeypatch.setattr(wl.gamma, "SITE_BUDGET", 100)
-        with pytest.raises(wl.ResourceLimit,
-                           match=r"146 sites at step 5 exceeds SITE_BUDGET = 100 sites"):
-            wl.pmf_evolve(wl.srw(3, exact=True), 30)
+        # the evolver reads the constant at step time, for exact and float
+        # laws alike; the message names the constant, its value and the
+        # step that went over it
         monkeypatch.setattr(wl.gamma, "CELL_BUDGET", 1000)
-        with pytest.raises(wl.ResourceLimit, match=(
-                r"box \(11, 11, 11\) at step 5 exceeds CELL_BUDGET = 1000 cells")):
-            wl.pmf_evolve(wl.srw(3), 300)
+        for law in (wl.srw(3, exact=True), wl.srw(3)):
+            with pytest.raises(wl.ResourceLimit, match=(
+                    r"box \(11, 11, 11\) at step 5 exceeds CELL_BUDGET = 1000 cells")):
+                wl.pmf_evolve(law, 300)
+
+    @pytest.mark.parametrize("law", [long2(), diag3(exact=True)], ids=["long2", "diag3"])
+    def test_sparse_in_box_matches_convolution(self, law):
+        # both laws leave most of their box empty; 24 steps run three trims
+        n = 24
+        assert 3 * wl.gamma.DenseEvolver.TRIM_EVERY <= n
+        _, survival = exact_convolution(law, n, kill_origin=True)
+        assert wl.taboo_survival(law, n).gamma_seq == tuple(survival)
+        fields, _ = exact_convolution(law, n)
+        for m in range(n + 1):
+            masses = wl.pmf_evolve(law, m).masses
+            assert masses == fields[m]
+            assert all(type(v) is Fraction for v in masses.values())
 
 
 class TestReturnSequenceEngines:
@@ -86,20 +122,15 @@ class TestReturnSequenceEngines:
     @pytest.mark.parametrize("law_maker", [diag3, king2])
     def test_dense_matches_exact_non_axis(self, law_maker):
         n = 16
-        ev = SparseEvolver(law_maker(exact=True))
-        exact = [1.0]
-        for _ in range(n):
-            ev.step()
-            exact.append(float(ev.origin_mass()))
+        law = law_maker(exact=True)
+        fields, _ = exact_convolution(law, n)
+        exact = [float(f.get((0,) * law.d, 0)) for f in fields]
         de = _dense_return_sequence(law_maker(), n)
         assert np.abs(np.array(exact) - de).max() < 1e-15
 
     def test_against_exact_convolution(self):
-        ev = SparseEvolver(wl.srw(3, exact=True))
-        exact = [1.0]
-        for _ in range(12):
-            ev.step()
-            exact.append(float(ev.origin_mass()))
+        fields, _ = exact_convolution(wl.srw(3, exact=True), 12)
+        exact = [float(f.get((0, 0, 0), 0)) for f in fields]
         got = wl.return_sequence(wl.srw(3), 12)
         assert np.abs(np.array(exact) - got).max() < 1e-14
 
