@@ -8,22 +8,11 @@ exhaustive small-horizon oracle.
 """
 
 from .errors import (
-    BadGamma,
     BadParam,
-    BudgetExceeded,
     ConfigError,
-    DegenerateDimension,
-    DuplicateAtom,
-    FloatLawRejected,
-    HorizonTooShort,
     InvariantViolation,
-    NonPositiveValue,
-    NotALaw,
-    NotAProbability,
     ResourceLimit,
     SuspectedRecurrence,
-    TooFewPoints,
-    UnknownFamily,
     WalklabError,
 )
 from .gamma import (
@@ -44,7 +33,6 @@ from .harness import (
     ChiSquareResult,
     ExperimentReport,
     FitResult,
-    GeometricLaw,
     fit_exponent,
     geometric_chi_square,
     run_geometric,
@@ -74,7 +62,6 @@ from .steps import (
     law_to_json,
     make_law,
     mean_and_second_moment,
-    sample_step,
     srw,
     validate,
 )

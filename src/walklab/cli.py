@@ -136,9 +136,13 @@ def _options(run: _Run, table: dict, tolerances: dict | None = None) -> dict:
     else the config's tolerance, else its experiment value, else the
     default; None counts as not given.  A config key outside the tables is
     rejected rather than silently ignored, and a flag or config value that
-    cast refuses is a ConfigError naming the key.
+    cast refuses is a ConfigError naming the key.  A config seed list
+    stands in for 'paths', so only a command that reads 'paths' takes one.
     """
     tolerances = tolerances or {}
+    if run.seeds_cfg is not None and "paths" not in table:
+        raise ConfigError("config key 'seeds' is read only by verify-slln and "
+                          "verify-geometric; this command takes its seed from --seed")
     for section, given, known in (("experiment", run.experiment, table),
                                   ("tolerance", run.tolerances, tolerances)):
         unknown = set(given) - set(known)
@@ -456,6 +460,10 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
                    tolerances={"safety": (10.0, real), "slope_cap": (None, real)})
     law = _resolve_law(run, law_text)
     grid = _doubling("n_min", opt["n_min"], opt["n_max"])
+    if len(grid) < 3:
+        raise ConfigError(f"'n_min' = {opt['n_min']} and 'n_max' = {opt['n_max']} give "
+                          f"the grid {grid}; variance-scan needs >= 3 points, "
+                          "so n_max > 2 * n_min")
     report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
                            safety=opt["safety"], slope_cap=opt["slope_cap"],
                            threads=run.threads)

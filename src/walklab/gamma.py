@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +51,6 @@ class PmfField:
 
     m: int
     masses: dict[LatticePoint, Mass]
-
-    def total_mass(self):
-        return sum(self.masses.values())
-
-    def mass_at(self, point: Sequence[int]):
-        return self.masses.get(tuple(int(c) for c in point), 0)
 
 
 @dataclass(frozen=True)
@@ -538,8 +531,10 @@ def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
     seq = []
     for ev in _evolution(law, n, kill_origin=True):
         seq.append(ev.surviving_mass())
-    return ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
-                     prune_loss=ev.pruned)
+    ret = ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
+                    prune_loss=ev.pruned)
+    ret.check_invariants()
+    return ret
 
 
 def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:

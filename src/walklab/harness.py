@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rng as rnglib
-from .errors import BadParam, NonPositiveValue, NotALaw, TooFewPoints
+from .errors import BadParam
 from .gamma import GammaEstimate, auto_gamma, return_tail
 from .path import l_alpha, sample_visited_local_time, simulate, simulate_series
 from .steps import StepLaw, law_to_json, mean_and_second_moment
@@ -32,40 +32,25 @@ CHI_MIN_EXPECTED = 5.0
 # Small statistics helpers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometricLaw:
-    """Reference geometric law on {1, 2, ...} with success parameter gamma."""
+def tv_distance(p: Mapping[int, float], gamma: float) -> float:
+    """Total variation distance between a finite law p and Geom(gamma).
 
-    gamma: float
-
-    def pmf(self, u: int) -> float:
-        return geometric_pmf(self.gamma, u) if u >= 1 else 0.0
-
-    def tail_beyond(self, u: int) -> float:
-        return (1.0 - self.gamma) ** max(u, 0)
-
-
-def tv_distance(p: Mapping[int, float], q) -> float:
-    """Total variation distance between a finite law p and q.
-
-    q may be another finite map or a GeometricLaw; a geometric q
-    contributes its tail mass beyond p's support.  Raises NotALaw unless
-    p is nonnegative and sums to 1 within 1e-9.
+    The geometric law lives on {1, 2, ...}; its tail mass beyond p's
+    support enters as one term.  Raises BadParam unless p is nonnegative
+    and sums to 1 within 1e-9.
     """
     if not p:
-        raise NotALaw("empty law")
+        raise BadParam("empty law")
     values = np.array([float(v) for v in p.values()])
     if (values < -1e-12).any():
-        raise NotALaw("negative mass in law")
+        raise BadParam("negative mass in law")
     if abs(values.sum() - 1.0) > 1e-9:
-        raise NotALaw(f"law sums to {values.sum()!r}, not 1")
-    if isinstance(q, GeometricLaw):
-        top = max(max(p), 1)
-        support = set(p) | set(range(1, top + 1))
-        total = sum(abs(p.get(u, 0.0) - q.pmf(u)) for u in support)
-        return 0.5 * (total + q.tail_beyond(top))
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(u, 0.0) - q.get(u, 0.0)) for u in support)
+        raise BadParam(f"law sums to {values.sum()!r}, not 1")
+    top = max(max(p), 1)
+    support = set(p) | set(range(1, top + 1))
+    total = sum(abs(p.get(u, 0.0) - (geometric_pmf(gamma, u) if u >= 1 else 0.0))
+                for u in support)
+    return 0.5 * (total + (1.0 - gamma) ** top)
 
 
 @dataclass(frozen=True)
@@ -91,8 +76,8 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float) -> ChiSquareRe
         u_cut = 1
     else:
         u_cut = max(1, math.ceil(math.log(CHI_TAIL_MASS) / math.log(1.0 - gamma)))
-    ref = GeometricLaw(gamma)
-    probs = [ref.pmf(u) for u in range(1, u_cut + 1)] + [ref.tail_beyond(u_cut)]
+    probs = [geometric_pmf(gamma, u) for u in range(1, u_cut + 1)]
+    probs.append((1.0 - gamma) ** u_cut)
     obs = [counts.get(u, 0) for u in range(1, u_cut + 1)]
     obs.append(total - sum(obs))
     labels = [str(u) for u in range(1, u_cut + 1)] + [f">{u_cut}"]
@@ -129,9 +114,9 @@ class FitResult:
 def fit_exponent(points: Sequence[tuple[float, float]]) -> FitResult:
     """OLS fit of log v against log n."""
     if len(points) < 3:
-        raise TooFewPoints(f"need >= 3 points, got {len(points)}")
+        raise BadParam(f"need >= 3 points, got {len(points)}")
     if any(v <= 0 for _, v in points):
-        raise NonPositiveValue("log-log fit needs positive values")
+        raise BadParam("log-log fit needs positive values")
     xs = np.log([float(n) for n, _ in points])
     ys = np.log([float(v) for _, v in points])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -333,9 +318,10 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
     """
     if len(seeds) == 0:
         raise BadParam("run_geometric needs at least one seed")
+    if m < 1:
+        raise BadParam(f"resample count must be >= 1, got {m}")
     gamma_est = gamma_est or auto_gamma(law)
     g = gamma_est.value
-    ref = GeometricLaw(g)
     records = []
     checks = []
     stats: dict = {"per_seed": []}
@@ -343,14 +329,14 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
         _visit_counts, [(law, n, m, seed) for seed in seeds], threads)
     for seed, counts in zip(seeds, all_counts):
         emp = {u: c / m for u, c in counts.items()}
-        tv = tv_distance(emp, ref)
+        tv = tv_distance(emp, g)
         chi = geometric_chi_square(counts, g)
         stats["per_seed"].append({"seed": seed, "tv": tv,
                                   "chi2": chi.statistic, "dof": chi.dof,
                                   "pvalue": chi.pvalue})
         for u in sorted(emp):
             records.append({"seed": seed, "u": u, "empirical": emp[u],
-                            "theory": ref.pmf(u)})
+                            "theory": geometric_pmf(g, u)})
         checks.append({"name": f"geom/seed={seed}/tv", "observed": tv,
                        "bound": tv_bar, "ok": tv < tv_bar})
         checks.append({"name": f"geom/seed={seed}/chi2_p",
@@ -417,6 +403,8 @@ def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
     grid = [int(n) for n in grid]
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise BadParam("grid must be strictly increasing")
+    if len(grid) < 3:
+        raise BadParam(f"variance scan needs >= 3 grid points for its fit, got {len(grid)}")
     env_name, env = variance_envelope(law.d)
     split = rnglib.replica_blocks(m, threads)
     blocks = [(gi, lo, hi) for gi in reversed(range(len(grid))) for lo, hi in split]

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParam, BudgetExceeded, FloatLawRejected, InvariantViolation
+from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
 from .steps import LatticePoint, StepLaw
 
@@ -57,7 +57,7 @@ def enumerate_paths(law: StepLaw, n: int,
                     alphas: tuple[int, ...] = (2,)) -> ExactSummary:
     """Walk every path of length n and tally exact statistics."""
     if not law.exact:
-        raise FloatLawRejected("the oracle needs a law with rational masses")
+        raise BadParam("the oracle needs a law with rational masses")
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     alphas = tuple(int(a) for a in alphas)
@@ -65,7 +65,7 @@ def enumerate_paths(law: StepLaw, n: int,
         raise BadParam("alphas must be nonnegative integers")
     paths = len(law.atoms) ** n
     if paths > PATH_BUDGET:
-        raise BudgetExceeded(
+        raise ResourceLimit(
             f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
 
     denom = math.lcm(*(m.denominator for m in law.masses)) if n else 1
@@ -117,7 +117,7 @@ def enumerate_paths(law: StepLaw, n: int,
         returned += tau_num.get(k, 0) if k >= 1 else 0
         gamma_seq.append(Fraction(total - returned, total))
     expected_l = {a: Fraction(el_num[a], total) for a in alphas}
-    return ExactSummary(
+    summary = ExactSummary(
         n=n,
         expected_q={j: Fraction(v, total) for j, v in sorted(eq_num.items())},
         expected_l=expected_l,
@@ -127,6 +127,8 @@ def enumerate_paths(law: StepLaw, n: int,
                    for (r, c), v in sorted(joint_num.items())},
         gamma_seq=tuple(gamma_seq),
     )
+    summary.check_invariants()
+    return summary
 
 
 def exact_zn_law(summary: ExactSummary) -> dict[int, Fraction]:
@@ -143,4 +145,6 @@ def exact_zn_law(summary: ExactSummary) -> dict[int, Fraction]:
 def exact_return_law(law: StepLaw, n: int) -> ReturnLaw:
     """Exact gamma(0..n) by enumeration; must agree with the taboo DP."""
     summary = enumerate_paths(law, n, alphas=())
-    return ReturnLaw(horizon=n, gamma_seq=summary.gamma_seq, exact=True)
+    ret = ReturnLaw(horizon=n, gamma_seq=summary.gamma_seq, exact=True)
+    ret.check_invariants()
+    return ret

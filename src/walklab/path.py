@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit
-from .steps import LatticePoint, StepLaw, _sampling_arrays, sample_indices
+from .steps import StepLaw, _sampling_arrays, sample_indices
 
 _INT64_SAFE = 1 << 62
 
@@ -102,10 +102,6 @@ class LocalTimeField:
         pt = np.asarray(point, dtype=np.int64)
         hit = np.flatnonzero((self.sites == pt).all(axis=1))
         return int(self.counts[hit[0]]) if hit.size else 0
-
-    def counts_map(self) -> dict[LatticePoint, int]:
-        return {tuple(int(c) for c in s): int(v)
-                for s, v in zip(self.sites, self.counts)}
 
     def check_invariants(self) -> None:
         total = int(self.counts.sum())

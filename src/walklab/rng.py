@@ -9,6 +9,7 @@ the number of worker processes.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Iterable
 
 import numpy as np
@@ -59,20 +60,29 @@ def replica_blocks(m: int, threads: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def replica_map(fn: Callable, tasks: Iterable, threads: int) -> list:
-    """[fn(task) for task in tasks], on min(threads, len(tasks)) worker processes.
+    """[fn(task) for task in tasks], on at most threads worker processes.
 
     Runs inline for threads == 1 or fewer than two tasks; otherwise on a
     process pool of the platform's default start method, one task per
-    dispatch.  Results come back in task order, so a caller whose tasks
-    are pure functions of their arguments (replica seeds from mix64)
-    gets the same results for every threads.  fn and the tasks must be
-    picklable, with fn defined at module top level, so spawn works too.
+    dispatch.  The pool has min(threads, len(tasks), CPUs) workers, so a
+    large threads never forks more processes than there are CPUs.
+    Results come back in task order, so a caller whose tasks are pure
+    functions of their arguments (replica seeds from mix64) gets the same
+    results for every threads.  fn and the tasks must be picklable, with
+    fn defined at module top level, so spawn works too.
     """
     _check_threads(threads)
     tasks = list(tasks)
     if threads == 1 or len(tasks) < 2:
         return [fn(task) for task in tasks]
     from multiprocessing import Pool
-    with Pool(min(threads, len(tasks))) as pool:
+    with Pool(min(threads, len(tasks), _cpus())) as pool:
         return pool.map(fn, tasks, chunksize=1)

@@ -21,14 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadParam,
-    ConfigError,
-    DegenerateDimension,
-    DuplicateAtom,
-    NotAProbability,
-    UnknownFamily,
-)
+from .errors import BadParam, ConfigError
 
 LatticePoint = tuple[int, ...]
 Mass = Union[Fraction, float]
@@ -63,12 +56,6 @@ class StepLaw:
         atoms = tuple((p, float(m)) for p, m in self.atoms)
         return StepLaw(self.d, atoms, exact=False)
 
-    def mass_at(self, point: LatticePoint) -> Mass:
-        for p, m in self.atoms:
-            if p == point:
-                return m
-        return Fraction(0) if self.exact else 0.0
-
 
 def _rank_exact(vectors: Sequence[Sequence[int]], d: int) -> int:
     """Rank of integer vectors over Q, by fraction-free Gaussian elimination."""
@@ -97,8 +84,7 @@ def make_law(d: int, atoms: Iterable[tuple[Sequence[int], Mass]],
     for point, mass in atoms:
         pt = tuple(int(c) for c in point)
         if len(pt) != d:
-            raise DegenerateDimension(
-                f"atom {pt} has dimension {len(pt)}, law has d={d}")
+            raise BadParam(f"atom {pt} has dimension {len(pt)}, law has d={d}")
         if any(abs(c) > _MAX_COORD for c in pt):
             raise BadParam(f"atom coordinate exceeds |c| <= {_MAX_COORD}: {pt}")
         normalized.append((pt, Fraction(mass) if exact else float(mass)))
@@ -109,30 +95,31 @@ def make_law(d: int, atoms: Iterable[tuple[Sequence[int], Mass]],
 def validate(law: StepLaw) -> StepLaw:
     """Check the standing assumptions; return the law unchanged if legal.
 
-    Raises NotAProbability, DuplicateAtom or DegenerateDimension.  The
-    genuine d-dimensionality condition reduces, for finite-support laws
-    started at 0, to the support spanning R^d: the reachable set R+ is
-    generated by sums of support points, so R+ - R+ lies in the span of
-    the support and contains the support itself.
+    Raises BadParam for a law that is not a probability law, repeats a
+    support point or is not genuinely d-dimensional.  The genuine
+    d-dimensionality condition reduces, for finite-support laws started
+    at 0, to the support spanning R^d: the reachable set R+ is generated
+    by sums of support points, so R+ - R+ lies in the span of the support
+    and contains the support itself.
     """
     if law.d < 1:
-        raise DegenerateDimension(f"dimension must be >= 1, got {law.d}")
+        raise BadParam(f"dimension must be >= 1, got {law.d}")
     if not law.atoms:
-        raise NotAProbability("empty atom list")
+        raise BadParam("empty atom list")
     points = [p for p, _ in law.atoms]
     if len(set(points)) != len(points):
-        raise DuplicateAtom("duplicate support points in atom list")
+        raise BadParam("duplicate support points in atom list")
     masses = [m for _, m in law.atoms]
     if any(m <= 0 for m in masses):
-        raise NotAProbability("all atom masses must be positive")
+        raise BadParam("all atom masses must be positive")
     total = sum(masses)
     if law.exact:
         if total != 1:
-            raise NotAProbability(f"masses sum to {total}, not 1")
+            raise BadParam(f"masses sum to {total}, not 1")
     elif abs(total - 1.0) > FLOAT_MASS_TOL:
-        raise NotAProbability(f"masses sum to {total!r}, not 1 within {FLOAT_MASS_TOL}")
+        raise BadParam(f"masses sum to {total!r}, not 1 within {FLOAT_MASS_TOL}")
     if _rank_exact(points, law.d) < law.d:
-        raise DegenerateDimension(
+        raise BadParam(
             f"support spans rank < d={law.d}; law is not genuinely d-dimensional")
     return law
 
@@ -236,13 +223,6 @@ def sample_indices(law: StepLaw, rng: np.random.Generator, size: int) -> np.ndar
     return np.searchsorted(cdf, rng.random(size), side="right")
 
 
-def sample_step(law: StepLaw, rng: np.random.Generator) -> LatticePoint:
-    """Draw one step."""
-    coords, _ = _sampling_arrays(law)
-    idx = sample_indices(law, rng, 1)[0]
-    return tuple(int(c) for c in coords[idx])
-
-
 def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, matrix of second moments E[X_i X_j]), exact weighted sums.
 
@@ -297,7 +277,7 @@ def law_from_json(obj: Mapping) -> StepLaw:
         raise ConfigError("law descriptor needs a 'family' key")
     family = obj["family"]
     if family != "custom" and family not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {family!r}")
+        raise ConfigError(f"unknown family {family!r}")
     ctor, keys = _FAMILIES.get(family, (None, ("atoms",)))
     extra = set(obj) - {"family", "d", "exact", *keys}
     if extra:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGamma, BadParam, HorizonTooShort, InvariantViolation
+from .errors import BadParam, InvariantViolation
 from .gamma import ReturnLaw, _evolution, return_sequence
 from .steps import StepLaw
 
@@ -43,7 +43,7 @@ class Prediction:
 def _check_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not 0 < gamma <= 1:
-        raise BadGamma(f"escape probability must be in (0, 1], got {gamma}")
+        raise BadParam(f"escape probability must be in (0, 1], got {gamma}")
     return gamma
 
 
@@ -110,7 +110,7 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     if j < 1:
         raise BadParam(f"j must be >= 1, got {j}")
     if ret.horizon < n:
-        raise HorizonTooShort(f"ReturnLaw horizon {ret.horizon} < n={n}")
+        raise BadParam(f"ReturnLaw horizon {ret.horizon} < n={n}")
     dtype = object if ret.exact else np.float64
     g = np.array(ret.gamma_seq[:n + 1], dtype=dtype)
     tau = np.array([0, *ret.tau_pmf()[:n]], dtype=dtype)
@@ -136,7 +136,7 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
     if not 0 <= s < 1:
         raise BadParam(f"s must be in [0, 1), got {s}")
     if ret.horizon < n:
-        raise HorizonTooShort(f"ReturnLaw horizon {ret.horizon} < N={n}")
+        raise BadParam(f"ReturnLaw horizon {ret.horizon} < N={n}")
     powers = np.power(s, np.arange(n + 1))
     g = np.asarray([float(x) for x in ret.gamma_seq[:n + 1]])
     tau = np.asarray([0.0] + [float(x) for x in ret.tau_pmf()[:n]])

@@ -371,6 +371,25 @@ class TestConfig:
         assert res.exit_code == 0
 
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--law", DET, "--n", "4"],
+        ["estimate-gamma", "--law", BERN, "--method", "green", "--N", "64"],
+        ["estimate-gamma", "--law", BERN, "--method", "mc", "--n", "16", "--M", "10"],
+        ["variance-scan", "--law", DET, "--n-min", "16", "--n-max", "64", "--M", "3"],
+        ["predict", "--what", "geom", "--u", "2", "--gamma", "0.4"],
+        ["oracle", "--law", BERN_EXACT, "--n", "2"],
+        ["return-tail", "--law", BERN],
+    ], ids=["simulate", "estimate-gamma-green", "estimate-gamma-mc", "variance-scan",
+            "predict", "oracle", "return-tail"])
+    def test_unread_seeds_rejected(self, runner, tmp_path, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [1, 2, 3]}))
+        res = runner.invoke(cli, ["--config", str(cfg), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert "'seeds'" in str(res.exception)
+
+
 class TestNoVacuousVerdict:
     @pytest.mark.parametrize("command", ["verify-slln", "verify-geometric"])
     @pytest.mark.parametrize("config,flags", [({}, ["--paths", "0"]), ({"seeds": []}, [])],
@@ -400,6 +419,35 @@ class TestNoVacuousVerdict:
                                       "--n", "64", *flags, *gamma_flags])
             assert res.exit_code == 1
             assert isinstance(res.exception, walklab.ConfigError), res.exception
+
+
+class TestFailBeforeReplicas:
+    @pytest.fixture(autouse=True)
+    def no_replica(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("ran before the flags were checked")
+        monkeypatch.setattr(walklab.harness, "simulate", no_run)
+        monkeypatch.setattr(walklab.harness, "auto_gamma", no_run)
+
+    @pytest.mark.parametrize("n_min,n_max,grid", [
+        ("4096", "1024", "[1024]"), ("65536", "65536", "[65536]"),
+        ("1024", "2048", "[1024, 2048]"),
+    ], ids=["n-min-above-n-max", "one-point", "two-points"])
+    def test_variance_grid_below_three_points(self, runner, n_min, n_max, grid):
+        res = runner.invoke(cli, ["variance-scan", "--law", '{"family": "srw", "d": 5}',
+                                  "--n-min", n_min, "--n-max", n_max, "--M", "200"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == (
+            f"'n_min' = {n_min} and 'n_max' = {n_max} give the grid {grid}; "
+            "variance-scan needs >= 3 points, so n_max > 2 * n_min")
+
+    def test_geometric_no_resample(self, runner):
+        res = runner.invoke(cli, ["verify-geometric", "--law", SRW3, "--n", "1000",
+                                  "--M", "0"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.BadParam)
+        assert str(res.exception) == "resample count must be >= 1, got 0"
 
 
 class TestDoublingGrid:

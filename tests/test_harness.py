@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,32 +13,33 @@ from walklab import rng
 
 class TestTvDistance:
     def test_equal_laws(self):
-        assert wl.tv_distance({1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.5}) == 0.0
+        # Geom(1) is the point mass at 1
+        assert wl.tv_distance({1: 1.0}, 1.0) == 0.0
 
     def test_point_mass_vs_geometric_half(self):
-        assert wl.tv_distance({1: 1.0}, wl.GeometricLaw(0.5)) == pytest.approx(0.5)
+        assert wl.tv_distance({1: 1.0}, 0.5) == pytest.approx(0.5)
 
     def test_disjoint_supports(self):
-        assert wl.tv_distance({1: 1.0}, {2: 1.0}) == pytest.approx(1.0)
+        assert wl.tv_distance({2: 1.0}, 1.0) == pytest.approx(1.0)
 
     def test_not_a_law(self):
-        with pytest.raises(wl.NotALaw):
-            wl.tv_distance({1: 0.7}, {1: 1.0})
-        with pytest.raises(wl.NotALaw):
-            wl.tv_distance({1: 1.5, 2: -0.5}, {1: 1.0})
+        with pytest.raises(wl.BadParam, match=r"law sums to \S*0\.7\S*, not 1"):
+            wl.tv_distance({1: 0.7}, 0.5)
+        with pytest.raises(wl.BadParam, match="negative mass in law"):
+            wl.tv_distance({1: 1.5, 2: -0.5}, 0.5)
 
     def test_geometric_vs_itself_truncated(self):
         g = 0.4
         p = {u: wl.geometric_pmf(g, u) for u in range(1, 60)}
         p[60] = 1.0 - sum(p.values())
-        assert wl.tv_distance(p, wl.GeometricLaw(g)) < 1e-6
+        assert wl.tv_distance(p, g) < 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
     def test_range(self, weights):
         total = sum(weights)
         p = {u + 1: w / total for u, w in enumerate(weights)}
-        tv = wl.tv_distance(p, wl.GeometricLaw(0.3))
+        tv = wl.tv_distance(p, 0.3)
         assert 0.0 <= tv <= 1.0
 
 
@@ -84,11 +87,11 @@ class TestFitExponent:
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few(self):
-        with pytest.raises(wl.TooFewPoints):
+        with pytest.raises(wl.BadParam, match="need >= 3 points, got 2"):
             wl.fit_exponent([(2, 1.0), (4, 2.0)])
 
     def test_nonpositive(self):
-        with pytest.raises(wl.NonPositiveValue):
+        with pytest.raises(wl.BadParam, match="log-log fit needs positive values"):
             wl.fit_exponent([(2, 1.0), (4, 0.0), (8, 2.0)])
 
 
@@ -130,8 +133,16 @@ class TestRunGeometric:
         # exact finite-n law vs the limit law: recorded, no pass bar
         summary = wl.enumerate_paths(bern07_exact, 8, alphas=())
         zn = {u: float(p) for u, p in wl.exact_zn_law(summary).items()}
-        tv = wl.tv_distance(zn, wl.GeometricLaw(0.4))
+        tv = wl.tv_distance(zn, 0.4)
         assert 0.0 <= tv <= 1.0
+
+    def test_no_resample_fails_before_gamma_and_paths(self, srw3, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("ran before M was checked")
+        monkeypatch.setattr(wl.harness, "auto_gamma", no_run)
+        monkeypatch.setattr(wl.harness, "simulate", no_run)
+        with pytest.raises(wl.BadParam, match="resample count must be >= 1, got 0"):
+            wl.run_geometric(srw3, 1000, 0, seeds=[1])
 
     def test_report_records_theory(self, bern07):
         rep = wl.run_geometric(bern07, 2000, 5000, seeds=[4])
@@ -165,6 +176,14 @@ class TestVarianceScan:
         with pytest.raises(wl.BadParam):
             wl.variance_scan(srw3, 2, [64, 128, 256], m=2, seed=1)
 
+    @pytest.mark.parametrize("grid", [[64], [64, 128]])
+    def test_too_few_grid_points_rejected_before_replicas(self, srw3, monkeypatch, grid):
+        def no_replica(*args):
+            raise AssertionError("a replica ran before the grid was checked")
+        monkeypatch.setattr(wl.harness, "simulate", no_replica)
+        with pytest.raises(wl.BadParam, match=f"needs >= 3 grid points.*got {len(grid)}"):
+            wl.variance_scan(srw3, 2, grid, 10, seed=0)
+
     def test_replica_seeds_documented(self, bern07):
         a = wl.variance_scan(bern07, 2, [16, 32, 64], 25, seed=3)
         b = wl.variance_scan(bern07, 2, [16, 32, 64], 25, seed=3)
@@ -190,6 +209,30 @@ class TestReplicaMap:
             rng.replica_map(math.factorial, [1, 2], threads)
         with pytest.raises(wl.BadParam, match="threads"):
             rng.replica_blocks(10, threads)
+
+    def test_pool_capped_at_the_cpus(self, monkeypatch):
+        # a fake Pool records the size asked for; nothing is forked
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        tasks = list(range(10))
+        assert rng.replica_map(math.factorial, tasks, 5000) == [math.factorial(t) for t in tasks]
+        assert rng.replica_map(math.factorial, tasks[:2], 5000) == [1, 1]
+        assert sizes == [3, 2]
 
     @pytest.mark.parametrize("m,threads", [(10, 1), (10, 3), (2, 5), (1, 2)])
     def test_blocks_cover_the_replicas(self, m, threads):

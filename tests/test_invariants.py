@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import walklab
 
 # Builds one broken instance of each checked type and reports which raised
@@ -43,3 +45,17 @@ def test_invariants_hold_under_python_O():
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["1", "LocalTimeField", "ExactSummary", "ReturnLaw",
                            "GammaEstimate", "Prediction"]
+
+
+@pytest.mark.parametrize("cls,build", [
+    ("ReturnLaw", lambda law: walklab.taboo_survival(law, 4)),
+    ("ReturnLaw", lambda law: walklab.exact_return_law(law, 4)),
+    ("ExactSummary", lambda law: walklab.enumerate_paths(law, 4)),
+], ids=["taboo_survival", "exact_return_law", "enumerate_paths"])
+def test_builders_run_the_invariants(monkeypatch, bern07_exact, cls, build):
+    # the CLI's ReturnLaw and ExactSummary builders check what they return
+    def broken(self, *args):
+        raise walklab.InvariantViolation(f"{cls} checked")
+    monkeypatch.setattr(getattr(walklab, cls), "check_invariants", broken)
+    with pytest.raises(walklab.InvariantViolation, match=f"{cls} checked"):
+        build(bern07_exact)

@@ -34,11 +34,11 @@ class TestEnumerate:
 
     def test_budget_exceeded(self, bern07_exact):
         # 2^30 paths exceed PATH_BUDGET = 10^7 before the first leaf
-        with pytest.raises(wl.BudgetExceeded, match="exceed PATH_BUDGET = 10000000 paths"):
+        with pytest.raises(wl.ResourceLimit, match="exceed PATH_BUDGET = 10000000 paths"):
             wl.enumerate_paths(bern07_exact, 30)
 
     def test_float_law_rejected(self, bern07):
-        with pytest.raises(wl.FloatLawRejected):
+        with pytest.raises(wl.BadParam, match="the oracle needs a law with rational masses"):
             wl.enumerate_paths(bern07, 3)
 
     def test_variance_nonnegative(self, drifted2_exact):

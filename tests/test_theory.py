@@ -25,7 +25,7 @@ class TestMomentLimit:
 
     def test_bad_gamma(self):
         for g in (0.0, -0.1, 1.5):
-            with pytest.raises(wl.BadGamma):
+            with pytest.raises(wl.BadParam, match="escape probability must be in"):
                 wl.moment_limit(2, g)
 
     def test_truncation_bound_honest(self):
@@ -61,7 +61,7 @@ class TestGeometricPmf:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_inputs(self):
-        with pytest.raises(wl.BadGamma):
+        with pytest.raises(wl.BadParam, match="escape probability must be in"):
             wl.geometric_pmf(0.0, 1)
         with pytest.raises(wl.BadParam):
             wl.geometric_pmf(0.4, 0)
@@ -97,7 +97,7 @@ class TestExpectedQjFormula:
 
     def test_horizon_guard(self, bern07_exact):
         ret = wl.taboo_survival(bern07_exact, 2)
-        with pytest.raises(wl.HorizonTooShort):
+        with pytest.raises(wl.BadParam, match=r"ReturnLaw horizon 2 < n=3"):
             wl.expected_qj_formula(ret, 1, 3)
 
     def test_float_matches_exact(self, bern07, bern07_exact):
