@@ -32,8 +32,8 @@ class ResourceLimit(WalklabError):
     """A computation would exceed a fixed size limit.
 
     The limits are gamma.CELL_BUDGET, the cells of any pmf evolution box,
-    oracle.PATH_BUDGET, the paths enumerate_paths walks, and the 64-bit
-    time-site keys of the path kernel.
+    oracle.PATH_BUDGET, the paths enumerate_paths walks, and
+    path.STEP_BUDGET, the steps of one simulated path.
     """
 
 

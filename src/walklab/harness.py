@@ -19,7 +19,8 @@ import numpy as np
 from . import rng as rnglib
 from .errors import BadParam
 from .gamma import GammaEstimate, auto_gamma, return_tail
-from .path import l_alpha, sample_visited_local_time, simulate, simulate_series
+from .path import (_check_step_budget, l_alpha, sample_visited_local_time, simulate,
+                   simulate_series)
 from .steps import StepLaw, law_to_json, mean_and_second_moment
 from .theory import geometric_pmf, moment_limit
 
@@ -45,7 +46,7 @@ def tv_distance(p: Mapping[int, float], gamma: float) -> float:
     if (values < -1e-12).any():
         raise BadParam("negative mass in law")
     if abs(values.sum() - 1.0) > 1e-9:
-        raise BadParam(f"law sums to {values.sum()!r}, not 1")
+        raise BadParam(f"law sums to {float(values.sum())!r}, not 1")
     top = max(max(p), 1)
     support = set(p) | set(range(1, top + 1))
     total = sum(abs(p.get(u, 0.0) - (geometric_pmf(gamma, u) if u >= 1 else 0.0))
@@ -405,6 +406,7 @@ def variance_scan(law: StepLaw, alpha: int, grid: Sequence[int], m: int,
         raise BadParam("grid must be strictly increasing")
     if len(grid) < 3:
         raise BadParam(f"variance scan needs >= 3 grid points for its fit, got {len(grid)}")
+    _check_step_budget(grid[-1])
     env_name, env = variance_envelope(law.d)
     split = rnglib.replica_blocks(m, threads)
     blocks = [(gi, lo, hi) for gi in reversed(range(len(grid))) for lo, hi in split]

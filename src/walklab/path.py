@@ -19,6 +19,25 @@ from .steps import StepLaw, _sampling_arrays, sample_indices
 
 _INT64_SAFE = 1 << 62
 
+# A path of n steps holds about 18 bytes per step at its peak (the int64
+# keys, one int64 axis or rank buffer, and the step indices or the int32
+# sort order and occurrence ranks), so 10**8 steps is about 1.8 GB.
+# simulate, simulate_series and variance_scan refuse longer paths before
+# the first allocation.  Kept below 2**31, which the int32 time indices
+# of _occurrence_numbers need.
+STEP_BUDGET = 10 ** 8
+
+# Steps per piece when drawing step indices, gathering an axis, tagging
+# keys with their time and summing visit increments: small enough that
+# no piece's temporaries show beside the full-length buffers.
+_CHUNK = 1 << 16
+
+
+def _check_step_budget(n: int) -> None:
+    """Refuse a path of more than STEP_BUDGET steps before anything is allocated."""
+    if n > STEP_BUDGET:
+        raise ResourceLimit(f"a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps")
+
 
 def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
                ) -> tuple[np.ndarray, tuple]:
@@ -28,28 +47,36 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
     array: each axis is a gather of that axis's step coordinate and an
     in-place prefix sum, folded in as a mixed-radix digit,
     keys = keys*span + (x - lo).  The code is monotone in lexicographic
-    order of the positions, so sorting keys sorts sites.
+    order of the positions, so sorting keys sorts sites.  The step
+    indices are drawn _CHUNK at a time (the same stream as one draw of n)
+    into the smallest unsigned dtype that holds them, and gathered a
+    chunk at a time, so besides the keys only the axis buffer x is a full
+    8 bytes per step.
 
-    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length(), so a key
-    and its time index share one int64 (see _occurrence_numbers).  When a
-    digit would cross that budget, the partial key is replaced by its
-    dense rank (same order, at most n+1 values); an axis too wide to be
-    multiplied in within int64 is ranked first.  layers holds
-    (lo, span, axis rank table, key rank table) per axis for _decode_sites.
+    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length() <= 27
+    under STEP_BUDGET, so a key and its time index share one int64 (see
+    _occurrence_numbers).  When a digit would cross that budget, the
+    partial key is replaced by its dense rank (same order, at most n+1
+    values); an axis too wide to be multiplied in within int64 is ranked
+    first.  layers holds (lo, span, axis rank table, key rank table) per
+    axis for _decode_sites.
     """
     coords, _ = _sampling_arrays(law)
-    tbits = (n + 1).bit_length()
-    if 2 * tbits > 63:
-        raise ResourceLimit(f"horizon {n} too long for 64-bit time-site keys")
-    budget = 1 << (63 - tbits)
-    idx = sample_indices(law, gen, n) if n > 0 else np.empty(0, dtype=np.intp)
+    budget = 1 << (63 - (n + 1).bit_length())
+    idx = np.empty(n, dtype=np.min_scalar_type(len(coords) - 1))
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        idx[s:e] = sample_indices(law, gen, e - s)
     keys = np.zeros(n + 1, dtype=np.int64)
     x = np.empty(n + 1, dtype=np.int64)
     radix = 1
     layers = []
     for j in range(law.d):
+        col = coords[:, j]
         x[0] = 0
-        np.take(coords[:, j], idx, out=x[1:], mode="clip")
+        for s in range(0, n, _CHUNK):
+            e = min(s + _CHUNK, n)
+            np.take(col, idx[s:e], out=x[1 + s:1 + e], mode="clip")
         np.cumsum(x[1:], out=x[1:])
         lo = int(x.min())
         span = int(x.max()) - lo + 1
@@ -131,6 +158,7 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
     """Simulate one n-step path and return its local-time field."""
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
+    _check_step_budget(n)
     gen = rnglib.generator(seed)
     keys, layers = _walk_keys(law, n, gen)
     uniq, counts = np.unique(keys, return_counts=True)
@@ -208,40 +236,73 @@ def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
 
     keys come from _walk_keys, so key << tbits | t fits in int64 and one
     unstable sort of those distinct composites orders the times by key,
-    then by t.  keys is overwritten.
+    then by t.  The times are below 2**31 under STEP_BUDGET, so the sort
+    order and the ranks are int32.  keys is overwritten and returned as k.
     """
     size = len(keys)
     tbits = size.bit_length()
-    t = np.arange(size, dtype=np.int64)
     keys <<= tbits
-    keys |= t
+    for s in range(0, size, _CHUNK):
+        keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, size))
     keys.sort()
-    order = keys & ((1 << tbits) - 1)
+    order = np.empty(size, dtype=np.int32)
+    np.bitwise_and(keys, (1 << tbits) - 1, out=order, casting="unsafe")
     keys >>= tbits
     new_group = np.empty(size, dtype=bool)
     new_group[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+    t = np.arange(size, dtype=np.int32)
     group_start = np.multiply(t, new_group, out=keys)
     np.maximum.accumulate(group_start, out=group_start)
     t -= group_start
     t += 1
-    k = np.empty(size, dtype=np.int64)
-    k[order] = t
-    return k
+    for s in range(0, size, _CHUNK):
+        keys[order[s:s + _CHUNK]] = t[s:s + _CHUNK]
+    return keys
 
 
-def _running_l(k: np.ndarray, alpha: float) -> np.ndarray:
-    """Cumulative L(alpha) for alpha > 0: each visit bumps L by k^alpha - (k-1)^alpha."""
+def _visit_increments(k: np.ndarray, alpha: float, wide: bool) -> np.ndarray:
+    """What the visits k add to L(alpha): k^alpha - (k-1)^alpha each.
+
+    For alpha = 0 that is whether the visit finds a new site, so the
+    running sum is R.  Integer alpha stays exact, in Python ints when wide.
+    """
+    if alpha == 0:
+        return k == 1
     if float(alpha).is_integer():
         a = int(alpha)
-        kmax = int(k.max())
-        if kmax ** a * len(k) < _INT64_SAFE:
-            inc = k ** a - (k - 1) ** a
-        else:
-            inc = (k.astype(object) ** a) - ((k - 1).astype(object) ** a)
-        return np.cumsum(inc)
+        if wide:
+            k = k.astype(object)
+        return k ** a - (k - 1) ** a
     kf = k.astype(np.float64)
-    return np.cumsum(np.power(kf, alpha) - np.power(kf - 1.0, alpha))
+    return np.power(kf, alpha) - np.power(kf - 1.0, alpha)
+
+
+def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
+                     alphas: Sequence[float]) -> list[list]:
+    """Running sums of k's visit increments per alpha, read at the checkpoints.
+
+    Integer alpha sums in int64 when the total cannot overflow, else in
+    Python ints.  k is walked _CHUNK steps at a time and each chunk's
+    cumsum starts from the previous chunk's last sum, so every value is
+    that of one full-length cumsum, bit for bit.
+    """
+    kmax = int(k.max())
+    wide = [float(a).is_integer() and kmax ** int(a) * len(k) >= _INT64_SAFE
+            for a in alphas]
+    rows = [[] for _ in alphas]
+    carries = [0] * len(alphas)
+    cks = np.asarray(checkpoints)
+    for s in range(0, len(k), _CHUNK):
+        part = k[s:s + _CHUNK]
+        lo, hi = np.searchsorted(cks, [s, s + len(part)])
+        at = cks[lo:hi] - s + 1
+        for j, a in enumerate(alphas):
+            run = np.cumsum(np.concatenate(
+                ([carries[j]], _visit_increments(part, a, wide[j]))))
+            carries[j] = run[-1]
+            rows[j].extend(run[at])
+    return rows
 
 
 def simulate_series(law: StepLaw, checkpoints: Sequence[int],
@@ -262,15 +323,16 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
     if any(a < 0 for a in alphas):
         raise BadParam("alphas must be >= 0")
     n_max = checkpoints[-1]
+    _check_step_budget(n_max)
     gen = rnglib.generator(seed)
     keys, _ = _walk_keys(law, n_max, gen)
     k = _occurrence_numbers(keys)
-    idx = np.asarray(checkpoints)
-    running_range = np.cumsum(k == 1)[idx]
+    sums = iter(_checkpoint_sums(k, checkpoints, [0.0] + [a for a in alphas if a != 0]))
+    running_range = next(sums)
     ranges = tuple(int(v) for v in running_range)
     l_rows = []
     for a in alphas:
-        running = running_range if a == 0 else _running_l(k, a)[idx]
+        running = running_range if a == 0 else next(sums)
         l_rows.append(tuple(
             int(v) if float(a).is_integer() else float(v) for v in running))
     l_table = tuple(tuple(row[i] for row in l_rows)

@@ -14,7 +14,6 @@ import numpy as np
 
 from walklab import rng as rnglib
 from walklab.errors import ResourceLimit
-from walklab.path import _running_l
 from walklab.steps import StepLaw, _sampling_arrays, sample_indices
 
 
@@ -63,6 +62,22 @@ def occurrence_numbers(keys: np.ndarray) -> np.ndarray:
     return k
 
 
+def running_l(k: np.ndarray, alpha: float) -> np.ndarray:
+    """Cumulative L(alpha) for alpha > 0, one full-length cumsum.
+
+    Each visit bumps L by k^alpha - (k-1)^alpha; integer alpha is summed
+    in int64 when the total cannot overflow, else in Python ints.
+    """
+    if float(alpha).is_integer():
+        a = int(alpha)
+        if int(k.max()) ** a * len(k) < 1 << 62:
+            return np.cumsum(k ** a - (k - 1) ** a)
+        k = k.astype(object)
+        return np.cumsum(k ** a - (k - 1) ** a)
+    kf = k.astype(np.float64)
+    return np.cumsum(np.power(kf, alpha) - np.power(kf - 1.0, alpha))
+
+
 def series(keys: np.ndarray, checkpoints: Sequence[int],
            alphas: Sequence[float]) -> tuple[tuple, tuple]:
     """(l_table, ranges) as CheckpointSeries lays them out, from path keys."""
@@ -72,7 +87,7 @@ def series(keys: np.ndarray, checkpoints: Sequence[int],
     ranges = tuple(int(v) for v in running_range[idx])
     l_rows = []
     for a in alphas:
-        running = (running_range if a == 0 else _running_l(k, a))[idx]
+        running = (running_range if a == 0 else running_l(k, a))[idx]
         l_rows.append(tuple(
             int(v) if float(a).is_integer() else float(v) for v in running))
     l_table = tuple(tuple(row[i] for row in l_rows)

@@ -23,7 +23,7 @@ class TestTvDistance:
         assert wl.tv_distance({2: 1.0}, 1.0) == pytest.approx(1.0)
 
     def test_not_a_law(self):
-        with pytest.raises(wl.BadParam, match=r"law sums to \S*0\.7\S*, not 1"):
+        with pytest.raises(wl.BadParam, match=r"law sums to 0\.7, not 1"):
             wl.tv_distance({1: 0.7}, 0.5)
         with pytest.raises(wl.BadParam, match="negative mass in law"):
             wl.tv_distance({1: 1.5, 2: -0.5}, 0.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import path_reference as ref
 import walklab as wl
-from walklab import rng
+from walklab import path, rng
 from walklab.harness import csv_text
 from walklab.path import LocalTimeField, _walk_keys
 
@@ -245,3 +246,74 @@ class TestKernelMatchesPositionsReference:
         s = wl.simulate_series(law, cks, alphas, seed=7)
         expected = ref.series(row_rank.reshape(-1), cks, alphas)
         assert (s.l_table, s.ranges) == expected
+
+
+class TestChunkEdges:
+    """The kernel walks its buffers in chunks; shrink them to 7 steps so that
+    checkpoints and paths straddle many chunk edges."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(path, "_CHUNK", 7)
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    @pytest.mark.parametrize("law", [wl.bernoulli(0.7), wl.srw(3)], ids=["bern07", "srw3"])
+    def test_matches_reference(self, law, n):
+        # edges of k (length n+1) at multiples of 7; 62 ends one short of
+        # an edge, 63 on one and 64 one past it
+        cks = [1, 6, 7, 8, 13, 14, 15, 48, 49, 50, n - 1, n]
+        alphas = [0.0, 2.0, 3.0, 0.5, 64.0]
+        f = wl.simulate(law, n, seed=5)
+        # alpha 64 sums in Python ints once a site is visited twice
+        assert int(f.counts.max()) >= 2
+        sites, counts = ref.field(law, n, 5)
+        assert np.array_equal(f.sites, sites)
+        assert np.array_equal(f.counts, counts)
+        s = wl.simulate_series(law, cks, alphas, seed=5)
+        keys = ref.pack_rows(ref.positions(law, n, 5))
+        assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+
+
+class TestStepBudget:
+    """Paths over STEP_BUDGET are refused before a generator or buffer exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_generator(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a path over STEP_BUDGET reached the generator")
+        monkeypatch.setattr(rng, "generator", refuse)
+
+    def _refused(self):
+        budget = path.STEP_BUDGET
+        return pytest.raises(
+            wl.ResourceLimit,
+            match=f"a path of {budget + 1} steps exceeds STEP_BUDGET = {budget} steps")
+
+    def test_simulate(self, srw3):
+        with self._refused():
+            wl.simulate(srw3, path.STEP_BUDGET + 1, seed=0)
+
+    def test_simulate_series(self, srw3):
+        with self._refused():
+            wl.simulate_series(srw3, [10, path.STEP_BUDGET + 1], [0.0, 2.0], seed=0)
+
+    def test_variance_scan(self, srw3):
+        budget = path.STEP_BUDGET
+        grid = [budget // 4, budget // 2, budget + 1]
+        with self._refused():
+            wl.variance_scan(srw3, 2, grid, m=3, seed=0)
+
+
+def test_series_peak_memory_per_step():
+    # The full-length buffers of one series are the int64 keys, one more
+    # 8-byte buffer and a few bytes of indices or ranks: about 17 bytes
+    # per step.  Full-length temporaries per alpha would show here.
+    law, cks, alphas = wl.srw(3), [2 ** 20, 2 ** 21], [0.0, 2.0, 3.0, 0.5]
+    wl.simulate_series(law, cks, alphas, seed=0)
+    tracemalloc.start()
+    try:
+        wl.simulate_series(law, cks, alphas, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cks[-1] <= 24
