@@ -57,17 +57,38 @@ class PmfField:
 class ReturnLaw:
     """No-return probabilities gamma(0..N) and the derived return-time law.
 
-    prune_loss bounds the mass discarded by the float DP; exact sequences
-    have prune_loss 0.
+    denom is the step law's StepLaw.denom: gamma(m) of an exact sequence
+    is a multiple of 1/denom**m (1 for float sequences).  prune_loss
+    bounds the mass discarded by the float DP; exact sequences have
+    prune_loss 0.
     """
 
     horizon: int
     gamma_seq: tuple
     exact: bool
+    denom: int
     prune_loss: float = 0.0
 
     def gamma(self, n: int):
         return self.gamma_seq[n]
+
+    def numerators(self) -> list[int]:
+        """gamma(m) * denom**m for m = 0..N, for an exact sequence.
+
+        Raises InvariantViolation where that is not an integer, i.e. where
+        denom is not a base of the sequence's denominators.
+        """
+        out = []
+        scale = 1
+        for m, g in enumerate(self.gamma_seq):
+            q, r = divmod(scale, g.denominator)
+            if r:
+                raise InvariantViolation(
+                    f"gamma({m}) = {g} times denom**{m} = {self.denom}**{m} "
+                    "is not an integer")
+            out.append(g.numerator * q)
+            scale *= self.denom
+        return out
 
     def tau_pmf(self) -> tuple:
         """P(tau = n) = gamma(n-1) - gamma(n) for n = 1..horizon."""
@@ -76,18 +97,21 @@ class ReturnLaw:
 
     def check_invariants(self, tol: float = 1e-9) -> None:
         g = self.gamma_seq
+        if len(g) != self.horizon + 1:
+            raise InvariantViolation(
+                f"{len(g)} no-return probabilities for horizon {self.horizon}")
         if g[0] != 1:
             raise InvariantViolation(f"gamma(0) = {g[0]!r}, not 1")
         if not all(a >= b - 1e-15 for a, b in zip(g, g[1:])):
             raise InvariantViolation("no-return sequence is increasing")
         if g[-1] < -1e-15:
             raise InvariantViolation(f"gamma(N) = {g[-1]!r} is negative")
-        total = sum(self.tau_pmf()) + g[-1]
         if self.exact:
-            off = total != 1
-        else:
-            off = abs(total - 1.0) > tol + self.prune_loss
-        if off:
+            # an exact sum of tau_pmf and gamma(N) telescopes to gamma(0) = 1
+            self.numerators()
+            return
+        total = sum(self.tau_pmf()) + g[-1]
+        if abs(total - 1.0) > tol + self.prune_loss:
             raise InvariantViolation(f"return-time law sums to {total!r}, not 1")
 
 
@@ -155,12 +179,11 @@ class DenseEvolver:
         self.d = law.d
         self.exact = law.exact
         self.offsets = np.array([p for p, _ in law.atoms], dtype=np.int64)
+        self.denom = law.denom
         if law.exact:
-            self.denom = math.lcm(*(m.denominator for m in law.masses))
             self.weights = np.array([int(m * self.denom) for m in law.masses],
                                     dtype=object)
         else:
-            self.denom = 1
             self.weights = np.array(law.masses)
         self.arr = np.ones((1,) * law.d, dtype=self.weights.dtype)
         self.lo = np.zeros(law.d, dtype=np.int64)
@@ -532,7 +555,7 @@ def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
     for ev in _evolution(law, n, kill_origin=True):
         seq.append(ev.surviving_mass())
     ret = ReturnLaw(horizon=n, gamma_seq=tuple(seq), exact=law.exact,
-                    prune_loss=ev.pruned)
+                    denom=law.denom, prune_loss=ev.pruned)
     ret.check_invariants()
     return ret
 

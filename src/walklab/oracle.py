@@ -9,7 +9,6 @@ results are converted to Fractions once at the end.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,7 +67,7 @@ def enumerate_paths(law: StepLaw, n: int,
         raise ResourceLimit(
             f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
 
-    denom = math.lcm(*(m.denominator for m in law.masses)) if n else 1
+    denom = law.denom
     atoms = [(off, int(m * denom)) for off, m in law.atoms]
     origin: LatticePoint = (0,) * law.d
 
@@ -145,6 +144,7 @@ def exact_zn_law(summary: ExactSummary) -> dict[int, Fraction]:
 def exact_return_law(law: StepLaw, n: int) -> ReturnLaw:
     """Exact gamma(0..n) by enumeration; must agree with the taboo DP."""
     summary = enumerate_paths(law, n, alphas=())
-    ret = ReturnLaw(horizon=n, gamma_seq=summary.gamma_seq, exact=True)
+    ret = ReturnLaw(horizon=n, gamma_seq=summary.gamma_seq, exact=True,
+                    denom=law.denom)
     ret.check_invariants()
     return ret

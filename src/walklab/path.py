@@ -102,7 +102,10 @@ def _decode_sites(keys: np.ndarray, layers: tuple) -> np.ndarray:
         lo, span, axis_table, key_table = layers[j]
         if key_table is not None:
             keys = key_table[keys]
-        keys, x = np.divmod(keys, span)
+        # keys are nonnegative: // and a multiply-subtract beat np.divmod
+        rest = keys // span
+        x = keys - rest * span
+        keys = rest
         np.add(x if axis_table is None else axis_table[x], lo, out=sites[:, j])
     return sites
 

@@ -15,6 +15,7 @@ a given (seed, law) pair.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -48,6 +49,13 @@ class StepLaw:
     @property
     def masses(self) -> tuple[Mass, ...]:
         return tuple(m for _, m in self.atoms)
+
+    @property
+    def denom(self) -> int:
+        """lcm of the mass denominators (1 for float laws): mass * denom is an integer."""
+        if not self.exact:
+            return 1
+        return math.lcm(*(m.denominator for m in self.masses))
 
     def to_float(self) -> "StepLaw":
         """Explicit conversion to float masses (identity if already float)."""

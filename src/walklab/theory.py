@@ -5,7 +5,11 @@ parameter gamma (the escape probability): the almost-sure limit of
 L_n(alpha)/n is gamma * E(Z^alpha) for Z ~ Geom(gamma), the limit law of
 the local time at a uniform visited site is Geom(gamma), and the expected
 occupation counts E(Q_j(n)) admit an exact finite-n convolution formula
-in terms of the no-return sequence.  The variance-bound inputs, the Green
+in terms of the no-return sequence.  For a rational law that formula is
+evaluated by Kronecker substitution: each sequence, scaled to integers
+by powers of the step law's common denominator, is packed into one big
+integer, so each convolution is a single big-integer product (Schoenhage
+1982; Harvey, arXiv:0712.4046).  The variance-bound inputs, the Green
 cross-sum and sup_x P(S_m = x), are computed in doubles for every law.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,22 +110,57 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     times gives a no-return stretch, j-1 returns, and a final no-return
     stretch; summing over the visit times is the (j+1)-fold convolution
     (gamma-sequence) * (return-time law)^{*(j-1)} * (gamma-sequence),
-    read off at index n.  Exact for rational ReturnLaws.
+    read off at index n.
+
+    An exact ReturnLaw is convolved by Kronecker substitution.  Index m
+    of both sequences is scaled by D**m (D = ret.denom), which makes every
+    entry an integer at most D**m, and each sequence is packed into one
+    int with n+1 fixed-width slots, index m in slot m.  A polynomial
+    product is then one big-integer product, masked back to n+1 slots; j
+    of them leave D**n E(Q_j(n)) in slot n.  A coefficient at index m of
+    a product of j+1 such sequences is at most (m+1)**j D**m, so a slot
+    of bits(D**n) + j bits(n+1) + 1 bits, rounded up to whole bytes,
+    never carries into the next.  A float ReturnLaw runs the direct
+    O(j n^2) convolution in doubles and returns a float.
     """
     if j < 1:
         raise BadParam(f"j must be >= 1, got {j}")
     if ret.horizon < n:
         raise BadParam(f"ReturnLaw horizon {ret.horizon} < n={n}")
-    dtype = object if ret.exact else np.float64
-    g = np.array(ret.gamma_seq[:n + 1], dtype=dtype)
-    tau = np.array([0, *ret.tau_pmf()[:n]], dtype=dtype)
+    if ret.exact:
+        return _kronecker_qj(ret, j, n)
+    g = np.array(ret.gamma_seq[:n + 1], dtype=np.float64)
+    tau = np.array([0, *ret.tau_pmf()[:n]], dtype=np.float64)
     conv = g.copy()
     for _ in range(j - 1):
         # descending m reads only the old conv[:m]; tau[0] = 0 drops conv[m]
         for m in range(n, -1, -1):
             conv[m] = np.dot(conv[:m + 1], tau[m::-1])
-    value = np.dot(conv, g[::-1])
-    return value if ret.exact else float(value)
+    return float(np.dot(conv, g[::-1]))
+
+
+def _kronecker_qj(ret: ReturnLaw, j: int, n: int) -> Fraction:
+    """expected_qj_formula for an exact ReturnLaw, as j big-int products."""
+    ret.check_invariants()  # the slot bound needs 0 <= entry <= D**m
+    d = ret.denom
+    g = ret.numerators()[:n + 1]
+    # P(tau = m) D**m = D (gamma(m-1) D**(m-1)) - gamma(m) D**m
+    tau = [0, *(d * a - b for a, b in zip(g, g[1:]))]
+    width = ((d ** n).bit_length() + j * (n + 1).bit_length() + 8) // 8
+    bits = 8 * width
+    mask = (1 << bits * (n + 1)) - 1
+
+    def pack(seq):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in seq),
+                              "little")
+
+    g_packed = pack(g)
+    tau_packed = pack(tau)
+    conv = g_packed
+    for _ in range(j - 1):
+        conv = (conv * tau_packed) & mask
+    slot = ((conv * g_packed) >> (bits * n)) & ((1 << bits) - 1)
+    return Fraction(slot, d ** n)
 
 
 def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:

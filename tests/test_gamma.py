@@ -216,10 +216,11 @@ class TestTaboo:
         assert all(a >= b for a, b in zip(g, g[1:]))
 
     def test_check_invariants_raises(self):
-        ret = wl.ReturnLaw(horizon=2, gamma_seq=(1.0, 0.5, 0.7), exact=False)
+        ret = wl.ReturnLaw(horizon=2, gamma_seq=(1.0, 0.5, 0.7), exact=False, denom=1)
         with pytest.raises(wl.InvariantViolation):
             ret.check_invariants()
-        bad_start = wl.ReturnLaw(horizon=0, gamma_seq=(Fraction(1, 2),), exact=True)
+        bad_start = wl.ReturnLaw(horizon=0, gamma_seq=(Fraction(1, 2),), exact=True,
+                                 denom=2)
         with pytest.raises(wl.InvariantViolation):
             bad_start.check_invariants()
 

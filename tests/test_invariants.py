@@ -22,7 +22,11 @@ cases = {
         n=1, expected_q={1: Fraction(1)}, expected_l={}, variance_l={},
         joint_law={(1, 1): Fraction(1)}, gamma_seq=(Fraction(1),)).check_invariants(),
     "ReturnLaw": lambda: wl.ReturnLaw(
-        horizon=2, gamma_seq=(1.0, 0.5, 0.7), exact=False).check_invariants(),
+        horizon=2, gamma_seq=(1.0, 0.5, 0.7), exact=False, denom=1).check_invariants(),
+    # bernoulli(7/10)'s gamma(2) = 29/50 is not a multiple of 1/5**2
+    "ReturnLaw.denom": lambda: wl.ReturnLaw(
+        horizon=2, gamma_seq=(Fraction(1), Fraction(1), Fraction(29, 50)), exact=True,
+        denom=5).check_invariants(),
     "GammaEstimate": lambda: wl.GammaEstimate(
         value=1.5, error=0.1, method="m", params={}),
     "Prediction": lambda: wl.Prediction(
@@ -44,7 +48,7 @@ def test_invariants_hold_under_python_O():
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["1", "LocalTimeField", "ExactSummary", "ReturnLaw",
-                           "GammaEstimate", "Prediction"]
+                           "ReturnLaw.denom", "GammaEstimate", "Prediction"]
 
 
 @pytest.mark.parametrize("cls,build", [

@@ -79,6 +79,12 @@ class TestExactReturnLaw:
         assert (wl.exact_return_law(law, n).gamma_seq
                 == wl.taboo_survival(law, n).gamma_seq)
 
+    def test_records_the_law_denominator(self, bern07_exact, lazy_walk_exact):
+        # exact_return_law and taboo_survival both take the base from StepLaw.denom
+        for law in (bern07_exact, lazy_walk_exact):
+            assert wl.exact_return_law(law, 4) == wl.taboo_survival(law, 4)
+            assert wl.exact_return_law(law, 4).denom == law.denom
+
 
 _MC_M = 100_000
 _MC_N = 8

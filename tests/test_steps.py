@@ -224,3 +224,9 @@ class TestConversion:
 
     def test_to_float_idempotent(self, bern07):
         assert bern07.to_float() is bern07
+
+    def test_denom_clears_every_mass(self, bern07, bern07_exact, drifted2_exact):
+        assert bern07_exact.denom == 10
+        assert wl.srw(3, exact=True).denom == 6
+        assert drifted2_exact.denom == 4
+        assert bern07.denom == 1 and bern07_exact.to_float().denom == 1

@@ -116,6 +116,56 @@ class TestExpectedQjFormula:
             assert ratio == pytest.approx(wl.qj_limit(0.4, j), rel=0.10)
 
 
+def _reference_qj(ret, n_max, j_max):
+    """E(Q_j(n)) for j <= j_max, n <= n_max by plain Fraction convolution."""
+    g = list(ret.gamma_seq[:n_max + 1])
+    tau = [Fraction(0), *ret.tau_pmf()[:n_max]]
+    conv = g  # gamma * tau^{*(j-1)}, truncated at n_max
+    table = {}
+    for j in range(1, j_max + 1):
+        for n in range(n_max + 1):
+            table[j, n] = sum(conv[i] * g[n - i] for i in range(n + 1))
+        conv = [sum(conv[i] * tau[m - i] for i in range(m + 1))
+                for m in range(n_max + 1)]
+    return table
+
+
+_KRONECKER_LAWS = {
+    "bern07": lambda: wl.bernoulli("7/10", exact=True),
+    "srw1": lambda: wl.srw(1, exact=True),
+    "srw2": lambda: wl.srw(2, exact=True),
+    "srw3": lambda: wl.srw(3, exact=True),
+    "det1": lambda: wl.deterministic([1], exact=True),
+    # drift on both axes and a zero atom; denom 24
+    "drifted_lazy2": lambda: wl.make_law(2, [
+        ((1, 0), Fraction(1, 3)), ((-1, 0), Fraction(1, 6)), ((0, 1), Fraction(1, 4)),
+        ((0, -1), Fraction(1, 8)), ((0, 0), Fraction(1, 8))], exact=True),
+}
+
+
+class TestKroneckerQj:
+    """The packed big-integer convolution against a plain Fraction one."""
+
+    @pytest.mark.parametrize("name", list(_KRONECKER_LAWS))
+    def test_matches_fraction_convolution(self, name):
+        ret = wl.taboo_survival(_KRONECKER_LAWS[name](), 40)
+        for (j, n), want in _reference_qj(ret, 40, 6).items():
+            got = wl.expected_qj_formula(ret, j, n)
+            assert type(got) is Fraction and got == want, (j, n)
+            if j > n + 1:  # j visits need at least j-1 steps
+                assert got == Fraction(0)
+
+    def test_bernoulli_wide_slots(self, bern07_exact):
+        ret = wl.taboo_survival(bern07_exact, 150)
+        assert wl.expected_qj_formula(ret, 3, 150) == _reference_qj(ret, 150, 3)[3, 150]
+
+    def test_wrong_base_is_refused(self, bern07_exact):
+        ret = wl.taboo_survival(bern07_exact, 4)
+        wrong = wl.ReturnLaw(horizon=4, gamma_seq=ret.gamma_seq, exact=True, denom=5)
+        with pytest.raises(wl.InvariantViolation, match=r"denom\*\*2 = 5\*\*2"):
+            wl.expected_qj_formula(wrong, 2, 4)
+
+
 class TestQjGenerating:
     def test_deterministic_geometric_series(self, det1):
         n, s = 12, 0.25
