@@ -159,6 +159,14 @@ def _options(run: _Run, table: dict, tolerances: dict | None = None) -> dict:
     return out
 
 
+def _reject_unread(command: str, flags: dict, reads) -> None:
+    """Refuse a flag that is given (not None) but that the command does not read."""
+    unread = [f"--{key}" for key, value in flags.items()
+              if value is not None and key not in reads]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+
+
 def _convert(key: str, value, cast):
     try:
         return cast(value)
@@ -293,9 +301,13 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
 @click.pass_obj
 def estimate_gamma(run: _Run, law_text, method, n, big_n, replicas):
     """Estimate the escape probability by one of the three methods."""
-    opt = _options(run, {"n": (n, 10_000, integer), "M": (replicas, 100_000, integer)}
-                   if method == "mc"
-                   else {"N": (big_n, 1000 if method == "dp" else None, integer)})
+    flags = {"n": n, "N": big_n, "M": replicas}
+    # method -> the keys it reads and their defaults
+    reads = {"mc": {"n": 10_000, "M": 100_000}, "dp": {"N": 1000},
+             "green": {"N": None}}[method]
+    _reject_unread(f"estimate-gamma --method {method}", flags, reads)
+    opt = _options(run, {key: (flags[key], default, integer)
+                         for key, default in reads.items()})
     law = _resolve_law(run, law_text)
     if method == "mc":
         est = mc_escape(law, opt["n"], opt["M"], run.seed, threads=run.threads)
@@ -330,13 +342,16 @@ def _frac_json(x):
 def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, tol):
     """Evaluate one closed-form prediction."""
     _options(run, {})
-    required = {"moment": {"--alpha": alpha}, "qj": {"--j": j_idx}, "geom": {"--u": u},
-                "qj-exact": {"--n": n, "--j": j_idx},
-                "gf": {"--N": big_n, "--j": j_idx, "--s": s},
-                "green-cross": {"--n": n}, "sup-pmf": {"--n": n}}
-    for flag, value in required[what].items():
-        if value is None:
-            raise ConfigError(f"predict --what {what} needs {flag}")
+    flags = {"alpha": alpha, "j": j_idx, "u": u, "s": s, "n": n, "N": big_n,
+             "gamma": gamma_opt}
+    # what -> the flags it reads; all but --gamma are required
+    reads = {"moment": ("alpha", "gamma"), "qj": ("j", "gamma"), "geom": ("u", "gamma"),
+             "qj-exact": ("n", "j"), "gf": ("N", "j", "s"),
+             "green-cross": ("n",), "sup-pmf": ("n",)}[what]
+    _reject_unread(f"predict --what {what}", flags, reads)
+    for key in reads:
+        if flags[key] is None and key != "gamma":
+            raise ConfigError(f"predict --what {what} needs --{key}")
 
     def gamma_value():
         if gamma_opt is not None:

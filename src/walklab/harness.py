@@ -22,7 +22,7 @@ from .gamma import GammaEstimate, auto_gamma, return_tail
 from .path import (_check_step_budget, l_alpha, sample_visited_local_time, simulate,
                    simulate_series)
 from .steps import StepLaw, law_to_json, mean_and_second_moment
-from .theory import geometric_pmf, moment_limit
+from .theory import _check_gamma, geometric_pmf, moment_limit
 
 # Bucketing rule of geometric_chi_square.
 CHI_TAIL_MASS = 1e-3
@@ -54,6 +54,28 @@ def tv_distance(p: Mapping[int, float], gamma: float) -> float:
     return 0.5 * (total + (1.0 - gamma) ** top)
 
 
+def _chi_square_sf(dof: int, x: float) -> float:
+    """P(chi^2_dof > x) for an integer dof >= 1, in closed form.
+
+    Abramowitz & Stegun 26.4.5 (even dof) is a finite Poisson sum and
+    26.4.4 (odd dof) is erfc(sqrt(x/2)) plus a finite sum.  Every term is
+    exp(-x/2) (x/2)^a / Gamma(a + 1) with a = k, or k + 1/2 for odd dof,
+    taken in log space: a term recurrence that starts from exp(-x/2)
+    underflows at large x although the sum does not.  fsum rounds the sum
+    once, so the bytes do not depend on the order or the Python version.
+    """
+    if x <= 0:
+        return 1.0
+    half = 0.5 * x
+    log_half = math.log(half)
+    shift = 0.5 * (dof % 2)
+    terms = [math.exp(-half + (k + shift) * log_half - math.lgamma(k + shift + 1))
+             for k in range(dof // 2)]
+    if shift:
+        terms.append(math.erfc(math.sqrt(half)))
+    return math.fsum(terms)
+
+
 @dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
@@ -68,12 +90,14 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float) -> ChiSquareRe
     Buckets {1..U, >U} with U chosen so the geometric tail beyond U is
     below CHI_TAIL_MASS; buckets with expected count below
     CHI_MIN_EXPECTED are merged from the right (standard validity
-    conditions).
+    conditions).  Raises BadParam unless gamma is in (0, 1] and there is
+    at least one observation.
     """
+    gamma = _check_gamma(gamma)
     total = sum(counts.values())
     if total < 1:
         raise BadParam("need at least one observation")
-    if gamma >= 1.0:
+    if gamma == 1.0:
         u_cut = 1
     else:
         u_cut = max(1, math.ceil(math.log(CHI_TAIL_MASS) / math.log(1.0 - gamma)))
@@ -90,13 +114,7 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float) -> ChiSquareRe
     expected = [pr * total for pr in probs]
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, expected) if e > 0)
     dof = len(probs) - 1
-    if dof > 0:
-        # chdtrc is the chi-square survival function that scipy.stats.chi2.sf
-        # evaluates; importing it alone keeps scipy.stats out of start-up.
-        from scipy.special import chdtrc
-        pvalue = float(chdtrc(dof, stat))
-    else:
-        pvalue = 1.0
+    pvalue = _chi_square_sf(dof, stat) if dof > 0 else 1.0
     buckets = tuple({"bucket": lb, "observed": int(o), "expected": float(e)}
                     for lb, o, e in zip(labels, obs, expected))
     return ChiSquareResult(statistic=float(stat), pvalue=pvalue, dof=dof,

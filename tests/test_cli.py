@@ -65,6 +65,19 @@ class TestEstimateGamma:
         assert isinstance(res.exception, walklab.BadParam)
         assert "TAIL_FIT_START" in str(res.exception)
 
+    @pytest.mark.parametrize("method,flags,unread", [
+        ("green", ["--N", "64", "--n", "5", "--M", "3"], "--n, --M"),
+        ("mc", ["--n", "50", "--M", "10", "--N", "999"], "--N"),
+        ("dp", ["--N", "64", "--M", "3"], "--M"),
+    ], ids=["green", "mc", "dp"])
+    def test_unread_flag_is_error(self, runner, method, flags, unread):
+        res = runner.invoke(cli, ["estimate-gamma", "--law", BERN, "--method", method,
+                                  *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == (f"estimate-gamma --method {method} "
+                                      f"does not read {unread}")
+
     def test_recurrent_is_error(self, runner):
         res = runner.invoke(cli, ["estimate-gamma",
                                   "--law", '{"family": "srw", "d": 1}',
@@ -119,6 +132,19 @@ class TestPredict:
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.ConfigError)
         assert str(res.exception) == f"predict --what {what} needs --j"
+
+    @pytest.mark.parametrize("what,flags,unread", [
+        ("qj", ["--gamma", "0.4", "--j", "2", "--alpha", "3"], "--alpha"),
+        ("moment", ["--gamma", "0.4", "--alpha", "2", "--u", "1", "--N", "8"],
+         "--u, --N"),
+        ("qj-exact", ["--law", BERN_EXACT, "--n", "4", "--j", "1", "--gamma", "0.4"],
+         "--gamma"),
+    ], ids=["qj-alpha", "moment-u-N", "qj-exact-gamma"])
+    def test_unread_flag_is_error(self, runner, what, flags, unread):
+        res = runner.invoke(cli, ["predict", "--what", what, *flags])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == f"predict --what {what} does not read {unread}"
 
     @pytest.mark.parametrize("flags,word", [
         (["--alpha", "nan"], "alpha"),
@@ -510,7 +536,7 @@ def test_return_tail_infinite_decay_is_null(runner):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.special is imported only when a chi-square p-value is needed
+    # scipy is a test-only dependency; the package itself never imports it
     src = str(Path(walklab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, walklab.cli; "

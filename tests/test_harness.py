@@ -2,6 +2,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import walklab as wl
 from walklab import rng
+from walklab.harness import _chi_square_sf
 
 
 class TestTvDistance:
@@ -69,6 +73,11 @@ class TestChiSquare:
     def test_gamma_one_degenerate(self):
         res = wl.geometric_chi_square({1: 100}, 1.0)
         assert res.pvalue == 1.0
+
+    @pytest.mark.parametrize("gamma", [0.0, float("nan"), 1.5])
+    def test_gamma_outside_unit_interval_is_bad_param(self, gamma):
+        with pytest.raises(wl.BadParam, match="escape probability"):
+            wl.geometric_chi_square({1: 60, 2: 40}, gamma)
 
 
 class TestFitExponent:
@@ -288,3 +297,24 @@ class TestChiSquareSurvival:
         dof, x = np.meshgrid(np.arange(1, 41),
                              np.r_[0.0, np.geomspace(1e-6, 500.0, 200)])
         assert np.array_equal(chdtrc(dof, x), chi2.sf(x, dof))
+
+    def test_closed_form_matches_chdtrc(self):
+        from scipy.special import chdtrc
+        x = np.r_[0.0, np.geomspace(1e-6, 3000.0, 200)]
+        worst = 0.0
+        for dof in range(1, 701):
+            want = chdtrc(dof, x)
+            got = np.array([_chi_square_sf(dof, float(v)) for v in x])
+            keep = want > 1e-290
+            worst = max(worst, float(np.max(np.abs(got[keep] - want[keep]) / want[keep])))
+        assert worst <= 1e-12
+
+    def test_pvalue_needs_no_scipy(self):
+        src = str(Path(wl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; sys.modules['scipy'] = None; import walklab; "
+                "res = walklab.geometric_chi_square({1: 40, 2: 30, 3: 20, 4: 10}, 0.4); "
+                "print(res.dof, res.pvalue)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert int(out[0]) > 0 and 0.0 < float(out[1]) < 1.0
