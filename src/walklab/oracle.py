@@ -1,21 +1,28 @@
 """Exhaustive path enumeration: exact ground truth at small horizons.
 
-All |support|^n paths are walked depth-first with an undo stack over one
-mutable count map, so memory stays O(n).  Accumulation happens in plain
-integers over the common denominator of the atom masses (path probability
-= product of atom numerators / D^n), which keeps the per-leaf work cheap;
-results are converted to Fractions once at the end.
+All |support|^n paths are walked depth-first, one path's state at a time.  A
+site is one int: its coordinates packed in a balanced mixed radix whose
+base exceeds twice the farthest reachable coordinate, so a step adds the
+packed atom and the origin is 0.  Each step updates, and on the way back
+undoes, the visit count of one site, a count-of-counts tally
+(tally[c] = number of sites visited c times) and one running L(alpha)
+per alpha.  A leaf reads those: it adds its mass times tally[c] into a
+(range, count) table and its L values into the moment sums, without
+looking at the sites.  E(Q_j) is that table summed over the range, and
+a first return credits its whole subtree's mass at the step it happens.
+Masses are plain integers over the common denominator of the atom
+masses (path probability = product of atom numerators / D^n); results
+become Fractions once at the end.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
-from .steps import LatticePoint, StepLaw
+from .steps import StepLaw
 
 # Most paths enumerate_paths walks; more is refused before the first leaf.
 PATH_BUDGET = 10 ** 7
@@ -62,68 +69,90 @@ def enumerate_paths(law: StepLaw, n: int,
     alphas = tuple(int(a) for a in alphas)
     if any(a < 0 for a in alphas):
         raise BadParam("alphas must be nonnegative integers")
+    repeated = sorted({a for a in alphas if alphas.count(a) > 1})
+    if repeated:
+        raise BadParam("alphas must be distinct; repeated: "
+                       + ", ".join(map(str, repeated)))
     paths = len(law.atoms) ** n
     if paths > PATH_BUDGET:
         raise ResourceLimit(
             f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
 
     denom = law.denom
-    atoms = [(off, int(m * denom)) for off, m in law.atoms]
-    origin: LatticePoint = (0,) * law.d
+    # Balanced mixed radix: every coordinate of a reachable site lies in
+    # [-reach, reach], so digits in base 2*reach+1 pack it injectively and
+    # linearly, with the origin at 0.
+    reach = n * max(abs(c) for off, _ in law.atoms for c in off)
+    base = 2 * reach + 1
+    atoms = [(sum(c * base ** i for i, c in enumerate(off)), int(m * denom))
+             for off, m in law.atoms]
+    # grow[c][i]: change of L(alphas[i]) when a site's count goes c -> c+1,
+    # with 0 ** 0 read as 0 so that unvisited sites add nothing.
+    grow = [tuple((c + 1) ** a - (c ** a if c else 0) for a in alphas)
+            for c in range(n + 1)]
+    k = len(alphas)
 
-    eq_num: Counter = Counter()
-    el_num = {a: 0 for a in alphas}
-    el2_num = {a: 0 for a in alphas}
-    joint_num: Counter = Counter()
-    tau_num: Counter = Counter()  # first-return time -> integer mass
+    counts = {0: 1}                 # packed site -> visits so far
+    tally = [0] * (n + 2)           # tally[c]: sites visited c times (c >= 1)
+    tally[1] = 1
+    ls = [1] * k                    # running L(alpha) of the current prefix
+    joint = [[0] * (n + 2) for _ in range(n + 2)]  # joint[r][c], integer mass
+    el_num = [0] * k
+    el2_num = [0] * k
+    tau_num = [0] * (n + 1)         # first-return time -> integer mass
 
-    counts: Counter = Counter({origin: 1})
-
-    def leaf(pnum: int, first_return: int | None) -> None:
-        tally = Counter(counts.values())
-        r = len(counts)
-        for c, sites in tally.items():
-            eq_num[c] += pnum * sites
-            joint_num[(r, c)] += pnum * sites
-        for a in alphas:
-            l_val = sum(sites * c ** a for c, sites in tally.items())
-            el_num[a] += pnum * l_val
-            el2_num[a] += pnum * l_val * l_val
-        if first_return is not None:
-            tau_num[first_return] += pnum
-
-    def walk(depth: int, pos: LatticePoint, pnum: int,
-             first_return: int | None) -> None:
+    def walk(depth: int, pos: int, pnum: int, top: int) -> None:
+        # top: the largest visit count so far, where a leaf's tally ends
         if depth == n:
-            leaf(pnum, first_return)
+            row = joint[len(counts)]
+            for c in range(1, top + 1):
+                row[c] += pnum * tally[c]
+            for i in range(k):
+                pl = pnum * ls[i]
+                el_num[i] += pl
+                el2_num[i] += pl * ls[i]
             return
         for off, wnum in atoms:
-            nxt = tuple(a + b for a, b in zip(pos, off))
-            counts[nxt] += 1
-            walk(depth + 1, nxt, pnum * wnum,
-                 first_return if first_return is not None
-                 else (depth + 1 if nxt == origin else None))
-            counts[nxt] -= 1
-            if counts[nxt] == 0:
+            nxt = pos + off
+            c = counts.get(nxt, 0)
+            counts[nxt] = c + 1
+            tally[c] -= 1
+            tally[c + 1] += 1
+            g = grow[c]
+            for i in range(k):
+                ls[i] += g[i]
+            p = pnum * wnum
+            if c == 1 and nxt == 0:
+                # first return: every leaf below carries p times denom^(n-t)
+                tau_num[depth + 1] += p * denom ** (n - depth - 1)
+            walk(depth + 1, nxt, p, top if c < top else c + 1)
+            for i in range(k):
+                ls[i] -= g[i]
+            tally[c + 1] -= 1
+            tally[c] += 1
+            if c:
+                counts[nxt] = c
+            else:
                 del counts[nxt]
 
-    walk(0, origin, 1, None)
+    walk(0, 0, 1, 1)
 
     total = denom ** n
     gamma_seq = []
     returned = 0
-    for k in range(n + 1):
-        returned += tau_num.get(k, 0) if k >= 1 else 0
+    for t in range(n + 1):
+        returned += tau_num[t]
         gamma_seq.append(Fraction(total - returned, total))
-    expected_l = {a: Fraction(el_num[a], total) for a in alphas}
+    expected_l = {a: Fraction(el_num[i], total) for i, a in enumerate(alphas)}
+    eq_num = [sum(row[c] for row in joint) for c in range(n + 2)]
     summary = ExactSummary(
         n=n,
-        expected_q={j: Fraction(v, total) for j, v in sorted(eq_num.items())},
+        expected_q={c: Fraction(v, total) for c, v in enumerate(eq_num) if v},
         expected_l=expected_l,
-        variance_l={a: Fraction(el2_num[a], total) - expected_l[a] ** 2
-                    for a in alphas},
+        variance_l={a: Fraction(el2_num[i], total) - expected_l[a] ** 2
+                    for i, a in enumerate(alphas)},
         joint_law={(r, c): Fraction(v, total * r)
-                   for (r, c), v in sorted(joint_num.items())},
+                   for r, row in enumerate(joint) for c, v in enumerate(row) if v},
         gamma_seq=tuple(gamma_seq),
     )
     summary.check_invariants()

@@ -172,6 +172,13 @@ class TestOracleCommand:
         res = runner.invoke(cli, ["oracle", "--law", BERN, "--n", "2"])
         assert res.exit_code != 0
 
+    def test_duplicate_alphas_are_bad_param(self, runner):
+        res = runner.invoke(cli, ["oracle", "--law", BERN_EXACT, "--n", "2",
+                                  "--alphas", "2,2"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.BadParam)
+        assert str(res.exception) == "alphas must be distinct; repeated: 2"
+
 
 class TestSimulateCommand:
     def test_json_records(self, runner):

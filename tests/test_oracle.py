@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle_reference as ref
 import walklab as wl
 from walklab import rng
 from walklab.steps import _sampling_arrays
@@ -41,9 +42,56 @@ class TestEnumerate:
         with pytest.raises(wl.BadParam, match="the oracle needs a law with rational masses"):
             wl.enumerate_paths(bern07, 3)
 
+    def test_duplicate_alphas_rejected(self, bern07_exact):
+        with pytest.raises(wl.BadParam, match="alphas must be distinct; repeated: 2, 3$"):
+            wl.enumerate_paths(bern07_exact, 2, alphas=(3, 2, 0, 2, 3))
+
     def test_variance_nonnegative(self, drifted2_exact):
         s = wl.enumerate_paths(drifted2_exact, 7, alphas=(2, 3))
         assert all(v >= 0 for v in s.variance_l.values())
+
+
+@pytest.fixture
+def srw3_exact():
+    return wl.srw(3, exact=True)
+
+
+@pytest.fixture
+def long2():
+    return wl.make_law(2, [((3, 0), Fraction(1, 3)), ((0, 3), Fraction(1, 3)),
+                           ((-1, -1), Fraction(1, 3))], exact=True)
+
+
+@pytest.fixture
+def hook2():
+    return wl.make_law(2, [((3, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 4)),
+                           ((-1, -1), Fraction(1, 4))], exact=True)
+
+
+class TestAgainstReference:
+    """The tallied walk equals the leaf-by-leaf recount, key order included.
+
+    alphas (0,) reads the 0 ** 0 convention (L(0) is the range).  Packed
+    keys collide if their base ignores the atom length (long2 at n = 5)
+    or the horizon (hook2 at n = 6): two sites of one path then count as
+    one.
+    """
+
+    @pytest.mark.parametrize("alphas", [(), (0,), (1,), (0, 2, 3)],
+                             ids=["none", "0", "1", "0-2-3"])
+    @pytest.mark.parametrize("law_fixture,n", [
+        ("bern07_exact", 0), ("bern07_exact", 1), ("bern07_exact", 12),
+        ("lazy_walk_exact", 7), ("drifted2_exact", 9), ("srw3_exact", 5), ("long2", 5),
+        ("hook2", 6),
+    ], ids=["bern07-0", "bern07-1", "bern07-12", "lazy-7", "drifted2-9",
+            "srw3-5", "long2-5", "hook2-6"])
+    def test_equals_reference(self, law_fixture, n, alphas, request):
+        law = request.getfixturevalue(law_fixture)
+        got = wl.enumerate_paths(law, n, alphas)
+        want = ref.enumerate_paths(law, n, alphas)
+        assert got == want
+        for field in ("expected_q", "expected_l", "variance_l", "joint_law"):
+            assert list(getattr(got, field)) == list(getattr(want, field))
 
 
 class TestZnLaw:
