@@ -337,20 +337,21 @@ def _frac_json(x):
 @click.option("--N", "big_n", type=int, default=None)
 @click.option("--gamma", "gamma_opt", type=float, default=None,
               help="Escape probability; estimated from the law if omitted.")
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=None,
+              help="Truncation tolerance of --what moment.  [default: 1e-10]")
 @click.pass_obj
 def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, tol):
     """Evaluate one closed-form prediction."""
     _options(run, {})
     flags = {"alpha": alpha, "j": j_idx, "u": u, "s": s, "n": n, "N": big_n,
-             "gamma": gamma_opt}
-    # what -> the flags it reads; all but --gamma are required
-    reads = {"moment": ("alpha", "gamma"), "qj": ("j", "gamma"), "geom": ("u", "gamma"),
+             "gamma": gamma_opt, "tol": tol}
+    # what -> the flags it reads; all but --gamma and --tol are required
+    reads = {"moment": ("alpha", "gamma", "tol"), "qj": ("j", "gamma"), "geom": ("u", "gamma"),
              "qj-exact": ("n", "j"), "gf": ("N", "j", "s"),
              "green-cross": ("n",), "sup-pmf": ("n",)}[what]
     _reject_unread(f"predict --what {what}", flags, reads)
     for key in reads:
-        if flags[key] is None and key != "gamma":
+        if flags[key] is None and key not in ("gamma", "tol"):
             raise ConfigError(f"predict --what {what} needs --{key}")
 
     def gamma_value():
@@ -361,7 +362,7 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
     error = 0.0  # closed forms and exact values carry no truncation error
     law = None if what in ("moment", "qj", "geom") else _resolve_law(run, law_text)
     if what == "moment":
-        pred = moment_limit(alpha, gamma_value(), tol=tol)
+        pred = moment_limit(alpha, gamma_value(), **({} if tol is None else {"tol": tol}))
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "qj":
         g = gamma_value()

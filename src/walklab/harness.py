@@ -324,13 +324,13 @@ def _visit_counts(task) -> dict[int, int]:
 
 
 def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
-                  gamma_est: GammaEstimate | None = None,
                   tv_bar: float = 0.02, p_floor: float = 1e-4,
                   threads: int = 1) -> ExperimentReport:
     """Limit-law experiment: empirical visit count at a uniform visited site.
 
     One path per seed, resampled m times; reports the total-variation
-    distance of the empirical law to Geom(gamma) and a chi-square over
+    distance of the empirical law to Geom(gamma), gamma from
+    auto_gamma(law), and a chi-square over
     buckets holding all but CHI_TAIL_MASS of the geometric mass.  The
     paths run on threads worker processes (rng.replica_map), one task
     per seed, and are reduced in seed order.
@@ -339,7 +339,7 @@ def run_geometric(law: StepLaw, n: int, m: int, seeds: Sequence[int],
         raise BadParam("run_geometric needs at least one seed")
     if m < 1:
         raise BadParam(f"resample count must be >= 1, got {m}")
-    gamma_est = gamma_est or auto_gamma(law)
+    gamma_est = auto_gamma(law)
     g = gamma_est.value
     records = []
     checks = []

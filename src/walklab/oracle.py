@@ -17,6 +17,7 @@ become Fractions once at the end.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,6 +78,19 @@ def enumerate_paths(law: StepLaw, n: int,
     if paths > PATH_BUDGET:
         raise ResourceLimit(
             f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
+    # The walk nests n+1 frames below this one's depth.  Each entry into
+    # the interpreter from C (the script, runpy, a test runner) takes one
+    # more slot of the recursion limit without showing in the frame chain;
+    # 15 slots cover them (a pytest run takes about 7).
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    deepest = sys.getrecursionlimit() - depth - 16
+    if n > deepest:
+        raise ResourceLimit(
+            f"a horizon of {n} steps is deeper than the {deepest} steps the oracle's "
+            f"depth-first walk reaches under sys.getrecursionlimit() = "
+            f"{sys.getrecursionlimit()}")
 
     denom = law.denom
     # Balanced mixed radix: every coordinate of a reachable site lies in

@@ -39,9 +39,8 @@ def _check_step_budget(n: int) -> None:
         raise ResourceLimit(f"a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps")
 
 
-def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
-               ) -> tuple[np.ndarray, tuple]:
-    """One int64 key per time point of S_0..S_n, and the layers that decode it.
+def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One int64 key per time point of S_0..S_n, in site order.
 
     The keys are built one axis at a time, without an (n+1, d) positions
     array: each axis is a gather of that axis's step coordinate and an
@@ -58,8 +57,8 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
     _occurrence_numbers).  When a digit would cross that budget, the
     partial key is replaced by its dense rank (same order, at most n+1
     values); an axis too wide to be multiplied in within int64 is ranked
-    first.  layers holds (lo, span, axis rank table, key rank table) per
-    axis for _decode_sites.
+    first.  Ranks keep the order, and no caller needs the coordinates
+    back, so the rank tables are dropped.
     """
     coords, _ = _sampling_arrays(law)
     budget = 1 << (63 - (n + 1).bit_length())
@@ -70,7 +69,6 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
     keys = np.zeros(n + 1, dtype=np.int64)
     x = np.empty(n + 1, dtype=np.int64)
     radix = 1
-    layers = []
     for j in range(law.d):
         col = coords[:, j]
         x[0] = 0
@@ -81,46 +79,28 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator
         lo = int(x.min())
         span = int(x.max()) - lo + 1
         x -= lo
-        axis_table = key_table = None
         if radix * span > 1 << 63:
-            axis_table, x = np.unique(x, return_inverse=True)
-            span = len(axis_table)
+            axis_values, x = np.unique(x, return_inverse=True)
+            span = len(axis_values)
         keys *= span
         keys += x
         radix *= span
         if radix > budget:
-            key_table, keys = np.unique(keys, return_inverse=True)
-            radix = len(key_table)
-        layers.append((lo, span, axis_table, key_table))
-    return keys, tuple(layers)
-
-
-def _decode_sites(keys: np.ndarray, layers: tuple) -> np.ndarray:
-    """Invert _walk_keys: the (len(keys), d) lattice points of the keys."""
-    sites = np.empty((len(keys), len(layers)), dtype=np.int64)
-    for j in reversed(range(len(layers))):
-        lo, span, axis_table, key_table = layers[j]
-        if key_table is not None:
-            keys = key_table[keys]
-        # keys are nonnegative: // and a multiply-subtract beat np.divmod
-        rest = keys // span
-        x = keys - rest * span
-        keys = rest
-        np.add(x if axis_table is None else axis_table[x], lo, out=sites[:, j])
-    return sites
+            key_values, keys = np.unique(keys, return_inverse=True)
+            radix = len(key_values)
+    return keys
 
 
 @dataclass(frozen=True)
 class LocalTimeField:
     """Visit counts of one simulated path.
 
-    sites rows are the distinct visited lattice points in lexicographic
-    order; counts[i] is the number of times sites[i] was occupied among
-    times 0..n.  Sum of counts is always n+1 and the origin is present.
+    counts[i] is the number of times the i-th distinct visited site, in
+    lexicographic order of the sites, was occupied among times 0..n.  Sum
+    of counts is always n+1 and every count is at least 1.
     """
 
     n: int
-    sites: np.ndarray
     counts: np.ndarray
 
     @property
@@ -128,19 +108,12 @@ class LocalTimeField:
         """R(n), the number of distinct visited sites."""
         return len(self.counts)
 
-    def count_of(self, point: Sequence[int]) -> int:
-        pt = np.asarray(point, dtype=np.int64)
-        hit = np.flatnonzero((self.sites == pt).all(axis=1))
-        return int(self.counts[hit[0]]) if hit.size else 0
-
     def check_invariants(self) -> None:
         total = int(self.counts.sum())
         if total != self.n + 1:
             raise InvariantViolation(f"visit counts sum to {total}, not n+1 = {self.n + 1}")
         if not (self.counts >= 1).all():
             raise InvariantViolation("a listed site has no visits")
-        if self.count_of((0,) * self.sites.shape[1]) < 1:
-            raise InvariantViolation("the origin is not among the visited sites")
 
 
 @dataclass(frozen=True)
@@ -163,10 +136,10 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
         raise BadParam(f"horizon must be >= 0, got {n}")
     _check_step_budget(n)
     gen = rnglib.generator(seed)
-    keys, layers = _walk_keys(law, n, gen)
-    uniq, counts = np.unique(keys, return_counts=True)
-    del keys
-    return LocalTimeField(n=n, sites=_decode_sites(uniq, layers), counts=counts)
+    _, counts = np.unique(_walk_keys(law, n, gen), return_counts=True)
+    field = LocalTimeField(n=n, counts=counts)
+    field.check_invariants()
+    return field
 
 
 def l_alpha(field: LocalTimeField, alpha: float):
@@ -200,8 +173,8 @@ def sample_visited_local_time(field: LocalTimeField, gen: np.random.Generator,
                               m: int) -> np.ndarray:
     """m independent draws of the count at a uniformly chosen visited site.
 
-    The site snapshot is the field's lexicographically sorted site list,
-    so draws are reproducible for a fixed generator state.
+    Sites are indexed in the field's lexicographic order, so draws are
+    reproducible for a fixed generator state.
     """
     if m < 1:
         raise BadParam(f"resample count must be >= 1, got {m}")
@@ -328,8 +301,7 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
     n_max = checkpoints[-1]
     _check_step_budget(n_max)
     gen = rnglib.generator(seed)
-    keys, _ = _walk_keys(law, n_max, gen)
-    k = _occurrence_numbers(keys)
+    k = _occurrence_numbers(_walk_keys(law, n_max, gen))
     sums = iter(_checkpoint_sums(k, checkpoints, [0.0] + [a for a in alphas if a != 0]))
     running_range = next(sums)
     ranges = tuple(int(v) for v in running_range)

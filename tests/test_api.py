@@ -26,7 +26,7 @@ OPTION_SURFACE = {
     "ExperimentReport.notes", "GammaEstimate.seed", "ReturnLaw.prune_loss",
     "bernoulli.exact", "deterministic.exact", "drifted_srw.exact",
     "enumerate_paths.alphas", "mc_escape.threads", "moment_limit.tol",
-    "run_geometric.gamma_est", "run_geometric.tv_bar", "run_geometric.p_floor",
+    "run_geometric.tv_bar", "run_geometric.p_floor",
     "run_geometric.threads", "run_slln.gamma_est", "run_slln.rel_tol",
     "run_slln.threads", "srw.exact", "variance_scan.safety",
     "variance_scan.slope_cap", "variance_scan.threads",

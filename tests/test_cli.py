@@ -13,6 +13,7 @@ from walklab.cli import _emit, _Run, cli, main
 BERN = '{"family": "bernoulli", "p": 0.7}'
 BERN_EXACT = '{"family": "bernoulli", "p": "7/10"}'
 DET = '{"family": "deterministic", "d": 1, "v": [1]}'
+DET_EXACT = '{"family": "deterministic", "d": 1, "v": [1], "exact": true}'
 SRW3 = '{"family": "srw", "d": 3}'
 
 
@@ -139,7 +140,8 @@ class TestPredict:
          "--u, --N"),
         ("qj-exact", ["--law", BERN_EXACT, "--n", "4", "--j", "1", "--gamma", "0.4"],
          "--gamma"),
-    ], ids=["qj-alpha", "moment-u-N", "qj-exact-gamma"])
+        ("qj", ["--gamma", "0.4", "--j", "2", "--tol", "1e-3"], "--tol"),
+    ], ids=["qj-alpha", "moment-u-N", "qj-exact-gamma", "qj-tol"])
     def test_unread_flag_is_error(self, runner, what, flags, unread):
         res = runner.invoke(cli, ["predict", "--what", what, *flags])
         assert res.exit_code == 1
@@ -178,6 +180,15 @@ class TestOracleCommand:
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.BadParam)
         assert str(res.exception) == "alphas must be distinct; repeated: 2"
+
+    def test_horizon_past_recursion_limit_is_error(self, capsys):
+        # one path only, so PATH_BUDGET passes; the walk would nest 1201 calls
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--law", DET_EXACT, "--n", "1200", "--alphas", "2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: a horizon of 1200 steps is deeper than the ")
 
 
 class TestSimulateCommand:

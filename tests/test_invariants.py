@@ -17,7 +17,7 @@ import walklab as wl
 
 cases = {
     "LocalTimeField": lambda: wl.LocalTimeField(
-        n=5, sites=np.array([[0], [1]]), counts=np.array([2, 1])).check_invariants(),
+        n=5, counts=np.array([2, 1])).check_invariants(),
     "ExactSummary": lambda: wl.ExactSummary(
         n=1, expected_q={1: Fraction(1)}, expected_l={}, variance_l={},
         joint_law={(1, 1): Fraction(1)}, gamma_seq=(Fraction(1),)).check_invariants(),

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,16 @@ class TestEnumerate:
         # 2^30 paths exceed PATH_BUDGET = 10^7 before the first leaf
         with pytest.raises(wl.ResourceLimit, match="exceed PATH_BUDGET = 10000000 paths"):
             wl.enumerate_paths(bern07_exact, 30)
+
+    def test_horizon_past_recursion_limit_refused(self):
+        # one path only, so PATH_BUDGET passes; the walk would nest n+1 calls
+        det = wl.deterministic([1], exact=True)
+        limit = sys.getrecursionlimit()
+        with pytest.raises(wl.ResourceLimit, match=(
+                f"^a horizon of {limit} steps is deeper than the [0-9]+ steps .*"
+                f"sys.getrecursionlimit\\(\\) = {limit}$")):
+            wl.enumerate_paths(det, limit)
+        assert wl.enumerate_paths(det, 6).expected_q == {1: Fraction(7)}
 
     def test_float_law_rejected(self, bern07):
         with pytest.raises(wl.BadParam, match="the oracle needs a law with rational masses"):

@@ -9,25 +9,24 @@ import path_reference as ref
 import walklab as wl
 from walklab import path, rng
 from walklab.harness import csv_text
-from walklab.path import LocalTimeField, _walk_keys
+from walklab.path import LocalTimeField
 
 
 def field_from_counts(counts: dict) -> LocalTimeField:
-    """Hand-built d=1 field for unit tests of the pure functionals."""
-    sites = np.array(sorted(counts), dtype=np.int64).reshape(-1, 1)
-    vals = np.array([counts[tuple(s)] for s in sites], dtype=np.int64)
-    return LocalTimeField(n=int(vals.sum()) - 1, sites=sites, counts=vals)
+    """Hand-built field for unit tests of the pure functionals: site -> visits."""
+    vals = np.array([counts[site] for site in sorted(counts)], dtype=np.int64)
+    return LocalTimeField(n=int(vals.sum()) - 1, counts=vals)
 
 
 class TestSimulate:
     def test_deterministic_line(self, det1):
         f = wl.simulate(det1, 5, seed=0)
-        assert f.sites.tolist() == [[k] for k in range(6)]
+        assert f.range == 6
         assert f.counts.tolist() == [1] * 6
 
     def test_n_zero(self, srw3):
         f = wl.simulate(srw3, 0, seed=3)
-        assert (f.sites.tolist(), f.counts.tolist()) == ([[0, 0, 0]], [1])
+        assert (f.range, f.counts.tolist()) == (1, [1])
 
     def test_counts_sum_identity(self, bern07):
         f = wl.simulate(bern07, 10_000, seed=1)
@@ -40,17 +39,20 @@ class TestSimulate:
     def test_bit_reproducible(self, srw3):
         f1 = wl.simulate(srw3, 1000, seed=42)
         f2 = wl.simulate(srw3, 1000, seed=42)
-        assert np.array_equal(f1.sites, f2.sites)
         assert np.array_equal(f1.counts, f2.counts)
 
     def test_invariant_violation_raises(self):
         f = field_from_counts({(0,): 2, (1,): 1})
-        short = LocalTimeField(n=5, sites=f.sites, counts=f.counts)
+        short = LocalTimeField(n=5, counts=f.counts)
         with pytest.raises(wl.InvariantViolation):
             short.check_invariants()
-        no_origin = LocalTimeField(n=2, sites=f.sites + 1, counts=f.counts)
-        with pytest.raises(wl.InvariantViolation):
-            no_origin.check_invariants()
+
+    def test_simulate_checks_its_field(self, srw3, monkeypatch):
+        walk_keys = path._walk_keys
+        monkeypatch.setattr(path, "_walk_keys",
+                            lambda law, n, gen: walk_keys(law, n, gen)[:-1])
+        with pytest.raises(wl.InvariantViolation, match="not n\\+1"):
+            wl.simulate(srw3, 100, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 200))
@@ -204,6 +206,25 @@ def walk_laws(draw):
     return {"srw": wl.srw, "lazy": _lazy, "long_step": _long_step}[family](d)
 
 
+def _first_ranking(pos: np.ndarray) -> str | None:
+    """Which budget the kernel's first dense rank answers, from the path's spans.
+
+    Until the first rank the kernel's radix is the product of the spans
+    folded in so far: an axis whose span would take that product past
+    2**63 is ranked ("axis"), and a product past the key budget
+    2**(63 - (n+1).bit_length()) ranks the partial key ("key").
+    """
+    budget = 1 << (63 - len(pos).bit_length())
+    radix = 1
+    for span in (pos.max(axis=0) - pos.min(axis=0) + 1).tolist():
+        if radix * span > 1 << 63:
+            return "axis"
+        radix *= span
+        if radix > budget:
+            return "key"
+    return None
+
+
 class TestKernelMatchesPositionsReference:
     """The axis-at-a-time kernel against the (n+1, d) positions construction."""
 
@@ -211,9 +232,8 @@ class TestKernelMatchesPositionsReference:
     @given(law=walk_laws(), n=st.integers(0, 3000), seed=st.integers(0, 2 ** 32))
     def test_simulate(self, law, n, seed):
         f = wl.simulate(law, n, seed)
-        sites, counts = ref.field(law, n, seed)
-        assert f.sites.dtype == sites.dtype and f.sites.shape == sites.shape
-        assert np.array_equal(f.sites, sites)
+        _, counts = ref.field(law, n, seed)
+        assert f.counts.dtype == counts.dtype and f.counts.shape == counts.shape
         assert np.array_equal(f.counts, counts)
 
     @settings(max_examples=60, deadline=None)
@@ -233,14 +253,11 @@ class TestKernelMatchesPositionsReference:
         (_HUGE_STEPS, 10_000, "axis"),
     ], ids=["srw10-1e5", "srw8-1e6", "huge-steps-3000", "huge-steps-10000"])
     def test_wide_coordinate_ranges(self, law, n, ranked):
-        _, layers = _walk_keys(law, n, rng.generator(7))
-        table = {"axis": 2, "key": 3}[ranked]
-        assert any(layer[table] is not None for layer in layers)
         pos = ref.positions(law, n, 7)
-        sites, row_rank, counts = np.unique(pos, axis=0, return_inverse=True,
-                                            return_counts=True)
+        assert _first_ranking(pos) == ranked
+        _, row_rank, counts = np.unique(pos, axis=0, return_inverse=True,
+                                        return_counts=True)
         f = wl.simulate(law, n, seed=7)
-        assert np.array_equal(f.sites, sites)
         assert np.array_equal(f.counts, counts)
         cks, alphas = [n // 3, n], [0.0, 2.0, 0.5]
         s = wl.simulate_series(law, cks, alphas, seed=7)
@@ -266,8 +283,7 @@ class TestChunkEdges:
         f = wl.simulate(law, n, seed=5)
         # alpha 64 sums in Python ints once a site is visited twice
         assert int(f.counts.max()) >= 2
-        sites, counts = ref.field(law, n, 5)
-        assert np.array_equal(f.sites, sites)
+        _, counts = ref.field(law, n, 5)
         assert np.array_equal(f.counts, counts)
         s = wl.simulate_series(law, cks, alphas, seed=5)
         keys = ref.pack_rows(ref.positions(law, n, 5))
