@@ -33,6 +33,10 @@ SRW1 = '{"family": "srw", "d": 1}'
 BERN = '{"family": "bernoulli", "p": 0.7}'
 BERN_EXACT = '{"family": "bernoulli", "p": "7/10"}'
 DET = '{"family": "deterministic", "d": 1, "v": [1]}'
+# the eight diagonal steps (+-1, +-1, +-1): not axis-decomposable, so its
+# return probabilities come from the half-horizon box DP
+DIAG3 = json.dumps({"family": "custom", "d": 3, "atoms": [
+    {"x": [a, b, c], "p": "1/8"} for a in (1, -1) for b in (1, -1) for c in (1, -1)]})
 
 # case name -> CLI arguments; "{out}" stands for a fresh --out directory.
 CASES = {
@@ -45,6 +49,10 @@ CASES = {
     "estimate-gamma-green-auto": ["estimate-gamma", "--law", BERN, "--method", "green"],
     "estimate-gamma-dp": ["estimate-gamma", "--law", BERN, "--method", "dp",
                           "--N", "200"],
+    "estimate-gamma-dp-srw3": ["estimate-gamma", "--law", SRW3, "--method", "dp",
+                               "--N", "40"],
+    "estimate-gamma-green-diag3": ["estimate-gamma", "--law", DIAG3, "--method", "green",
+                                   "--N", "32"],
     "estimate-gamma-mc": ["--seed", "5", "estimate-gamma", "--law", SRW3,
                           "--method", "mc", "--n", "200", "--M", "500"],
     "estimate-gamma-recurrent": ["estimate-gamma", "--law", SRW1, "--method", "green",
@@ -59,6 +67,8 @@ CASES = {
     "predict-green-cross": ["predict", "--what", "green-cross", "--law", BERN_EXACT,
                             "--n", "10"],
     "predict-sup-pmf": ["predict", "--what", "sup-pmf", "--law", SRW3, "--n", "12"],
+    "predict-sup-pmf-diag3": ["predict", "--what", "sup-pmf", "--law", DIAG3,
+                              "--n", "12"],
     "predict-missing-flag": ["predict", "--what", "qj", "--gamma", "0.4"],
     "oracle": ["oracle", "--law", BERN_EXACT, "--n", "6", "--alphas", "1,2,3"],
     "return-tail": ["return-tail", "--law", BERN, "--n", "16", "--N", "512"],
