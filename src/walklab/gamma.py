@@ -11,7 +11,11 @@ Three independent routes to the escape probability gamma:
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
-pruned float box otherwise.  The return-probability sequence P(S_m = 0)
+pruned float box otherwise.  The box DP stores only the mod-2 classes the
+walk can reach (a walk with no zero atom is periodic), so srw(d) keeps
+half of its box and the eight diagonal steps of Z^3 an eighth; every cell
+is the same ordered float sum as on the whole box, and CELL_BUDGET counts
+the whole box.  The return-probability sequence P(S_m = 0)
 has two engines, and the law picks one: an axis-decomposition recursion
 for laws whose atoms are signed unit vectors and optionally the zero
 vector (simple and drifted simple walks, cost O(d N^2)), and a
@@ -36,7 +40,8 @@ from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays, sample_indices
 
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
-# the box grows: a box of at most CELL_BUDGET cells, float or exact.
+# the box grows: a box of at most CELL_BUDGET cells, float or exact,
+# counted over the whole box even where only some parity classes are stored.
 CELL_BUDGET = 1 << 25
 MC_BLOCK = 2048
 
@@ -147,8 +152,11 @@ class TailDiagnostic:
 
     windows holds (start, slope) pairs where slope is the dyadic-window
     decay rate -log2(tail(2s)/tail(s)); eta_hat is the least-squares
-    exponent over all starts.  A walk whose tail vanishes identically is
-    reported with eta_hat = inf.
+    exponent over all starts.  A window whose second block is empty has
+    slope inf; one whose first block alone is empty has slope -inf (the
+    block [1, 2) holds only P(S_1 = 0), which is 0 for every law with no
+    zero atom).  A walk whose tail vanishes identically is reported with
+    eta_hat = inf.
     """
 
     value: float
@@ -160,17 +168,61 @@ class TailDiagnostic:
 # Evolution engines
 # ---------------------------------------------------------------------------
 
+def _parity_group(offsets: list[LatticePoint]) -> set[tuple[int, ...]]:
+    """The subgroup H of (Z/2)^d spanned by the atom differences o_k - o_0.
+
+    S_m lies in m*o_0 + L, where L is the lattice of step differences, so
+    S_m mod 2 lies in the coset m*o_0 + H.
+    """
+    group = {(0,) * len(offsets[0])}
+    for off in offsets:
+        diff = [(a - b) % 2 for a, b in zip(off, offsets[0])]
+        group |= {tuple((g + c) % 2 for g, c in zip(elem, diff)) for elem in group}
+    return group
+
+
+def _window(start, shape) -> tuple[slice, ...]:
+    """The slices of the block of the given shape at index start."""
+    return tuple(slice(a, a + n) for a, n in zip(start, shape))
+
+
+def _nonzero_span(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """First and last index per axis of the nonzero cells of a nonnegative
+    array, or None if it has none."""
+    if arr.size == 0:
+        return None
+    ends = []
+    for axis in range(arr.ndim):
+        other = tuple(a for a in range(arr.ndim) if a != axis)
+        nz = np.flatnonzero((arr.max(axis=other) if other else arr) > 0)
+        if nz.size == 0:
+            return None
+        ends.append((nz[0], nz[-1]))
+    return np.array(ends).T
+
+
 class DenseEvolver:
     """Box DP over the support bounding box of the law of S_m.
 
-    The array covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis.
-    A rational law keeps exact integer numerators over denom**m in an
-    object box, where denom is the lcm of the atom denominators and each
+    The box covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis; it
+    grows by maxs - mins per step and is reset to the support's tight
+    bounding box at each trim, and CELL_BUDGET counts its cells.  Only
+    the mod-2 classes the walk can reach are stored: with H the span of
+    the atom differences in (Z/2)^d (_parity_group), S_m mod 2 lies in
+    m*o_0 + H, and each residue r of that coset keeps one stride-2 array
+    of the box points congruent to r.  A law whose H is all of (Z/2)^d
+    keeps one stride-1 array, the whole box.  A step adds w*(source class)
+    into the target class atom by atom in atom order, so every cell is
+    the same ordered sum as on the whole box; box() interleaves the
+    classes back into it.
+
+    A rational law keeps exact integer numerators over denom**m in object
+    arrays, where denom is the lcm of the atom denominators and each
     weight is mass * denom; mass() turns a numerator into a Fraction.  A
-    float law keeps a float64 box with denom 1; cells below
-    PRUNE_THRESHOLD are dropped (and accounted) when the box is
-    re-trimmed, which keeps the box at the diffusive scale instead of the
-    ballistic one.
+    float law keeps float64 arrays with denom 1; cells below
+    PRUNE_THRESHOLD are dropped (and accounted, in lexicographic order of
+    their points) when the box is re-trimmed, which keeps the box at the
+    diffusive scale instead of the ballistic one.
     """
 
     TRIM_EVERY = 8
@@ -178,71 +230,125 @@ class DenseEvolver:
     def __init__(self, law: StepLaw, kill_origin: bool = False):
         self.d = law.d
         self.exact = law.exact
-        self.offsets = np.array([p for p, _ in law.atoms], dtype=np.int64)
+        self.offsets = [p for p, _ in law.atoms]
+        self.mins = tuple(map(min, zip(*self.offsets)))
+        self.maxs = tuple(map(max, zip(*self.offsets)))
         self.denom = law.denom
         if law.exact:
             self.weights = np.array([int(m * self.denom) for m in law.masses],
                                     dtype=object)
         else:
             self.weights = np.array(law.masses)
-        self.arr = np.ones((1,) * law.d, dtype=self.weights.dtype)
-        self.lo = np.zeros(law.d, dtype=np.int64)
+        group = _parity_group(self.offsets)
+        self.stride = 1 if len(group) == 2 ** law.d else 2
+        self.lo = (0,) * law.d
+        self.shape = (1,) * law.d
+        self.classes = {}
+        for r in {tuple(g % self.stride for g in elem) for elem in group}:
+            self.classes[r] = np.zeros(self._class_box(r, self.lo, self.shape)[1],
+                                       dtype=self.weights.dtype)
+        self.classes[(0,) * law.d][(0,) * law.d] = 1
         self.kill_origin = kill_origin
         self.killed = 0
         self.pruned = 0.0
         self.m = 0
 
-    def _origin_index(self) -> tuple | None:
-        idx = -self.lo
-        if ((idx >= 0) & (idx < np.array(self.arr.shape))).all():
-            return tuple(int(i) for i in idx)
-        return None
+    def _class_box(self, r: tuple, lo: tuple, shape: tuple) -> tuple[tuple, tuple]:
+        """(first point congruent to r, array shape) of class r in a box."""
+        s = self.stride
+        first = tuple(l + (c - l) % s for c, l in zip(r, lo))
+        return first, tuple(-(-(n - f + l) // s) for n, f, l in zip(shape, first, lo))
+
+    def _shifted(self, r: tuple, off: tuple) -> tuple:
+        """The residue of the class that class r moves to under step off."""
+        return tuple((c + o) % self.stride for c, o in zip(r, off))
 
     def step(self) -> None:
-        mins = self.offsets.min(axis=0)
-        maxs = self.offsets.max(axis=0)
-        shape = np.array(self.arr.shape)
-        new_shape = tuple(int(s) for s in shape + (maxs - mins))
+        s = self.stride
+        new_shape = tuple(n + hi - lo for n, lo, hi in zip(self.shape, self.mins, self.maxs))
         if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
                 f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
-        new = np.zeros(new_shape, dtype=self.arr.dtype)
+        new_lo = tuple(l + mn for l, mn in zip(self.lo, self.mins))
+        src_first = {r: self._class_box(r, self.lo, self.shape)[0] for r in self.classes}
+        new, dst_first = {}, {}
+        for r in self.classes:
+            t = self._shifted(r, self.offsets[0])
+            dst_first[t], cshape = self._class_box(t, new_lo, new_shape)
+            new[t] = np.zeros(cshape, dtype=self.weights.dtype)
         for off, w in zip(self.offsets, self.weights):
-            dest = tuple(slice(int(o - mn), int(o - mn + s))
-                         for o, mn, s in zip(off, mins, shape))
-            new[dest] += w * self.arr
-        self.arr = new
-        self.lo = self.lo + mins
+            for r, arr in self.classes.items():
+                t = self._shifted(r, off)
+                start = [(f + o - g) // s for f, o, g in zip(src_first[r], off, dst_first[t])]
+                new[t][_window(start, arr.shape)] += w * arr
+        self.classes = new
+        self.lo = new_lo
+        self.shape = new_shape
         self.m += 1
         if self.kill_origin:
             self.killed *= self.denom
-            idx = self._origin_index()
-            if idx is not None:
-                self.killed += self.arr[idx]
-                self.arr[idx] = 0
+            origin = (0,) * self.d
+            if origin in self.classes:
+                first, cshape = self._class_box(origin, self.lo, self.shape)
+                idx = tuple(-f // s for f in first)
+                if all(0 <= i < n for i, n in zip(idx, cshape)):
+                    self.killed += self.classes[origin][idx]
+                    self.classes[origin][idx] = 0
         if self.m % self.TRIM_EVERY == 0:
             self._trim()
 
+    def _prune(self) -> None:
+        # one sum over the pruned cells in lexicographic order of their
+        # points, as on the whole box: a float sum depends on its order
+        vals, keys = [], []
+        for r, arr in self.classes.items():
+            idx = np.nonzero((arr < PRUNE_THRESHOLD) & (arr > 0))
+            if idx[0].size:
+                vals.append(arr[idx])
+                first = self._class_box(r, self.lo, self.shape)[0]
+                keys.append(np.ravel_multi_index(
+                    tuple(f - l + self.stride * i for f, l, i in zip(first, self.lo, idx)),
+                    self.shape))
+                arr[idx] = 0.0
+        if vals:
+            order = np.argsort(np.concatenate(keys), kind="stable")
+            self.pruned += float(np.concatenate(vals)[order].sum())
+
     def _trim(self) -> None:
         if not self.exact:
-            small = (self.arr < PRUNE_THRESHOLD) & (self.arr > 0)
-            if small.any():
-                self.pruned += float(self.arr[small].sum())
-                self.arr[small] = 0.0
-        for axis in range(self.d):
-            other = tuple(a for a in range(self.d) if a != axis)
-            profile = self.arr.max(axis=other) if other else self.arr
-            nz = np.flatnonzero(profile > 0)
-            if nz.size == 0:
-                continue
-            first, last = int(nz[0]), int(nz[-1])
-            if first > 0 or last < self.arr.shape[axis] - 1:
-                sl = [slice(None)] * self.d
-                sl[axis] = slice(first, last + 1)
-                self.arr = self.arr[tuple(sl)]
-                self.lo[axis] += first
-        self.arr = np.ascontiguousarray(self.arr)
+            self._prune()
+        spans = []
+        for r, arr in self.classes.items():
+            span = _nonzero_span(arr)
+            if span is not None:
+                first = np.array(self._class_box(r, self.lo, self.shape)[0])
+                spans.append((first + self.stride * span[0], first + self.stride * span[1]))
+        if not spans:
+            return
+        lo = tuple(int(c) for c in np.min([a for a, _ in spans], axis=0))
+        shape = tuple(int(c) - l + 1 for c, l in zip(np.max([b for _, b in spans], axis=0), lo))
+        for r, arr in self.classes.items():
+            old_first = self._class_box(r, self.lo, self.shape)[0]
+            first, cshape = self._class_box(r, lo, shape)
+            start = [(f - g) // self.stride for f, g in zip(first, old_first)]
+            self.classes[r] = np.ascontiguousarray(arr[_window(start, cshape)])
+        self.lo = lo
+        self.shape = shape
+
+    def box(self) -> np.ndarray:
+        """The whole box, lo .. lo+shape-1: the classes interleaved, zero
+        elsewhere.  A stride-1 law's one class is the box itself, returned
+        without a copy; like every class array, a later step never writes
+        to it."""
+        if self.stride == 1:
+            (arr,) = self.classes.values()
+            return arr
+        out = np.zeros(self.shape, dtype=self.weights.dtype)
+        for r, arr in self.classes.items():
+            first = self._class_box(r, self.lo, self.shape)[0]
+            out[tuple(slice(f - l, None, self.stride) for f, l in zip(first, self.lo))] = arr
+        return out
 
     def mass(self, num) -> Mass:
         """The probability a box numerator stands for at the current step."""
@@ -254,16 +360,18 @@ class DenseEvolver:
         return self.mass(self.denom ** self.m - self.killed)
 
     def sup(self) -> Mass:
-        return self.mass(self.arr.max())
+        return self.mass(max(arr.max() for arr in self.classes.values() if arr.size))
 
     def to_masses(self) -> dict[LatticePoint, Mass]:
-        # an exact numerator is an int, so it passes the threshold iff it is nonzero
-        out = {}
-        for flat in np.flatnonzero(self.arr >= PRUNE_THRESHOLD):
-            idx = np.unravel_index(flat, self.arr.shape)
-            point = tuple(int(i + l) for i, l in zip(idx, self.lo))
-            out[point] = self.mass(self.arr[idx])
-        return out
+        # an exact numerator is an int, so it passes the threshold iff it
+        # is nonzero; the points come out in lexicographic order
+        cells = []
+        for r, arr in self.classes.items():
+            first = self._class_box(r, self.lo, self.shape)[0]
+            for idx in zip(*np.nonzero(arr >= PRUNE_THRESHOLD)):
+                point = tuple(f + self.stride * int(i) for f, i in zip(first, idx))
+                cells.append((point, arr[idx]))
+        return {point: self.mass(num) for point, num in sorted(cells, key=lambda c: c[0])}
 
 
 def _evolution(law: StepLaw, n: int, kill_origin: bool = False):
@@ -408,13 +516,15 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     P(S_2m = 0) = sum_x p_m(x) p_m(-x) and P(S_2m+1 = 0) =
     sum_x p_m+1(x) p_m(-x); evolving to ceil(n/2) gives the whole
     sequence.  A parity the law cannot reach has disjoint supports and
-    comes out as an exact zero.  Each step rebinds the evolver's arrays,
-    so the previous step's arrays stay valid without copies.
+    comes out as an exact zero.  The sums run over the whole box,
+    ev.box(), with its zero cells, because numpy's pairwise sum depends
+    on where they sit.  No step writes to a box already handed out, so the
+    previous step's box stays valid without a copy.
     """
     r = np.empty(n + 1)
     prev = None
     for ev in _evolution(law.to_float(), (n + 1) // 2):
-        cur = (ev.arr, ev.lo)
+        cur = (ev.box(), np.array(ev.lo))
         if 2 * ev.m <= n:
             r[2 * ev.m] = _cross_sum(*cur, *cur)
         if prev is not None:
@@ -662,7 +772,12 @@ def return_tail(law: StepLaw, n: int, big_n: int) -> TailDiagnostic:
     windows = []
     for s in starts:
         b0, b1 = block(s), block(2 * s)
-        slope = math.inf if b1 == 0.0 else -(math.log2(b1) - math.log2(b0))
+        if b1 == 0.0:
+            slope = math.inf
+        elif b0 == 0.0:
+            slope = -math.inf
+        else:
+            slope = -(math.log2(b1) - math.log2(b0))
         windows.append((s, slope))
     pos = [(s, block(s)) for s in starts + [2 * starts[-1]] if block(s) > 0] \
         if starts else []

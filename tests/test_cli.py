@@ -553,6 +553,16 @@ def test_return_tail_infinite_decay_is_null(runner):
     assert (out["eta_hat"], out["infinite_decay"], out["windows"]) == (None, True, [])
 
 
+@pytest.mark.parametrize("n, big_n", [(1, 64), (0, 4)])
+def test_return_tail_empty_first_block_is_null(runner, n, big_n):
+    res = runner.invoke(cli, ["return-tail", "--law", SRW3, "--n", str(n),
+                              "--N", str(big_n)])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["windows"][0] == {"start": 1, "slope": None}
+    assert all(w["slope"] is not None for w in out["windows"][1:])
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; the package itself never imports it
     src = str(Path(walklab.__file__).resolve().parent.parent)

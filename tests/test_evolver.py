@@ -1,0 +1,109 @@
+"""The parity-class box DP against the whole-box evolver it replaced.
+
+Every comparison is equality: floats bit for bit, Fractions exactly, and
+the keys of a pmf in the same (lexicographic) order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import evolver_reference as ref
+import walklab as wl
+from test_gamma import diag3, long2
+from walklab.gamma import DenseEvolver, _dense_return_sequence, _evolution
+
+
+def lazy_srw2():
+    return wl.make_law(2, [((0, 0), 0.2), ((1, 0), 0.2), ((-1, 0), 0.2),
+                           ((0, 1), 0.2), ((0, -1), 0.2)], False)
+
+
+# law, horizon, (stride, number of stored classes); each float horizon
+# runs several trims that prune cells
+LAWS = {
+    "srw1": (lambda: wl.srw(1), 200, (2, 1)),
+    "srw2": (lambda: wl.srw(2), 96, (2, 2)),
+    "srw3": (lambda: wl.srw(3), 64, (2, 4)),
+    "diag3": (diag3, 48, (2, 1)),
+    "bernoulli": (lambda: wl.bernoulli(0.7), 200, (2, 1)),
+    "bernoulli-exact": (lambda: wl.bernoulli("7/10", exact=True), 60, (2, 1)),
+    "lazy-srw2": (lazy_srw2, 96, (1, 1)),
+    "drifted-srw2": (lambda: wl.drifted_srw(2, 0.3), 96, (2, 2)),
+    "long2": (long2, 24, (1, 1)),
+}
+NAMES = sorted(LAWS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stored_classes(name):
+    make, _, (stride, count) = LAWS[name]
+    ev = DenseEvolver(make())
+    for _ in range(3):
+        ev.step()
+        assert (ev.stride, len(ev.classes)) == (stride, count)
+        per_class = math.prod(-(-s // stride) for s in ev.shape)
+        assert sum(a.size for a in ev.classes.values()) <= count * per_class
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_taboo_survival_and_prune_loss(name):
+    make, n, _ = LAWS[name]
+    law = make()
+    seq, pruned = ref.taboo_survival(law, n)
+    got = wl.taboo_survival(law, n)
+    assert got.gamma_seq == seq
+    assert got.prune_loss == pruned
+    if not law.exact:
+        assert pruned > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pmf_masses_in_key_order(name):
+    make, n, _ = LAWS[name]
+    law = make()
+    for m in sorted({0, 1, 7, 8, 9, n // 2, n}):
+        want = ref.pmf_masses(law, m)
+        got = wl.pmf_evolve(law, m).masses
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sup_pmf_sequence(name):
+    make, n, _ = LAWS[name]
+    law = make()
+    assert np.array_equal(wl.sup_pmf_sequence(law, n), ref.sup_pmf_sequence(law, n))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dense_return_sequence(name):
+    make, n, _ = LAWS[name]
+    law = make()
+    assert np.array_equal(_dense_return_sequence(law, 2 * n),
+                          ref._dense_return_sequence(law, 2 * n))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_box_is_the_whole_box(name):
+    make, n, _ = LAWS[name]
+    law = make()
+    for ev, want in zip(_evolution(law, n // 2), ref._evolution(law, n // 2)):
+        assert np.array_equal(ev.lo, want.lo)
+        assert ev.shape == want.arr.shape
+        box = ev.box()
+        assert box.flags.c_contiguous and box.dtype == want.arr.dtype
+        assert np.array_equal(box, want.arr)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_budget_refusal_step_and_message(name, monkeypatch):
+    make, n, _ = LAWS[name]
+    law = make()
+    *_, ev = ref._evolution(law, n)
+    monkeypatch.setattr(wl.gamma, "CELL_BUDGET", ev.arr.size * 4 // 5)
+    with pytest.raises(wl.ResourceLimit) as want:
+        ref.pmf_masses(law, n)
+    with pytest.raises(wl.ResourceLimit) as got:
+        wl.pmf_evolve(law, n)
+    assert str(got.value) == str(want.value)

@@ -319,6 +319,13 @@ class TestReturnTail:
         assert diag.value == 0.0 and math.isinf(diag.eta_hat)
         assert diag.windows == ()
 
+    def test_empty_first_block_has_slope_minus_inf(self, srw3):
+        # [1, 2) holds only P(S_1 = 0) = 0: the window grows from nothing
+        diag = wl.return_tail(srw3, 1, 64)
+        assert diag.windows[0] == (1, -math.inf)
+        assert all(math.isfinite(slope) for _, slope in diag.windows[1:])
+        assert wl.return_tail(srw3, 0, 4).windows == ((1, -math.inf),)
+
     def test_bernoulli_windows_geometric(self, bern07):
         diag = wl.return_tail(bern07, 16, 1024)
         assert all(slope >= 2 for _, slope in diag.windows)
