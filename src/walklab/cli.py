@@ -38,6 +38,8 @@ from .oracle import enumerate_paths, exact_zn_law
 from .path import simulate_series
 from .steps import StepLaw, law_from_json, law_to_json
 from .theory import (
+    _check_j,
+    _check_s,
     expected_qj_formula,
     geometric_pmf,
     green_cross_sum,
@@ -371,10 +373,13 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
         g = gamma_value()
         inputs, value = {"u": u, "gamma": g}, geometric_pmf(g, u)
     elif what == "qj-exact":
+        _check_j(j_idx)  # before the DP, which may take seconds
         ret = taboo_survival(law, n)
         value = _frac_json(expected_qj_formula(ret, j_idx, n))
         inputs = {"j": j_idx, "n": n}
     elif what == "gf":
+        _check_j(j_idx)
+        _check_s(s)
         ret = taboo_survival(law, big_n)
         pred = qj_generating(ret, j_idx, s, big_n)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error

@@ -11,11 +11,11 @@ Three independent routes to the escape probability gamma:
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
-pruned float box otherwise.  The box DP stores only the mod-2 classes the
-walk can reach (a walk with no zero atom is periodic), so srw(d) keeps
-half of its box and the eight diagonal steps of Z^3 an eighth; every cell
-is the same ordered float sum as on the whole box, and CELL_BUDGET counts
-the whole box.  The return-probability sequence P(S_m = 0)
+pruned float box otherwise.  The box DP stores a mod-2 class of its box
+only once mass lands in it (a walk with no zero atom is periodic), so
+srw(d) keeps half of its box and the eight diagonal steps of Z^3 an
+eighth; every cell is the same ordered float sum as on the whole box, and
+CELL_BUDGET counts the whole box.  The return-probability sequence P(S_m = 0)
 has two engines, and the law picks one: an axis-decomposition recursion
 for laws whose atoms are signed unit vectors and optionally the zero
 vector (simple and drifted simple walks, cost O(d N^2)), and a
@@ -41,7 +41,7 @@ from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays, sample_indices
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
 # the box grows: a box of at most CELL_BUDGET cells, float or exact,
-# counted over the whole box even where only some parity classes are stored.
+# counted over the whole box, whichever of its mod-2 classes are stored.
 CELL_BUDGET = 1 << 25
 MC_BLOCK = 2048
 
@@ -73,9 +73,6 @@ class ReturnLaw:
     exact: bool
     denom: int
     prune_loss: float = 0.0
-
-    def gamma(self, n: int):
-        return self.gamma_seq[n]
 
     def numerators(self) -> list[int]:
         """gamma(m) * denom**m for m = 0..N, for an exact sequence.
@@ -156,7 +153,8 @@ class TailDiagnostic:
     slope inf; one whose first block alone is empty has slope -inf (the
     block [1, 2) holds only P(S_1 = 0), which is 0 for every law with no
     zero atom).  A walk whose tail vanishes identically is reported with
-    eta_hat = inf.
+    eta_hat = inf; a positive tail with fewer than three positive dyadic
+    blocks leaves nothing to fit and has eta_hat = nan (printed null).
     """
 
     value: float
@@ -167,19 +165,6 @@ class TailDiagnostic:
 # ---------------------------------------------------------------------------
 # Evolution engines
 # ---------------------------------------------------------------------------
-
-def _parity_group(offsets: list[LatticePoint]) -> set[tuple[int, ...]]:
-    """The subgroup H of (Z/2)^d spanned by the atom differences o_k - o_0.
-
-    S_m lies in m*o_0 + L, where L is the lattice of step differences, so
-    S_m mod 2 lies in the coset m*o_0 + H.
-    """
-    group = {(0,) * len(offsets[0])}
-    for off in offsets:
-        diff = [(a - b) % 2 for a, b in zip(off, offsets[0])]
-        group |= {tuple((g + c) % 2 for g, c in zip(elem, diff)) for elem in group}
-    return group
-
 
 def _window(start, shape) -> tuple[slice, ...]:
     """The slices of the block of the given shape at index start."""
@@ -206,15 +191,16 @@ class DenseEvolver:
 
     The box covers lattice points lo[j] .. lo[j]+shape[j]-1 per axis; it
     grows by maxs - mins per step and is reset to the support's tight
-    bounding box at each trim, and CELL_BUDGET counts its cells.  Only
-    the mod-2 classes the walk can reach are stored: with H the span of
-    the atom differences in (Z/2)^d (_parity_group), S_m mod 2 lies in
-    m*o_0 + H, and each residue r of that coset keeps one stride-2 array
-    of the box points congruent to r.  A law whose H is all of (Z/2)^d
-    keeps one stride-1 array, the whole box.  A step adds w*(source class)
-    into the target class atom by atom in atom order, so every cell is
-    the same ordered sum as on the whole box; box() interleaves the
-    classes back into it.
+    bounding box at each trim, and CELL_BUDGET counts its cells.  The box
+    is stored as its mod-2 classes, one stride-2 array per residue r of
+    the box points congruent to r, and only where mass has landed: the
+    DP starts with the origin's class, and a step creates a target class
+    the first time an atom sends a stored class into it.  So srw(d)
+    stores half of its box, the eight diagonal steps of Z^3 an eighth,
+    and a law whose walk reaches every residue all 2^d classes.  A step
+    adds w*(source class) into each target class atom by atom in atom
+    order, so every cell is the same ordered sum as on the whole box;
+    box() interleaves the classes back into it.
 
     A rational law keeps exact integer numerators over denom**m in object
     arrays, where denom is the lcm of the atom denominators and each
@@ -239,32 +225,22 @@ class DenseEvolver:
                                     dtype=object)
         else:
             self.weights = np.array(law.masses)
-        group = _parity_group(self.offsets)
-        self.stride = 1 if len(group) == 2 ** law.d else 2
         self.lo = (0,) * law.d
         self.shape = (1,) * law.d
-        self.classes = {}
-        for r in {tuple(g % self.stride for g in elem) for elem in group}:
-            self.classes[r] = np.zeros(self._class_box(r, self.lo, self.shape)[1],
-                                       dtype=self.weights.dtype)
-        self.classes[(0,) * law.d][(0,) * law.d] = 1
+        origin = (0,) * law.d
+        self.classes = {origin: np.ones(self.shape, dtype=self.weights.dtype)}
         self.kill_origin = kill_origin
         self.killed = 0
         self.pruned = 0.0
         self.m = 0
 
-    def _class_box(self, r: tuple, lo: tuple, shape: tuple) -> tuple[tuple, tuple]:
-        """(first point congruent to r, array shape) of class r in a box."""
-        s = self.stride
-        first = tuple(l + (c - l) % s for c, l in zip(r, lo))
-        return first, tuple(-(-(n - f + l) // s) for n, f, l in zip(shape, first, lo))
-
-    def _shifted(self, r: tuple, off: tuple) -> tuple:
-        """The residue of the class that class r moves to under step off."""
-        return tuple((c + o) % self.stride for c, o in zip(r, off))
+    @staticmethod
+    def _class_box(r: tuple, lo: tuple, shape: tuple) -> tuple[tuple, tuple]:
+        """(first point congruent to r mod 2, array shape) of class r in a box."""
+        first = tuple(l + (c - l) % 2 for c, l in zip(r, lo))
+        return first, tuple((n - f + l + 1) // 2 for n, f, l in zip(shape, first, lo))
 
     def step(self) -> None:
-        s = self.stride
         new_shape = tuple(n + hi - lo for n, lo, hi in zip(self.shape, self.mins, self.maxs))
         if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
@@ -273,14 +249,13 @@ class DenseEvolver:
         new_lo = tuple(l + mn for l, mn in zip(self.lo, self.mins))
         src_first = {r: self._class_box(r, self.lo, self.shape)[0] for r in self.classes}
         new, dst_first = {}, {}
-        for r in self.classes:
-            t = self._shifted(r, self.offsets[0])
-            dst_first[t], cshape = self._class_box(t, new_lo, new_shape)
-            new[t] = np.zeros(cshape, dtype=self.weights.dtype)
         for off, w in zip(self.offsets, self.weights):
             for r, arr in self.classes.items():
-                t = self._shifted(r, off)
-                start = [(f + o - g) // s for f, o, g in zip(src_first[r], off, dst_first[t])]
+                t = tuple((c + o) % 2 for c, o in zip(r, off))
+                if t not in new:
+                    dst_first[t], cshape = self._class_box(t, new_lo, new_shape)
+                    new[t] = np.zeros(cshape, dtype=self.weights.dtype)
+                start = [(f + o - g) // 2 for f, o, g in zip(src_first[r], off, dst_first[t])]
                 new[t][_window(start, arr.shape)] += w * arr
         self.classes = new
         self.lo = new_lo
@@ -291,7 +266,7 @@ class DenseEvolver:
             origin = (0,) * self.d
             if origin in self.classes:
                 first, cshape = self._class_box(origin, self.lo, self.shape)
-                idx = tuple(-f // s for f in first)
+                idx = tuple(-f // 2 for f in first)
                 if all(0 <= i < n for i, n in zip(idx, cshape)):
                     self.killed += self.classes[origin][idx]
                     self.classes[origin][idx] = 0
@@ -308,7 +283,7 @@ class DenseEvolver:
                 vals.append(arr[idx])
                 first = self._class_box(r, self.lo, self.shape)[0]
                 keys.append(np.ravel_multi_index(
-                    tuple(f - l + self.stride * i for f, l, i in zip(first, self.lo, idx)),
+                    tuple(f - l + 2 * i for f, l, i in zip(first, self.lo, idx)),
                     self.shape))
                 arr[idx] = 0.0
         if vals:
@@ -323,7 +298,7 @@ class DenseEvolver:
             span = _nonzero_span(arr)
             if span is not None:
                 first = np.array(self._class_box(r, self.lo, self.shape)[0])
-                spans.append((first + self.stride * span[0], first + self.stride * span[1]))
+                spans.append((first + 2 * span[0], first + 2 * span[1]))
         if not spans:
             return
         lo = tuple(int(c) for c in np.min([a for a, _ in spans], axis=0))
@@ -331,23 +306,18 @@ class DenseEvolver:
         for r, arr in self.classes.items():
             old_first = self._class_box(r, self.lo, self.shape)[0]
             first, cshape = self._class_box(r, lo, shape)
-            start = [(f - g) // self.stride for f, g in zip(first, old_first)]
+            start = [(f - g) // 2 for f, g in zip(first, old_first)]
             self.classes[r] = np.ascontiguousarray(arr[_window(start, cshape)])
         self.lo = lo
         self.shape = shape
 
     def box(self) -> np.ndarray:
         """The whole box, lo .. lo+shape-1: the classes interleaved, zero
-        elsewhere.  A stride-1 law's one class is the box itself, returned
-        without a copy; like every class array, a later step never writes
-        to it."""
-        if self.stride == 1:
-            (arr,) = self.classes.values()
-            return arr
+        elsewhere, in a new array."""
         out = np.zeros(self.shape, dtype=self.weights.dtype)
         for r, arr in self.classes.items():
             first = self._class_box(r, self.lo, self.shape)[0]
-            out[tuple(slice(f - l, None, self.stride) for f, l in zip(first, self.lo))] = arr
+            out[tuple(slice(f - l, None, 2) for f, l in zip(first, self.lo))] = arr
         return out
 
     def mass(self, num) -> Mass:
@@ -369,7 +339,7 @@ class DenseEvolver:
         for r, arr in self.classes.items():
             first = self._class_box(r, self.lo, self.shape)[0]
             for idx in zip(*np.nonzero(arr >= PRUNE_THRESHOLD)):
-                point = tuple(f + self.stride * int(i) for f, i in zip(first, idx))
+                point = tuple(f + 2 * int(i) for f, i in zip(first, idx))
                 cells.append((point, arr[idx]))
         return {point: self.mass(num) for point, num in sorted(cells, key=lambda c: c[0])}
 
@@ -517,9 +487,9 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     sum_x p_m+1(x) p_m(-x); evolving to ceil(n/2) gives the whole
     sequence.  A parity the law cannot reach has disjoint supports and
     comes out as an exact zero.  The sums run over the whole box,
-    ev.box(), with its zero cells, because numpy's pairwise sum depends
-    on where they sit.  No step writes to a box already handed out, so the
-    previous step's box stays valid without a copy.
+    ev.box(), with the zero cells of the classes not stored, because
+    numpy's pairwise sum depends on where they sit; box() builds a new
+    array, so the previous step's box stays valid.
     """
     r = np.empty(n + 1)
     prev = None
@@ -786,5 +756,5 @@ def return_tail(law: StepLaw, n: int, big_n: int) -> TailDiagnostic:
         ys = np.log([p[1] for p in pos])
         eta_hat = -float(np.polyfit(xs, ys, 1)[0])
     else:
-        eta_hat = math.inf
+        eta_hat = math.nan
     return TailDiagnostic(value=value, eta_hat=eta_hat, windows=tuple(windows))

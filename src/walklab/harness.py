@@ -288,9 +288,10 @@ def run_slln(law: StepLaw, alphas: Sequence[float], checkpoints: Sequence[int],
     alphas = [float(a) for a in alphas]
     gamma_est = gamma_est or auto_gamma(law)
     g = gamma_est.value
-    theory = {str(a): {"value": moment_limit(a, g).value,
-                       "truncation_error": moment_limit(a, g).truncation_error}
-              for a in alphas}
+    theory = {}
+    for a in alphas:
+        pred = moment_limit(a, g)
+        theory[str(a)] = {"value": pred.value, "truncation_error": pred.truncation_error}
     records = []
     checks = []
     n_final = int(checkpoints[-1])

@@ -52,6 +52,16 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def _check_j(j: int) -> None:
+    if j < 1:
+        raise BadParam(f"j must be >= 1, got {j}")
+
+
+def _check_s(s: float) -> None:
+    if not 0 <= s < 1:
+        raise BadParam(f"s must be in [0, 1), got {s}")
+
+
 def moment_limit(alpha: float, gamma: float, tol: float = 1e-10) -> Prediction:
     """lim L_n(alpha)/n = sum_j j^alpha gamma^2 (1-gamma)^(j-1).
 
@@ -98,8 +108,7 @@ def geometric_pmf(gamma: float, u: int) -> float:
 def qj_limit(gamma: float, j: int) -> float:
     """lim E(Q_j(n))/n = gamma^2 (1-gamma)^(j-1)."""
     gamma = _check_gamma(gamma)
-    if j < 1:
-        raise BadParam(f"j must be >= 1, got {j}")
+    _check_j(j)
     return gamma * gamma * (1.0 - gamma) ** (j - 1)
 
 
@@ -123,8 +132,7 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     never carries into the next.  A float ReturnLaw runs the direct
     O(j n^2) convolution in doubles and returns a float.
     """
-    if j < 1:
-        raise BadParam(f"j must be >= 1, got {j}")
+    _check_j(j)
     if ret.horizon < n:
         raise BadParam(f"ReturnLaw horizon {ret.horizon} < n={n}")
     if ret.exact:
@@ -171,10 +179,8 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
     s^(N+1)/(1-s), pushed through the product rule) with the dropped
     coefficients beyond N (each E(Q_j(m)) <= m+1).
     """
-    if j < 1:
-        raise BadParam(f"j must be >= 1, got {j}")
-    if not 0 <= s < 1:
-        raise BadParam(f"s must be in [0, 1), got {s}")
+    _check_j(j)
+    _check_s(s)
     if ret.horizon < n:
         raise BadParam(f"ReturnLaw horizon {ret.horizon} < N={n}")
     powers = np.power(s, np.arange(n + 1))

@@ -123,16 +123,24 @@ class TestPredict:
         res = runner.invoke(cli, ["predict", "--what", "moment", "--gamma", "0.4"])
         assert res.exit_code != 0
 
-    @pytest.mark.parametrize("what,flags", [("qj-exact", ["--n", "4"]),
-                                            ("gf", ["--N", "4", "--s", "0.5"])])
-    def test_flags_checked_before_computation(self, runner, monkeypatch, what, flags):
+    @pytest.mark.parametrize("what,flags,error,message", [
+        ("qj-exact", ["--n", "4"], walklab.ConfigError, "predict --what qj-exact needs --j"),
+        ("gf", ["--N", "4", "--s", "0.5"], walklab.ConfigError, "predict --what gf needs --j"),
+        ("qj-exact", ["--n", "4", "--j", "0"], walklab.BadParam, "j must be >= 1, got 0"),
+        ("gf", ["--N", "4", "--j", "0", "--s", "0.5"], walklab.BadParam,
+         "j must be >= 1, got 0"),
+        ("gf", ["--N", "4", "--j", "1", "--s", "1.5"], walklab.BadParam,
+         "s must be in [0, 1), got 1.5"),
+    ], ids=["qj-exact-flags0", "gf-flags1", "qj-exact-j0", "gf-j0", "gf-s1.5"])
+    def test_flags_checked_before_computation(self, runner, monkeypatch, what, flags,
+                                              error, message):
         def computed(*args):
             raise AssertionError("taboo_survival ran before the flags were checked")
         monkeypatch.setattr(walklab.cli, "taboo_survival", computed)
         res = runner.invoke(cli, ["predict", "--what", what, "--law", BERN_EXACT, *flags])
         assert res.exit_code == 1
-        assert isinstance(res.exception, walklab.ConfigError)
-        assert str(res.exception) == f"predict --what {what} needs --j"
+        assert isinstance(res.exception, error)
+        assert str(res.exception) == message
 
     @pytest.mark.parametrize("what,flags,unread", [
         ("qj", ["--gamma", "0.4", "--j", "2", "--alpha", "3"], "--alpha"),
@@ -561,6 +569,14 @@ def test_return_tail_empty_first_block_is_null(runner, n, big_n):
     out = json.loads(res.output)
     assert out["windows"][0] == {"start": 1, "slope": None}
     assert all(w["slope"] is not None for w in out["windows"][1:])
+
+
+def test_return_tail_too_few_blocks_is_not_infinite_decay(runner):
+    res = runner.invoke(cli, ["return-tail", "--law", SRW3, "--n", "16", "--N", "40"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["value"] > 0
+    assert (out["eta_hat"], out["infinite_decay"]) == (None, False)
 
 
 def test_import_leaves_scipy_unloaded():

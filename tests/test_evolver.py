@@ -4,8 +4,6 @@ Every comparison is equality: floats bit for bit, Fractions exactly, and
 the keys of a pmf in the same (lexicographic) order.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,31 +18,40 @@ def lazy_srw2():
                            ((0, 1), 0.2), ((0, -1), 0.2)], False)
 
 
-# law, horizon, (stride, number of stored classes); each float horizon
-# runs several trims that prune cells
+# law, horizon, number of stored classes from step 2 on; each float
+# horizon runs several trims that prune cells
 LAWS = {
-    "srw1": (lambda: wl.srw(1), 200, (2, 1)),
-    "srw2": (lambda: wl.srw(2), 96, (2, 2)),
-    "srw3": (lambda: wl.srw(3), 64, (2, 4)),
-    "diag3": (diag3, 48, (2, 1)),
-    "bernoulli": (lambda: wl.bernoulli(0.7), 200, (2, 1)),
-    "bernoulli-exact": (lambda: wl.bernoulli("7/10", exact=True), 60, (2, 1)),
-    "lazy-srw2": (lazy_srw2, 96, (1, 1)),
-    "drifted-srw2": (lambda: wl.drifted_srw(2, 0.3), 96, (2, 2)),
-    "long2": (long2, 24, (1, 1)),
+    "srw1": (lambda: wl.srw(1), 200, 1),
+    "srw2": (lambda: wl.srw(2), 96, 2),
+    "srw3": (lambda: wl.srw(3), 64, 4),
+    "diag3": (diag3, 48, 1),
+    "bernoulli": (lambda: wl.bernoulli(0.7), 200, 1),
+    "bernoulli-exact": (lambda: wl.bernoulli("7/10", exact=True), 60, 1),
+    "lazy-srw2": (lazy_srw2, 96, 4),
+    "drifted-srw2": (lambda: wl.drifted_srw(2, 0.3), 96, 2),
+    "long2": (long2, 24, 4),
 }
 NAMES = sorted(LAWS)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_stored_classes(name):
-    make, _, (stride, count) = LAWS[name]
-    ev = DenseEvolver(make())
-    for _ in range(3):
+    """A class is stored once mass lands in it, over every box point of
+    its residue: srw(3) at step 1 stores the three classes of +-e_j, and
+    lazy srw(2) and long2 all four classes of Z^2 from step 2 on.  No
+    trim runs before step 8, so the pmf's support is the mass's."""
+    make, _, count = LAWS[name]
+    law = make()
+    ev = DenseEvolver(law)
+    for m in range(1, 7):
         ev.step()
-        assert (ev.stride, len(ev.classes)) == (stride, count)
-        per_class = math.prod(-(-s // stride) for s in ev.shape)
-        assert sum(a.size for a in ev.classes.values()) <= count * per_class
+        residues = {tuple(c % 2 for c in x) for x in ref.pmf_masses(law, m)}
+        assert set(ev.classes) == residues
+        if m >= 2:
+            assert len(residues) == count
+        for r, arr in ev.classes.items():
+            assert arr.shape == tuple(sum(x % 2 == c for x in range(l, l + n))
+                                      for c, l, n in zip(r, ev.lo, ev.shape))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -326,6 +326,13 @@ class TestReturnTail:
         assert all(math.isfinite(slope) for _, slope in diag.windows[1:])
         assert wl.return_tail(srw3, 0, 4).windows == ((1, -math.inf),)
 
+    def test_too_few_blocks_is_nan_not_inf(self, srw3):
+        # a positive tail with no dyadic window to fit has no exponent;
+        # inf is kept for a tail that vanishes
+        diag = wl.return_tail(srw3, 16, 40)
+        assert diag.value > 0 and diag.windows == ()
+        assert math.isnan(diag.eta_hat)
+
     def test_bernoulli_windows_geometric(self, bern07):
         diag = wl.return_tail(bern07, 16, 1024)
         assert all(slope >= 2 for _, slope in diag.windows)
