@@ -33,7 +33,8 @@ class ResourceLimit(WalklabError):
 
     The limits are gamma.CELL_BUDGET, the cells of any pmf evolution box,
     oracle.PATH_BUDGET, the paths enumerate_paths walks, and
-    path.STEP_BUDGET, the steps of one simulated path.
+    path.STEP_BUDGET, the steps of one simulated path, which bounds the
+    horizon of each mc_escape replica too.
     """
 
 

@@ -7,7 +7,10 @@ Three independent routes to the escape probability gamma:
 * taboo_dp: evolve the law of S_m while absorbing all mass at the origin;
   the surviving mass after n steps is gamma(n), the no-return probability,
 * mc_escape: fraction of simulated walks that avoid the origin up to a
-  horizon n (estimates gamma(n), an upper bound for gamma).
+  horizon n (estimates gamma(n), an upper bound for gamma).  Replicas
+  run in batches, MC_BLOCK steps per block, and leave the batch once they
+  return or can no longer return; each one's verdict is a pure function
+  of its own stream, mix64(seed, i).
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -34,9 +37,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import path
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
-from .steps import LatticePoint, Mass, StepLaw, _sampling_arrays, sample_indices
+from .steps import LatticePoint, Mass, StepLaw, _atom_indices, _sampling_arrays
 
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
@@ -44,6 +48,9 @@ PRUNE_THRESHOLD = 1e-16
 # counted over the whole box, whichever of its mod-2 classes are stored.
 CELL_BUDGET = 1 << 25
 MC_BLOCK = 2048
+# Replicas advanced together by _escape_range: a batch's block is one
+# piece of the path kernel, path._CHUNK steps.
+_MC_BATCH = path._CHUNK // MC_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -659,48 +666,69 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
 # Monte Carlo escape
 # ---------------------------------------------------------------------------
 
-def _replica_escapes(law: StepLaw, n: int, seed: int) -> bool:
-    """True iff one walk stays off the origin for steps 1..n (drawn MC_BLOCK at a time)."""
-    coords, _ = _sampling_arrays(law)
-    max_step = np.abs(coords).max(axis=0)
-    gen = rnglib.generator(seed)
-    pos = np.zeros(law.d, dtype=np.int64)
-    done = 0
-    while done < n:
-        b = min(MC_BLOCK, n - done)
-        idx = sample_indices(law, gen, b)
-        path = np.cumsum(coords[idx], axis=0)
-        path += pos
-        if (path == 0).all(axis=1).any():
-            return False
-        pos = path[-1]
-        done += b
-        remaining = n - done
-        # a coordinate too far out to cross back to 0 settles the replica
-        if (np.abs(pos) > remaining * max_step).any():
-            return True
-    return True
-
-
 def _escape_range(args) -> int:
+    """How many of replicas lo..hi-1 stay off the origin for steps 1..n.
+
+    Replica i draws its uniforms from mix64(master_seed, i), MC_BLOCK per
+    block.  _MC_BATCH replicas run together: one atom-index call per
+    block, then per axis a gather and a prefix sum along each row (as in
+    path._walk_keys), and-ing x == 0 into a hit mask.  After each block a
+    replica leaves the batch if it hit the origin (a return) or is too far
+    out to cross back to 0 in the steps left (an escape), so its verdict
+    depends on its own stream alone.
+    """
     law, n, master_seed, lo, hi = args
-    count = 0
-    for i in range(lo, hi):
-        count += _replica_escapes(law, n, rnglib.mix64(master_seed, i))
-    return count
+    coords, cdf = _sampling_arrays(law)
+    max_step = np.abs(coords).max(axis=0)
+    returns = 0
+    for b0 in range(lo, hi, _MC_BATCH):
+        gens = [rnglib.generator(rnglib.mix64(master_seed, i))
+                for i in range(b0, min(b0 + _MC_BATCH, hi))]
+        pos = np.zeros((len(gens), law.d), dtype=np.int64)
+        done = 0
+        while gens and done < n:
+            b = min(MC_BLOCK, n - done)
+            u = np.empty((len(gens), b))
+            for gen, row in zip(gens, u):
+                gen.random(out=row)
+            idx = _atom_indices(cdf, u)
+            x = np.empty(u.shape, dtype=np.int64)
+            hit = np.ones(u.shape, dtype=bool)
+            for j in range(law.d):
+                np.take(coords[:, j], idx, out=x, mode="clip")
+                np.cumsum(x, axis=1, out=x)
+                x += pos[:, j:j + 1]
+                hit &= x == 0
+                pos[:, j] = x[:, -1]
+            done += b
+            returned = hit.any(axis=1)
+            returns += int(returned.sum())
+            settled = (np.abs(pos) > (n - done) * max_step).any(axis=1)
+            live = ~(returned | settled)
+            gens = [gen for gen, keep in zip(gens, live) if keep]
+            pos = pos[live]
+    return hi - lo - returns
 
 
 def mc_escape(law: StepLaw, n: int, m: int, seed: int,
               threads: int = 1) -> GammaEstimate:
     """Monte Carlo estimate of gamma(n) over m independent replicas.
 
-    Replica i is a pure function of mix64(seed, i), so the result does
-    not depend on threads; estimates gamma(n) >= gamma (upward bias by
-    the walks that would return after n, reported as-is).  The replicas
-    are split into threads contiguous blocks run by rng.replica_map.
+    Replica i is a walk of n steps drawn from mix64(seed, i), and whether
+    it escapes is a pure function of that stream, so the result does not
+    depend on threads or on how replicas are batched; estimates
+    gamma(n) >= gamma (upward bias by the walks that would return after
+    n, reported as-is).  The replicas are split into threads contiguous
+    blocks run by rng.replica_map; each block runs its replicas in
+    batches (see _escape_range).  A horizon over path.STEP_BUDGET is
+    refused before any work.
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
+    if n > path.STEP_BUDGET:
+        raise ResourceLimit(
+            f"mc_escape replicas of {n} steps exceed STEP_BUDGET = "
+            f"{path.STEP_BUDGET} steps per path; lower --n")
     tasks = [(law, n, seed, lo, hi)
              for lo, hi in rnglib.replica_blocks(m, threads)]
     escapes = sum(rnglib.replica_map(_escape_range, tasks, threads))

@@ -225,10 +225,39 @@ def _sampling_arrays(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
     return coords, cdf
 
 
+# Above this many atoms one comparison pass per cdf threshold costs more
+# than a binary search.  Per 65 536 uniform draws on a 2-vCPU Xeon
+# (Python 3.11, numpy 2.4, equal masses), counting vs np.searchsorted: 6 atoms
+# 0.13 vs 1.7 ms, 64 atoms 1.0 vs 3.4 ms, 256 atoms 3.9 vs 5.0 ms, 320
+# atoms 6.0 vs 5.1 ms.  Up to 256 atoms the count also fits in uint8.
+_COUNT_MAX_ATOMS = 256
+
+
+def _atom_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Atom index of each uniform u in [0, 1): the number of cdf entries <= u.
+
+    Counts the thresholds cdf[:-1] at or below each u, in the smallest
+    unsigned dtype that holds len(cdf) - 1.  For a non-decreasing cdf
+    with cdf[-1] = 1 > u this is np.searchsorted(cdf, u, side="right"),
+    ties included, so the sample stream does not depend on the branch.
+    """
+    if len(cdf) > _COUNT_MAX_ATOMS:
+        return np.searchsorted(cdf, u, side="right")
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
+
+
 def sample_indices(law: StepLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling of atom indices (lexicographic order)."""
+    """Inverse-CDF sampling of size atom indices (lexicographic order).
+
+    Index i is the number of cdf thresholds at or below the i-th uniform
+    of rng.random(size), which equals np.searchsorted(cdf, u,
+    side="right"); see _atom_indices.
+    """
     _, cdf = _sampling_arrays(law)
-    return np.searchsorted(cdf, rng.random(size), side="right")
+    return _atom_indices(cdf, rng.random(size))
 
 
 def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mc_reference
 import walklab as wl
-from walklab.gamma import _axis_return_sequence, _dense_return_sequence
+from walklab import gamma, path, rng
+from walklab.gamma import MC_BLOCK, _MC_BATCH, _axis_return_sequence, _dense_return_sequence
 
 SRW3_GAMMA = 0.6594626  # 1 - 1/G for the d=3 simple walk
 # gamma(diag3) by the Green series at N=128, as the full-horizon box DP gave it
@@ -259,9 +261,11 @@ class TestMcEscape:
         assert a.value == b.value
 
     def test_thread_invariance(self, bern07):
-        a = wl.mc_escape(bern07, 128, 400, seed=9, threads=1)
-        b = wl.mc_escape(bern07, 128, 400, seed=9, threads=3)
-        assert a.value == b.value
+        # m is no multiple of the batch, so each threads cuts batches differently
+        m = 400
+        want = mc_reference.escape_range(bern07, 128, 9, 0, m) / m
+        for threads in (1, 2, 3):
+            assert wl.mc_escape(bern07, 128, m, seed=9, threads=threads).value == want
 
     def test_thread_invariance_under_spawn(self):
         # os.fork is disabled, so the pool must take the spawn start method;
@@ -283,6 +287,30 @@ class TestMcEscape:
                              env=dict(os.environ, PYTHONPATH=src), check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "True True"
+
+    @pytest.mark.parametrize("law", [
+        wl.srw(1), wl.srw(3), wl.bernoulli(0.7), wl.bernoulli("7/10", exact=True),
+        wl.drifted_srw(2, 0.3), diag3(), wl.deterministic([1]), long2()],
+        ids=["srw1", "srw3", "bern07", "bern07-exact", "drifted2", "diag3", "det1",
+             "long2"])
+    def test_batched_kernel_matches_per_replica_reference(self, law):
+        for n in (1, 5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 3):
+            for seed in (0, 7):
+                for lo, hi in ((3, 3 + _MC_BATCH + 5), (_MC_BATCH - 1, _MC_BATCH)):
+                    want = mc_reference.escape_range(law, n, seed, lo, hi)
+                    assert gamma._escape_range((law, n, seed, lo, hi)) == want, (n, seed, lo)
+
+    def test_horizon_over_step_budget_refused_before_work(self, srw3, monkeypatch):
+        monkeypatch.setattr(path, "STEP_BUDGET", 10)
+        assert 0 <= wl.mc_escape(srw3, 10, 4, seed=0).value <= 1
+
+        def refuse(*args):
+            raise AssertionError("mc_escape over STEP_BUDGET started work")
+        monkeypatch.setattr(rng, "generator", refuse)
+        monkeypatch.setattr(rng, "replica_blocks", refuse)
+        with pytest.raises(wl.ResourceLimit,
+                           match=r"11 steps exceed STEP_BUDGET = 10 steps per path; lower --n"):
+            wl.mc_escape(srw3, 11, 4, seed=0, threads=2)
 
     def test_consistency_with_taboo_same_horizon(self, bern07):
         n = 200

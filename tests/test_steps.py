@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import itertools
+
 import walklab as wl
 from walklab import rng
-from walklab.steps import _sampling_arrays
+from walklab.steps import _COUNT_MAX_ATOMS, _atom_indices, _sampling_arrays
 
 
 class TestValidate:
@@ -129,6 +131,54 @@ class TestSampling:
         assert cdf[-1] == 1.0
         gen = rng.generator(4)
         assert _steps(bern07_exact, gen, 1)[0] in [(1,), (-1,)]
+
+
+def _uniform_line(k):
+    """Float d=1 law with equal mass on the k points -1..k-2."""
+    return wl.make_law(1, [((x,), 1.0 / k) for x in range(-1, k - 1)], exact=False)
+
+
+ATOM_MAP_LAWS = {
+    "bern07": wl.bernoulli(0.7),
+    "srw3": wl.srw(3),
+    "diag3": wl.make_law(3, [(v, 0.125) for v in itertools.product((1, -1), repeat=3)],
+                         exact=False),
+    "srw5": wl.srw(5),
+    "srw3-exact": wl.srw(3, exact=True),
+    "tied-cdf": wl.make_law(1, [((-1,), 0.5), ((0,), 1e-18), ((1,), 0.5)], exact=False),
+    "uint8-full": _uniform_line(_COUNT_MAX_ATOMS),
+    "above-break-even": _uniform_line(_COUNT_MAX_ATOMS + 44),
+}
+
+
+class TestAtomIndices:
+    """The threshold count equals np.searchsorted(cdf, u, side="right"), ties included."""
+
+    @pytest.mark.parametrize("name", ATOM_MAP_LAWS)
+    def test_equals_searchsorted(self, name):
+        _, cdf = _sampling_arrays(ATOM_MAP_LAWS[name])
+        inner = cdf[:-1]
+        u = np.concatenate([inner, np.nextafter(inner, 0), [0.0, np.nextafter(1.0, 0)],
+                            rng.generator(3).random(5000)])
+        got = _atom_indices(cdf, u)
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        got2 = _atom_indices(cdf, u[:5000].reshape(50, 100))
+        assert np.array_equal(got2, np.searchsorted(cdf, u[:5000], side="right").reshape(50, 100))
+        if len(cdf) <= _COUNT_MAX_ATOMS:
+            assert got.dtype == np.min_scalar_type(len(cdf) - 1)
+
+    def test_tied_cdf_never_draws_the_tiny_atom(self):
+        _, cdf = _sampling_arrays(ATOM_MAP_LAWS["tied-cdf"])
+        assert cdf[0] == cdf[1] == 0.5
+        assert _atom_indices(cdf, np.array([np.nextafter(0.5, 0), 0.5])).tolist() == [0, 2]
+
+    @pytest.mark.parametrize("name", ATOM_MAP_LAWS)
+    def test_sample_indices_stream(self, name):
+        law = ATOM_MAP_LAWS[name]
+        _, cdf = _sampling_arrays(law)
+        got = wl.steps.sample_indices(law, rng.generator(8), 3000)
+        want = np.searchsorted(cdf, rng.generator(8).random(3000), side="right")
+        assert np.array_equal(got, want)
 
 
 class TestMoments:
