@@ -429,8 +429,6 @@ def _binomial_fold(v_prev: np.ndarray, rel: float, u_new: np.ndarray) -> np.ndar
     """
     if rel >= 1.0:
         return u_new.copy()
-    if rel <= 0.0:
-        return v_prev.copy()
     n = len(v_prev) - 1
     odds = rel / (1.0 - rel)
     out = np.empty(n + 1)
@@ -589,7 +587,8 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     a fitted geometric envelope otherwise (the polynomial form is not
     summable below d = 3; a transient low-dimensional walk has drift and
     geometric return decay).  The reported error is the tail propagated
-    to the gamma scale.
+    to the gamma scale.  It excludes the rounding of the series sum, which
+    exceeds it when the tail is negligible (bernoulli(0.7) at N = 2048).
 
     Raises SuspectedRecurrence when the last decade of partial sums keeps
     growing and the fitted decay exponent of P(S_m=0) is <= 1 (a

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gamma_reference
 import mc_reference
 import walklab as wl
 from walklab import gamma, path, rng
@@ -44,20 +45,24 @@ def exact_convolution(law, n, kill_origin=False):
 
     A reference that shares no code with the package's evolver; with
     kill_origin, mass that lands on the origin is removed and counted.
+    The step m masses are carried as integer numerators over D**m, with D
+    the lcm of the atom denominators, and become Fractions once per step.
     """
     origin = (0,) * law.d
-    masses, killed = {origin: Fraction(1)}, Fraction(0)
-    fields, survival = [masses], [Fraction(1)]
-    for _ in range(n):
+    denom = math.lcm(*(Fraction(w).denominator for _, w in law.atoms))
+    atoms = [(off, int(w * denom)) for off, w in law.atoms]
+    numerators, killed = {origin: 1}, Fraction(0)
+    fields, survival = [{origin: Fraction(1)}], [Fraction(1)]
+    for m in range(1, n + 1):
         new = {}
-        for point, mass in masses.items():
-            for off, w in law.atoms:
+        for point, count in numerators.items():
+            for off, w in atoms:
                 dest = tuple(a + b for a, b in zip(point, off))
-                new[dest] = new.get(dest, 0) + mass * w
+                new[dest] = new.get(dest, 0) + count * w
         if kill_origin:
-            killed += new.pop(origin, 0)
-        masses = new
-        fields.append(masses)
+            killed += Fraction(new.pop(origin, 0), denom ** m)
+        numerators = new
+        fields.append({point: Fraction(count, denom ** m) for point, count in new.items()})
         survival.append(1 - killed)
     return fields, survival
 
@@ -339,6 +344,48 @@ class TestConsistencyTriangle:
         scaled = r[4:257] * m ** 1.5
         nz = scaled[scaled > 0]
         assert nz.max() / nz.min() < 3
+
+
+# (gamma_reference entry, leg, horizons) whose reported error must cover
+# the distance to the true gamma
+KNOWN_ANSWER_LEGS = [
+    ("srw3", "green", (32, 128, 512)), ("srw3", "dp", (24, 96)),
+    ("diag3", "green", (32, 128)), ("diag3", "dp", (24, 96)),
+    *((f"bernoulli({p})", leg, (64, 200, 2048))
+      for p in ("0.7", "0.9") for leg in ("green", "dp")),
+    # green_at_origin(bernoulli(0.6), 64) raises a false SuspectedRecurrence
+    *(("bernoulli(0.6)", leg, (200, 2048)) for leg in ("green", "dp")),
+]
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("name,leg,n", [
+        (name, leg, n) for name, leg, ns in KNOWN_ANSWER_LEGS for n in ns],
+        ids=lambda v: str(v))
+    def test_error_covers_true_gamma(self, name, leg, n):
+        known = gamma_reference.KNOWN[name]
+        estimate = {"green": wl.green_at_origin, "dp": wl.taboo_gamma_estimate}[leg]
+        est = estimate(known.law, n)
+        assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
+
+    @pytest.mark.parametrize("name", ["srw4", "srw5", "drifted_srw(2,0.1)"])
+    def test_auto_gamma_covers_true_gamma(self, name):
+        known = gamma_reference.KNOWN[name]
+        est = wl.auto_gamma(known.law)
+        assert est.params["N"] == 4096
+        assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
+
+    def test_axis_integral_gives_srw3_closed_form(self):
+        got = gamma_reference.axis_integral(wl.srw(3))
+        assert abs(got - gamma_reference.srw3_closed_form()) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["srw3", "diag3"])
+    def test_mc_escape_within_4_stderr_of_taboo_gamma_n(self, name):
+        # Monte Carlo estimates gamma(n), and its error is the sampling
+        # error alone, so it is held against the DP's gamma(n), not gamma
+        law = gamma_reference.KNOWN[name].law
+        mc = wl.mc_escape(law, 48, 4000, seed=7)
+        assert abs(mc.value - float(wl.taboo_survival(law, 48).gamma_seq[-1])) <= 4 * mc.error
 
 
 class TestReturnTail:
