@@ -586,9 +586,10 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     completed with a fitted tail: the diffusive C m^{-d/2} form in d >= 3,
     a fitted geometric envelope otherwise (the polynomial form is not
     summable below d = 3; a transient low-dimensional walk has drift and
-    geometric return decay).  The reported error is the tail propagated
-    to the gamma scale.  It excludes the rounding of the series sum, which
-    exceeds it when the tail is negligible (bernoulli(0.7) at N = 2048).
+    geometric return decay).  The reported error is the larger of the tail
+    propagated to the gamma scale and (k - 1) eps gamma, a first-order
+    bound on the rounding of the sum of its k positive terms, which
+    dominates when the tail is negligible (bernoulli(0.7) at N = 2048).
 
     Raises SuspectedRecurrence when the last decade of partial sums keeps
     growing and the fitted decay exponent of P(S_m=0) is <= 1 (a
@@ -606,7 +607,8 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
                 f"(fitted decay exponent {eta_hat:.3f} <= 1)")
     tail = _fitted_tail(r, n, law.d)
     value = 1.0 / (total + tail)
-    return GammaEstimate(value=value, error=value * value * tail,
+    rounding = float(np.count_nonzero(r > 0) - 1) * np.finfo(np.float64).eps * value
+    return GammaEstimate(value=value, error=max(value * value * tail, rounding),
                          method="green_series",
                          params={"N": n, "series_sum": total, "tail": tail})
 

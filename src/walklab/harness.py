@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -90,10 +90,12 @@ def geometric_chi_square(counts: Mapping[int, int], gamma: float) -> ChiSquareRe
     Buckets {1..U, >U} with U chosen so the geometric tail beyond U is
     below CHI_TAIL_MASS; buckets with expected count below
     CHI_MIN_EXPECTED are merged from the right (standard validity
-    conditions).  Raises BadParam unless gamma is in (0, 1] and there is
-    at least one observation.
+    conditions).  Raises BadParam unless gamma is in (0, 1], every count
+    is of a visit number u >= 1 and there is at least one observation.
     """
     gamma = _check_gamma(gamma)
+    if any(u < 1 for u in counts):
+        raise BadParam(f"visit counts must be >= 1, got {min(counts)}")
     total = sum(counts.values())
     if total < 1:
         raise BadParam("need at least one observation")
@@ -217,20 +219,8 @@ class ExperimentReport:
         return [c["name"] for c in self.checks if not c["ok"]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "law": self.law,
-            "params": self.params,
-            "seeds": list(self.seeds),
-            "gamma": self.gamma,
-            "theory": self.theory,
-            "records": self.records,
-            "stats": self.stats,
-            "checks": self.checks,
-            "tolerances": self.tolerances,
-            "notes": self.notes,
-            "verdict": self.verdict,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "seeds": list(self.seeds), "verdict": self.verdict}
 
     def to_json_bytes(self) -> bytes:
         return json_bytes(self.to_json_dict())

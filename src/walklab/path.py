@@ -8,6 +8,7 @@ histogram of visit multiplicities) is a pure function of that field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -142,14 +143,20 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
     return field
 
 
+def _check_alpha(alpha: float) -> None:
+    """BadParam unless alpha is a finite power >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise BadParam(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def l_alpha(field: LocalTimeField, alpha: float):
     """L_n(alpha) = sum over visited sites of count^alpha.
 
     alpha = 0 counts each visited site once (the range); integer alpha is
     evaluated in exact integer arithmetic, non-integer alpha in doubles.
+    Raises BadParam for a negative or non-finite alpha.
     """
-    if alpha < 0:
-        raise BadParam(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(alpha)
     counts = field.counts
     if alpha == 0:
         return field.range
@@ -296,8 +303,8 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
     if checkpoints[0] < 1:
         raise BadParam("checkpoints must be >= 1")
     alphas = tuple(float(a) for a in alphas)
-    if any(a < 0 for a in alphas):
-        raise BadParam("alphas must be >= 0")
+    for a in alphas:
+        _check_alpha(a)
     n_max = checkpoints[-1]
     _check_step_budget(n_max)
     gen = rnglib.generator(seed)

@@ -139,11 +139,9 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
         return _kronecker_qj(ret, j, n)
     g = np.array(ret.gamma_seq[:n + 1], dtype=np.float64)
     tau = np.array([0, *ret.tau_pmf()[:n]], dtype=np.float64)
-    conv = g.copy()
+    conv = g
     for _ in range(j - 1):
-        # descending m reads only the old conv[:m]; tau[0] = 0 drops conv[m]
-        for m in range(n, -1, -1):
-            conv[m] = np.dot(conv[:m + 1], tau[m::-1])
+        conv = np.convolve(conv, tau)[:n + 1]
     return float(np.dot(conv, g[::-1]))
 
 

@@ -82,7 +82,6 @@ KNOWN = {
 
 
 def covers(value: float, error: float, gamma: float) -> bool:
-    """|value - gamma| <= error, plus 4 eps * gamma of rounding, which
-    Green's error bar leaves out (bernoulli(0.7) at N = 2048 reports
-    3.8e-80 and misses by 2.2e-16)."""
+    """|value - gamma| <= error, plus 4 eps * gamma of rounding, which the
+    taboo DP's error bar, a Green tail, leaves out."""
     return abs(value - gamma) <= error + 4 * sys.float_info.epsilon * gamma

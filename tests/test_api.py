@@ -1,6 +1,13 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import walklab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every public name walklab exports, submodules aside.  Adding or deleting
 # an export is a deliberate edit of this set.
@@ -61,3 +68,36 @@ def test_option_surface_is_pinned():
 def test_no_budget_parameter_is_exported():
     assert not [f"{name}.{param.name}" for name, param in _exported_parameters()
                 if "budget" in param.name]
+
+
+# In a fresh interpreter at the repo root: the README's python quick tour,
+# then one golden case through tests/golden/regen.py.  scipy stays
+# importable, so a guarded import of it still shows in the module list.
+DOCUMENTED_SURFACE = r"""
+import importlib.util, json, re, sys, tempfile
+from pathlib import Path
+readme = Path("README.md").read_text()
+tour = re.search(r"```python\n(.*?)```", readme, re.S)  # padded to README line numbers
+exec(compile("\n" * readme.count("\n", 0, tour.start(1)) + tour[1], "README.md", "exec"), {})
+spec = importlib.util.spec_from_file_location("regen", "tests/golden/regen.py")
+regen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(regen)
+with tempfile.TemporaryDirectory() as tmp:
+    files = regen.run_case(regen.CASES[sys.argv[1]], Path(tmp))
+print(json.dumps({"exit_code": files["exit_code"].decode(), "stdout": files["stdout"].decode(),
+                  "golden_exit_code": regen.recorded(sys.argv[1])["exit_code"].decode(),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_documented_surface_loads_no_scipy():
+    # verify-geometric-fail computes one chi-square p-value per seed, dof > 0
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", DOCUMENTED_SURFACE, "verify-geometric-fail"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    assert child["exit_code"] == child["golden_exit_code"]
+    per_seed = json.loads(child["stdout"])["stats"]["per_seed"]
+    assert per_seed and all(s["dof"] > 0 and 0.0 < s["pvalue"] < 1.0 for s in per_seed)
+    assert child["scipy"] == []

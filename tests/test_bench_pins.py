@@ -18,6 +18,7 @@ from typing import NamedTuple
 import pytest
 
 import gamma_reference
+from report_compare import assert_close
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -96,19 +97,6 @@ def run():
     return run
 
 
-def _close(got, want):
-    """Floats equal to 1e-12 relative; types and everything else exactly."""
-    if isinstance(want, dict):
-        return (isinstance(got, dict) and got.keys() == want.keys()
-                and all(_close(got[k], want[k]) for k in want))
-    if isinstance(want, list):
-        return (isinstance(got, list) and len(got) == len(want)
-                and all(map(_close, got, want)))
-    if isinstance(want, float) and isinstance(got, float):
-        return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
-    return type(got) is type(want) and got == want
-
-
 @pytest.mark.parametrize("workload,command,threads", CASES,
                          ids=[f"{c.key}-threads{t}" for _, c, t in CASES])
 def test_command_matches_reference(run, workload, command, threads):
@@ -120,8 +108,7 @@ def test_command_matches_reference(run, workload, command, threads):
         # code, with no stdout
         assert report["value"] == workloads.DIAG3_DENSE_GAMMA
     elif command.key in CLOSE:
-        want = REFERENCE[workload][command.key]["stdout"]
-        assert _close(report, want), f"{report} != {want}"
+        assert_close(report, REFERENCE[workload][command.key]["stdout"], command.key)
     else:
         assert report == REFERENCE[workload][command.key]["stdout"]
     assert result.peak_mb <= PEAK_MB.get(command.key, math.inf)

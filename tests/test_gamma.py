@@ -160,6 +160,13 @@ class TestGreen:
         assert est.value == pytest.approx(0.4, abs=1e-10)
         assert est.error < 1e-12
 
+    @pytest.mark.parametrize("p", ["0.7", "0.9"])
+    def test_error_covers_rounding(self, p):
+        # the tail is below 1e-79 and rounding misses |2p - 1| by an ulp
+        known = gamma_reference.KNOWN[f"bernoulli({p})"]
+        est = wl.green_at_origin(known.law, 2048)
+        assert abs(est.value - known.gamma) <= est.error
+
     def test_deterministic_gamma_one(self, det1):
         est = wl.green_at_origin(det1, 50)
         assert est.value == 1.0 and est.error == 0.0

@@ -2,10 +2,11 @@
 
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
+
+from report_compare import assert_close
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).parent / "golden" / "regen.py")
@@ -13,7 +14,6 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 SAME_BUILD = json.loads((regen.HERE / "fingerprint.json").read_text()) == regen.fingerprint()
-FLOAT_REL = 1e-12
 
 
 def _cell(text: str):
@@ -34,23 +34,6 @@ def _parsed(data: bytes):
         return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
 
 
-def _close(got, want, where: str) -> None:
-    """Floats to FLOAT_REL; keys, ints, strings (rationals), booleans exactly."""
-    assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            _close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _close(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=FLOAT_REL), f"{where}: {got!r} vs {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} vs {want!r}"
-
-
 @pytest.mark.parametrize("case", sorted(regen.CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     got = regen.run_case(regen.CASES[case], tmp_path)
@@ -60,4 +43,4 @@ def test_cli_output_matches_golden(case, tmp_path):
         if SAME_BUILD or name in ("exit_code", "stderr"):
             assert got[name] == want[name], f"{case}/{name}"
         else:
-            _close(_parsed(got[name]), _parsed(want[name]), f"{case}/{name}")
+            assert_close(_parsed(got[name]), _parsed(want[name]), f"{case}/{name}")

@@ -95,6 +95,13 @@ class TestLAlpha:
         with pytest.raises(wl.BadParam):
             wl.l_alpha(f, -1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, det1, alpha):
+        with pytest.raises(wl.BadParam, match="alpha must be finite and >= 0"):
+            wl.l_alpha(wl.simulate(det1, 1, seed=0), alpha)
+        with pytest.raises(wl.BadParam, match="alpha must be finite and >= 0"):
+            wl.simulate_series(det1, [5, 10], [1.0, alpha], seed=1)
+
 
 class TestQHistogram:
     def test_deterministic(self, det1):
