@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -573,3 +577,15 @@ def test_return_tail_too_few_blocks_is_not_infinite_decay(runner):
     out = json.loads(res.output)
     assert out["value"] > 0
     assert (out["eta_hat"], out["infinite_decay"]) == (None, False)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the package itself never imports it
+    src = str(Path(walklab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, walklab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +313,13 @@ class TestChiSquareSurvival:
             keep = want > 1e-290
             worst = max(worst, float(np.max(np.abs(got[keep] - want[keep]) / want[keep])))
         assert worst <= 1e-12
+
+    def test_pvalue_needs_no_scipy(self):
+        src = str(Path(wl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; sys.modules['scipy'] = None; import walklab; "
+                "res = walklab.geometric_chi_square({1: 40, 2: 30, 3: 20, 4: 10}, 0.4); "
+                "print(res.dof, res.pvalue)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert int(out[0]) > 0 and 0.0 < float(out[1]) < 1.0
