@@ -36,7 +36,7 @@ from .harness import (
 )
 from .oracle import enumerate_paths, exact_zn_law
 from .path import simulate_series
-from .steps import StepLaw, law_from_json, law_to_json
+from .steps import StepLaw, _convert, _list_of, integer, law_from_json, law_to_json
 from .theory import (
     _check_j,
     _check_s,
@@ -50,6 +50,7 @@ from .theory import (
 )
 
 _CONFIG_KEYS = {"law", "experiment", "seeds", "tolerances"}
+_CSV_COMMANDS = ("simulate", "verify-slln", "verify-geometric", "variance-scan")
 
 
 class _Run:
@@ -107,13 +108,6 @@ def _resolve_law(run: _Run, law_text: str | None) -> StepLaw:
     raise ConfigError("no law given: pass --law '<json>' or a --config with a law")
 
 
-def integer(value) -> int:
-    """int(value), refusing booleans and numbers with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not integral")
-    return int(value)
-
-
 def real(value) -> float:
     """float(value), refusing booleans and non-finite numbers."""
     if isinstance(value, bool) or not math.isfinite(float(value)):
@@ -121,43 +115,29 @@ def real(value) -> float:
     return float(value)
 
 
-def _list_of(cast):
-    def convert(value):
-        if not isinstance(value, list):
-            raise TypeError(f"{value!r} is not a list")
-        return [cast(x) for x in value]
-    convert.__name__ = f"list of {cast.__name__}"
-    return convert
-
-
 def _options(run: _Run, table: dict, tolerances: dict | None = None) -> dict:
     """Each config key the command reads -> its value, converted.
 
-    table maps an experiment key -> (flag value, default, cast) and
-    tolerances a tolerance key -> (default, cast).  A value is the flag,
-    else the config's tolerance, else its experiment value, else the
-    default; None counts as not given.  A config key outside the tables is
-    rejected rather than silently ignored, and a flag or config value that
-    cast refuses is a ConfigError naming the key.  A config seed list
-    stands in for 'paths', so only a command that reads 'paths' takes one.
+    table maps an experiment key, and tolerances a tolerance key, ->
+    (flag value, default, cast).  A value is the flag, else the value in
+    its config section, else the default; None counts as not given.  A
+    config key outside the tables is rejected rather than silently
+    ignored, and a flag or config value that cast refuses is a
+    ConfigError naming the key.  A config seed list stands in for
+    'paths', so only a command that reads 'paths' takes one.
     """
-    tolerances = tolerances or {}
     if run.seeds_cfg is not None and "paths" not in table:
         raise ConfigError("config key 'seeds' is read only by verify-slln and "
                           "verify-geometric; this command takes its seed from --seed")
+    out = {}
     for section, given, known in (("experiment", run.experiment, table),
-                                  ("tolerance", run.tolerances, tolerances)):
+                                  ("tolerance", run.tolerances, tolerances or {})):
         unknown = set(given) - set(known)
         if unknown:
             raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    out = {}
-    for key in {**table, **tolerances}:
-        flag, default, cast = table.get(key, (None, None, None))
-        if key in tolerances:
-            default, cast = tolerances[key]
-        given = (flag, run.tolerances.get(key), run.experiment.get(key))
-        value = next((v for v in given if v is not None), default)
-        out[key] = None if value is None else _convert(key, value, cast)
+        for key, (flag, default, cast) in known.items():
+            value = next((v for v in (flag, given.get(key)) if v is not None), default)
+            out[key] = None if value is None else _convert(key, value, cast)
     return out
 
 
@@ -167,13 +147,6 @@ def _reject_unread(command: str, flags: dict, reads) -> None:
               if value is not None and key not in reads]
     if unread:
         raise ConfigError(f"{command} does not read {', '.join(unread)}")
-
-
-def _convert(key: str, value, cast):
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} = {value!r} is not a valid {cast.__name__}") from None
 
 
 def _seeds(run: _Run, paths: int) -> list[int]:
@@ -191,10 +164,7 @@ def _seeds(run: _Run, paths: int) -> list[int]:
 
 def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
     """Print the JSON body (or the CSV under --format csv); save both under --out."""
-    if run.fmt == "csv" and csv_text is not None:
-        click.echo(csv_text, nl=False)
-    else:
-        click.echo(body.decode(), nl=False)
+    click.echo(csv_text if run.fmt == "csv" else body.decode(), nl=False)
     if run.out is not None:
         run.out.mkdir(parents=True, exist_ok=True)
         (run.out / f"{name}.json").write_bytes(body)
@@ -265,6 +235,9 @@ def cli(ctx, config, seed, out, fmt, threads):
       verify-geometric        seed,u,empirical,theory
       variance-scan           n,variance,jackknife_se,mean_L,envelope
     """
+    if fmt == "csv" and ctx.invoked_subcommand not in _CSV_COMMANDS:
+        raise ConfigError(f"--format csv: {ctx.invoked_subcommand} has no CSV form; "
+                          f"only {', '.join(_CSV_COMMANDS)} have one")
     ctx.obj = _load_run(config, seed, out, fmt, threads)
 
 
@@ -431,7 +404,7 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
         "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(real)),
         "paths": (paths, 3, integer), "gamma_n": (gamma_n, None, integer),
         "checkpoints": (None, None, _list_of(integer))},
-        tolerances={"rel_tol": (0.05, real)})
+        tolerances={"rel_tol": (None, 0.05, real)})
     checkpoints = _checkpoints(opt, 1_000_000)
     seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
@@ -453,7 +426,7 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
     opt = _options(run, {"n": (n, 100_000, integer), "M": (resamples, 100_000, integer),
                          "paths": (paths, 1, integer)},
-                   tolerances={"tv_bar": (0.02, real), "p_floor": (1e-4, real)})
+                   tolerances={"tv_bar": (None, 0.02, real), "p_floor": (None, 1e-4, real)})
     seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
     report = run_geometric(law, opt["n"], opt["M"], seeds,
@@ -472,13 +445,12 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
 @click.pass_obj
 def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_cap):
     """Check the variance growth of L_n(alpha) against its envelope."""
-    # a tolerances.slope_cap overrides experiment.slope_cap, the flag both
     opt = _options(run, {"alpha": (alpha, 2, integer),
                          "n_min": (n_min, 1 << 10, integer),
                          "n_max": (n_max, 1 << 16, integer),
-                         "M": (replicas, 200, integer),
-                         "slope_cap": (slope_cap, None, real)},
-                   tolerances={"safety": (10.0, real), "slope_cap": (None, real)})
+                         "M": (replicas, 200, integer)},
+                   tolerances={"safety": (None, 10.0, real),
+                               "slope_cap": (slope_cap, None, real)})
     law = _resolve_law(run, law_text)
     grid = _doubling("n_min", opt["n_min"], opt["n_max"])
     if len(grid) < 3:

@@ -8,7 +8,7 @@ per kind of failure a caller could handle differently:
   horizon, gamma or data set),
 * ConfigError: a bad config file, law descriptor or CLI flag,
 * ResourceLimit: a computation would exceed a fixed budget,
-* SuspectedRecurrence: Green's series suggests the law is recurrent,
+* SuspectedRecurrence: Green's series diverges, and the law is recurrent,
 * InvariantViolation: a result breaks an invariant of its type (a bug).
 """
 
@@ -20,8 +20,8 @@ class WalklabError(Exception):
 class BadParam(WalklabError):
     """An argument of an API call is outside its legal range: a step law
     that is not a genuinely d-dimensional probability law, a parameter,
-    horizon or gamma out of range, a float law given to the exact oracle,
-    or data a fit or a distance cannot use."""
+    horizon or gamma out of range or not integral, a float law given to
+    the exact oracle, or data a fit or a distance cannot use."""
 
 
 class ConfigError(WalklabError):
@@ -39,7 +39,7 @@ class ResourceLimit(WalklabError):
 
 
 class SuspectedRecurrence(WalklabError):
-    """Green's series shows no sign of converging; the law looks recurrent."""
+    """Green's series shows no sign of converging, and the law is recurrent."""
 
 
 class InvariantViolation(WalklabError):

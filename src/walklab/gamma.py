@@ -17,16 +17,16 @@ _evolution, and one box DP: exact integer numerators for rational laws, a
 pruned float box otherwise.  The box DP stores a mod-2 class of its box
 only once mass lands in it (a walk with no zero atom is periodic), so
 srw(d) keeps half of its box and the eight diagonal steps of Z^3 an
-eighth; every cell is the same ordered float sum as on the whole box, and
-CELL_BUDGET counts the whole box.  The return-probability sequence P(S_m = 0)
-has two engines, and the law picks one: an axis-decomposition recursion
-for laws whose atoms are signed unit vectors and optionally the zero
-vector (simple and drifted simple walks, cost O(d N^2)), and a
-half-horizon box DP for every other law.  The latter uses the iid split of S_2m into two
-independent copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and
-likewise for odd times), so it evolves only to ceil(N/2).  Both engines
-agree with exact convolution to float precision; the tests cross-check
-them.
+eighth; no code builds the whole box, though CELL_BUDGET counts its
+cells.  The return-probability sequence P(S_m = 0) has two engines, and
+the law picks one: an axis-decomposition recursion for laws whose atoms
+are signed unit vectors and optionally the zero vector (simple and
+drifted simple walks, cost O(d N^2)), and a half-horizon box DP for every
+other law.  The latter uses the iid split of S_2m into two independent
+copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and likewise for odd
+times), summed class by class, so it evolves only to ceil(N/2).  Both
+engines agree with exact convolution to float precision; the tests
+cross-check them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import numpy as np
 from . import path
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
-from .steps import LatticePoint, Mass, StepLaw, _atom_indices, _sampling_arrays
+from .steps import (FLOAT_MASS_TOL, LatticePoint, Mass, StepLaw, _atom_indices,
+                    _sampling_arrays, mean_and_second_moment)
 
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
@@ -206,15 +207,14 @@ class DenseEvolver:
     stores half of its box, the eight diagonal steps of Z^3 an eighth,
     and a law whose walk reaches every residue all 2^d classes.  A step
     adds w*(source class) into each target class atom by atom in atom
-    order, so every cell is the same ordered sum as on the whole box;
-    box() interleaves the classes back into it.
+    order, so every cell is the same ordered sum as on a whole-box array.
 
     A rational law keeps exact integer numerators over denom**m in object
     arrays, where denom is the lcm of the atom denominators and each
     weight is mass * denom; mass() turns a numerator into a Fraction.  A
     float law keeps float64 arrays with denom 1; cells below
-    PRUNE_THRESHOLD are dropped (and accounted, in lexicographic order of
-    their points) when the box is re-trimmed, which keeps the box at the
+    PRUNE_THRESHOLD are dropped (and accounted class by class, residues in
+    sorted order) when the box is re-trimmed, which keeps the box at the
     diffusive scale instead of the ballistic one.
     """
 
@@ -281,21 +281,13 @@ class DenseEvolver:
             self._trim()
 
     def _prune(self) -> None:
-        # one sum over the pruned cells in lexicographic order of their
-        # points, as on the whole box: a float sum depends on its order
-        vals, keys = [], []
-        for r, arr in self.classes.items():
-            idx = np.nonzero((arr < PRUNE_THRESHOLD) & (arr > 0))
-            if idx[0].size:
-                vals.append(arr[idx])
-                first = self._class_box(r, self.lo, self.shape)[0]
-                keys.append(np.ravel_multi_index(
-                    tuple(f - l + 2 * i for f, l, i in zip(first, self.lo, idx)),
-                    self.shape))
-                arr[idx] = 0.0
-        if vals:
-            order = np.argsort(np.concatenate(keys), kind="stable")
-            self.pruned += float(np.concatenate(vals)[order].sum())
+        # class by class, residues in sorted order: a float sum depends on its order
+        for r in sorted(self.classes):
+            arr = self.classes[r]
+            small = (arr < PRUNE_THRESHOLD) & (arr > 0)
+            if small.any():
+                self.pruned += float(arr[small].sum())
+                arr[small] = 0.0
 
     def _trim(self) -> None:
         if not self.exact:
@@ -317,15 +309,6 @@ class DenseEvolver:
             self.classes[r] = np.ascontiguousarray(arr[_window(start, cshape)])
         self.lo = lo
         self.shape = shape
-
-    def box(self) -> np.ndarray:
-        """The whole box, lo .. lo+shape-1: the classes interleaved, zero
-        elsewhere, in a new array."""
-        out = np.zeros(self.shape, dtype=self.weights.dtype)
-        for r, arr in self.classes.items():
-            first = self._class_box(r, self.lo, self.shape)[0]
-            out[tuple(slice(f - l, None, 2) for f, l in zip(first, self.lo))] = arr
-        return out
 
     def mass(self, num) -> Mass:
         """The probability a box numerator stands for at the current step."""
@@ -470,18 +453,25 @@ def _axis_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     return v
 
 
-def _cross_sum(a: np.ndarray, lo_a: np.ndarray,
-               b: np.ndarray, lo_b: np.ndarray) -> float:
-    """sum_x a(x) b(-x) for box arrays whose index 0 sits at lattice point lo."""
-    flipped = b[(slice(None, None, -1),) * b.ndim]
-    lo_f = -(lo_b + np.array(b.shape) - 1)
-    start = np.maximum(lo_a, lo_f)
-    stop = np.minimum(lo_a + np.array(a.shape), lo_f + np.array(b.shape))
-    if (stop <= start).any():
-        return 0.0
-    sa = tuple(slice(int(s - l), int(e - l)) for s, e, l in zip(start, stop, lo_a))
-    sf = tuple(slice(int(s - l), int(e - l)) for s, e, l in zip(start, stop, lo_f))
-    return float((a[sa] * flipped[sf]).sum())
+def _cross_sum(a: dict, b: dict) -> float:
+    """sum_x a(x) b(-x) over the classes both hold, residues in a's (sorted)
+    order.  Each maps a residue r to (class array, half-index of its first
+    point); b's class r sits at its half-index plus r, because the mirror of
+    the point 2h + r is 2(-h - r) + r."""
+    total = 0.0
+    for r, (x, lo_x) in a.items():
+        if r not in b:
+            continue
+        y, lo_y = b[r]
+        flipped = y[(slice(None, None, -1),) * y.ndim]
+        lo_f = [-(l + c + n - 1) for l, c, n in zip(lo_y, r, y.shape)]
+        start = [max(p, q) for p, q in zip(lo_x, lo_f)]
+        stop = [min(p + n, q + m) for p, n, q, m in zip(lo_x, x.shape, lo_f, y.shape)]
+        if all(e > s for s, e in zip(start, stop)):
+            sx = tuple(slice(s - l, e - l) for s, e, l in zip(start, stop, lo_x))
+            sf = tuple(slice(s - l, e - l) for s, e, l in zip(start, stop, lo_f))
+            total += float((x[sx] * flipped[sf]).sum())
+    return total
 
 
 def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
@@ -490,20 +480,19 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     S_2m - S_m is an independent copy of S_m, so with p_m the law of S_m,
     P(S_2m = 0) = sum_x p_m(x) p_m(-x) and P(S_2m+1 = 0) =
     sum_x p_m+1(x) p_m(-x); evolving to ceil(n/2) gives the whole
-    sequence.  A parity the law cannot reach has disjoint supports and
-    comes out as an exact zero.  The sums run over the whole box,
-    ev.box(), with the zero cells of the classes not stored, because
-    numpy's pairwise sum depends on where they sit; box() builds a new
-    array, so the previous step's box stays valid.
+    sequence.  x and -x share a residue, so the sums run over the stored
+    classes, residues in sorted order (see _cross_sum).  A parity the law
+    cannot reach has no class in common and comes out as an exact zero.
     """
     r = np.empty(n + 1)
     prev = None
     for ev in _evolution(law.to_float(), (n + 1) // 2):
-        cur = (ev.box(), np.array(ev.lo))
+        cur = {c: (arr, tuple(f // 2 for f in ev._class_box(c, ev.lo, ev.shape)[0]))
+               for c, arr in sorted(ev.classes.items())}
         if 2 * ev.m <= n:
-            r[2 * ev.m] = _cross_sum(*cur, *cur)
+            r[2 * ev.m] = _cross_sum(cur, cur)
         if prev is not None:
-            r[2 * ev.m - 1] = _cross_sum(*cur, *prev)
+            r[2 * ev.m - 1] = _cross_sum(cur, prev)
         prev = cur
     return r
 
@@ -543,12 +532,6 @@ def _fit_window(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     return ms[nz], rv[nz], len(ms)
 
 
-def _lattice_period(ms: np.ndarray) -> int:
-    if len(ms) < 2:
-        return 1
-    return int(np.gcd.reduce(np.diff(ms)))
-
-
 def _diffusive_tail(ms, rv, window_len, n, d) -> float:
     """Fitted tail sum_{m>n} C m^{-d/2}, slope pinned at the diffusive value."""
     log_c = float(np.mean(np.log(rv) + (d / 2.0) * np.log(ms)))
@@ -556,26 +539,39 @@ def _diffusive_tail(ms, rv, window_len, n, d) -> float:
     return occupancy * math.exp(log_c) * (n + 0.5) ** (1 - d / 2.0) / (d / 2.0 - 1.0)
 
 
-def _geometric_tail(ms, rv, n) -> float:
+def _no_convergence(law: StepLaw, n: int, why: str) -> BadParam | SuspectedRecurrence:
+    """SuspectedRecurrence for a recurrent law, else BadParam naming the
+    horizon: a genuinely d-dimensional walk with finite support is
+    recurrent iff d <= 2 and its mean is zero (Chung & Fuchs 1951; Spitzer,
+    Principles of Random Walk), a float law's within FLOAT_MASS_TOL."""
+    mean, _ = mean_and_second_moment(law)
+    tol = 0 if law.exact else FLOAT_MASS_TOL
+    if law.d <= 2 and all(abs(c) <= tol for c in mean):
+        return SuspectedRecurrence(why)
+    return BadParam(f"{why}; the law is transient, so the horizon N = {n} is "
+                    "too short for the tail fit: raise --N")
+
+
+def _geometric_tail(ms, rv, n, law: StepLaw) -> float:
     """Fitted tail for geometrically decaying return probabilities (d<3)."""
     if len(ms) < 2:
         return 0.0
     b, a = np.polyfit(ms.astype(float), np.log(rv), 1)
     if b >= 0:
-        raise SuspectedRecurrence(
-            "return probabilities are not decaying; Green tail unbounded")
-    p = _lattice_period(ms)
+        raise _no_convergence(
+            law, n, "return probabilities are not decaying; Green tail unbounded")
+    p = int(np.gcd.reduce(np.diff(ms)))  # the lattice period of the nonzero terms
     return math.exp(a + b * (n + p)) / (1.0 - math.exp(b * p))
 
 
-def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
+def _fitted_tail(r: np.ndarray, n: int, law: StepLaw) -> float:
     """Fitted sum_{m>n} P(S_m = 0): diffusive in d >= 3, geometric below."""
     ms, rv, window_len = _fit_window(r, n)
     if len(ms) == 0:
         return 0.0
-    if d >= 3:
-        return _diffusive_tail(ms, rv, window_len, n, d)
-    return _geometric_tail(ms, rv, n)
+    if law.d >= 3:
+        return _diffusive_tail(ms, rv, window_len, n, law.d)
+    return _geometric_tail(ms, rv, n, law)
 
 
 def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
@@ -591,9 +587,9 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     bound on the rounding of the sum of its k positive terms, which
     dominates when the tail is negligible (bernoulli(0.7) at N = 2048).
 
-    Raises SuspectedRecurrence when the last decade of partial sums keeps
-    growing and the fitted decay exponent of P(S_m=0) is <= 1 (a
-    non-summable envelope).
+    Raises SuspectedRecurrence (a recurrent law) or BadParam (a transient
+    one, such as bernoulli(0.6) at N = 64) when the last decade of partial
+    sums keeps growing and the fitted decay exponent of P(S_m=0) is <= 1.
     """
     r = return_sequence(law, n)
     total = float(r.sum())
@@ -602,10 +598,10 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
         eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
         head = float(r[:max(TAIL_FIT_START, n // 10)].sum())
         if eta_hat <= 1.05 and (total - head) / total > 1e-3:
-            raise SuspectedRecurrence(
-                f"partial sums of P(S_m=0) still growing at N={n} "
+            raise _no_convergence(
+                law, n, f"partial sums of P(S_m=0) still growing at N={n} "
                 f"(fitted decay exponent {eta_hat:.3f} <= 1)")
-    tail = _fitted_tail(r, n, law.d)
+    tail = _fitted_tail(r, n, law)
     value = 1.0 / (total + tail)
     rounding = float(np.count_nonzero(r > 0) - 1) * np.finfo(np.float64).eps * value
     return GammaEstimate(value=value, error=max(value * value * tail, rounding),
@@ -658,7 +654,7 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     """
     ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
-    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d)
+    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law)
     return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
                          method="taboo_dp", params={"N": n})
 

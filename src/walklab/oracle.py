@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
-from .steps import StepLaw
+from .steps import StepLaw, _convert, integer
 
 # Most paths enumerate_paths walks; more is refused before the first leaf.
 PATH_BUDGET = 10 ** 7
@@ -67,7 +67,7 @@ def enumerate_paths(law: StepLaw, n: int,
         raise BadParam("the oracle needs a law with rational masses")
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
-    alphas = tuple(int(a) for a in alphas)
+    alphas = tuple(_convert("alpha", a, integer, BadParam) for a in alphas)
     if any(a < 0 for a in alphas):
         raise BadParam("alphas must be nonnegative integers")
     repeated = sorted({a for a in alphas if alphas.count(a) > 1})

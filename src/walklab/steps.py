@@ -88,16 +88,17 @@ def _rank_exact(vectors: Sequence[Sequence[int]], d: int) -> int:
 def make_law(d: int, atoms: Iterable[tuple[Sequence[int], Mass]],
              exact: bool) -> StepLaw:
     """Build and validate a StepLaw from raw (point, mass) pairs."""
+    d = _convert("d", d, integer, BadParam)
     normalized = []
     for point, mass in atoms:
-        pt = tuple(int(c) for c in point)
+        pt = tuple(_convert("atom coordinate", c, integer, BadParam) for c in point)
         if len(pt) != d:
             raise BadParam(f"atom {pt} has dimension {len(pt)}, law has d={d}")
         if any(abs(c) > _MAX_COORD for c in pt):
             raise BadParam(f"atom coordinate exceeds |c| <= {_MAX_COORD}: {pt}")
         normalized.append((pt, Fraction(mass) if exact else float(mass)))
     normalized.sort(key=lambda a: a[0])
-    return validate(StepLaw(d=int(d), atoms=tuple(normalized), exact=exact))
+    return validate(StepLaw(d=d, atoms=tuple(normalized), exact=exact))
 
 
 def validate(law: StepLaw) -> StepLaw:
@@ -154,8 +155,6 @@ def _parse_param(value, exact: bool):
 
 def srw(d: int, exact: bool = False) -> StepLaw:
     """Simple random walk: mass 1/(2d) on each of the 2d unit vectors."""
-    if d < 1:
-        raise BadParam(f"srw needs d >= 1, got {d}")
     return drifted_srw(d, 0, exact=exact)
 
 
@@ -170,8 +169,9 @@ def bernoulli(p, exact: bool = False) -> StepLaw:
 
 def drifted_srw(d: int, bias, exact: bool = False) -> StepLaw:
     """SRW with the first axis reweighted: +e1 gets (1+bias)/(2d), -e1 gets (1-bias)/(2d)."""
+    d = _convert("d", d, integer, BadParam)
     if d < 1:
-        raise BadParam(f"drifted_srw needs d >= 1, got {d}")
+        raise BadParam(f"srw and drifted_srw need d >= 1, got {d}")
     b = _parse_param(bias, exact)
     if not -1 < b < 1:
         raise BadParam(f"drifted_srw needs bias in (-1,1), got {b}")
@@ -191,7 +191,7 @@ def drifted_srw(d: int, bias, exact: bool = False) -> StepLaw:
 
 def deterministic(v: Sequence[int], exact: bool = False) -> StepLaw:
     """Point mass on one vector."""
-    v = tuple(int(c) for c in v)
+    v = tuple(v)
     one = Fraction(1) if exact else 1.0
     return make_law(len(v), [(v, one)], exact)
 
@@ -283,6 +283,31 @@ def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
 # JSON descriptors
 # ---------------------------------------------------------------------------
 
+def integer(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part (a
+    string is read as a decimal integer)."""
+    if isinstance(value, (bool, np.bool_)) or (
+            not isinstance(value, str) and int(value) != value):
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+def _list_of(cast):
+    def convert(value):
+        if not isinstance(value, list):
+            raise TypeError(f"{value!r} is not a list")
+        return [cast(x) for x in value]
+    convert.__name__ = f"list of {cast.__name__}"
+    return convert
+
+
+def _convert(key: str, value, cast, error: type = ConfigError):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise error(f"{key!r} = {value!r} is not a valid {cast.__name__}") from None
+
+
 def _mass_to_json(mass: Mass):
     if isinstance(mass, Fraction):
         return f"{mass.numerator}/{mass.denominator}"
@@ -304,9 +329,9 @@ def law_from_json(obj: Mapping) -> StepLaw:
 
     Builtin form: {"family": "bernoulli", "d": 1, "p": 0.7}.  Custom form:
     {"family": "custom", "d": 2, "atoms": [{"x": [1,0], "p": "1/3"}, ...]}.
-    Rational strings "a/b" (or decimal strings) select exact mode for
-    custom laws unless an explicit "exact" key overrides; plain floats
-    select float mode.  Unknown keys are rejected.
+    "exact" is true, false, or null or absent to infer it: rational strings
+    "a/b" (or decimal strings) select exact mode, plain floats float mode.
+    An unknown key, or a value of the wrong type, is a ConfigError.
     """
     if not isinstance(obj, Mapping):
         raise ConfigError(f"law descriptor must be an object, got {type(obj).__name__}")
@@ -319,33 +344,39 @@ def law_from_json(obj: Mapping) -> StepLaw:
     extra = set(obj) - {"family", "d", "exact", *keys}
     if extra:
         raise ConfigError(f"unknown keys in law descriptor: {sorted(extra)}")
+    exact = obj.get("exact")
+    if exact is not None and not isinstance(exact, bool):
+        raise ConfigError(f"'exact' must be true, false or null, got {exact!r}")
+    d = None if obj.get("d") is None else _convert("d", obj["d"], integer)
+
+    def number(value):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise TypeError(f"{value!r} is not a number")
+        return _parse_param(value, exact)
 
     if family == "custom":
-        if "d" not in obj or "atoms" not in obj:
+        if d is None or "atoms" not in obj:
             raise ConfigError("custom law needs 'd' and 'atoms'")
         raw = obj["atoms"]
         if not isinstance(raw, Sequence) or not raw:
             raise ConfigError("'atoms' must be a nonempty list")
-        masses = []
         for entry in raw:
-            if set(entry) != {"x", "p"}:
-                raise ConfigError(f"atom entries need exactly keys x,p: {entry}")
-            masses.append(entry["p"])
-        exact = obj.get("exact")
+            if not isinstance(entry, Mapping) or set(entry) != {"x", "p"}:
+                raise ConfigError(f"'atoms' entries must be objects with exactly keys x,p: {entry!r}")
         if exact is None:
-            exact = all(isinstance(m, (str, int)) for m in masses)
-        atoms = [(entry["x"], _parse_param(entry["p"], exact)) for entry in raw]
-        return make_law(obj["d"], atoms, exact=bool(exact))
+            exact = all(isinstance(entry["p"], (str, int)) for entry in raw)
+        atoms = [(_convert("x", entry["x"], _list_of(integer)),
+                  _convert("p", entry["p"], number)) for entry in raw]
+        return make_law(d, atoms, exact=exact)
 
-    implied = {"bernoulli": 1}.get(family)
-    if family == "deterministic" and isinstance(obj.get("v"), Sequence):
-        implied = len(obj["v"])
-    if implied is not None and obj.get("d", implied) != implied:
-        raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")
-    for key in keys:
-        if key != "d" and key not in obj:
+    if exact is None:
+        exact = isinstance(obj.get("p", obj.get("bias")), str)
+    args = {"d": 1 if d is None else d}  # a missing or null d means 1
+    for key in set(keys) - {"d"}:
+        if key not in obj:
             raise BadParam(f"{family} needs parameter {key}")
-    exact = bool(obj.get("exact", isinstance(obj.get("p", obj.get("bias", 0.0)), str)))
-    # a missing or null d means 1
-    args = [1 if key == "d" and obj.get("d") is None else obj[key] for key in keys]
-    return ctor(*args, exact=exact)
+        args[key] = _convert(key, obj[key], _list_of(integer) if key == "v" else number)
+    implied = len(args["v"]) if family == "deterministic" else {"bernoulli": 1}.get(family)
+    if implied is not None and d is not None and d != implied:
+        raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")
+    return ctor(*(args[key] for key in keys), exact=exact)

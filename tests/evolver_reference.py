@@ -3,15 +3,20 @@
 This is the evolver walklab.gamma.DenseEvolver replaced: one stride-1
 array over the support's bounding box, every cell stored whether or not
 the walk's parity can reach it.  DenseEvolver, _evolution, _cross_sum and
-_dense_return_sequence are kept as they were, except that the budget is
-read as gamma.CELL_BUDGET, so a test that lowers the package's budget
-lowers this one too.  The thin wrappers at the end do what taboo_survival,
-pmf_evolve and sup_pmf_sequence do on top of the evolver.  The tests
-compare the package against this module for equality, floats bit for bit.
+_dense_return_sequence are kept as they were, with two exceptions.  The
+budget is read as gamma.CELL_BUDGET, so a test that lowers the package's
+budget lowers this one too.  The two float sums over many cells, the
+pruned mass and the return sequence's cross-sums, run over the box's
+mod-2 classes, stride-2 slices of the box, one at a time with residues
+in sorted order, which is the order the package adds them in.  The thin
+wrappers at the end do what taboo_survival, pmf_evolve and
+sup_pmf_sequence do on top of the evolver.  The tests compare the
+package against this module for equality, floats bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -87,12 +92,23 @@ class DenseEvolver:
         if self.m % self.TRIM_EVERY == 0:
             self._trim()
 
+    def classes(self) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+        """(residue r, first point of r in the box, stride-2 view of the box
+        at the points congruent to r) for each r in {0, 1}^d, in sorted order."""
+        out = []
+        for r in itertools.product((0, 1), repeat=self.d):
+            first = self.lo + (np.array(r) - self.lo) % 2
+            view = self.arr[tuple(slice(int(f - l), None, 2) for f, l in zip(first, self.lo))]
+            out.append((r, first, view))
+        return out
+
     def _trim(self) -> None:
         if not self.exact:
-            small = (self.arr < PRUNE_THRESHOLD) & (self.arr > 0)
-            if small.any():
-                self.pruned += float(self.arr[small].sum())
-                self.arr[small] = 0.0
+            for _, _, view in self.classes():
+                small = (view < PRUNE_THRESHOLD) & (view > 0)
+                if small.any():
+                    self.pruned += float(view[small].sum())
+                    view[small] = 0.0
         for axis in range(self.d):
             other = tuple(a for a in range(self.d) if a != axis)
             profile = self.arr.max(axis=other) if other else self.arr
@@ -162,21 +178,30 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     S_2m - S_m is an independent copy of S_m, so with p_m the law of S_m,
     P(S_2m = 0) = sum_x p_m(x) p_m(-x) and P(S_2m+1 = 0) =
     sum_x p_m+1(x) p_m(-x); evolving to ceil(n/2) gives the whole
-    sequence.  A parity the law cannot reach has disjoint supports and
-    comes out as an exact zero.  Each step rebinds the evolver's arrays,
-    so the previous step's arrays stay valid without copies.
+    sequence.  x and -x share a residue, so each sum adds up the classes'
+    cross-sums, residues in sorted order; class r holds the points 2h + r,
+    whose mirrors are 2(-h - r) + r, so the second class is placed at its
+    half-index plus r.  A parity the law cannot reach has disjoint
+    supports and comes out as an exact zero.  Each step rebinds the
+    evolver's arrays, so the previous step's arrays stay valid without
+    copies.
     """
+    def cross(a, b):
+        total = 0.0
+        for (c, first_a, ca), (_, first_b, cb) in zip(a, b):
+            total += _cross_sum(ca, first_a // 2, cb, first_b // 2 + c)
+        return total
+
     r = np.empty(n + 1)
     prev = None
     for ev in _evolution(law.to_float(), (n + 1) // 2):
-        cur = (ev.arr, ev.lo)
+        cur = ev.classes()
         if 2 * ev.m <= n:
-            r[2 * ev.m] = _cross_sum(*cur, *cur)
+            r[2 * ev.m] = cross(cur, cur)
         if prev is not None:
-            r[2 * ev.m - 1] = _cross_sum(*cur, *prev)
+            r[2 * ev.m - 1] = cross(cur, prev)
         prev = cur
     return r
-
 
 
 def taboo_survival(law: StepLaw, n: int) -> tuple[tuple, float]:

@@ -214,6 +214,18 @@ class TestSimulateCommand:
                                   "--n", "4", "--alphas", "1"])
         assert res.output.splitlines()[0] == "n,alpha,L,L_over_n,R,R_over_n"
 
+    @pytest.mark.parametrize("args", [
+        ["estimate-gamma", "--law", BERN, "--method", "green", "--N", "64"],
+        ["predict", "--what", "geom", "--u", "2", "--gamma", "0.4"],
+        ["oracle", "--law", BERN_EXACT, "--n", "2"],
+        ["return-tail", "--law", BERN],
+    ], ids=lambda args: args[0])
+    def test_csv_format_refused_without_csv_form(self, runner, args):
+        res = runner.invoke(cli, ["--format", "csv", *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception).startswith(f"--format csv: {args[0]} has no CSV form")
+
 
 class TestVerdictExitCodes:
     def test_pass_is_zero(self, runner):
@@ -251,6 +263,17 @@ class TestMalformedJson:
         err = self._main_error(capsys, ["estimate-gamma", "--law", "not json",
                                         "--method", "green"])
         assert err.startswith("error: --law is not valid JSON")
+
+    @pytest.mark.parametrize("law,key", [
+        ('{"family": "srw", "d": 3, "exact": "false"}', "exact"),
+        ('{"family": "srw", "d": 2.5}', "d"),
+        ('{"family": "custom", "d": 1, "atoms": [5]}', "atoms"),
+        ('{"family": "deterministic", "v": [1.5]}', "v"),
+    ], ids=["exact-string", "d-fractional", "atom-not-object", "v-fractional"])
+    def test_law_descriptor_value(self, capsys, law, key):
+        err = self._main_error(capsys, ["estimate-gamma", "--law", law,
+                                        "--method", "dp", "--N", "8"])
+        assert err.startswith("error: ") and repr(key) in err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -361,14 +384,19 @@ class TestConfig:
         res = runner.invoke(cli, ["--config", str(cfg), "verify-geometric",
                                   "--law", DET, "--n", "64", "--M", "10"])
         assert json.loads(res.output)["tolerances"] == {"tv_bar": 0.5, "p_floor": 0.0}
-        cfg.write_text(json.dumps({"tolerances": {"slope_cap": 1.5, "safety": 3},
-                                   "experiment": {"slope_cap": 9}}))
+        cfg.write_text(json.dumps({"tolerances": {"slope_cap": 1.5, "safety": 3}}))
         args = ["--config", str(cfg), "variance-scan", "--law", DET,
                 "--n-min", "16", "--n-max", "64", "--M", "3"]
         res = runner.invoke(cli, args)
         assert json.loads(res.output)["tolerances"] == {"safety": 3.0, "slope_cap": 1.5}
         res = runner.invoke(cli, args + ["--slope-cap", "2"])
         assert json.loads(res.output)["tolerances"]["slope_cap"] == 2.0
+        # slope_cap is a tolerance only, so no second section can set it
+        cfg.write_text(json.dumps({"experiment": {"slope_cap": 9}}))
+        res = runner.invoke(cli, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == "unknown experiment keys: ['slope_cap']"
 
     @pytest.mark.parametrize("config,key,args", [
         ({"experiment": {"n": "abc"}}, "n", ["simulate", "--law", DET]),

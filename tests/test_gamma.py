@@ -191,6 +191,13 @@ class TestGreen:
         with pytest.raises(wl.SuspectedRecurrence):
             wl.green_at_origin(wl.srw(2), 1024)
 
+    def test_transient_short_horizon_is_bad_param(self):
+        # gamma = 0.2, but at N = 64 the returns' slow geometric decay
+        # (4pq = 0.96 per two steps) fits a power law of exponent <= 1
+        with pytest.raises(wl.BadParam, match="the law is transient, so the horizon "
+                           "N = 64 is too short for the tail fit: raise --N"):
+            wl.green_at_origin(wl.bernoulli(0.6), 64)
+
     def test_recurrent_lazy_walk_guard(self):
         lazy = wl.make_law(1, [((1,), 0.4), ((-1,), 0.4), ((0,), 0.2)], False)
         with pytest.raises(wl.SuspectedRecurrence):
@@ -360,7 +367,7 @@ KNOWN_ANSWER_LEGS = [
     ("diag3", "green", (32, 128)), ("diag3", "dp", (24, 96)),
     *((f"bernoulli({p})", leg, (64, 200, 2048))
       for p in ("0.7", "0.9") for leg in ("green", "dp")),
-    # green_at_origin(bernoulli(0.6), 64) raises a false SuspectedRecurrence
+    # at N = 64 the bernoulli(0.6) Green leg refuses the horizon (BadParam)
     *(("bernoulli(0.6)", leg, (200, 2048)) for leg in ("green", "dp")),
 ]
 

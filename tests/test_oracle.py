@@ -57,6 +57,11 @@ class TestEnumerate:
         with pytest.raises(wl.BadParam, match="alphas must be distinct; repeated: 2, 3$"):
             wl.enumerate_paths(bern07_exact, 2, alphas=(3, 2, 0, 2, 3))
 
+    @pytest.mark.parametrize("alpha", [2.5, True, "x"])
+    def test_non_integral_alpha_rejected(self, bern07_exact, alpha):
+        with pytest.raises(wl.BadParam, match="^'alpha' = .* is not a valid integer$"):
+            wl.enumerate_paths(bern07_exact, 3, alphas=(alpha,))
+
     def test_variance_nonnegative(self, drifted2_exact):
         s = wl.enumerate_paths(drifted2_exact, 7, alphas=(2, 3))
         assert all(v >= 0 for v in s.variance_l.values())

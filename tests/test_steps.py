@@ -88,6 +88,19 @@ class TestBuiltins:
     def test_drifted_bias_zero_is_srw(self):
         assert wl.drifted_srw(2, 0).atoms == wl.srw(2).atoms
 
+    @pytest.mark.parametrize("call,what", [
+        (lambda: wl.srw(True), "'d' = True"),
+        (lambda: wl.srw(2.5), "'d' = 2.5"),
+        (lambda: wl.drifted_srw(True, 0.1), "'d' = True"),
+        (lambda: wl.deterministic([1.5]), "'atom coordinate' = 1.5"),
+        (lambda: wl.make_law(1, [((1.5,), 1.0)], False), "'atom coordinate' = 1.5"),
+        (lambda: wl.make_law(True, [((1,), 1.0)], False), "'d' = True"),
+    ], ids=["srw-bool", "srw-fractional", "drifted-bool", "deterministic-v",
+            "make_law-coordinate", "make_law-d"])
+    def test_non_integral_is_bad_param(self, call, what):
+        with pytest.raises(wl.BadParam, match=f"^{what} is not a valid integer$"):
+            call()
+
 
 def _steps(law, gen, size):
     """size steps drawn by sample_indices, as tuples of coordinates."""
@@ -259,6 +272,32 @@ class TestJson:
     ])
     def test_dimension_agreeing_with_family_accepted(self, obj):
         assert wl.law_from_json(obj).d == 1
+
+    @pytest.mark.parametrize("descriptor,key", [
+        ({"family": "srw", "d": 3, "exact": "false"}, "exact"),
+        ({"family": "srw", "d": True}, "d"),
+        ({"family": "srw", "d": 2.5}, "d"),
+        ({"family": "bernoulli", "d": True, "p": 0.7}, "d"),
+        ({"family": "deterministic", "v": [1.5]}, "v"),
+        ({"family": "custom", "d": 1, "atoms": [{"x": [1.5], "p": 1}]}, "x"),
+        ({"family": "custom", "d": 1, "atoms": [5]}, "atoms"),
+        ({"family": "bernoulli", "p": [0.7]}, "p"),
+        ({"family": "custom", "d": 1, "atoms": [{"x": [1], "p": None}]}, "p"),
+    ], ids=["exact-string", "d-bool", "d-fractional", "bernoulli-d-bool", "v-fractional",
+            "x-fractional", "atom-not-object", "p-list", "p-null"])
+    def test_value_of_wrong_type_is_config_error(self, descriptor, key):
+        with pytest.raises(wl.ConfigError, match=repr(key)):
+            wl.law_from_json(descriptor)
+
+    @pytest.mark.parametrize("descriptor,law", [
+        ({"family": "bernoulli", "p": "7/10", "exact": None},
+         wl.bernoulli("7/10", exact=True)),
+        ({"family": "srw", "d": "3"}, wl.srw(3)),
+    ], ids=["null-exact-is-inferred", "d-integer-string"])
+    def test_read_as_the_config_reads_it(self, descriptor, law):
+        """A null "exact" is inferred, as for custom laws; "d" goes through
+        the integer check of every integer config key."""
+        assert wl.law_from_json(descriptor) == law
 
     def test_describe_roundtrips(self, bern07_exact):
         again = wl.law_from_json(wl.law_to_json(bern07_exact))
