@@ -20,12 +20,14 @@ from .steps import StepLaw, _sampling_arrays, sample_indices
 
 _INT64_SAFE = 1 << 62
 
-# A path of n steps holds about 18 bytes per step at its peak (the int64
-# keys, one int64 axis or rank buffer, and the step indices or the int32
-# sort order and occurrence ranks), so 10**8 steps is about 1.8 GB.
-# simulate, simulate_series and variance_scan refuse longer paths before
-# the first allocation.  Kept below 2**31, which the int32 time indices
-# of _occurrence_numbers need.
+# A path of n steps holds about 9 bytes per step at its peak in
+# simulate_series: the int64 keys and one narrow array, the step indices
+# and then the occurrence numbers (uint8 while no site has 256 visits).
+# simulate holds the keys, a bool mask and one int64 run end per visited
+# site, at most 17 bytes per step (about 16 for srw(3)).  So 10**8 steps
+# is about 0.9 GB for a series and at most 1.7 GB for a field.  simulate,
+# simulate_series and variance_scan refuse longer paths before the first
+# allocation.
 STEP_BUDGET = 10 ** 8
 
 # Steps per piece when drawing step indices, gathering an axis, tagging
@@ -43,23 +45,27 @@ def _check_step_budget(n: int) -> None:
 def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
     """One int64 key per time point of S_0..S_n, in site order.
 
-    The keys are built one axis at a time, without an (n+1, d) positions
-    array: each axis is a gather of that axis's step coordinate and an
-    in-place prefix sum, folded in as a mixed-radix digit,
-    keys = keys*span + (x - lo).  The code is monotone in lexicographic
-    order of the positions, so sorting keys sorts sites.  The step
-    indices are drawn _CHUNK at a time (the same stream as one draw of n)
-    into the smallest unsigned dtype that holds them, and gathered a
-    chunk at a time, so besides the keys only the axis buffer x is a full
-    8 bytes per step.
+    The keys are built one axis at a time, last axis first, without an
+    (n+1, d) positions array or a full-length axis buffer.  The key is
+    sum_j (x_j - lo_j) * W_j, W_j the product of the spans of the axes
+    after j, so W_j is known before axis j is read.  Each _CHUNK piece of
+    the axis is gathered from the step indices and prefix-summed (carrying
+    the previous piece's end), lo and hi are tracked, and piece * W_j is
+    added to the keys; after the pass the keys drop lo_j * W_j.  The code
+    is monotone in lexicographic order of the positions, so sorting keys
+    sorts sites.  The step indices are drawn _CHUNK at a time (the same
+    stream as one draw of n) into the smallest unsigned dtype that holds
+    them, so besides the keys only the indices are full length (and an
+    axis too wide to fold, below, while it is ranked).
 
-    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length() <= 27
-    under STEP_BUDGET, so a key and its time index share one int64 (see
-    _occurrence_numbers).  When a digit would cross that budget, the
-    partial key is replaced by its dense rank (same order, at most n+1
-    values); an axis too wide to be multiplied in within int64 is ranked
-    first.  Ranks keep the order, and no caller needs the coordinates
-    back, so the rank tables are dropped.
+    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length(), so a key
+    and its time index share one int64 (see _occurrence_numbers).  When
+    the keys pass that budget they are replaced by their dense rank (same
+    order, at most n+1 values).  Before an axis whose raw sums times W_j
+    could leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first;
+    if that is still too wide, the axis is built in full and ranked too.
+    Ranks keep the order, and no caller needs the coordinates back, so the
+    rank tables are dropped.
     """
     coords, _ = _sampling_arrays(law)
     budget = 1 << (63 - (n + 1).bit_length())
@@ -68,28 +74,52 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
         e = min(s + _CHUNK, n)
         idx[s:e] = sample_indices(law, gen, e - s)
     keys = np.zeros(n + 1, dtype=np.int64)
-    x = np.empty(n + 1, dtype=np.int64)
+    buf = np.empty(min(n, _CHUNK), dtype=np.int64)
     radix = 1
-    for j in range(law.d):
+    for j in reversed(range(law.d)):
         col = coords[:, j]
-        x[0] = 0
-        for s in range(0, n, _CHUNK):
-            e = min(s + _CHUNK, n)
-            np.take(col, idx[s:e], out=x[1 + s:1 + e], mode="clip")
-        np.cumsum(x[1:], out=x[1:])
-        lo = int(x.min())
-        span = int(x.max()) - lo + 1
-        x -= lo
-        if radix * span > 1 << 63:
+        reach = n * int(np.abs(col).max()) + 1
+        if radix * reach >= 1 << 63:
+            key_values, keys = np.unique(keys, return_inverse=True)
+            radix = len(key_values)
+        if radix * reach >= 1 << 63:
+            x = np.zeros(n + 1, dtype=np.int64)
+            for s, piece in _axis_pieces(col, idx, buf):
+                x[1 + s:1 + s + len(piece)] = piece
             axis_values, x = np.unique(x, return_inverse=True)
-            span = len(axis_values)
-        keys *= span
-        keys += x
-        radix *= span
+            x *= radix
+            keys += x
+            del x
+            radix *= len(axis_values)
+        else:
+            lo = hi = 0
+            for s, piece in _axis_pieces(col, idx, buf):
+                lo = min(lo, int(piece.min()))
+                hi = max(hi, int(piece.max()))
+                piece *= radix
+                keys[1 + s:1 + s + len(piece)] += piece
+            keys -= lo * radix
+            radix *= hi - lo + 1
         if radix > budget:
             key_values, keys = np.unique(keys, return_inverse=True)
             radix = len(key_values)
     return keys
+
+
+def _axis_pieces(col: np.ndarray, idx: np.ndarray, buf: np.ndarray):
+    """(s, S_{s+1..e} of one axis) per _CHUNK piece of the step indices idx.
+
+    col holds the axis's coordinate of each atom.  Every piece is written
+    into buf, so it is valid until the next one is drawn.
+    """
+    end = 0
+    for s in range(0, len(idx), _CHUNK):
+        piece = buf[:min(_CHUNK, len(idx) - s)]
+        np.take(col, idx[s:s + len(piece)], out=piece, mode="clip")
+        piece[0] += end
+        np.cumsum(piece, out=piece)
+        end = int(piece[-1])
+        yield s, piece
 
 
 @dataclass(frozen=True)
@@ -132,12 +162,21 @@ class QHistogram:
 
 
 def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
-    """Simulate one n-step path and return its local-time field."""
+    """Simulate one n-step path and return its local-time field.
+
+    The keys are sorted in place, with no sorted copy, and the counts are
+    the gaps between the ends of their runs of equal keys.
+    """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
     _check_step_budget(n)
     gen = rnglib.generator(seed)
-    _, counts = np.unique(_walk_keys(law, n, gen), return_counts=True)
+    keys = _walk_keys(law, n, gen)
+    keys.sort()
+    size = len(keys)
+    ends = np.flatnonzero(keys[1:] != keys[:-1])
+    del keys
+    counts = np.diff(ends, prepend=-1, append=size - 1)
     field = LocalTimeField(n=n, counts=counts)
     field.check_invariants()
     return field
@@ -218,9 +257,14 @@ def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
     """k[t] = how many times keys[t] has appeared among keys[0..t].
 
     keys come from _walk_keys, so key << tbits | t fits in int64 and one
-    unstable sort of those distinct composites orders the times by key,
-    then by t.  The times are below 2**31 under STEP_BUDGET, so the sort
-    order and the ranks are int32.  keys is overwritten and returned as k.
+    in-place sort of those distinct composites orders the times by key,
+    then by t.  The sorted composites are then walked a piece at a time:
+    a time's rank is its position minus the start of its key's run, plus
+    one (the run start and the last key carry from piece to piece), and
+    is scattered to k at that time.  k has the narrowest unsigned dtype
+    that holds the largest rank: it starts as uint8 and is widened when a
+    piece's ranks outgrow it.  So besides keys, which is overwritten,
+    only k is full length.
     """
     size = len(keys)
     tbits = size.bit_length()
@@ -228,20 +272,26 @@ def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
     for s in range(0, size, _CHUNK):
         keys[s:s + _CHUNK] |= np.arange(s, min(s + _CHUNK, size))
     keys.sort()
-    order = np.empty(size, dtype=np.int32)
-    np.bitwise_and(keys, (1 << tbits) - 1, out=order, casting="unsafe")
-    keys >>= tbits
-    new_group = np.empty(size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
-    t = np.arange(size, dtype=np.int32)
-    group_start = np.multiply(t, new_group, out=keys)
-    np.maximum.accumulate(group_start, out=group_start)
-    t -= group_start
-    t += 1
+    k = np.empty(size, dtype=np.uint8)
+    last, start = -1, 0
     for s in range(0, size, _CHUNK):
-        keys[order[s:s + _CHUNK]] = t[s:s + _CHUNK]
-    return keys
+        piece = keys[s:s + _CHUNK]
+        key = piece >> tbits
+        new_run = np.empty(len(piece), dtype=bool)
+        new_run[0] = key[0] != last
+        np.not_equal(key[1:], key[:-1], out=new_run[1:])
+        ranks = np.arange(s, s + len(piece))
+        starts = ranks * new_run
+        starts[0] = max(starts[0], start)
+        np.maximum.accumulate(starts, out=starts)
+        last, start = int(key[-1]), int(starts[-1])
+        ranks -= starts
+        ranks += 1
+        top = int(ranks.max())
+        if top > np.iinfo(k.dtype).max:
+            k = k.astype(np.min_scalar_type(top))
+        k[piece & ((1 << tbits) - 1)] = ranks
+    return k
 
 
 def _visit_increments(k: np.ndarray, alpha: float, wide: bool) -> np.ndarray:
@@ -277,7 +327,8 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
     carries = [0] * len(alphas)
     cks = np.asarray(checkpoints)
     for s in range(0, len(k), _CHUNK):
-        part = k[s:s + _CHUNK]
+        # k may be uint8, whose k ** 3 would wrap
+        part = k[s:s + _CHUNK].astype(np.int64)
         lo, hi = np.searchsorted(cks, [s, s + len(part)])
         at = cks[lo:hi] - s + 1
         for j, a in enumerate(alphas):

@@ -96,7 +96,7 @@ def make_law(d: int, atoms: Iterable[tuple[Sequence[int], Mass]],
             raise BadParam(f"atom {pt} has dimension {len(pt)}, law has d={d}")
         if any(abs(c) > _MAX_COORD for c in pt):
             raise BadParam(f"atom coordinate exceeds |c| <= {_MAX_COORD}: {pt}")
-        normalized.append((pt, Fraction(mass) if exact else float(mass)))
+        normalized.append((pt, _parse_param("mass", mass, exact)))
     normalized.sort(key=lambda a: a[0])
     return validate(StepLaw(d=d, atoms=tuple(normalized), exact=exact))
 
@@ -137,20 +137,26 @@ def validate(law: StepLaw) -> StepLaw:
 # Builtin families
 # ---------------------------------------------------------------------------
 
-def _parse_param(value, exact: bool):
-    """Interpret a numeric parameter in the requested arithmetic.
+def _number(exact: bool):
+    """The cast that reads a mass or parameter in the requested arithmetic.
 
     Exact mode accepts ints, Fractions and strings ("7/10" or "0.7");
-    a float is read through its shortest decimal representation, so
-    exact bernoulli(0.7) means p = 7/10, not the binary double.
+    a float is read through its shortest decimal representation, so exact
+    bernoulli(0.7) means p = 7/10, not the binary double.  Float mode
+    reads the same strings.  Booleans are refused in both.
     """
-    if exact:
-        if isinstance(value, float):
-            return Fraction(str(value))
-        return Fraction(value)
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+    def number(value):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{value!r} is not a number")
+        if exact:
+            return Fraction(str(value) if isinstance(value, float) else value)
+        return float(Fraction(value) if isinstance(value, str) else value)
+    return number
+
+
+def _parse_param(key: str, value, exact: bool):
+    """value read by _number(exact); a BadParam naming key if it is not a number."""
+    return _convert(key, value, _number(exact), BadParam)
 
 
 def srw(d: int, exact: bool = False) -> StepLaw:
@@ -160,7 +166,7 @@ def srw(d: int, exact: bool = False) -> StepLaw:
 
 def bernoulli(p, exact: bool = False) -> StepLaw:
     """d=1 walk stepping +1 with probability p, -1 with probability 1-p."""
-    pv = _parse_param(p, exact)
+    pv = _parse_param("p", p, exact)
     if not 0 < pv < 1:
         raise BadParam(f"bernoulli needs p in (0,1), got {pv}")
     one = Fraction(1) if exact else 1.0
@@ -172,7 +178,7 @@ def drifted_srw(d: int, bias, exact: bool = False) -> StepLaw:
     d = _convert("d", d, integer, BadParam)
     if d < 1:
         raise BadParam(f"srw and drifted_srw need d >= 1, got {d}")
-    b = _parse_param(bias, exact)
+    b = _parse_param("bias", bias, exact)
     if not -1 < b < 1:
         raise BadParam(f"drifted_srw needs bias in (-1,1), got {b}")
     one = Fraction(1) if exact else 1.0
@@ -349,11 +355,6 @@ def law_from_json(obj: Mapping) -> StepLaw:
         raise ConfigError(f"'exact' must be true, false or null, got {exact!r}")
     d = None if obj.get("d") is None else _convert("d", obj["d"], integer)
 
-    def number(value):
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise TypeError(f"{value!r} is not a number")
-        return _parse_param(value, exact)
-
     if family == "custom":
         if d is None or "atoms" not in obj:
             raise ConfigError("custom law needs 'd' and 'atoms'")
@@ -366,7 +367,7 @@ def law_from_json(obj: Mapping) -> StepLaw:
         if exact is None:
             exact = all(isinstance(entry["p"], (str, int)) for entry in raw)
         atoms = [(_convert("x", entry["x"], _list_of(integer)),
-                  _convert("p", entry["p"], number)) for entry in raw]
+                  _convert("p", entry["p"], _number(exact))) for entry in raw]
         return make_law(d, atoms, exact=exact)
 
     if exact is None:
@@ -375,7 +376,7 @@ def law_from_json(obj: Mapping) -> StepLaw:
     for key in set(keys) - {"d"}:
         if key not in obj:
             raise BadParam(f"{family} needs parameter {key}")
-        args[key] = _convert(key, obj[key], _list_of(integer) if key == "v" else number)
+        args[key] = _convert(key, obj[key], _list_of(integer) if key == "v" else _number(exact))
     implied = len(args["v"]) if family == "deterministic" else {"bernoulli": 1}.get(family)
     if implied is not None and d is not None and d != implied:
         raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")

@@ -185,9 +185,9 @@ class TestSeries:
             wl.simulate_series(det1, [], [1.0], seed=0)
 
 
-def _lazy(d):
-    """srw(d) that stays put with probability 1/5."""
-    atoms = [(e, 0.8 * m) for e, m in wl.srw(d).atoms] + [((0,) * d, 0.2)]
+def _lazy(d, stay=0.2):
+    """srw(d) that stays put with probability stay."""
+    atoms = [(e, (1 - stay) * m) for e, m in wl.srw(d).atoms] + [((0,) * d, stay)]
     return wl.make_law(d, atoms, exact=False)
 
 
@@ -203,6 +203,12 @@ _HUGE_STEPS = wl.make_law(2, [((1 << 22, 0), 0.3), ((0, 1 << 22), 0.3),
                               ((-(1 << 22), 0), 0.2), ((0, -(1 << 22)), 0.2)],
                           exact=False)
 
+# Steps of 2^22 on the first axis and a drift on the second, which takes a
+# new value at most times: the ranked second axis times n * 2^22 leaves
+# int64 past about 2 * 10^6 steps, so the first axis must be ranked too.
+_HUGE_DRIFT = wl.make_law(2, [((1 << 22, 1), 0.4), ((-(1 << 22), 1), 0.4),
+                              ((0, -1), 0.2)], exact=False)
+
 
 @st.composite
 def walk_laws(draw):
@@ -213,23 +219,68 @@ def walk_laws(draw):
     return {"srw": wl.srw, "lazy": _lazy, "long_step": _long_step}[family](d)
 
 
-def _first_ranking(pos: np.ndarray) -> str | None:
-    """Which budget the kernel's first dense rank answers, from the path's spans.
+def _ranked(law, pos: np.ndarray) -> tuple[str | None, np.ndarray]:
+    """Which dense ranks the kernel takes on this path, and the row ranks.
 
-    Until the first rank the kernel's radix is the product of the spans
-    folded in so far: an axis whose span would take that product past
-    2**63 is ranked ("axis"), and a product past the key budget
-    2**(63 - (n+1).bit_length()) ranks the partial key ("key").
+    The kernel folds the axes last to first.  Its radix is the product of
+    the spans folded in so far, or the number of distinct keys just after
+    a rank.  Before axis j it ranks the keys if radix * (n * max|c_j| + 1)
+    reaches 2**63, and ranks the axis too if that is still too wide
+    ("axis"); after axis j it ranks the keys if the radix passes the key
+    budget 2**(63 - (n+1).bit_length()) ("key").  The row ranks are the
+    dense ranks of the positions in lexicographic order, built the same
+    way from the last axis on.
     """
+    n = len(pos) - 1
     budget = 1 << (63 - len(pos).bit_length())
-    radix = 1
-    for span in (pos.max(axis=0) - pos.min(axis=0) + 1).tolist():
-        if radix * span > 1 << 63:
-            return "axis"
+    reach = n * np.abs([p for p, _ in law.atoms]).max(axis=0) + 1
+    taken, radix = None, 1
+    rows, distinct = np.zeros(len(pos), dtype=np.int64), 1
+    for j in reversed(range(law.d)):
+        values, col = np.unique(pos[:, j], return_inverse=True)
+        span = int(values[-1] - values[0]) + 1
+        if radix * int(reach[j]) >= 1 << 63:
+            taken, radix = taken or "key", distinct
+            if radix * int(reach[j]) >= 1 << 63:
+                taken, span = "axis", len(values)
         radix *= span
+        row_values, rows = np.unique(col * distinct + rows, return_inverse=True)
+        distinct = len(row_values)
         if radix > budget:
-            return "key"
-    return None
+            taken, radix = taken or "key", distinct
+    return taken, rows
+
+
+def _check_occurrence_numbers(law, n: int, seed: int) -> np.ndarray:
+    """The kernel's k equals the reference's, in the narrowest dtype; returns k."""
+    k = path._occurrence_numbers(path._walk_keys(law, n, rng.generator(seed)))
+    want = ref.occurrence_numbers(ref.pack_rows(ref.positions(law, n, seed)))
+    assert k.dtype == np.min_scalar_type(want.max())
+    assert np.array_equal(k, want)
+    return k
+
+
+WIDE_CASES = [
+    (wl.srw(10), 100_000, "key"),
+    (wl.srw(8), 1_000_000, "key"),
+    (_HUGE_STEPS, 3000, "key"),
+    (_HUGE_STEPS, 10_000, "key"),
+    (_HUGE_DRIFT, 2_000_000, "axis"),
+]
+WIDE_IDS = ["srw10-1e5", "srw8-1e6", "huge-steps-3000", "huge-steps-10000",
+            "huge-drift-2e6"]
+
+
+def _check_wide(law, n, ranked):
+    """simulate and simulate_series on a wide-range path against its row ranks."""
+    pos = ref.positions(law, n, 7)
+    taken, row_rank = _ranked(law, pos)
+    assert taken == ranked
+    f = wl.simulate(law, n, seed=7)
+    assert np.array_equal(f.counts, np.bincount(row_rank))
+    cks, alphas = [n // 3, n], [0.0, 2.0, 0.5]
+    s = wl.simulate_series(law, cks, alphas, seed=7)
+    assert (s.l_table, s.ranges) == ref.series(row_rank, cks, alphas)
 
 
 class TestKernelMatchesPositionsReference:
@@ -253,23 +304,9 @@ class TestKernelMatchesPositionsReference:
         keys = ref.pack_rows(ref.positions(law, cks[-1], seed))
         assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
 
-    @pytest.mark.parametrize("law, n, ranked", [
-        (wl.srw(10), 100_000, "key"),
-        (wl.srw(8), 1_000_000, "key"),
-        (_HUGE_STEPS, 3000, "key"),
-        (_HUGE_STEPS, 10_000, "axis"),
-    ], ids=["srw10-1e5", "srw8-1e6", "huge-steps-3000", "huge-steps-10000"])
+    @pytest.mark.parametrize("law, n, ranked", WIDE_CASES, ids=WIDE_IDS)
     def test_wide_coordinate_ranges(self, law, n, ranked):
-        pos = ref.positions(law, n, 7)
-        assert _first_ranking(pos) == ranked
-        _, row_rank, counts = np.unique(pos, axis=0, return_inverse=True,
-                                        return_counts=True)
-        f = wl.simulate(law, n, seed=7)
-        assert np.array_equal(f.counts, counts)
-        cks, alphas = [n // 3, n], [0.0, 2.0, 0.5]
-        s = wl.simulate_series(law, cks, alphas, seed=7)
-        expected = ref.series(row_rank.reshape(-1), cks, alphas)
-        assert (s.l_table, s.ranges) == expected
+        _check_wide(law, n, ranked)
 
 
 class TestChunkEdges:
@@ -295,6 +332,28 @@ class TestChunkEdges:
         s = wl.simulate_series(law, cks, alphas, seed=5)
         keys = ref.pack_rows(ref.positions(law, n, 5))
         assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+        _check_occurrence_numbers(law, n, 5)
+
+    @pytest.mark.parametrize("law, n, dtype, chunk", [
+        (_lazy(2, stay=0.999), 2000, np.uint16, 7),
+        (_lazy(1, stay=0.99999), 300_000, np.uint32, 4099),
+    ], ids=["lazy-uint16", "lazy-uint32"])
+    def test_widened_occurrence_numbers(self, monkeypatch, law, n, dtype, chunk):
+        # k starts as uint8 and is widened in the piece whose ranks outgrow it
+        monkeypatch.setattr(path, "_CHUNK", chunk)
+        assert _check_occurrence_numbers(law, n, 3).dtype == dtype
+        _, counts = ref.field(law, n, 3)
+        assert np.array_equal(wl.simulate(law, n, seed=3).counts, counts)
+        cks, alphas = [1, n // 2, n], [0.0, 1.0, 2.0, 3.0, 0.5]
+        s = wl.simulate_series(law, cks, alphas, seed=3)
+        keys = ref.pack_rows(ref.positions(law, n, 3))
+        assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+
+    @pytest.mark.parametrize("law, n, ranked", WIDE_CASES, ids=WIDE_IDS)
+    def test_wide_coordinate_ranges(self, monkeypatch, law, n, ranked):
+        # 7-step pieces would take minutes at these sizes
+        monkeypatch.setattr(path, "_CHUNK", 1009)
+        _check_wide(law, n, ranked)
 
 
 class TestStepBudget:
@@ -327,16 +386,31 @@ class TestStepBudget:
             wl.variance_scan(srw3, 2, grid, m=3, seed=0)
 
 
-def test_series_peak_memory_per_step():
-    # The full-length buffers of one series are the int64 keys, one more
-    # 8-byte buffer and a few bytes of indices or ranks: about 17 bytes
-    # per step.  Full-length temporaries per alpha would show here.
-    law, cks, alphas = wl.srw(3), [2 ** 20, 2 ** 21], [0.0, 2.0, 3.0, 0.5]
-    wl.simulate_series(law, cks, alphas, seed=0)
+def _peak_bytes_per_step(run, n: int) -> float:
+    """tracemalloc peak of run(), after one warm-up call, per step of n."""
+    run()
     tracemalloc.start()
     try:
-        wl.simulate_series(law, cks, alphas, seed=0)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / cks[-1] <= 24
+    return peak / n
+
+
+def test_series_peak_memory_per_step():
+    # The full-length buffers of one series are the int64 keys and one
+    # narrow array: the step indices, then the occurrence numbers, uint8
+    # for this path.  About 10 bytes per step; a second full-length 8-byte
+    # buffer, or a full-length temporary per alpha, would show here.
+    law, cks, alphas = wl.srw(3), [2 ** 20, 2 ** 21], [0.0, 2.0, 3.0, 0.5]
+    run = lambda: wl.simulate_series(law, cks, alphas, seed=0)
+    assert _peak_bytes_per_step(run, cks[-1]) <= 12
+
+
+def test_simulate_peak_memory_per_step():
+    # simulate sorts its keys in place and counts runs: the keys, a bool
+    # mask and the run ends, about 16 bytes per step.  A sorted copy of the
+    # keys, as np.unique makes, would show here.
+    n = 2 ** 21
+    assert _peak_bytes_per_step(lambda: wl.simulate(wl.srw(3), n, seed=0), n) <= 20

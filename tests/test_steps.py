@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,23 @@ class TestBuiltins:
             "make_law-coordinate", "make_law-d"])
     def test_non_integral_is_bad_param(self, call, what):
         with pytest.raises(wl.BadParam, match=f"^{what} is not a valid integer$"):
+            call()
+
+    @pytest.mark.parametrize("call,what", [
+        (lambda: wl.bernoulli([0.7]), "'p' = [0.7]"),
+        (lambda: wl.drifted_srw(2, None), "'bias' = None"),
+        (lambda: wl.bernoulli("abc"), "'p' = 'abc'"),
+        (lambda: wl.drifted_srw(2, False), "'bias' = False"),
+        (lambda: wl.make_law(1, [((1,), 0.5), ((-1,), "1/2")], False), None),
+    ], ids=["bernoulli-list", "drifted-none", "bernoulli-text", "drifted-bool",
+            "make_law-rational-string"])
+    def test_parameter_read_as_a_number(self, call, what):
+        # a mass or parameter is a number or a rational string, as bernoulli
+        # reads "7/10"; anything else is a BadParam naming it
+        if what is None:
+            assert call() == wl.bernoulli(0.5)
+            return
+        with pytest.raises(wl.BadParam, match=f"^{re.escape(what)} is not a valid number$"):
             call()
 
 
