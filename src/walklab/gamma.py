@@ -8,9 +8,10 @@ Three independent routes to the escape probability gamma:
   the surviving mass after n steps is gamma(n), the no-return probability,
 * mc_escape: fraction of simulated walks that avoid the origin up to a
   horizon n (estimates gamma(n), an upper bound for gamma).  Replicas
-  run in batches, MC_BLOCK steps per block, and leave the batch once they
-  return or can no longer return; each one's verdict is a pure function
-  of its own stream, mix64(seed, i).
+  run in batches, MC_BLOCK steps per block, with their coordinates packed
+  into as few int64 lanes as fit (one for srw(3)), and leave the batch
+  once they return or can no longer return; each one's verdict is a pure
+  function of its own stream, mix64(seed, i).
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -18,8 +19,10 @@ pruned float box otherwise.  The box DP stores a mod-2 class of its box
 only once mass lands in it (a walk with no zero atom is periodic), so
 srw(d) keeps half of its box and the eight diagonal steps of Z^3 an
 eighth; no code builds the whole box, though CELL_BUDGET counts its
-cells.  The return-probability sequence P(S_m = 0) has two engines, and
-the law picks one: an axis-decomposition recursion for laws whose atoms
+cells.  The classes sit in flat buffers laid out in one frame per trim
+period, so a step is one contiguous slice add per (atom, class) into
+reused buffers.  The return-probability sequence P(S_m = 0) has two
+engines, and the law picks one: an axis-decomposition recursion for laws whose atoms
 are signed unit vectors and optionally the zero vector (simple and
 drifted simple walks, cost O(d N^2)), and a half-horizon box DP for every
 other law.  The latter uses the iid split of S_2m into two independent
@@ -49,6 +52,10 @@ PRUNE_THRESHOLD = 1e-16
 # counted over the whole box, whichever of its mod-2 classes are stored.
 CELL_BUDGET = 1 << 25
 MC_BLOCK = 2048
+# Cells of a target buffer that DenseEvolver.step finishes before it moves
+# on (512 KiB of float64), so the block stays in cache across its terms:
+# the bench dp leg ran about 10% faster than with whole-buffer terms.
+_DP_BLOCK = 1 << 16
 # Replicas advanced together by _escape_range: a batch's block is one
 # piece of the path kernel, path._CHUNK steps.
 _MC_BATCH = path._CHUNK // MC_BLOCK
@@ -205,9 +212,37 @@ class DenseEvolver:
     DP starts with the origin's class, and a step creates a target class
     the first time an atom sends a stored class into it.  So srw(d)
     stores half of its box, the eight diagonal steps of Z^3 an eighth,
-    and a law whose walk reaches every residue all 2^d classes.  A step
-    adds w*(source class) into each target class atom by atom in atom
-    order, so every cell is the same ordered sum as on a whole-box array.
+    and a law whose walk reaches every residue all 2^d classes.
+
+    The classes live in one frame per trim period: a lattice origin
+    frame_lo and a half-index shape frame_shape, chosen at step 0, at each
+    trim and whenever the frame runs out, that covers every class window
+    of the box from now until the next trim (for a drifting law, the union
+    of the start box and the end box).  Each stored residue has one flat
+    buffer of prod(frame_shape) cells, point x at the C-order index of
+    (x - frame_lo) // 2, and every cell outside its class window holds 0.
+    The lookahead is cut so that the frame's lattice box holds at most
+    CELL_BUDGET cells, down to the one step being taken (whose frame is
+    the next box, or for a drifting law the union of this box and the
+    next).  classes maps each stored residue to a view of its window in
+    the frame, valid until the next step.
+
+    A step scales each source buffer and adds it into its target buffers
+    with flat slices: atom o takes class r to t = (r + o) mod 2 by
+    dst[a+D:b+D] += prod[a:b], [a, b) the flat span of r's window and
+    D = sum_j ((r_j - frame_lo_j) mod 2 + o_j) // 2 * stride_j.  A term
+    that wraps into another row adds +0.0, so every cell is the same sum
+    in atom order as on a whole-box array.  Each target takes its terms
+    in atom order, _DP_BLOCK cells at a time so that the block stays in
+    cache; its first term is copied in (0 + x is x for x >= 0) and the
+    cells it misses are zeroed.  Source and target buffers are two sets
+    that swap every step and are reused, so nothing is allocated per step
+    between frames.  There is one product per (class, distinct weight):
+    the first distinct weight scales the source in place, so an equal-mass
+    law (srw(d), the diagonal steps) does one multiply per class and holds
+    no product buffer, and a law with k distinct weights holds k - 1
+    product buffers per class.  A step thus overwrites the classes it
+    reads.
 
     A rational law keeps exact integer numerators over denom**m in object
     arrays, where denom is the lcm of the atom denominators and each
@@ -228,18 +263,23 @@ class DenseEvolver:
         self.maxs = tuple(map(max, zip(*self.offsets)))
         self.denom = law.denom
         if law.exact:
-            self.weights = np.array([int(m * self.denom) for m in law.masses],
-                                    dtype=object)
+            weights = [int(m * self.denom) for m in law.masses]
+            self.dtype = np.dtype(object)
         else:
-            self.weights = np.array(law.masses)
+            weights = [float(m) for m in law.masses]
+            self.dtype = np.dtype(np.float64)
+        # the distinct weights in atom order, and the one each atom uses
+        self.scales = list(dict.fromkeys(weights))
+        self.scale_of = [self.scales.index(w) for w in weights]
         self.lo = (0,) * law.d
         self.shape = (1,) * law.d
         origin = (0,) * law.d
-        self.classes = {origin: np.ones(self.shape, dtype=self.weights.dtype)}
+        self.classes = {origin: np.ones(self.shape, dtype=self.dtype)}
         self.kill_origin = kill_origin
         self.killed = 0
         self.pruned = 0.0
         self.m = 0
+        self._reframe()
 
     @staticmethod
     def _class_box(r: tuple, lo: tuple, shape: tuple) -> tuple[tuple, tuple]:
@@ -247,27 +287,127 @@ class DenseEvolver:
         first = tuple(l + (c - l) % 2 for c, l in zip(r, lo))
         return first, tuple((n - f + l + 1) // 2 for n, f, l in zip(shape, first, lo))
 
+    def _frame_window(self, r: tuple) -> tuple[tuple, tuple]:
+        """(frame index of the first point, shape) of class r's window in the box."""
+        first, cshape = self._class_box(r, self.lo, self.shape)
+        return tuple((f - g) // 2 for f, g in zip(first, self.frame_lo)), cshape
+
+    def _bind(self) -> None:
+        """Point classes at the windows of the current box in the frame."""
+        self._windows = {r: self._frame_window(r) for r in self._src}
+        self.classes = {r: buf.reshape(self.frame_shape)[_window(*self._windows[r])]
+                        for r, buf in self._src.items()}
+
+    def _reframe(self) -> None:
+        """Pick the frame from step m to the next trim, cut to CELL_BUDGET
+        cells, and copy the classes into it."""
+        ahead = self.TRIM_EVERY - self.m % self.TRIM_EVERY
+        while True:
+            lo = tuple(l + min(0, ahead * mn) for l, mn in zip(self.lo, self.mins))
+            extent = tuple(n + max(0, ahead * mx) - min(0, ahead * mn)
+                           for n, mn, mx in zip(self.shape, self.mins, self.maxs))
+            if ahead == 1 or math.prod(extent) <= CELL_BUDGET:
+                break
+            ahead -= 1
+        old = self.classes
+        # drop the spare buffers before the new frame is allocated
+        self._free, self._products, self._shifts = [], [], {}
+        self.frame_lo = lo
+        self.frame_shape = tuple((e + 1) // 2 for e in extent)
+        self.frame_end = self.m + ahead
+        self._strides = [math.prod(self.frame_shape[j + 1:]) for j in range(self.d)]
+        self._src = {}
+        for r, arr in old.items():
+            buf = np.zeros(math.prod(self.frame_shape), dtype=self.dtype)
+            buf.reshape(self.frame_shape)[_window(*self._frame_window(r))] = arr
+            self._src[r] = buf
+        self._bind()
+
+    def _flat_span(self, r: tuple) -> tuple[int, int] | None:
+        """[a, b), the flat span of class r's window in its buffer, or None if empty."""
+        start, cshape = self._windows[r]
+        if 0 in cshape:
+            return None
+        a = sum(i * s for i, s in zip(start, self._strides))
+        return a, a + sum((n - 1) * s for n, s in zip(cshape, self._strides)) + 1
+
+    def _shift(self, r: tuple, k: int) -> tuple[tuple, int]:
+        """(target residue, flat shift D) of atom k applied to class r."""
+        key = (r, k)
+        if key not in self._shifts:
+            off = self.offsets[k]
+            t = tuple((c + o) % 2 for c, o in zip(r, off))
+            shift = sum(((c - g) % 2 + o) // 2 * s
+                        for c, g, o, s in zip(r, self.frame_lo, off, self._strides))
+            self._shifts[key] = t, shift
+        return self._shifts[key]
+
+    def _new_buffer(self) -> np.ndarray:
+        return np.empty(math.prod(self.frame_shape), dtype=self.dtype)
+
+    def _convolve(self) -> dict[tuple, np.ndarray]:
+        """The target buffers of one step, made from the source buffers,
+        which are left scaled by the first distinct weight."""
+        spans = {r: self._flat_span(r) for r in self._src}
+        products = {}
+        extra = len(self.scales) - 1
+        for i, (r, buf) in enumerate(self._src.items()):
+            while len(self._products) < (i + 1) * extra:
+                self._products.append(self._new_buffer())
+            products[r] = [buf] + self._products[i * extra:(i + 1) * extra]
+            if spans[r] is not None:
+                a, b = spans[r]
+                # every product is taken before the source is scaled in place
+                for w, p in zip(self.scales[1:], products[r][1:]):
+                    np.multiply(buf[a:b], w, out=p[a:b])
+                buf[a:b] *= self.scales[0]
+        # the terms of each target in atom order, which is each cell's order
+        terms = {}
+        for k, which in enumerate(self.scale_of):
+            for r in self._src:
+                t, shift = self._shift(r, k)
+                terms.setdefault(t, [])
+                if spans[r] is not None:
+                    a, b = spans[r]
+                    terms[t].append((products[r][which][a:b], a + shift, b + shift))
+        new = {}
+        for t, todo in terms.items():
+            buf = new[t] = self._free.pop() if self._free else self._new_buffer()
+            if not todo:
+                buf.fill(0)
+                continue
+            # 0 + x is x for every x >= 0, so the first term is copied in
+            (first, a0, b0), *rest = todo
+            for s in range(0, len(buf), _DP_BLOCK):
+                e = min(s + _DP_BLOCK, len(buf))
+                lo, hi = max(a0, s), min(b0, e)
+                if lo < hi:
+                    buf[s:lo] = 0
+                    buf[lo:hi] = first[lo - a0:hi - a0]
+                    buf[hi:e] = 0
+                else:
+                    buf[s:e] = 0
+                for term, a, b in rest:
+                    lo, hi = max(a, s), min(b, e)
+                    if lo < hi:
+                        buf[lo:hi] += term[lo - a:hi - a]
+        return new
+
     def step(self) -> None:
         new_shape = tuple(n + hi - lo for n, lo, hi in zip(self.shape, self.mins, self.maxs))
         if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
                 f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
-        new_lo = tuple(l + mn for l, mn in zip(self.lo, self.mins))
-        src_first = {r: self._class_box(r, self.lo, self.shape)[0] for r in self.classes}
-        new, dst_first = {}, {}
-        for off, w in zip(self.offsets, self.weights):
-            for r, arr in self.classes.items():
-                t = tuple((c + o) % 2 for c, o in zip(r, off))
-                if t not in new:
-                    dst_first[t], cshape = self._class_box(t, new_lo, new_shape)
-                    new[t] = np.zeros(cshape, dtype=self.weights.dtype)
-                start = [(f + o - g) // 2 for f, o, g in zip(src_first[r], off, dst_first[t])]
-                new[t][_window(start, arr.shape)] += w * arr
-        self.classes = new
-        self.lo = new_lo
+        if self.m >= self.frame_end:
+            self._reframe()
+        new = self._convolve()
+        self._free.extend(self._src.values())
+        self._src = new
+        self.lo = tuple(l + mn for l, mn in zip(self.lo, self.mins))
         self.shape = new_shape
         self.m += 1
+        self._bind()
         if self.kill_origin:
             self.killed *= self.denom
             origin = (0,) * self.d
@@ -300,15 +440,11 @@ class DenseEvolver:
                 spans.append((first + 2 * span[0], first + 2 * span[1]))
         if not spans:
             return
-        lo = tuple(int(c) for c in np.min([a for a, _ in spans], axis=0))
-        shape = tuple(int(c) - l + 1 for c, l in zip(np.max([b for _, b in spans], axis=0), lo))
-        for r, arr in self.classes.items():
-            old_first = self._class_box(r, self.lo, self.shape)[0]
-            first, cshape = self._class_box(r, lo, shape)
-            start = [(f - g) // 2 for f, g in zip(first, old_first)]
-            self.classes[r] = np.ascontiguousarray(arr[_window(start, cshape)])
-        self.lo = lo
-        self.shape = shape
+        self.lo = tuple(int(c) for c in np.min([a for a, _ in spans], axis=0))
+        hi = np.max([b for _, b in spans], axis=0)
+        self.shape = tuple(int(c) - l + 1 for c, l in zip(hi, self.lo))
+        self._bind()
+        self._reframe()
 
     def mass(self, num) -> Mass:
         """The probability a box numerator stands for at the current step."""
@@ -483,6 +619,8 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     sequence.  x and -x share a residue, so the sums run over the stored
     classes, residues in sorted order (see _cross_sum).  A parity the law
     cannot reach has no class in common and comes out as an exact zero.
+    The evolver's step scales the classes it reads in place, so p_m is
+    copied before the step that makes p_m+1.
     """
     r = np.empty(n + 1)
     prev = None
@@ -493,7 +631,7 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
             r[2 * ev.m] = _cross_sum(cur, cur)
         if prev is not None:
             r[2 * ev.m - 1] = _cross_sum(cur, prev)
-        prev = cur
+        prev = {c: (arr.copy(), lo) for c, (arr, lo) in cur.items()}
     return r
 
 
@@ -663,47 +801,98 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
 # Monte Carlo escape
 # ---------------------------------------------------------------------------
 
+def _mc_lanes(coords: np.ndarray, n: int) -> list[tuple[list[int], list[int]]]:
+    """(axes, radices) of each packed int64 lane of an n-step walk.
+
+    Axis j moves by at most c_j = max|coords[:, j]| per step, so its
+    coordinate is a balanced digit of radix B_j = 2 n c_j + 1.  Consecutive
+    axes share a lane while their radices multiply to less than 2**63; the
+    lane holds sum_j x_j W_j, W_j the product of the lane's radices after
+    j.  That sum is exact in int64, it is 0 iff each x_j is, and its prefix
+    sums are the packed prefix sums of the axes.  Raises ResourceLimit,
+    before any work, if one axis alone needs 2**63 positions.
+    """
+    lanes = []
+    for j, c in enumerate(np.abs(coords).max(axis=0)):
+        radix = 2 * n * int(c) + 1
+        if radix >= 1 << 63:
+            raise ResourceLimit(
+                f"mc_escape: axis {j} of a {n}-step walk spans {radix} positions, "
+                "more than an int64 holds; lower --n")
+        if lanes and math.prod(lanes[-1][1]) * radix < 1 << 63:
+            lanes[-1][0].append(j)
+            lanes[-1][1].append(radix)
+        else:
+            lanes.append(([j], [radix]))
+    return lanes
+
+
+def _unpack(v: np.ndarray, radices: list[int]) -> list[np.ndarray]:
+    """The balanced digits of packed lane values v, first axis first."""
+    digits = []
+    for radix in reversed(radices):
+        half = radix // 2
+        x = (v + half) % radix - half
+        digits.append(x)
+        v = (v - x) // radix
+    return digits[::-1]
+
+
 def _escape_range(args) -> int:
     """How many of replicas lo..hi-1 stay off the origin for steps 1..n.
 
     Replica i draws its uniforms from mix64(master_seed, i), MC_BLOCK per
     block.  _MC_BATCH replicas run together: one atom-index call per
-    block, then per axis a gather and a prefix sum along each row (as in
-    path._walk_keys), and-ing x == 0 into a hit mask.  After each block a
-    replica leaves the batch if it hit the origin (a return) or is too far
-    out to cross back to 0 in the steps left (an escape), so its verdict
-    depends on its own stream alone.
+    block, then per packed lane (see _mc_lanes; srw(3) needs one up to
+    path.STEP_BUDGET steps) one gather of the atoms' packed increments, one
+    prefix sum along each row and one compare with 0, and-ed into a hit
+    mask.  After each block a replica leaves the batch if it hit the origin
+    (a return) or if some axis, unpacked from its last position, is too
+    far out to cross back to 0 in the steps left (an escape), so its
+    verdict depends on its own stream alone.
     """
     law, n, master_seed, lo, hi = args
     coords, cdf = _sampling_arrays(law)
+    lanes = _mc_lanes(coords, n)
+    increments = []
+    for axes, radices in lanes:
+        weights = [math.prod(radices[i + 1:]) for i in range(len(axes))]
+        increments.append(np.array([sum(int(p[j]) * w for j, w in zip(axes, weights))
+                                    for p in coords], dtype=np.int64))
     max_step = np.abs(coords).max(axis=0)
+    # one block's uniforms and packed positions, reused block after block
+    u_buf = np.empty(_MC_BATCH * MC_BLOCK)
+    x_buf = np.empty(_MC_BATCH * MC_BLOCK, dtype=np.int64)
     returns = 0
     for b0 in range(lo, hi, _MC_BATCH):
         gens = [rnglib.generator(rnglib.mix64(master_seed, i))
                 for i in range(b0, min(b0 + _MC_BATCH, hi))]
-        pos = np.zeros((len(gens), law.d), dtype=np.int64)
+        pos = np.zeros((len(lanes), len(gens)), dtype=np.int64)
         done = 0
         while gens and done < n:
             b = min(MC_BLOCK, n - done)
-            u = np.empty((len(gens), b))
+            u = u_buf[:len(gens) * b].reshape(len(gens), b)
             for gen, row in zip(gens, u):
                 gen.random(out=row)
             idx = _atom_indices(cdf, u)
-            x = np.empty(u.shape, dtype=np.int64)
-            hit = np.ones(u.shape, dtype=bool)
-            for j in range(law.d):
-                np.take(coords[:, j], idx, out=x, mode="clip")
+            x = x_buf[:u.size].reshape(u.shape)
+            for lane, inc in enumerate(increments):
+                np.take(inc, idx, out=x, mode="clip")
                 np.cumsum(x, axis=1, out=x)
-                x += pos[:, j:j + 1]
-                hit &= x == 0
-                pos[:, j] = x[:, -1]
+                x += pos[lane, :, None]
+                if lane:
+                    hit &= x == 0
+                else:
+                    hit = x == 0
+                pos[lane] = x[:, -1]
             done += b
             returned = hit.any(axis=1)
             returns += int(returned.sum())
-            settled = (np.abs(pos) > (n - done) * max_step).any(axis=1)
+            axes = [a for (_, radices), v in zip(lanes, pos) for a in _unpack(v, radices)]
+            settled = (np.abs(np.stack(axes, axis=1)) > (n - done) * max_step).any(axis=1)
             live = ~(returned | settled)
             gens = [gen for gen, keep in zip(gens, live) if keep]
-            pos = pos[live]
+            pos = pos[:, live]
     return hi - lo - returns
 
 
@@ -717,8 +906,8 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
     gamma(n) >= gamma (upward bias by the walks that would return after
     n, reported as-is).  The replicas are split into threads contiguous
     blocks run by rng.replica_map; each block runs its replicas in
-    batches (see _escape_range).  A horizon over path.STEP_BUDGET is
-    refused before any work.
+    batches (see _escape_range).  A horizon over path.STEP_BUDGET, or one
+    whose walk leaves int64 on some axis, is refused before any work.
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
@@ -726,6 +915,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
         raise ResourceLimit(
             f"mc_escape replicas of {n} steps exceed STEP_BUDGET = "
             f"{path.STEP_BUDGET} steps per path; lower --n")
+    _mc_lanes(_sampling_arrays(law)[0], n)
     tasks = [(law, n, seed, lo, hi)
              for lo, hi in rnglib.replica_blocks(m, threads)]
     escapes = sum(rnglib.replica_map(_escape_range, tasks, threads))

@@ -25,7 +25,10 @@ _INT64_SAFE = 1 << 62
 # and then the occurrence numbers (uint8 while no site has 256 visits).
 # simulate holds the keys, a bool mask and one int64 run end per visited
 # site, at most 17 bytes per step (about 16 for srw(3)).  So 10**8 steps
-# is about 0.9 GB for a series and at most 1.7 GB for a field.  simulate,
+# is about 0.9 GB for a series and at most 1.7 GB for a field.  Keys that
+# pass the key budget of _walk_keys (srw(5) and srw(6) at 2**20 steps) are
+# ranked in place with a sorted copy beside them, which raises the peak to
+# about 18 bytes per step for a series and 21 for a field.  simulate,
 # simulate_series and variance_scan refuse longer paths before the first
 # allocation.
 STEP_BUDGET = 10 ** 8
@@ -65,7 +68,7 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
     could leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first;
     if that is still too wide, the axis is built in full and ranked too.
     Ranks keep the order, and no caller needs the coordinates back, so the
-    rank tables are dropped.
+    rank tables are dropped; each rank is taken in place (_rank_in_place).
     """
     coords, _ = _sampling_arrays(law)
     budget = 1 << (63 - (n + 1).bit_length())
@@ -80,17 +83,16 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
         col = coords[:, j]
         reach = n * int(np.abs(col).max()) + 1
         if radix * reach >= 1 << 63:
-            key_values, keys = np.unique(keys, return_inverse=True)
-            radix = len(key_values)
+            radix = _rank_in_place(keys)
         if radix * reach >= 1 << 63:
             x = np.zeros(n + 1, dtype=np.int64)
             for s, piece in _axis_pieces(col, idx, buf):
                 x[1 + s:1 + s + len(piece)] = piece
-            axis_values, x = np.unique(x, return_inverse=True)
+            span = _rank_in_place(x)
             x *= radix
             keys += x
             del x
-            radix *= len(axis_values)
+            radix *= span
         else:
             lo = hi = 0
             for s, piece in _axis_pieces(col, idx, buf):
@@ -101,9 +103,34 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
             keys -= lo * radix
             radix *= hi - lo + 1
         if radix > budget:
-            key_values, keys = np.unique(keys, return_inverse=True)
-            radix = len(key_values)
+            radix = _rank_in_place(keys)
     return keys
+
+
+def _rank_in_place(a: np.ndarray) -> int:
+    """Overwrite an int64 array with its dense rank; return the rank count.
+
+    The ranks are those of np.unique(a, return_inverse=True), found with
+    less memory: a sorted copy of a is compacted to its distinct values in
+    place, one _CHUNK piece at a time, and shrunk to them; then each piece
+    of a is overwritten by its np.searchsorted positions in those values.
+    So the sorted copy is the one full-length array besides a.
+    """
+    values = np.sort(a)
+    count = 0
+    for s in range(0, len(values), _CHUNK):
+        piece = values[s:s + _CHUNK]
+        new = np.empty(len(piece), dtype=bool)
+        new[0] = count == 0 or piece[0] != values[count - 1]
+        np.not_equal(piece[1:], piece[:-1], out=new[1:])
+        distinct = piece[new]
+        values[count:count + len(distinct)] = distinct
+        count += len(distinct)
+    del piece
+    values.resize(count, refcheck=False)
+    for s in range(0, len(a), _CHUNK):
+        a[s:s + _CHUNK] = np.searchsorted(values, a[s:s + _CHUNK])
+    return count
 
 
 def _axis_pieces(col: np.ndarray, idx: np.ndarray, buf: np.ndarray):

@@ -45,13 +45,17 @@ REFERENCE = json.loads((BENCH / "reference.json").read_text())["full"]
 # their floats match to 1e-12 relative, all else exactly.
 CLOSE = {"variance-scan", "verify-geometric", "verify-slln"}
 # Peak RSS limits, MB.  The dp leg stores only the parity classes mass
-# lands in (about 54 MB; the whole box took 98 MB).  The path kernel
+# lands in (about 54 MB; the whole box took 98 MB).  The green-diag3 leg
+# copies each step's classes for the next cross-sum (about 41 MB) and the
+# mc leg peaks at 35-39 MB, so neither may pass the dp leg as the gamma
+# workload's peak.  The path kernel
 # holds about 9 bytes per step of the 1e7-step path, the int64 keys and
 # one narrow array (about 127 MB in all; a second full-length 8-byte
 # buffer would pass 160 MB).  simulate sorts its keys in place: the
 # verify-geometric leg peaks at about 54 MB, and a sorted copy of its
 # keys, as np.unique makes, would pass 62 MB.
-PEAK_MB = {"dp": 75, "verify-slln": 160, "verify-geometric": 62}
+PEAK_MB = {"dp": 75, "green-diag3": 50, "mc": 45, "verify-slln": 160,
+           "verify-geometric": 62}
 
 CASES = [(w, c, 2) for w in workloads.WORKLOADS for c in workloads.commands(w, "full")]
 CASES += [(w, c, 1) for w, c, _ in CASES if c.key == "mc"]

@@ -5,6 +5,7 @@ the keys of a pmf in the same (lexicographic) order.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def lazy_srw2():
                            ((0, 1), 0.2), ((0, -1), 0.2)], False)
 
 
+def drift2(exact=False):
+    """Every atom moves the first coordinate forward, so the box moves:
+    its lowest first coordinate rises by one each step."""
+    masses = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)) if exact else (0.5, 0.25, 0.25)
+    return wl.make_law(2, list(zip([(1, 0), (1, 1), (2, -1)], masses)), exact)
+
+
 # law, horizon, number of stored classes from step 2 on; each float
 # horizon runs several trims that prune cells
 LAWS = {
@@ -32,6 +40,8 @@ LAWS = {
     "lazy-srw2": (lazy_srw2, 96, 4),
     "drifted-srw2": (lambda: wl.drifted_srw(2, 0.3), 96, 2),
     "long2": (long2, 24, 4),
+    "drift2": (drift2, 96, 4),
+    "drift2-exact": (lambda: drift2(True), 40, 4),
 }
 NAMES = sorted(LAWS)
 
@@ -94,6 +104,18 @@ def test_dense_return_sequence(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_blocked_adds(name, monkeypatch):
+    """A step fills each target buffer _DP_BLOCK cells at a time; 97-cell
+    blocks cut the terms of every law at many places, and no bit moves."""
+    monkeypatch.setattr(wl.gamma, "_DP_BLOCK", 97)
+    make, n, _ = LAWS[name]
+    law, n = make(), n // 2
+    assert wl.taboo_survival(law, n).gamma_seq == ref.taboo_survival(law, n)[0]
+    assert list(wl.pmf_evolve(law, n).masses.items()) == list(ref.pmf_masses(law, n).items())
+    assert np.array_equal(_dense_return_sequence(law, n), ref._dense_return_sequence(law, n))
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_box_is_the_whole_box(name):
     """The box's lo and shape are the whole box's; each stored class is
     the whole box's stride-2 slice at its residue, and every slice of a
@@ -136,3 +158,54 @@ def test_return_sequence_holds_only_the_stored_classes():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def test_taboo_survival_peak_memory():
+    """The bench's DP leg: two frame-sized buffer sets of srw(3)'s four
+    stored classes, about 19.3 MiB."""
+    law = wl.srw(3)
+    tracemalloc.start()
+    try:
+        wl.taboo_survival(law, 192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_frames_cover_the_boxes_within_budget(name, monkeypatch):
+    """Under the lowered budget of the refusal test, each frame starts at
+    the hull of the boxes from its step to its last one and covers it with
+    at most one lattice point to spare per axis; the hull holds at most
+    CELL_BUDGET cells, unless the frame spans one step of a box that
+    drifts (the union of two boxes, neither over the budget).  Some frame
+    must have its lookahead cut, or the budget would go untested."""
+    make, n, _ = LAWS[name]
+    law = make()
+    *_, want = ref._evolution(law, n)
+    monkeypatch.setattr(wl.gamma, "CELL_BUDGET", want.arr.size * 4 // 5)
+    frames = []
+    reframe = DenseEvolver._reframe
+
+    def record(ev):
+        reframe(ev)
+        frames.append((ev.m, ev.frame_end, ev.lo, ev.shape, ev.frame_lo, ev.frame_shape))
+    monkeypatch.setattr(DenseEvolver, "_reframe", record)
+    with pytest.raises(wl.ResourceLimit):
+        wl.pmf_evolve(law, n)
+    offsets = np.array([p for p, _ in law.atoms])
+    mins, maxs = offsets.min(axis=0), offsets.max(axis=0)
+    drifts = bool(((mins > 0) | (maxs < 0)).any())
+    cut = False
+    for m, end, lo, shape, frame_lo, frame_shape in frames:
+        ahead = end - m
+        cut |= ahead < DenseEvolver.TRIM_EVERY - m % DenseEvolver.TRIM_EVERY
+        boxes = [(np.add(lo, i * mins), np.add(shape, i * (maxs - mins)))
+                 for i in range(ahead + 1)]
+        low = np.min([b for b, _ in boxes], axis=0)
+        extent = np.max([b + s for b, s in boxes], axis=0) - low
+        assert np.array_equal(frame_lo, low)
+        assert set((2 * np.array(frame_shape) - extent).tolist()) <= {0, 1}
+        assert np.prod(extent) <= wl.gamma.CELL_BUDGET or (ahead == 1 and drifts)
+    assert cut

@@ -14,6 +14,7 @@ import mc_reference
 import walklab as wl
 from walklab import gamma, path, rng
 from walklab.gamma import MC_BLOCK, _MC_BATCH, _axis_return_sequence, _dense_return_sequence
+from walklab.steps import _sampling_arrays
 
 SRW3_GAMMA = 0.6594626  # 1 - 1/G for the d=3 simple walk
 # gamma(diag3) by the Green series at N=128, as the full-horizon box DP gave it
@@ -32,6 +33,13 @@ def king2(exact=False):
     mass = Fraction(1, 8) if exact else 0.125
     moves = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (0, 0)]
     return wl.make_law(2, [(v, mass) for v in moves], exact)
+
+
+def far3():
+    """srw(3) with steps of 2^20: its packed Monte Carlo positions need a
+    lane per axis at horizons of a few thousand steps."""
+    return wl.make_law(3, [(tuple(c << 20 for c in e), m) for e, m in wl.srw(3).atoms],
+                       False)
 
 
 def long2():
@@ -308,16 +316,47 @@ class TestMcEscape:
         assert out.strip() == "True True"
 
     @pytest.mark.parametrize("law", [
-        wl.srw(1), wl.srw(3), wl.bernoulli(0.7), wl.bernoulli("7/10", exact=True),
-        wl.drifted_srw(2, 0.3), diag3(), wl.deterministic([1]), long2()],
-        ids=["srw1", "srw3", "bern07", "bern07-exact", "drifted2", "diag3", "det1",
-             "long2"])
+        wl.srw(1), wl.srw(3), wl.srw(5), wl.bernoulli(0.7),
+        wl.bernoulli("7/10", exact=True), wl.drifted_srw(2, 0.3), diag3(),
+        wl.deterministic([1]), long2(), far3()],
+        ids=["srw1", "srw3", "srw5", "bern07", "bern07-exact", "drifted2", "diag3",
+             "det1", "long2", "far3"])
     def test_batched_kernel_matches_per_replica_reference(self, law):
         for n in (1, 5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 3):
             for seed in (0, 7):
                 for lo, hi in ((3, 3 + _MC_BATCH + 5), (_MC_BATCH - 1, _MC_BATCH)):
                     want = mc_reference.escape_range(law, n, seed, lo, hi)
                     assert gamma._escape_range((law, n, seed, lo, hi)) == want, (n, seed, lo)
+
+    def test_lanes_pack_consecutive_axes_below_int64(self):
+        # srw(d) at the step budget: two axes per lane, each lane's radix
+        # product below 2**63; far3 needs a lane per axis from n = 2047 on
+        for d in range(1, 11):
+            lanes = gamma._mc_lanes(_sampling_arrays(wl.srw(d))[0], path.STEP_BUDGET)
+            assert [j for axes, _ in lanes for j in axes] == list(range(d))
+            assert len(lanes) == (d + 1) // 2
+            assert all(math.prod(radices) < 2 ** 63 for _, radices in lanes)
+        far = _sampling_arrays(far3())[0]
+        assert len(gamma._mc_lanes(far, 5)) == 2
+        assert len(gamma._mc_lanes(far, MC_BLOCK - 1)) == 3
+
+    def test_axis_wider_than_int64_refused_before_work(self, monkeypatch):
+        # atoms of at most 2^22 keep an axis inside int64 up to STEP_BUDGET,
+        # so the budget is raised for the guard to be reached
+        wide = wl.make_law(1, [((1 << 22,), 0.5), ((-(1 << 22),), 0.5)], False)
+        coords = _sampling_arrays(wide)[0]
+        assert gamma._mc_lanes(coords, (1 << 40) - 1) == [([0], [2 ** 63 - 2 ** 23 + 1])]
+        monkeypatch.setattr(path, "STEP_BUDGET", 1 << 41)
+
+        def refuse(*args):
+            raise AssertionError("mc_escape started work")
+        monkeypatch.setattr(rng, "generator", refuse)
+        monkeypatch.setattr(rng, "replica_blocks", refuse)
+        message = r"axis 0 of a 1099511627776-step walk spans 9223372036854775809 positions"
+        with pytest.raises(wl.ResourceLimit, match=message + ", more than an int64 holds; lower --n"):
+            wl.mc_escape(wide, 1 << 40, 2, seed=0, threads=2)
+        with pytest.raises(wl.ResourceLimit, match=message):
+            gamma._escape_range((wide, 1 << 40, 0, 0, 2))
 
     def test_horizon_over_step_budget_refused_before_work(self, srw3, monkeypatch):
         monkeypatch.setattr(path, "STEP_BUDGET", 10)

@@ -414,3 +414,16 @@ def test_simulate_peak_memory_per_step():
     # keys, as np.unique makes, would show here.
     n = 2 ** 21
     assert _peak_bytes_per_step(lambda: wl.simulate(wl.srw(3), n, seed=0), n) <= 20
+
+
+def test_ranked_series_peak_memory_per_step():
+    # srw(6) at 2^20 steps passes the key budget, so its keys are ranked in
+    # place: a sorted copy beside the keys and the step indices, about 18
+    # bytes per step.  np.unique(return_inverse=True) peaked at about 56.
+    law, cks, alphas = wl.srw(6), [2 ** 20], [0.0, 2.0]
+    run = lambda: wl.simulate_series(law, cks, alphas, seed=0)
+    assert _peak_bytes_per_step(run, cks[-1]) <= 32
+    taken, row_rank = _ranked(law, ref.positions(law, cks[-1], 0))
+    assert taken == "key"
+    s = run()
+    assert (s.l_table, s.ranges) == ref.series(row_rank, cks, alphas)
