@@ -1,32 +1,51 @@
 """Exhaustive path enumeration: exact ground truth at small horizons.
 
-All |support|^n paths are walked depth-first, one path's state at a time.  A
-site is one int: its coordinates packed in a balanced mixed radix whose
-base exceeds twice the farthest reachable coordinate, so a step adds the
-packed atom and the origin is 0.  Each step updates, and on the way back
-undoes, the visit count of one site, a count-of-counts tally
-(tally[c] = number of sites visited c times) and one running L(alpha)
-per alpha.  A leaf reads those: it adds its mass times tally[c] into a
-(range, count) table and its L values into the moment sums, without
-looking at the sites.  E(Q_j) is that table summed over the range, and
-a first return credits its whole subtree's mass at the step it happens.
-Masses are plain integers over the common denominator of the atom
-masses (path probability = product of atom numerators / D^n); results
-become Fractions once at the end.
+All A^n paths of an A-atom law are enumerated in numpy blocks.  The last
+b steps of every path run over one suffix table of B = A^b rows; a
+Python loop over the A^(n-b) prefixes writes the prefix's positions, then
+its end plus the suffix table, into one reused (B, n+1) matrix.  A site
+is one int: its coordinates packed in a balanced mixed radix whose base
+exceeds twice the farthest reachable coordinate, so positions add and
+the origin is 0.  Per block, numpy finds each path's first return (the
+first t >= 1 at the origin), sorts each row in place and reads its runs:
+the path's range and its count-of-counts tally (tally[c] = number of
+sites visited c times).
+
+A path's probability depends only on how often it used each atom mass,
+its composition.  So the blocks add plain int64 counts per composition:
+sites per (range, count), paths per first-return time and the matrix
+M[c, c'] = sum of tally[c] * tally[c'].  Then E L(alpha) = sum c^alpha
+E tally[c] and E L(alpha)^2 = sum c^alpha c'^alpha M[c, c'] for every
+alpha.  Masses are plain integers over the common denominator D of the
+atom masses (path probability = product of atom numerators / D^n); each
+composition's mass multiplies its counts once, in Python ints, and the
+results become Fractions once at the end.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
+from .path import _check_step_budget
 from .steps import StepLaw, _convert, integer
 
-# Most paths enumerate_paths walks; more is refused before the first leaf.
+# Most paths enumerate_paths enumerates; more are refused before the first block.
 PATH_BUDGET = 10 ** 7
+
+# Cells of one block's (B, n+1) position matrix: the suffix table takes
+# the most steps b >= 1 (none at n = 0) whose B = A^b rows keep B * (n+1)
+# within it.  At 2^14 cells (128 KiB) bernoulli at n = 17 peaks at about
+# 0.85 MiB traced, all of the enumeration included.
+_CELLS = 1 << 14
+# int64 counts held at once: when the compositions met so far would need
+# more rows, their counts are folded into the Python-int sums first.
+_COUNT_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,9 +79,38 @@ class ExactSummary:
             raise InvariantViolation("a variance is negative")
 
 
+def _table(off: np.ndarray, cls: np.ndarray, m: int, steps: int):
+    """Every sequence of `steps` atoms, in lexicographic order.
+
+    Returns its positions (A^steps, steps + 1), starting with the origin,
+    each row's composition id and the compositions, as tuples of counts
+    per mass class, that the ids index.
+    """
+    a = len(off)
+    rows = a ** steps
+    digits = np.arange(rows)[:, None] // a ** np.arange(steps - 1, -1, -1) % a
+    pos = np.zeros((rows, steps + 1), off.dtype)
+    np.cumsum(off[digits], axis=1, out=pos[:, 1:])
+    # A composition is its sorted sequence of mass classes; read in base m,
+    # that is below m^steps <= A^steps = rows, so no key wraps.
+    classes = np.sort(cls[digits], axis=1)
+    _, first, ids = np.unique(classes @ m ** np.arange(steps), return_index=True,
+                              return_inverse=True)
+    counts = np.bincount((np.arange(len(first))[:, None] * m + classes[first]).ravel(),
+                         minlength=len(first) * m)
+    return pos, ids, [tuple(c) for c in counts.reshape(-1, m).tolist()]
+
+
+def _fold(counts: np.ndarray, comps: dict, class_num: list[int]) -> np.ndarray:
+    """Sum over compositions of mass times counts, in Python ints."""
+    mass = np.array([math.prod(x ** k for x, k in zip(class_num, comp)) for comp in comps],
+                    dtype=object)
+    return mass @ counts[:len(comps)].astype(object)
+
+
 def enumerate_paths(law: StepLaw, n: int,
                     alphas: tuple[int, ...] = (2,)) -> ExactSummary:
-    """Walk every path of length n and tally exact statistics."""
+    """Enumerate every path of length n and tally exact statistics."""
     if not law.exact:
         raise BadParam("the oracle needs a law with rational masses")
     if n < 0:
@@ -74,97 +122,122 @@ def enumerate_paths(law: StepLaw, n: int,
     if repeated:
         raise BadParam("alphas must be distinct; repeated: "
                        + ", ".join(map(str, repeated)))
+    # A one-atom law is a single path, held whole like a simulated one.
+    _check_step_budget(n)
     paths = len(law.atoms) ** n
     if paths > PATH_BUDGET:
         raise ResourceLimit(
             f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
-    # The walk nests n+1 frames below this one's depth.  Each entry into
-    # the interpreter from C (the script, runpy, a test runner) takes one
-    # more slot of the recursion limit without showing in the frame chain;
-    # 15 slots cover them (a pytest run takes about 7).
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    deepest = sys.getrecursionlimit() - depth - 16
-    if n > deepest:
-        raise ResourceLimit(
-            f"a horizon of {n} steps is deeper than the {deepest} steps the oracle's "
-            f"depth-first walk reaches under sys.getrecursionlimit() = "
-            f"{sys.getrecursionlimit()}")
 
     denom = law.denom
     # Balanced mixed radix: every coordinate of a reachable site lies in
     # [-reach, reach], so digits in base 2*reach+1 pack it injectively and
-    # linearly, with the origin at 0.
+    # linearly, with the origin at 0.  Packed sites past int64 stay
+    # Python ints in object arrays.
     reach = n * max(abs(c) for off, _ in law.atoms for c in off)
     base = 2 * reach + 1
-    atoms = [(sum(c * base ** i for i, c in enumerate(off)), int(m * denom))
-             for off, m in law.atoms]
-    # grow[c][i]: change of L(alphas[i]) when a site's count goes c -> c+1,
-    # with 0 ** 0 read as 0 so that unvisited sites add nothing.
-    grow = [tuple((c + 1) ** a - (c ** a if c else 0) for a in alphas)
-            for c in range(n + 1)]
-    k = len(alphas)
+    dtype = np.int64 if base ** law.d < 2 ** 63 else object
+    off = np.array([sum(c * base ** i for i, c in enumerate(pt)) for pt, _ in law.atoms],
+                   dtype=dtype)
+    # Atoms of equal mass share a class; a path's mass is the product of
+    # its class numerators.
+    nums = [int(m * denom) for _, m in law.atoms]
+    class_num = sorted(set(nums))
+    cls = np.array([class_num.index(x) for x in nums])
 
-    counts = {0: 1}                 # packed site -> visits so far
-    tally = [0] * (n + 2)           # tally[c]: sites visited c times (c >= 1)
-    tally[1] = 1
-    ls = [1] * k                    # running L(alpha) of the current prefix
-    joint = [[0] * (n + 2) for _ in range(n + 2)]  # joint[r][c], integer mass
-    el_num = [0] * k
-    el2_num = [0] * k
-    tau_num = [0] * (n + 1)         # first-return time -> integer mass
+    a, t = len(off), n + 1          # atoms, time points
+    # Visit counts run to n+1, but a single nonzero atom never revisits.
+    most = t if a > 1 else 1
+    b = min(n, 1)
+    while b < n and a ** (b + 1) * t <= _CELLS:
+        b += 1
+    p = n - b
+    pre, pre_id, pre_comps = _table(off, cls, len(class_num), p)
+    suf, suf_id, suf_comps = _table(off, cls, len(class_num), b)
+    rows = len(suf)
 
-    def walk(depth: int, pos: int, pnum: int, top: int) -> None:
-        # top: the largest visit count so far, where a leaf's tally ends
-        if depth == n:
-            row = joint[len(counts)]
-            for c in range(1, top + 1):
-                row[c] += pnum * tally[c]
-            for i in range(k):
-                pl = pnum * ls[i]
-                el_num[i] += pl
-                el2_num[i] += pl * ls[i]
-            return
-        for off, wnum in atoms:
-            nxt = pos + off
-            c = counts.get(nxt, 0)
-            counts[nxt] = c + 1
-            tally[c] -= 1
-            tally[c + 1] += 1
-            g = grow[c]
-            for i in range(k):
-                ls[i] += g[i]
-            p = pnum * wnum
-            if c == 1 and nxt == 0:
-                # first return: every leaf below carries p times denom^(n-t)
-                tau_num[depth + 1] += p * denom ** (n - depth - 1)
-            walk(depth + 1, nxt, p, top if c < top else c + 1)
-            for i in range(k):
-                ls[i] -= g[i]
-            tally[c + 1] -= 1
-            tally[c] += 1
-            if c:
-                counts[nxt] = c
-            else:
-                del counts[nxt]
+    # One row of int64 counts per composition: sites per (range, count),
+    # paths per first-return time (n+1: none) and M[c, c'].  A count is at
+    # most paths * (n+1)^2: PATH_BUDGET * 24^2 with two or more atoms (so
+    # n <= 23), (STEP_BUDGET + 1)^2 with one, both below 2^63.
+    v1, w = most + 1, t + 1
+    at_tau, at_pairs = w * v1, w * v1 + w
+    width = at_pairs + v1 * v1
+    held = max(len(suf_comps),
+               min(math.comb(n + len(class_num) - 1, n), _COUNT_CELLS // width))
+    counts = np.zeros((held, width), np.int64)
+    flat = counts.reshape(-1)
+    sums = np.zeros(width, dtype=object)
+    comps: dict[tuple[int, ...], int] = {}  # composition -> its row of counts
+    offsets: dict[int, np.ndarray] = {}     # prefix composition -> offset per suffix one
 
-    walk(0, 0, 1, 1)
+    pos = np.empty((rows, t), dtype)
+    hits = np.empty((rows, t), bool)        # at the origin at t >= 1, then a sentinel
+    hits[:, n] = True
+    new = np.empty((rows, t), bool)         # run starts of each sorted row
+    new[:, 0] = True
+    for i in range(len(pre)):
+        per_suffix = offsets.get(pre_id[i])
+        if per_suffix is None:
+            head = pre_comps[pre_id[i]]
+            full = [tuple(map(sum, zip(head, tail))) for tail in suf_comps]
+            if len(comps.keys() | full) > held:
+                sums += _fold(counts, comps, class_num)
+                counts[:] = 0
+                comps.clear()
+                offsets.clear()
+            per_suffix = offsets[pre_id[i]] = np.array(
+                [comps.setdefault(comp, len(comps)) for comp in full]) * width
+        at = per_suffix[suf_id]             # each path's offset into flat
+        pos[:, :p] = pre[i, :p]
+        np.add(suf, pre[i, p], out=pos[:, p:])
+        np.equal(pos[:, 1:], 0, out=hits[:, :n])
+        np.add.at(flat, at + at_tau + 1 + hits.argmax(axis=1), 1)
 
+        pos.sort(axis=1)
+        np.not_equal(pos[:, 1:], pos[:, :-1], out=new[:, 1:])
+        starts = np.flatnonzero(new)
+        runs = np.diff(starts, append=rows * t)
+        row = starts // t
+        top = int(runs.max()) + 1
+        tally = np.bincount(row * top + runs, minlength=rows * top)
+        ent = np.flatnonzero(tally)         # nonzero (row, count) entries, row-major
+        r, c = np.divmod(ent, top)
+        v = tally[ent]
+        np.add.at(flat, (at + np.bincount(row, minlength=rows) * v1)[r] + c, v)
+
+        # M: each row's entries, top-aligned in a (k, rows) grid, in pairs
+        k = np.bincount(r, minlength=rows)
+        slot = np.arange(len(ent)) - (np.cumsum(k) - k)[r]
+        grid_c = np.zeros((k.max(), rows), np.int64)
+        grid_v = np.zeros_like(grid_c)
+        grid_c[slot, r] = c
+        grid_v[slot, r] = v
+        np.add.at(flat, (grid_c[:, None, :] * v1 + grid_c + (at + at_pairs)).ravel(),
+                  (grid_v[:, None, :] * grid_v).ravel())
+    sums += _fold(counts, comps, class_num)
+
+    joint = sums[:at_tau].reshape(w, v1)
+    tau_num = sums[at_tau:at_pairs]
+    pairs = sums[at_pairs:].reshape(v1, v1)
     total = denom ** n
     gamma_seq = []
     returned = 0
-    for t in range(n + 1):
-        returned += tau_num[t]
+    for s in range(t):
+        returned += tau_num[s]
         gamma_seq.append(Fraction(total - returned, total))
-    expected_l = {a: Fraction(el_num[i], total) for i, a in enumerate(alphas)}
-    eq_num = [sum(row[c] for row in joint) for c in range(n + 2)]
+    eq_num = joint.sum(axis=0)
+    expected_l, second_l = {}, {}
+    for alpha in alphas:
+        pw = [c ** alpha if c else 0 for c in range(v1)]
+        expected_l[alpha] = Fraction(sum(x * q for x, q in zip(pw, eq_num)), total)
+        second_l[alpha] = Fraction(
+            sum(x * y * m for x, row in zip(pw, pairs) for y, m in zip(pw, row)), total)
     summary = ExactSummary(
         n=n,
         expected_q={c: Fraction(v, total) for c, v in enumerate(eq_num) if v},
         expected_l=expected_l,
-        variance_l={a: Fraction(el2_num[i], total) - expected_l[a] ** 2
-                    for i, a in enumerate(alphas)},
+        variance_l={a: second_l[a] - expected_l[a] ** 2 for a in alphas},
         joint_law={(r, c): Fraction(v, total * r)
                    for r, row in enumerate(joint) for c, v in enumerate(row) if v},
         gamma_seq=tuple(gamma_seq),

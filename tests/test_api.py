@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import walklab
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,3 +103,41 @@ def test_documented_surface_loads_no_scipy():
     per_seed = json.loads(child["stdout"])["stats"]["per_seed"]
     assert per_seed and all(s["dof"] > 0 and 0.0 < s["pvalue"] < 1.0 for s in per_seed)
     assert child["scipy"] == []
+
+
+# Refusals of out-of-range arguments that no other test reaches: each
+# raises its class with its message.
+REFUSALS = [
+    ("taboo_survival", lambda law: walklab.taboo_survival(law, -1),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
+    ("return_sequence", lambda law: walklab.return_sequence(law, -1),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
+    ("simulate", lambda law: walklab.simulate(law, -1, 0),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
+    ("enumerate_paths", lambda law: walklab.enumerate_paths(law, -1),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
+    ("pmf_evolve", lambda law: walklab.pmf_evolve(law, -1),
+     walklab.BadParam, "^step count must be >= 0, got -1$"),
+    ("mc_escape", lambda law: walklab.mc_escape(law, 0, 10, 0),
+     walklab.BadParam, "^mc_escape needs n >= 1 and m >= 1$"),
+    ("simulate_series", lambda law: walklab.simulate_series(law, [0, 4], [2], 0),
+     walklab.BadParam, "^checkpoints must be >= 1$"),
+    ("variance_scan", lambda law: walklab.variance_scan(law, 2, [64, 32, 128], 4, 0),
+     walklab.BadParam, "^grid must be strictly increasing$"),
+    ("return_tail", lambda law: walklab.return_tail(law, 8, 8),
+     walklab.BadParam, "^need 0 <= n < N$"),
+    ("sup_pmf_sequence", lambda law: walklab.sup_pmf_sequence(law, -1),
+     walklab.BadParam, "^m_max must be >= 0, got -1$"),
+    ("green_cross_sum", lambda law: walklab.green_cross_sum(law, 0),
+     walklab.BadParam, "^n must be >= 1, got 0$"),
+    ("law_from_json", lambda law: walklab.law_from_json([]),
+     walklab.ConfigError, "^law descriptor must be an object, got list$"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_refusal_census(bern07_exact, call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call(bern07_exact)
+    assert type(caught.value) is error

@@ -53,9 +53,11 @@ CLOSE = {"variance-scan", "verify-geometric", "verify-slln"}
 # one narrow array (about 127 MB in all; a second full-length 8-byte
 # buffer would pass 160 MB).  simulate sorts its keys in place: the
 # verify-geometric leg peaks at about 54 MB, and a sorted copy of its
-# keys, as np.unique makes, would pass 62 MB.
+# keys, as np.unique makes, would pass 62 MB.  The oracle leg enumerates
+# its 2^17 paths in reused blocks of 2^14 positions and peaks about 1 MB
+# above the 31 MB that importing walklab.cli takes.
 PEAK_MB = {"dp": 75, "green-diag3": 50, "mc": 45, "verify-slln": 160,
-           "verify-geometric": 62}
+           "verify-geometric": 62, "oracle": 36}
 
 CASES = [(w, c, 2) for w in workloads.WORKLOADS for c in workloads.commands(w, "full")]
 CASES += [(w, c, 1) for w, c, _ in CASES if c.key == "mc"]

@@ -189,14 +189,13 @@ class TestOracleCommand:
         assert isinstance(res.exception, walklab.BadParam)
         assert str(res.exception) == "alphas must be distinct; repeated: 2"
 
-    def test_horizon_past_recursion_limit_is_error(self, capsys):
-        # one path only, so PATH_BUDGET passes; the walk would nest 1201 calls
+    def test_horizon_past_recursion_limit_runs(self, capsys):
+        # one path only, so PATH_BUDGET passes; no call nests per step
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--law", DET_EXACT, "--n", "1200", "--alphas", "2"])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("error: a horizon of 1200 steps is deeper than the ")
+        assert exc.value.code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["expected_q"] == {"1": {"rational": "1201/1", "decimal": 1201.0}}
 
 
 class TestSimulateCommand:

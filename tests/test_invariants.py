@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -63,3 +64,13 @@ def test_builders_run_the_invariants(monkeypatch, bern07_exact, cls, build):
     monkeypatch.setattr(getattr(walklab, cls), "check_invariants", broken)
     with pytest.raises(walklab.InvariantViolation, match=f"{cls} checked"):
         build(bern07_exact)
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements, so no invariant may rest on one
+    package = Path(walklab.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import oracle_reference as ref
 import walklab as wl
-from walklab import rng
+from walklab import oracle, rng
+from walklab.path import STEP_BUDGET
 from walklab.steps import _sampling_arrays
 
 
@@ -39,15 +41,51 @@ class TestEnumerate:
         with pytest.raises(wl.ResourceLimit, match="exceed PATH_BUDGET = 10000000 paths"):
             wl.enumerate_paths(bern07_exact, 30)
 
-    def test_horizon_past_recursion_limit_refused(self):
-        # one path only, so PATH_BUDGET passes; the walk would nest n+1 calls
+    def test_horizon_at_recursion_limit_enumerated(self):
+        # one path only; the enumeration nests no call per step
+        n = sys.getrecursionlimit()
+        s = wl.enumerate_paths(wl.deterministic([1], exact=True), n)
+        assert s.expected_q == {1: Fraction(n + 1)}
+        assert s.joint_law == {(n + 1, 1): Fraction(1)}
+
+    def test_horizon_past_step_budget_refused(self):
+        # a one-atom law passes PATH_BUDGET at any horizon; its single path
+        # is held whole, so STEP_BUDGET bounds it before any allocation
         det = wl.deterministic([1], exact=True)
-        limit = sys.getrecursionlimit()
-        with pytest.raises(wl.ResourceLimit, match=(
-                f"^a horizon of {limit} steps is deeper than the [0-9]+ steps .*"
-                f"sys.getrecursionlimit\\(\\) = {limit}$")):
-            wl.enumerate_paths(det, limit)
-        assert wl.enumerate_paths(det, 6).expected_q == {1: Fraction(7)}
+        n = STEP_BUDGET + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(wl.ResourceLimit, match=(
+                    f"^a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps$")):
+                wl.enumerate_paths(det, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_one_atom_memory_linear_in_horizon(self):
+        # its sites are all distinct, so counts stay O(n), not O(n^2)
+        det = wl.deterministic([1], exact=True)
+        tracemalloc.start()
+        try:
+            s = wl.enumerate_paths(det, 2048, (2,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.variance_l == {2: 0}
+        assert peak <= 1 << 20
+
+    def test_memory_peak(self, bern07_exact):
+        # one reused block of at most _CELLS positions and its temporaries;
+        # the untraced first call loads what numpy imports lazily
+        wl.enumerate_paths(bern07_exact, 17, (2, 3))
+        tracemalloc.start()
+        try:
+            wl.enumerate_paths(bern07_exact, 17, (2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     def test_float_law_rejected(self, bern07):
         with pytest.raises(wl.BadParam, match="the oracle needs a law with rational masses"):
@@ -84,8 +122,40 @@ def hook2():
                            ((-1, -1), Fraction(1, 4))], exact=True)
 
 
+@pytest.fixture
+def atoms40():
+    # 40 atoms, masses |x|/420: a composition key in radix (n+1)^A = 4^40
+    # would wrap int64 and merge compositions of different mass
+    return wl.make_law(1, [((x,), Fraction(abs(x), 420)) for x in range(-20, 21) if x],
+                       exact=True)
+
+
+@pytest.fixture
+def far3():
+    # packed sites need base^3 > 2^63, so they stay Python ints
+    far = 10 ** 6
+    return wl.make_law(3, [((far, 0, 0), Fraction(1, 4)), ((0, far, 0), Fraction(1, 4)),
+                           ((0, 0, far), Fraction(1, 4)), ((-far, -far, -far), Fraction(1, 4))],
+                       exact=True)
+
+
+LAWS = [("bern07_exact", 0), ("bern07_exact", 1), ("bern07_exact", 12),
+        ("lazy_walk_exact", 7), ("drifted2_exact", 9), ("srw3_exact", 5), ("long2", 5),
+        ("hook2", 6)]
+LAW_IDS = ["bern07-0", "bern07-1", "bern07-12", "lazy-7", "drifted2-9", "srw3-5",
+           "long2-5", "hook2-6"]
+
+
+def _assert_equals_reference(law, n, alphas):
+    got = wl.enumerate_paths(law, n, alphas)
+    want = ref.enumerate_paths(law, n, alphas)
+    assert got == want
+    for field in ("expected_q", "expected_l", "variance_l", "joint_law"):
+        assert list(getattr(got, field)) == list(getattr(want, field))
+
+
 class TestAgainstReference:
-    """The tallied walk equals the leaf-by-leaf recount, key order included.
+    """The tallied enumeration equals the leaf-by-leaf recount, key order included.
 
     alphas (0,) reads the 0 ** 0 convention (L(0) is the range).  Packed
     keys collide if their base ignores the atom length (long2 at n = 5)
@@ -95,19 +165,45 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("alphas", [(), (0,), (1,), (0, 2, 3)],
                              ids=["none", "0", "1", "0-2-3"])
-    @pytest.mark.parametrize("law_fixture,n", [
-        ("bern07_exact", 0), ("bern07_exact", 1), ("bern07_exact", 12),
-        ("lazy_walk_exact", 7), ("drifted2_exact", 9), ("srw3_exact", 5), ("long2", 5),
-        ("hook2", 6),
-    ], ids=["bern07-0", "bern07-1", "bern07-12", "lazy-7", "drifted2-9",
-            "srw3-5", "long2-5", "hook2-6"])
+    @pytest.mark.parametrize("law_fixture,n", LAWS, ids=LAW_IDS)
     def test_equals_reference(self, law_fixture, n, alphas, request):
-        law = request.getfixturevalue(law_fixture)
-        got = wl.enumerate_paths(law, n, alphas)
-        want = ref.enumerate_paths(law, n, alphas)
-        assert got == want
-        for field in ("expected_q", "expected_l", "variance_l", "joint_law"):
-            assert list(getattr(got, field)) == list(getattr(want, field))
+        _assert_equals_reference(request.getfixturevalue(law_fixture), n, alphas)
+
+    @pytest.mark.parametrize("cells,count_cells,suffix_steps", [
+        (0, oracle._COUNT_CELLS, "one"), (1 << 62, oracle._COUNT_CELLS, "all"),
+        (0, 0, "one"),
+    ], ids=["one-step-blocks", "one-block", "fold-per-prefix"])
+    @pytest.mark.parametrize("law_fixture,n", LAWS, ids=LAW_IDS)
+    def test_block_edges(self, monkeypatch, law_fixture, n, cells, count_cells,
+                         suffix_steps, request):
+        # b = 1 (A^(n-1) blocks), b = n (no prefix), and one-step blocks
+        # whose counts fold into Python ints at each new prefix composition
+        monkeypatch.setattr(oracle, "_CELLS", cells)
+        monkeypatch.setattr(oracle, "_COUNT_CELLS", count_cells)
+        steps = []
+        table = oracle._table
+
+        def spy(off, cls, m, k):
+            steps.append(k)
+            return table(off, cls, m, k)
+        monkeypatch.setattr(oracle, "_table", spy)
+        _assert_equals_reference(request.getfixturevalue(law_fixture), n, (0, 2, 3))
+        prefix, suffix = steps
+        assert prefix + suffix == n
+        assert suffix == (min(n, 1) if suffix_steps == "one" else n)
+
+    @pytest.mark.parametrize("cells", [0, oracle._CELLS, 1 << 62],
+                             ids=["one-step-blocks", "default", "one-block"])
+    def test_forty_atoms(self, monkeypatch, atoms40, cells):
+        monkeypatch.setattr(oracle, "_CELLS", cells)
+        _assert_equals_reference(atoms40, 3, (0, 2, 3))
+
+    def test_second_moment_past_int64(self, bern07_exact):
+        # L(9)^2 reaches 13^18 > 2^63 at n = 12
+        _assert_equals_reference(bern07_exact, 12, (9,))
+
+    def test_sites_past_int64(self, far3):
+        _assert_equals_reference(far3, 5, (0, 2, 3))
 
 
 class TestZnLaw:
