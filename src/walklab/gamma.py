@@ -22,14 +22,19 @@ eighth; no code builds the whole box, though CELL_BUDGET counts its
 cells.  The classes sit in flat buffers laid out in one frame per trim
 period, so a step is one contiguous slice add per (atom, class) into
 reused buffers.  The return-probability sequence P(S_m = 0) has two
-engines, and the law picks one: an axis-decomposition recursion for laws whose atoms
-are signed unit vectors and optionally the zero vector (simple and
-drifted simple walks, cost O(d N^2)), and a half-horizon box DP for every
-other law.  The latter uses the iid split of S_2m into two independent
-copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and likewise for odd
-times), summed class by class, so it evolves only to ceil(N/2).  Both
-engines agree with exact convolution to float precision; the tests
-cross-check them.
+engines, and the law picks one: an axis-decomposition recursion for laws
+whose atoms are signed unit vectors and optionally the zero vector
+(simple and drifted simple walks), and a half-horizon box DP for every
+other law.  The recursion folds in one axis at a time; row m of a fold
+touches a 10-sigma band of O(sqrt(m)) binomial terms, so a fold costs
+O(N^1.5).  Rows whose bands have the same width are evaluated as one
+2-D block, and when the walk has no zero atom its odd rows are exact
+zeros and are not evaluated; every value keeps the bits of a
+one-row-at-a-time fold.  The box DP engine uses the iid split of S_2m
+into two independent copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x)
+(and likewise for odd times), summed class by class, so it evolves only
+to ceil(N/2).  Both engines agree with exact convolution to float
+precision; the tests cross-check them.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ _DP_BLOCK = 1 << 16
 # Replicas advanced together by _escape_range: a batch's block is one
 # piece of the path kernel, path._CHUNK steps.
 _MC_BATCH = path._CHUNK // MC_BLOCK
+# Cells of one block of band rows in _binomial_fold (512 KiB of float64),
+# so a long horizon's blocks stay small.
+_FOLD_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +553,50 @@ def _binomial_fold(v_prev: np.ndarray, rel: float, u_new: np.ndarray) -> np.ndar
     around the mode, so each row touches only O(sqrt(m)) terms; band
     weights come from the pmf ratio recurrence and are renormalized over
     the band, which also absorbs the truncated tail.
+
+    Rows with the same band width are evaluated together, up to
+    _FOLD_CELLS cells at a time, and every row gets the bits of a row
+    evaluated on its own: the ratios are multiplied up one column at a
+    time (cumprod is sequential), each row's weight sum is a pairwise sum
+    over that row alone (a reduction over the last axis), and each row's
+    value is one dot product of its band (matmul of stacked vectors calls
+    the kernel np.dot does).  So no row is padded to a common width, which
+    would change those sums.  When both u and v vanish at every odd index
+    (a walk with no zero atom), every term of an odd row has a zero
+    factor and is >= 0, so the row is +0.0 and only the even rows are
+    evaluated.
     """
     if rel >= 1.0:
         return u_new.copy()
     n = len(v_prev) - 1
     odds = rel / (1.0 - rel)
-    out = np.empty(n + 1)
+    out = np.zeros(n + 1)
     out[0] = u_new[0] * v_prev[0]
-    for m in range(1, n + 1):
-        half = int(10.0 * math.sqrt(m * rel * (1.0 - rel))) + 20
-        mode = int(round(m * rel))
-        lo = max(0, mode - half)
-        hi = min(m, mode + half)
-        ks = np.arange(lo, hi + 1)
-        w = np.empty(len(ks))
-        w[0] = 1.0
-        if len(ks) > 1:
-            np.cumprod((m - ks[:-1]) / (ks[:-1] + 1.0) * odds, out=w[1:])
-        w /= w.sum()
-        out[m] = np.dot(w * u_new[ks], v_prev[m - ks])
+    # 2 when every term of an odd row has a zero factor
+    stride = 2 if not u_new[1::2].any() and not v_prev[1::2].any() else 1
+    ms = np.arange(stride, n + 1, stride)
+    # np.sqrt, np.rint and astype round as math.sqrt, round and int do
+    half = (10.0 * np.sqrt(ms * rel * (1.0 - rel))).astype(np.int64) + 20
+    mode = np.rint(ms * rel).astype(np.int64)
+    lo = np.maximum(0, mode - half)
+    width = np.minimum(ms, mode + half) - lo + 1
+    order = np.argsort(width, kind="stable")
+    starts = np.flatnonzero(np.diff(width[order], prepend=0))
+    for a, b in zip(starts, [*starts[1:], len(order)]):
+        size = int(width[order[a]])
+        step = max(1, _FOLD_CELLS // size)
+        for s in range(a, b, step):
+            rows = order[s:min(s + step, b)]
+            m = ms[rows, None]
+            ks = lo[rows, None] + np.arange(size)
+            w = np.empty(ks.shape)
+            w[:, 0] = 1.0
+            np.divide(m - ks[:, :-1], ks[:, :-1] + 1.0, out=w[:, 1:])
+            w[:, 1:] *= odds
+            np.cumprod(w, axis=1, out=w)
+            w /= w.sum(axis=1, keepdims=True)
+            w *= u_new[ks]
+            out[m[:, 0]] = np.matmul(w[:, None, :], v_prev[m - ks][:, :, None])[:, 0, 0]
     return out
 
 

@@ -338,31 +338,69 @@ def _visit_increments(k: np.ndarray, alpha: float, wide: bool) -> np.ndarray:
     return np.power(kf, alpha) - np.power(kf - 1.0, alpha)
 
 
+def _value_counts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of k, as int64, and how often each occurs.
+
+    A uint8 or uint16 k is counted by bincount, whose table has at most
+    2**16 entries; a wider k is sorted by np.unique, so no table is longer
+    than k itself.
+    """
+    if k.dtype.itemsize <= 2:
+        counts = np.bincount(k)
+        values = np.flatnonzero(counts)
+        return values, counts[values]
+    values, counts = np.unique(k, return_counts=True)
+    return values.astype(np.int64), counts
+
+
 def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
                      alphas: Sequence[float]) -> list[list]:
     """Running sums of k's visit increments per alpha, read at the checkpoints.
 
-    Integer alpha sums in int64 when the total cannot overflow, else in
-    Python ints.  k is walked _CHUNK steps at a time and each chunk's
-    cumsum starts from the previous chunk's last sum, so every value is
-    that of one full-length cumsum, bit for bit.
+    k is walked _CHUNK steps at a time.  An integer alpha's sum up to a
+    time is exact and so does not depend on the order of its terms: it is
+    sum_v inc(v) * #{t : k_t = v}.  So each piece is cut at the
+    checkpoints inside it, the occurrence numbers of each segment are
+    counted (_value_counts), and inc(values) . counts is added to the
+    running sum, in int64 when the total cannot overflow, else in Python
+    ints.  A non-integer alpha's increments are summed in time order: each
+    piece's cumsum starts from the previous piece's last sum, added into
+    its first increment, so every value is that of one full-length cumsum,
+    bit for bit.  While k is uint8 or uint16 (k_max < 2**16) those
+    increments are looked up in a table of inc(1..k_max), the same
+    elementwise values _visit_increments gives each step.
     """
     kmax = int(k.max())
-    wide = [float(a).is_integer() and kmax ** int(a) * len(k) >= _INT64_SAFE
-            for a in alphas]
+    exact = [float(a).is_integer() for a in alphas]
+    wide = [e and kmax ** int(a) * len(k) >= _INT64_SAFE for e, a in zip(exact, alphas)]
+    # a uint8 or uint16 k's non-integer increments, one per occurrence number
+    tables = [None if e or k.dtype.itemsize > 2 else np.concatenate(
+        ([0.0], _visit_increments(np.arange(1, kmax + 1), a, False)))
+        for e, a in zip(exact, alphas)]
     rows = [[] for _ in alphas]
     carries = [0] * len(alphas)
     cks = np.asarray(checkpoints)
     for s in range(0, len(k), _CHUNK):
-        # k may be uint8, whose k ** 3 would wrap
-        part = k[s:s + _CHUNK].astype(np.int64)
-        lo, hi = np.searchsorted(cks, [s, s + len(part)])
-        at = cks[lo:hi] - s + 1
+        piece = k[s:s + _CHUNK]
+        lo, hi = np.searchsorted(cks, [s, s + len(piece)])
+        ends = cks[lo:hi] - s + 1
+        start = 0
+        for i, end in enumerate([*ends, len(piece)]):
+            values, counts = _value_counts(piece[start:end])
+            start = end
+            for j, a in enumerate(alphas):
+                if exact[j]:
+                    carries[j] += (_visit_increments(values, a, wide[j]) * counts).sum()
+                    if i < len(ends):
+                        rows[j].append(carries[j])
         for j, a in enumerate(alphas):
-            run = np.cumsum(np.concatenate(
-                ([carries[j]], _visit_increments(part, a, wide[j]))))
-            carries[j] = run[-1]
-            rows[j].extend(run[at])
+            if not exact[j]:
+                run = (_visit_increments(piece, a, False) if tables[j] is None
+                       else np.take(tables[j], piece))
+                run[0] += carries[j]
+                np.cumsum(run, out=run)
+                carries[j] = run[-1]
+                rows[j].extend(run[ends - 1])
     return rows
 
 

@@ -12,6 +12,10 @@ in sorted order, which is the order the package adds them in.  The thin
 wrappers at the end do what taboo_survival, pmf_evolve and
 sup_pmf_sequence do on top of the evolver.  The tests compare the
 package against this module for equality, floats bit for bit.
+
+The axis recursion's binomial fold is kept here too, as it was before
+the package evaluated rows of equal band width in blocks: one row at a
+time, every row evaluated, odd rows of a periodic walk included.
 """
 
 from __future__ import annotations
@@ -221,3 +225,46 @@ def pmf_masses(law: StepLaw, m: int) -> dict[LatticePoint, Mass]:
 def sup_pmf_sequence(law: StepLaw, m_max: int) -> np.ndarray:
     """sup_x P(S_m = x) for m = 0..m_max."""
     return np.array([ev.sup() for ev in _evolution(law.to_float(), m_max)])
+
+
+def _binomial_fold(v_prev: np.ndarray, rel: float, u_new: np.ndarray) -> np.ndarray:
+    """out[m] = E[u(K) v(m-K)] with K ~ Binomial(m, rel), one row at a time.
+
+    Each row sums a 10-sigma band around the mode, with weights from the
+    pmf ratio recurrence renormalized over the band.
+    """
+    if rel >= 1.0:
+        return u_new.copy()
+    n = len(v_prev) - 1
+    odds = rel / (1.0 - rel)
+    out = np.empty(n + 1)
+    out[0] = u_new[0] * v_prev[0]
+    for m in range(1, n + 1):
+        half = int(10.0 * math.sqrt(m * rel * (1.0 - rel))) + 20
+        mode = int(round(m * rel))
+        lo = max(0, mode - half)
+        hi = min(m, mode + half)
+        ks = np.arange(lo, hi + 1)
+        w = np.empty(len(ks))
+        w[0] = 1.0
+        if len(ks) > 1:
+            np.cumprod((m - ks[:-1]) / (ks[:-1] + 1.0) * odds, out=w[1:])
+        w /= w.sum()
+        out[m] = np.dot(w * u_new[ks], v_prev[m - ks])
+    return out
+
+
+def axis_return_sequence(law: StepLaw, n: int) -> np.ndarray:
+    """P(S_m = 0), m = 0..n, by the axis recursion with the row-by-row fold."""
+    axis_mass, axis_up, zero_mass = gamma._axis_decomposition(law)
+    components = [(float(axis_mass[j]), gamma._one_axis_returns(n, float(axis_up[j])))
+                  for j in range(law.d) if axis_mass[j] > 0]
+    if zero_mass > 0:
+        components.append((zero_mass, np.ones(n + 1)))
+    total = 0.0
+    v = np.zeros(n + 1)
+    v[0] = 1.0
+    for w_new, u_new in components:
+        total += w_new
+        v = _binomial_fold(v, w_new / total, u_new)
+    return v

@@ -75,6 +75,12 @@ KNOWN = {
     **{f"bernoulli({p})": KnownGamma(wl.bernoulli(p), float(abs(2 * Fraction(p) - 1)),
                                      "|2p - 1|: a drifted line walk returns with 1 - |2p - 1|")
        for p in ("0.6", "0.7", "0.9")},
+    # S_m = 0 iff m = 3a steps hold a up-steps (+2) and 2a down-steps (-1),
+    # so G(0) = sum_a C(3a, a) / 8^a = B / (3 - 2B), B = sqrt(5) - 1 the
+    # root of B = 1 + B^3 / 8 near 1
+    "up2_down1": KnownGamma(wl.make_law(1, [((2,), 0.5), ((-1,), 0.5)], False),
+                            (3 * math.sqrt(5) - 5) / 4,
+                            "Graham, Knuth & Patashnik, Concrete Mathematics (5.61)"),
     **{name: KnownGamma(law, axis_integral(law), "axis_integral")
        for name, law in (("srw4", wl.srw(4)), ("srw5", wl.srw(5)),
                          ("drifted_srw(2,0.1)", wl.drifted_srw(2, 0.1)))},

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evolver_reference
 import gamma_reference
 import mc_reference
 import walklab as wl
@@ -148,6 +149,24 @@ class TestReturnSequenceEngines:
         exact = [float(f.get((0, 0, 0), 0)) for f in fields]
         got = wl.return_sequence(wl.srw(3), 12)
         assert np.abs(np.array(exact) - got).max() < 1e-14
+
+    @pytest.mark.parametrize("law", [
+        *(wl.srw(d) for d in range(1, 7)), wl.drifted_srw(2, 0.3), wl.drifted_srw(3, 0.1),
+        wl.bernoulli(0.7),
+        wl.make_law(2, [*((e, 0.2) for e, _ in wl.srw(2).atoms), ((0, 0), 0.2)], False),
+        wl.make_law(3, [((1, 0, 0), 0.3), ((-1, 0, 0), 0.1), ((0, 1, 0), 0.15),
+                        ((0, -1, 0), 0.05), ((0, 0, 1), 0.1), ((0, 0, -1), 0.2),
+                        ((0, 0, 0), 0.1)], False),
+    ], ids=[*(f"srw{d}" for d in range(1, 7)), "drifted2", "drifted3", "bern07",
+            "lazy2", "skewed-lazy3"])
+    def test_axis_fold_matches_row_by_row(self, law):
+        # the fold evaluates rows of equal band width as one block; every
+        # value, sign bit included, is the one-row-at-a-time value
+        for n in (0, 1, 2, 3, 7, 64, 511, 4096):
+            got = _axis_return_sequence(law, n)
+            want = evolver_reference.axis_return_sequence(law, n)
+            assert np.array_equal(got, want), n
+            assert np.array_equal(np.signbit(got), np.signbit(want)), n
 
     def test_non_unit_steps_use_dense(self):
         law = wl.make_law(1, [((2,), 0.5), ((-2,), 0.5)], False)
@@ -427,6 +446,21 @@ class TestKnownAnswers:
         est = wl.auto_gamma(known.law)
         assert est.params["N"] == 4096
         assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
+
+    def test_auto_gamma_d1_non_axis_horizon(self):
+        known = gamma_reference.KNOWN["up2_down1"]
+        est = wl.auto_gamma(known.law)
+        assert est.params["N"] == 2048
+        assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
+
+    def test_auto_gamma_d2_non_axis_horizon(self):
+        # drift (2/3, 2/3), so transient; no closed form, so the taboo DP's
+        # gamma(200) is the second opinion
+        law = long2().to_float()
+        est = wl.auto_gamma(law)
+        assert est.params["N"] == 512
+        dp = wl.taboo_gamma_estimate(law, 200)
+        assert abs(est.value - dp.value) <= est.error + dp.error, (est, dp)
 
     def test_axis_integral_gives_srw3_closed_form(self):
         got = gamma_reference.axis_integral(wl.srw(3))

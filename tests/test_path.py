@@ -416,6 +416,35 @@ def test_simulate_peak_memory_per_step():
     assert _peak_bytes_per_step(lambda: wl.simulate(wl.srw(3), n, seed=0), n) <= 20
 
 
+def test_checkpoint_stage_memory_per_step(monkeypatch):
+    # The lazy-uint32 path of TestChunkEdges: one site takes k_max = 162877
+    # visits, so a table or histogram over 1..k_max of 8-byte entries adds
+    # 1.3 MB, about 4.3 bytes per step, on top of k.  The stage's own
+    # allocations are bounded by a piece: about 0.5 bytes per step here.
+    # (alpha 3 is left out: its sums run in Python ints, a few hundred KB
+    # per piece on this path, whose occurrence numbers are all distinct.)
+    monkeypatch.setattr(path, "_CHUNK", 4099)
+    law, n = _lazy(1, stay=0.99999), 300_000
+    stage, seen = path._checkpoint_sums, []
+
+    def traced(k, *args):
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = stage(k, *args)
+        seen.append((k.dtype, int(k.max()), tracemalloc.get_traced_memory()[1] - base))
+        return out
+
+    monkeypatch.setattr(path, "_checkpoint_sums", traced)
+    tracemalloc.start()
+    try:
+        wl.simulate_series(law, [1, n // 2, n], [0.0, 1.0, 2.0, 0.5], seed=3)
+    finally:
+        tracemalloc.stop()
+    [(dtype, kmax, peak)] = seen
+    assert dtype == np.uint32 and 8 * kmax / n >= 4
+    assert peak / n <= 2
+
+
 def test_ranked_series_peak_memory_per_step():
     # srw(6) at 2^20 steps passes the key budget, so its keys are ranked in
     # place: a sorted copy beside the keys and the step indices, about 18
