@@ -357,50 +357,45 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
                      alphas: Sequence[float]) -> list[list]:
     """Running sums of k's visit increments per alpha, read at the checkpoints.
 
-    k is walked _CHUNK steps at a time.  An integer alpha's sum up to a
-    time is exact and so does not depend on the order of its terms: it is
-    sum_v inc(v) * #{t : k_t = v}.  So each piece is cut at the
-    checkpoints inside it, the occurrence numbers of each segment are
-    counted (_value_counts), and inc(values) . counts is added to the
-    running sum, in int64 when the total cannot overflow, else in Python
-    ints.  A non-integer alpha's increments are summed in time order: each
+    k is walked _CHUNK steps at a time.  Integer alpha sums in int64 when
+    the total cannot overflow, else in Python ints; such a sum is exact,
+    so it does not depend on the order of its terms.  A piece with no
+    checkpoint inside adds sum_v inc(v) * #{t in piece : k_t = v} from
+    its occurrence counts (_value_counts); a piece that holds checkpoints
+    is summed by one cumsum read at all of them, so the cost does not grow
+    with their number.  A non-integer alpha is summed in time order: each
     piece's cumsum starts from the previous piece's last sum, added into
     its first increment, so every value is that of one full-length cumsum,
-    bit for bit.  While k is uint8 or uint16 (k_max < 2**16) those
-    increments are looked up in a table of inc(1..k_max), the same
-    elementwise values _visit_increments gives each step.
+    bit for bit.
     """
     kmax = int(k.max())
     exact = [float(a).is_integer() for a in alphas]
     wide = [e and kmax ** int(a) * len(k) >= _INT64_SAFE for e, a in zip(exact, alphas)]
-    # a uint8 or uint16 k's non-integer increments, one per occurrence number
-    tables = [None if e or k.dtype.itemsize > 2 else np.concatenate(
-        ([0.0], _visit_increments(np.arange(1, kmax + 1), a, False)))
-        for e, a in zip(exact, alphas)]
     rows = [[] for _ in alphas]
     carries = [0] * len(alphas)
     cks = np.asarray(checkpoints)
     for s in range(0, len(k), _CHUNK):
         piece = k[s:s + _CHUNK]
         lo, hi = np.searchsorted(cks, [s, s + len(piece)])
-        ends = cks[lo:hi] - s + 1
-        start = 0
-        for i, end in enumerate([*ends, len(piece)]):
-            values, counts = _value_counts(piece[start:end])
-            start = end
-            for j, a in enumerate(alphas):
-                if exact[j]:
-                    carries[j] += (_visit_increments(values, a, wide[j]) * counts).sum()
-                    if i < len(ends):
-                        rows[j].append(carries[j])
+        at = cks[lo:hi] - s
+        if lo == hi:
+            values, counts = _value_counts(piece)
+        else:
+            # k may be uint8, whose k ** 3 would wrap
+            part = piece.astype(np.int64)
         for j, a in enumerate(alphas):
-            if not exact[j]:
-                run = (_visit_increments(piece, a, False) if tables[j] is None
-                       else np.take(tables[j], piece))
+            if exact[j] and lo == hi:
+                carries[j] += (_visit_increments(values, a, wide[j]) * counts).sum()
+            elif exact[j]:
+                run = np.cumsum(_visit_increments(part, a, wide[j]))
+                rows[j].extend(run[at] + carries[j])
+                carries[j] += run[-1]
+            else:
+                run = _visit_increments(piece, a, False)
                 run[0] += carries[j]
                 np.cumsum(run, out=run)
                 carries[j] = run[-1]
-                rows[j].extend(run[ends - 1])
+                rows[j].extend(run[at])
     return rows
 
 

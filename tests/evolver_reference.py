@@ -253,18 +253,3 @@ def _binomial_fold(v_prev: np.ndarray, rel: float, u_new: np.ndarray) -> np.ndar
         out[m] = np.dot(w * u_new[ks], v_prev[m - ks])
     return out
 
-
-def axis_return_sequence(law: StepLaw, n: int) -> np.ndarray:
-    """P(S_m = 0), m = 0..n, by the axis recursion with the row-by-row fold."""
-    axis_mass, axis_up, zero_mass = gamma._axis_decomposition(law)
-    components = [(float(axis_mass[j]), gamma._one_axis_returns(n, float(axis_up[j])))
-                  for j in range(law.d) if axis_mass[j] > 0]
-    if zero_mass > 0:
-        components.append((zero_mass, np.ones(n + 1)))
-    total = 0.0
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    for w_new, u_new in components:
-        total += w_new
-        v = _binomial_fold(v, w_new / total, u_new)
-    return v

@@ -159,14 +159,21 @@ class TestReturnSequenceEngines:
                         ((0, 0, 0), 0.1)], False),
     ], ids=[*(f"srw{d}" for d in range(1, 7)), "drifted2", "drifted3", "bern07",
             "lazy2", "skewed-lazy3"])
-    def test_axis_fold_matches_row_by_row(self, law):
+    def test_axis_fold_matches_row_by_row(self, law, monkeypatch):
         # the fold evaluates rows of equal band width as one block; every
-        # value, sign bit included, is the one-row-at-a-time value
-        for n in (0, 1, 2, 3, 7, 64, 511, 4096):
-            got = _axis_return_sequence(law, n)
-            want = evolver_reference.axis_return_sequence(law, n)
-            assert np.array_equal(got, want), n
-            assert np.array_equal(np.signbit(got), np.signbit(want)), n
+        # value, sign bit included, is the one-row-at-a-time value, also
+        # when a block is cut part-way through a width group (one row per
+        # block at _FOLD_CELLS = 1, a few rows at 1000)
+        horizons = (0, 1, 2, 3, 7, 64, 511, 4096)
+        with monkeypatch.context() as m:
+            m.setattr(gamma, "_binomial_fold", evolver_reference._binomial_fold)
+            wants = [_axis_return_sequence(law, n) for n in horizons]
+        for cells in (gamma._FOLD_CELLS, 1000, 1):
+            monkeypatch.setattr(gamma, "_FOLD_CELLS", cells)
+            for n, want in zip(horizons, wants):
+                got = _axis_return_sequence(law, n)
+                assert np.array_equal(got, want), (cells, n)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (cells, n)
 
     def test_non_unit_steps_use_dense(self):
         law = wl.make_law(1, [((2,), 0.5), ((-2,), 0.5)], False)

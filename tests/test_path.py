@@ -445,6 +445,22 @@ def test_checkpoint_stage_memory_per_step(monkeypatch):
     assert peak / n <= 2
 
 
+@pytest.mark.parametrize("cks", [list(range(1, 1001)), [1000]], ids=["every-step", "last"])
+def test_checkpoint_stage_counts_only_pieces_without_checkpoints(monkeypatch, cks):
+    # k has 1001 entries, 16 pieces of 64 at most.  A piece with no
+    # checkpoint is counted once; a piece that holds checkpoints is summed
+    # by one cumsum however many it holds, so the stage's cost grows with
+    # the pieces, not with the checkpoints.
+    monkeypatch.setattr(path, "_CHUNK", 64)
+    counted, value_counts = [], path._value_counts
+    monkeypatch.setattr(path, "_value_counts", lambda k: counted.append(len(k)) or value_counts(k))
+    law, alphas = wl.srw(2), [0.0, 1.0, 3.0, 0.5, 64.0]
+    s = wl.simulate_series(law, cks, alphas, seed=4)
+    assert counted == ([] if len(cks) > 1 else [64] * 15)
+    keys = ref.pack_rows(ref.positions(law, 1000, 4))
+    assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+
+
 def test_ranked_series_peak_memory_per_step():
     # srw(6) at 2^20 steps passes the key budget, so its keys are ranked in
     # place: a sorted copy beside the keys and the step indices, about 18
