@@ -13,6 +13,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -162,22 +163,26 @@ def _seeds(run: _Run, paths: int) -> list[int]:
     return seeds
 
 
-def _write(run: _Run, name: str, body: bytes, csv_text: str | None) -> None:
-    """Print the JSON body (or the CSV under --format csv); save both under --out."""
-    click.echo(csv_text if run.fmt == "csv" else body.decode(), nl=False)
+def _write(run: _Run, name: str, body: bytes, csv: Callable[[], str] | None) -> None:
+    """Print the JSON body (or the CSV under --format csv); save both under --out.
+
+    csv builds the CSV text; it is called only when the CSV is printed or saved.
+    """
+    text = csv() if csv is not None and (run.fmt == "csv" or run.out is not None) else None
+    click.echo(text if run.fmt == "csv" else body.decode(), nl=False)
     if run.out is not None:
         run.out.mkdir(parents=True, exist_ok=True)
         (run.out / f"{name}.json").write_bytes(body)
-        if csv_text is not None:
-            (run.out / f"{name}.csv").write_bytes(csv_text.encode())
+        if text is not None:
+            (run.out / f"{name}.csv").write_bytes(text.encode())
 
 
-def _emit(run: _Run, name: str, payload: dict, csv_text: str | None = None) -> None:
-    _write(run, name, json_bytes(payload), csv_text)
+def _emit(run: _Run, name: str, payload: dict, csv: Callable[[], str] | None = None) -> None:
+    _write(run, name, json_bytes(payload), csv)
 
 
 def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
-    _write(run, name, report.to_json_bytes(), report.to_csv())
+    _write(run, name, report.to_json_bytes(), report.to_csv)
     if not report.verdict:
         click.echo(f"FAIL: {', '.join(report.failures())}", err=True)
         sys.exit(2)
@@ -262,7 +267,7 @@ def simulate(run: _Run, law_text, n, alphas, checkpoints):
         "alphas": list(series.alphas),
         "records": series.records(),
     }
-    _emit(run, "simulate", payload, csv_text(payload["records"]))
+    _emit(run, "simulate", payload, lambda: csv_text(payload["records"]))
 
 
 @cli.command("estimate-gamma")

@@ -8,6 +8,7 @@ histogram of visit multiplicities) is a pure function of that field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,13 +17,15 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit
-from .steps import StepLaw, _sampling_arrays, sample_indices
+from .steps import StepLaw, _sampling_arrays, mean_and_second_moment, sample_indices
 
 _INT64_SAFE = 1 << 62
 
 # A path of n steps holds about 9 bytes per step at its peak in
 # simulate_series: the int64 keys and one narrow array, the step indices
 # and then the occurrence numbers (uint8 while no site has 256 visits).
+# Both routes of _walk_keys stay within that: the lane pass prefix-sums
+# each piece straight into the keys, and the fold adds one piece buffer.
 # simulate holds the keys, a bool mask and one int64 run end per visited
 # site, at most 17 bytes per step (about 16 for srw(3)).  So 10**8 steps
 # is about 0.9 GB for a series and at most 1.7 GB for a field.  Keys that
@@ -45,24 +48,36 @@ def _check_step_budget(n: int) -> None:
         raise ResourceLimit(f"a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps")
 
 
-def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
+def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator,
+               bits: int | None = None) -> np.ndarray:
     """One int64 key per time point of S_0..S_n, in site order.
 
-    The keys are built one axis at a time, last axis first, without an
-    (n+1, d) positions array or a full-length axis buffer.  The key is
-    sum_j (x_j - lo_j) * W_j, W_j the product of the spans of the axes
+    The step indices are drawn _CHUNK at a time (the same stream as one
+    draw of n) into the smallest unsigned dtype that holds them.  Then
+    the keys are built by one of two routes, both monotone in
+    lexicographic order of the positions, so sorting keys sorts sites;
+    which one ran does not change the counts or occurrence numbers.
+
+    The lane pass (_lane_keys) packs every axis into one int64, so one
+    gather and one prefix sum per piece walk the whole path.  Keys stay
+    below 2**bits; bits defaults to 63 - tbits, tbits = (n+1).bit_length(),
+    so a key and its time index share one int64 (see _occurrence_numbers).
+    simulate, which packs no time, passes 63.  The pass is tried only when
+    every axis is likely to fit its lane (_lane_fits); its guard bits catch
+    any lane that leaves its range, and then the fold below runs instead.
+
+    The fold builds the keys one axis at a time, last axis first.  The key
+    is sum_j (x_j - lo_j) * W_j, W_j the product of the spans of the axes
     after j, so W_j is known before axis j is read.  Each _CHUNK piece of
     the axis is gathered from the step indices and prefix-summed (carrying
     the previous piece's end), lo and hi are tracked, and piece * W_j is
-    added to the keys; after the pass the keys drop lo_j * W_j.  The code
-    is monotone in lexicographic order of the positions, so sorting keys
-    sorts sites.  The step indices are drawn _CHUNK at a time (the same
-    stream as one draw of n) into the smallest unsigned dtype that holds
-    them, so besides the keys only the indices are full length (and an
+    added to the keys; after the pass the keys drop lo_j * W_j.
+
+    Either way there is no (n+1, d) positions array or full-length axis
+    buffer: besides the keys only the indices are full length (and an
     axis too wide to fold, below, while it is ranked).
 
-    Keys stay below 2**(63 - tbits), tbits = (n+1).bit_length(), so a key
-    and its time index share one int64 (see _occurrence_numbers).  When
+    The fold keeps its keys below 2**(63 - tbits), whatever bits is: when
     the keys pass that budget they are replaced by their dense rank (same
     order, at most n+1 values).  Before an axis whose raw sums times W_j
     could leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first;
@@ -76,7 +91,13 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
     for s in range(0, n, _CHUNK):
         e = min(s + _CHUNK, n)
         idx[s:e] = sample_indices(law, gen, e - s)
+    if bits is None:
+        bits = 63 - (n + 1).bit_length()
     keys = np.zeros(n + 1, dtype=np.int64)
+    if _lane_fits(law, n, bits):
+        if _lane_keys(law, idx, keys, bits):
+            return keys
+        keys.fill(0)
     buf = np.empty(min(n, _CHUNK), dtype=np.int64)
     radix = 1
     for j in reversed(range(law.d)):
@@ -105,6 +126,82 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator) -> np.ndarray:
         if radix > budget:
             radix = _rank_in_place(keys)
     return keys
+
+
+# The lane pass is tried when every axis's |mean| n + _LANE_SIGMAS sd
+# sqrt(n) + max|c| fits in half a lane; a walk that still leaves its lane
+# is caught by the guard and costs one wasted pass.
+_LANE_SIGMAS = 8
+
+
+@functools.lru_cache(maxsize=128)
+def _lane_moments(law: StepLaw) -> tuple[np.ndarray, np.ndarray, int]:
+    """(|mean|, standard deviation) of each axis's step, as floats, and max|c|."""
+    mean, second = mean_and_second_moment(law)
+    var = [float(second[j, j] - mean[j] ** 2) for j in range(law.d)]
+    mu = np.abs(np.array([float(m) for m in mean]))
+    sd = np.sqrt(np.maximum(var, 0.0))
+    return mu, sd, int(np.abs(_sampling_arrays(law)[0]).max())
+
+
+def _lane_fits(law: StepLaw, n: int, bits: int) -> bool:
+    """Whether an n-step walk is expected to fit lanes of bits // d bits."""
+    f = bits // law.d
+    if f < 3:
+        return False
+    mu, sd, cmax = _lane_moments(law)
+    half = 1 << (f - 2)
+    return cmax < half and bool(
+        (mu * n + _LANE_SIGMAS * sd * math.sqrt(n) + cmax < half).all())
+
+
+@functools.lru_cache(maxsize=128)
+def _lane_code(law: StepLaw, f: int) -> tuple[np.ndarray, np.int64, int]:
+    """(packed step of each atom, guard mask, origin) for lanes of f bits.
+
+    Axis j owns bits f*(d-1-j) .. f*(d-j) - 1, so the first axis is the
+    most significant.  The mask holds each lane's top bit and every bit
+    above the top lane; the origin puts each lane at 2**(f-2).
+    """
+    coords, _ = _sampling_arrays(law)
+    shifts = [f * (law.d - 1 - j) for j in range(law.d)]
+    deltas = np.array([sum(int(c) << s for c, s in zip(row, shifts)) for row in coords],
+                      dtype=np.int64)
+    guard = -(1 << (f * law.d))
+    for s in shifts:
+        guard |= 1 << (s + f - 1)
+    return deltas, np.int64(guard), sum(1 << (s + f - 2) for s in shifts)
+
+
+def _lane_keys(law: StepLaw, idx: np.ndarray, keys: np.ndarray, bits: int) -> bool:
+    """Pack S_0..S_n into keys, f = bits // d bits per axis; False on overflow.
+
+    This is SIMD within a register (Fisher & Dietz, 1998): one int64 add
+    moves every axis at once.
+
+    Axis j's lane holds 2**(f-2) + x_j and must stay in [0, 2**(f-1)): its
+    top bit is a guard.  Each _CHUNK piece of keys is gathered from the
+    packed steps and prefix-summed, carrying the previous piece's end.
+    Needs max|c| < 2**(f-2).  Then a lane that leaves its range moves by
+    less than a quarter of its field, and at the first such time the least
+    significant such lane gets no carry or borrow from the lanes below it,
+    so it sets its own guard bit, whether it left up or down.  The guard
+    is read from each piece's bitwise OR before the next piece, and no key
+    up to that first time has left int64.  With every guard clear the
+    lanes are exact and the key is monotone in lexicographic site order.
+    After False, keys hold garbage.
+    """
+    deltas, guard, origin = _lane_code(law, bits // law.d)
+    keys[0] = end = origin
+    for s in range(0, len(idx), _CHUNK):
+        piece = keys[1 + s:1 + s + min(_CHUNK, len(idx) - s)]
+        np.take(deltas, idx[s:s + len(piece)], out=piece, mode="clip")
+        piece[0] += end
+        np.cumsum(piece, out=piece)
+        if np.bitwise_or.reduce(piece) & guard:
+            return False
+        end = int(piece[-1])
+    return True
 
 
 def _rank_in_place(a: np.ndarray) -> int:
@@ -198,7 +295,7 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
         raise BadParam(f"horizon must be >= 0, got {n}")
     _check_step_budget(n)
     gen = rnglib.generator(seed)
-    keys = _walk_keys(law, n, gen)
+    keys = _walk_keys(law, n, gen, 63)
     keys.sort()
     size = len(keys)
     ends = np.flatnonzero(keys[1:] != keys[:-1])
@@ -357,9 +454,12 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
                      alphas: Sequence[float]) -> list[list]:
     """Running sums of k's visit increments per alpha, read at the checkpoints.
 
-    k is walked _CHUNK steps at a time.  Integer alpha sums in int64 when
-    the total cannot overflow, else in Python ints; such a sum is exact,
-    so it does not depend on the order of its terms.  A piece with no
+    k is walked _CHUNK steps at a time.  Integer alpha sums each piece in
+    int64 when neither top^alpha nor the piece's own total can overflow,
+    top the piece's maximum (no increment passes top's, since they grow
+    with k), else in Python ints; the running sum is carried in Python
+    ints.  Such a sum is exact, so it does not depend on the order of its
+    terms or on which pieces went wide.  A piece with no
     checkpoint inside adds sum_v inc(v) * #{t in piece : k_t = v} from
     its occurrence counts (_value_counts); a piece that holds checkpoints
     is summed by one cumsum read at all of them, so the cost does not grow
@@ -368,9 +468,7 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
     its first increment, so every value is that of one full-length cumsum,
     bit for bit.
     """
-    kmax = int(k.max())
     exact = [float(a).is_integer() for a in alphas]
-    wide = [e and kmax ** int(a) * len(k) >= _INT64_SAFE for e, a in zip(exact, alphas)]
     rows = [[] for _ in alphas]
     carries = [0] * len(alphas)
     cks = np.asarray(checkpoints)
@@ -380,22 +478,28 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
         at = cks[lo:hi] - s
         if lo == hi:
             values, counts = _value_counts(piece)
+            top = int(values[-1])
         else:
             # k may be uint8, whose k ** 3 would wrap
             part = piece.astype(np.int64)
+            top = int(part.max())
         for j, a in enumerate(alphas):
-            if exact[j] and lo == hi:
-                carries[j] += (_visit_increments(values, a, wide[j]) * counts).sum()
-            elif exact[j]:
-                run = np.cumsum(_visit_increments(part, a, wide[j]))
-                rows[j].extend(run[at] + carries[j])
-                carries[j] += run[-1]
-            else:
+            if not exact[j]:
                 run = _visit_increments(piece, a, False)
                 run[0] += carries[j]
                 np.cumsum(run, out=run)
                 carries[j] = run[-1]
                 rows[j].extend(run[at])
+                continue
+            # inc(v) grows with v, so no term passes inc(top)
+            big = top ** int(a)
+            wide = max(big, (big - (top - 1) ** int(a)) * len(piece)) >= _INT64_SAFE
+            if lo == hi:
+                carries[j] += int((_visit_increments(values, a, wide) * counts).sum())
+            else:
+                run = np.cumsum(_visit_increments(part, a, wide))
+                rows[j].extend(v + carries[j] for v in run[at].tolist())
+                carries[j] += int(run[-1])
     return rows
 
 

@@ -214,6 +214,29 @@ class TestSimulateCommand:
         assert res.output.splitlines()[0] == "n,alpha,L,L_over_n,R,R_over_n"
 
     @pytest.mark.parametrize("args", [
+        ["simulate", "--law", DET, "--n", "4", "--alphas", "1"],
+        ["verify-geometric", "--law", DET, "--n", "64", "--M", "500"],
+    ], ids=lambda args: args[0])
+    def test_csv_built_only_when_used(self, runner, monkeypatch, tmp_path, args):
+        # JSON on stdout and no --out: the CSV is neither printed nor saved
+        build = walklab.harness.csv_text
+
+        def refuse(records):
+            raise AssertionError("CSV built for a JSON run without --out")
+
+        monkeypatch.setattr(walklab.cli, "csv_text", refuse)
+        monkeypatch.setattr(walklab.harness, "csv_text", refuse)
+        res = runner.invoke(cli, ["--seed", "2", *args])
+        assert res.exit_code == 0, res.output
+        json.loads(res.output)
+        monkeypatch.setattr(walklab.cli, "csv_text", build)
+        monkeypatch.setattr(walklab.harness, "csv_text", build)
+        out = tmp_path / "out"
+        saved = runner.invoke(cli, ["--seed", "2", "--out", str(out), *args])
+        assert saved.exit_code == 0 and saved.output == res.output
+        assert (out / f"{args[0]}.csv").read_text().count("\n") >= 2
+
+    @pytest.mark.parametrize("args", [
         ["estimate-gamma", "--law", BERN, "--method", "green", "--N", "64"],
         ["predict", "--what", "geom", "--u", "2", "--gamma", "0.4"],
         ["oracle", "--law", BERN_EXACT, "--n", "2"],

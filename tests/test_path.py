@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import path_reference as ref
 import walklab as wl
-from walklab import path, rng
+from walklab import path, rng, steps
 from walklab.harness import csv_text
 from walklab.path import LocalTimeField
 
@@ -50,7 +51,7 @@ class TestSimulate:
     def test_simulate_checks_its_field(self, srw3, monkeypatch):
         walk_keys = path._walk_keys
         monkeypatch.setattr(path, "_walk_keys",
-                            lambda law, n, gen: walk_keys(law, n, gen)[:-1])
+                            lambda law, n, gen, bits=None: walk_keys(law, n, gen, bits)[:-1])
         with pytest.raises(wl.InvariantViolation, match="not n\\+1"):
             wl.simulate(srw3, 100, seed=0)
 
@@ -356,6 +357,103 @@ class TestChunkEdges:
         _check_wide(law, n, ranked)
 
 
+_DIAG3 = wl.make_law(3, [(v, 0.125) for v in itertools.product((1, -1), repeat=3)],
+                     exact=False)
+_LONG_ATOMS = wl.make_law(2, [((3, 0), 0.3), ((0, 3), 0.3), ((-1, -1), 0.4)], exact=False)
+_DRIFTED = wl.make_law(2, [((1, 0), 0.5), ((-1, 0), 0.1), ((0, 1), 0.2), ((0, -1), 0.2)],
+                       exact=False)
+LANE_LAWS = [wl.srw(d) for d in range(1, 7)] + [
+    wl.bernoulli(0.7), _DRIFTED, _lazy(3), _DIAG3, _LONG_ATOMS]
+LANE_IDS = [f"srw{d}" for d in range(1, 7)] + [
+    "bern07", "drifted", "lazy3", "diag3", "long-atoms"]
+
+
+class TestLanePass:
+    """The packed-lane route of _walk_keys: its keys, its guard, its gate."""
+
+    @pytest.mark.parametrize("n", [0, 1, 100, 4099, 70_000])
+    @pytest.mark.parametrize("law", LANE_LAWS, ids=LANE_IDS)
+    def test_simulate_matches_reference(self, law, n):
+        for seed in (0, 7):
+            f = wl.simulate(law, n, seed)
+            _, counts = ref.field(law, n, seed)
+            assert f.counts.dtype == counts.dtype
+            assert np.array_equal(f.counts, counts)
+
+    @staticmethod
+    def _lanes(law, n, seed, bits):
+        """(_lane_keys's verdict, its keys, the positions) of one path."""
+        idx = steps.sample_indices(law, rng.generator(seed), n)
+        keys = np.empty(n + 1, dtype=np.int64)
+        return path._lane_keys(law, idx, keys, bits), keys, ref.positions(law, n, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(law=walk_laws(), n=st.integers(0, 500), seed=st.integers(0, 2 ** 32),
+           data=st.data())
+    def test_guard_flags_exactly_the_walks_that_leave_their_lanes(self, law, n, seed, data):
+        # With max|c| < 2**(f-2) the pass keeps a walk iff every axis stays
+        # in [-2**(f-2), 2**(f-2)), and then the key is the packed position.
+        cmax = max(abs(c) for p, _ in law.atoms for c in p)
+        low = cmax.bit_length() + 2
+        f = data.draw(st.integers(low, min(63 // law.d, low + 8)))
+        bits = f * law.d + data.draw(st.integers(0, law.d - 1))
+        ok, keys, pos = self._lanes(law, n, seed, bits)
+        half = 1 << (f - 2)
+        assert ok == bool(((pos >= -half) & (pos < half)).all())
+        if ok:
+            shifts = [f * (law.d - 1 - j) for j in range(law.d)]
+            want = sum((pos[:, j] + half) << s for j, s in enumerate(shifts))
+            assert np.array_equal(keys, want)
+            assert 0 <= keys.min() and keys.max() < 1 << bits
+
+    @pytest.mark.parametrize("axis, sign, exit_at", [
+        (1, 1, 16), (1, -1, 17), (0, -1, 17), (0, 1, 16),
+    ], ids=["low-lane-up", "low-lane-down", "top-lane-negative", "top-lane-up"])
+    def test_guard_gives_up_mid_piece(self, monkeypatch, axis, sign, exit_at):
+        # 6-bit lanes hold x in [-16, 16).  One axis steps by sign every
+        # time, the other by +-1, so the walk leaves its lane at step
+        # exit_at, in the middle of the second 10-step piece, and not before.
+        monkeypatch.setattr(path, "_CHUNK", 10)
+        law = wl.make_law(2, [((sign, 1), 0.5), ((sign, -1), 0.5)] if axis == 0
+                          else [((1, sign), 0.5), ((-1, sign), 0.5)], exact=False)
+        assert self._lanes(law, exit_at - 1, 0, 12)[0]
+        for n in (exit_at, exit_at + 3, 100):
+            assert not self._lanes(law, n, 0, 12)[0]
+
+    def test_overflow_falls_back_on_the_fold(self, monkeypatch):
+        # walks let through the gate that leave their 10-bit (field) and
+        # 7-bit (series) lanes: the fold's counts and sums
+        monkeypatch.setattr(path, "_lane_fits", lambda law, n, bits: True)
+        law, n = wl.srw(6), 300_000
+        verdicts, lane_keys = [], path._lane_keys
+        monkeypatch.setattr(path, "_lane_keys",
+                            lambda *args: verdicts.append(lane_keys(*args)) or verdicts[-1])
+        _, counts = ref.field(law, n, 7)
+        assert np.array_equal(wl.simulate(law, n, seed=7).counts, counts)
+        cks, alphas = [n // 2, n], [0.0, 2.0, 0.5]
+        s = wl.simulate_series(law, cks, alphas, seed=7)
+        keys = ref.pack_rows(ref.positions(law, n, 7))
+        assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
+        assert verdicts == [False, False]
+
+    def test_routes(self, monkeypatch, srw3):
+        # srw(5) and srw(3) paths of the variance scan and of
+        # verify-geometric pack into lanes; verify-slln's srw(3) series of
+        # 10^7 steps, like one of 10^6, is gated out before any pass
+        def refuse(*args):
+            raise AssertionError("route not expected here")
+
+        monkeypatch.setattr(path, "_axis_pieces", refuse)
+        for n in [2 ** k for k in range(10, 17)]:
+            wl.simulate(wl.srw(5), n, seed=n)
+        wl.simulate(srw3, 10 ** 6, seed=0)
+        monkeypatch.undo()
+        monkeypatch.setattr(path, "_lane_keys", refuse)
+        wl.simulate_series(srw3, [10 ** 6], [0.0, 2.0], seed=0)
+        n = 10 ** 7
+        assert not path._lane_fits(srw3, n, 63 - (n + 1).bit_length())
+
+
 class TestStepBudget:
     """Paths over STEP_BUDGET are refused before a generator or buffer exists."""
 
@@ -420,9 +518,11 @@ def test_checkpoint_stage_memory_per_step(monkeypatch):
     # The lazy-uint32 path of TestChunkEdges: one site takes k_max = 162877
     # visits, so a table or histogram over 1..k_max of 8-byte entries adds
     # 1.3 MB, about 4.3 bytes per step, on top of k.  The stage's own
-    # allocations are bounded by a piece: about 0.5 bytes per step here.
-    # (alpha 3 is left out: its sums run in Python ints, a few hundred KB
-    # per piece on this path, whose occurrence numbers are all distinct.)
+    # allocations are bounded by a piece: about 0.9 bytes per step here.
+    # alpha 3 sums in int64 too, since no piece's total nears 2**62; summed
+    # in Python ints, as a path-wide choice from kmax**3 * n would, its
+    # pieces peak at about 2.7 bytes per step.
+    # (test_widened_occurrence_numbers checks these sums on this path.)
     monkeypatch.setattr(path, "_CHUNK", 4099)
     law, n = _lazy(1, stay=0.99999), 300_000
     stage, seen = path._checkpoint_sums, []
@@ -437,7 +537,7 @@ def test_checkpoint_stage_memory_per_step(monkeypatch):
     monkeypatch.setattr(path, "_checkpoint_sums", traced)
     tracemalloc.start()
     try:
-        wl.simulate_series(law, [1, n // 2, n], [0.0, 1.0, 2.0, 0.5], seed=3)
+        wl.simulate_series(law, [1, n // 2, n], [0.0, 1.0, 2.0, 3.0, 0.5], seed=3)
     finally:
         tracemalloc.stop()
     [(dtype, kmax, peak)] = seen
