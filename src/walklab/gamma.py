@@ -20,21 +20,23 @@ only once mass lands in it (a walk with no zero atom is periodic), so
 srw(d) keeps half of its box and the eight diagonal steps of Z^3 an
 eighth; no code builds the whole box, though CELL_BUDGET counts its
 cells.  The classes sit in flat buffers laid out in one frame per trim
-period, so a step is one contiguous slice add per (atom, class) into
-reused buffers.  The return-probability sequence P(S_m = 0) has two
-engines, and the law picks one: an axis-decomposition recursion for laws
-whose atoms are signed unit vectors and optionally the zero vector
-(simple and drifted simple walks), and a half-horizon box DP for every
-other law.  The recursion folds in one axis at a time; row m of a fold
-touches a 10-sigma band of O(sqrt(m)) binomial terms, so a fold costs
-O(N^1.5).  Rows whose bands have the same width are evaluated as one
-2-D block, and when the walk has no zero atom its odd rows are exact
-zeros and are not evaluated; every value keeps the bits of a
-one-row-at-a-time fold.  The box DP engine uses the iid split of S_2m
-into two independent copies of S_m, P(S_2m = 0) = sum_x p_m(x) p_m(-x)
-(and likewise for odd times), summed class by class, so it evolves only
-to ceil(N/2).  Both engines agree with exact convolution to float
-precision; the tests cross-check them.
+period, one buffer per class, so a step is one contiguous slice add per
+(atom, class), and it runs in place: each finished block of a target
+is written a lag behind the block being read, in a direction that
+alternates from step to step.  The return-probability sequence
+P(S_m = 0) has two engines, and the law picks one: an
+axis-decomposition recursion for laws whose atoms are signed unit
+vectors and optionally the zero vector (simple and drifted simple
+walks), and a half-horizon box DP for every other law.  The recursion
+folds in one axis at a time; row m of a fold touches a 10-sigma band of
+O(sqrt(m)) binomial terms, so a fold costs O(N^1.5).  Rows whose bands
+have the same width are evaluated as one 2-D block, and when the walk
+has no zero atom its odd rows are exact zeros and are not evaluated;
+every value keeps the bits of a one-row-at-a-time fold.  The box DP
+engine uses the iid split of S_2m into two independent copies of S_m,
+P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and likewise for odd times), summed
+class by class, so it evolves only to ceil(N/2).  Both engines agree
+with exact convolution to float precision; the tests cross-check them.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ PRUNE_THRESHOLD = 1e-16
 CELL_BUDGET = 1 << 25
 MC_BLOCK = 2048
 # Cells of a target buffer that DenseEvolver.step finishes before it moves
-# on (512 KiB of float64), so the block stays in cache across its terms:
+# on (256 KiB of float64), so the block stays in cache across its terms:
 # the bench dp leg ran about 10% faster than with whole-buffer terms.
-_DP_BLOCK = 1 << 16
+# Each class buffer carries one block plus the largest shift beyond the
+# frame, so 2^15 keeps srw(3)'s buffers 1.12 times the frame (2^16: 1.23).
+_DP_BLOCK = 1 << 15
 # Replicas advanced together by _escape_range: a batch's block is one
 # piece of the path kernel, path._CHUNK steps.
 _MC_BATCH = path._CHUNK // MC_BLOCK
@@ -223,19 +227,24 @@ class DenseEvolver:
     and a law whose walk reaches every residue all 2^d classes.
 
     The classes live in one frame per trim period: a lattice origin
-    frame_lo and a half-index shape frame_shape, chosen at step 0, at each
-    trim and whenever the frame runs out, that covers every class window
-    of the box from now until the next trim (for a drifting law, the union
-    of the start box and the end box).  Each stored residue has one flat
-    buffer of prod(frame_shape) cells, point x at the C-order index of
-    (x - frame_lo) // 2, and every cell outside its class window holds 0.
-    The lookahead is cut so that the frame's lattice box holds at most
-    CELL_BUDGET cells, down to the one step being taken (whose frame is
-    the next box, or for a drifting law the union of this box and the
+    frame_lo and a half-index shape frame_shape, chosen at step 0 and by
+    the first step after the frame runs out (which a trim ends), that
+    covers every class window of the box from now until the next trim (for
+    a drifting law, the union of the start box and the end box).  A trim
+    only tightens the box inside its frame, so no frame is built after the
+    last step.  Each stored residue owns one flat buffer of
+    prod(frame_shape) + lag cells, and the frame sits in every buffer at
+    one shared base: point x at base plus the C-order index of
+    (x - frame_lo) // 2, and every frame cell outside its class window
+    holds 0.  A reframe moves one class at a time (new buffer, copy the
+    window, drop the old one), so at most one buffer beyond the classes is
+    alive.  The lookahead is cut so that the frame's lattice box holds at
+    most CELL_BUDGET cells, down to the one step being taken (whose frame
+    is the next box, or for a drifting law the union of this box and the
     next).  classes maps each stored residue to a view of its window in
     the frame, valid until the next step.
 
-    A step scales each source buffer and adds it into its target buffers
+    A step scales each source class and adds it into its target classes
     with flat slices: atom o takes class r to t = (r + o) mod 2 by
     dst[a+D:b+D] += prod[a:b], [a, b) the flat span of r's window and
     D = sum_j ((r_j - frame_lo_j) mod 2 + o_j) // 2 * stride_j.  A term
@@ -243,14 +252,24 @@ class DenseEvolver:
     in atom order as on a whole-box array.  Each target takes its terms
     in atom order, _DP_BLOCK cells at a time so that the block stays in
     cache; its first term is copied in (0 + x is x for x >= 0) and the
-    cells it misses are zeroed.  Source and target buffers are two sets
-    that swap every step and are reused, so nothing is allocated per step
-    between frames.  There is one product per (class, distinct weight):
-    the first distinct weight scales the source in place, so an equal-mass
-    law (srw(d), the diagonal steps) does one multiply per class and holds
-    no product buffer, and a law with k distinct weights holds k - 1
-    product buffers per class.  A step thus overwrites the classes it
-    reads.
+    cells it misses are zeroed.  The step runs in place: the targets are
+    written into the source buffers (atom 0 alone sends the S sources to S
+    distinct targets, so every buffer takes a target and only a class
+    seen for the first time gets a new one).  Target cell i reads source
+    cells i - D, so with lag = one block (_DP_BLOCK cells, or the frame
+    if smaller) + max|D| (over every atom and residue of the frame) the
+    blocks go block-major, block s of every target before block s+1 of
+    any, and each finished block lands lag cells behind the read front,
+    on source cells that no later block reads.  The direction
+    alternates: ascending blocks write at base - lag and descending ones
+    at base + lag, so the base swings between lag and 0.  Nothing is
+    allocated per step between frames.
+    There is one product per (class, distinct weight): the first distinct
+    weight scales the source in place, so an equal-mass law (srw(d), the
+    diagonal steps) does one multiply per class and holds no product
+    buffer, and a law with k distinct weights holds k - 1 product buffers
+    per class, read-only during a step and at the same base.  A step thus
+    overwrites the classes it reads.
 
     A rational law keeps exact integer numerators over denom**m in object
     arrays, where denom is the lcm of the atom denominators and each
@@ -300,15 +319,19 @@ class DenseEvolver:
         first, cshape = self._class_box(r, self.lo, self.shape)
         return tuple((f - g) // 2 for f, g in zip(first, self.frame_lo)), cshape
 
+    def _frame(self, buf: np.ndarray) -> np.ndarray:
+        """The frame-shaped view of a buffer at the current base."""
+        return buf[self._base:self._base + self._cells].reshape(self.frame_shape)
+
     def _bind(self) -> None:
         """Point classes at the windows of the current box in the frame."""
-        self._windows = {r: self._frame_window(r) for r in self._src}
-        self.classes = {r: buf.reshape(self.frame_shape)[_window(*self._windows[r])]
-                        for r, buf in self._src.items()}
+        self._windows = {r: self._frame_window(r) for r in self._bufs}
+        self.classes = {r: self._frame(buf)[_window(*self._windows[r])]
+                        for r, buf in self._bufs.items()}
 
     def _reframe(self) -> None:
         """Pick the frame from step m to the next trim, cut to CELL_BUDGET
-        cells, and copy the classes into it."""
+        cells, and move the classes into it one at a time."""
         ahead = self.TRIM_EVERY - self.m % self.TRIM_EVERY
         while True:
             lo = tuple(l + min(0, ahead * mn) for l, mn in zip(self.lo, self.mins))
@@ -317,18 +340,27 @@ class DenseEvolver:
             if ahead == 1 or math.prod(extent) <= CELL_BUDGET:
                 break
             ahead -= 1
-        old = self.classes
-        # drop the spare buffers before the new frame is allocated
-        self._free, self._products, self._shifts = [], [], {}
+        # drop the products before the new frame's buffers are allocated
+        self._products, self._shifts = [], {}
         self.frame_lo = lo
         self.frame_shape = tuple((e + 1) // 2 for e in extent)
         self.frame_end = self.m + ahead
         self._strides = [math.prod(self.frame_shape[j + 1:]) for j in range(self.d)]
-        self._src = {}
-        for r, arr in old.items():
-            buf = np.zeros(math.prod(self.frame_shape), dtype=self.dtype)
-            buf.reshape(self.frame_shape)[_window(*self._frame_window(r))] = arr
-            self._src[r] = buf
+        self._cells = math.prod(self.frame_shape)
+        self._block = min(_DP_BLOCK, self._cells)
+        # the largest |D| of any atom on any residue: along axis j an atom
+        # moves the half-index by (p + o_j) // 2, p in {0, 1} the parity
+        reach = max(max(sum((o + 1) // 2 * s for o, s in zip(off, self._strides)),
+                        -sum(o // 2 * s for o, s in zip(off, self._strides)))
+                    for off in self.offsets)
+        self._lag = self._block + reach
+        self._base = self._lag
+        # one class at a time, so at most one buffer beyond the classes is alive
+        old, self._bufs = self.classes, {}
+        for r in list(old):
+            buf = np.zeros(self._cells + self._lag, dtype=self.dtype)
+            self._frame(buf)[_window(*self._frame_window(r))] = old.pop(r)
+            self._bufs[r] = buf
         self._bind()
 
     def _flat_span(self, r: tuple) -> tuple[int, int] | None:
@@ -351,20 +383,24 @@ class DenseEvolver:
         return self._shifts[key]
 
     def _new_buffer(self) -> np.ndarray:
-        return np.empty(math.prod(self.frame_shape), dtype=self.dtype)
+        return np.empty(self._cells + self._lag, dtype=self.dtype)
 
-    def _convolve(self) -> dict[tuple, np.ndarray]:
-        """The target buffers of one step, made from the source buffers,
-        which are left scaled by the first distinct weight."""
-        spans = {r: self._flat_span(r) for r in self._src}
+    def _convolve(self) -> None:
+        """One step in place: each source buffer is scaled by the first
+        distinct weight, and the target classes are written into the same
+        buffers, a lag behind the read front."""
+        cells, src = self._cells, self._base
+        dst = self._lag - src
+        spans = {r: self._flat_span(r) for r in self._bufs}
         products = {}
         extra = len(self.scales) - 1
-        for i, (r, buf) in enumerate(self._src.items()):
+        for i, (r, buf) in enumerate(self._bufs.items()):
             while len(self._products) < (i + 1) * extra:
                 self._products.append(self._new_buffer())
             products[r] = [buf] + self._products[i * extra:(i + 1) * extra]
             if spans[r] is not None:
                 a, b = spans[r]
+                a, b = a + src, b + src
                 # every product is taken before the source is scaled in place
                 for w, p in zip(self.scales[1:], products[r][1:]):
                     np.multiply(buf[a:b], w, out=p[a:b])
@@ -372,34 +408,42 @@ class DenseEvolver:
         # the terms of each target in atom order, which is each cell's order
         terms = {}
         for k, which in enumerate(self.scale_of):
-            for r in self._src:
+            for r in self._bufs:
                 t, shift = self._shift(r, k)
                 terms.setdefault(t, [])
                 if spans[r] is not None:
                     a, b = spans[r]
-                    terms[t].append((products[r][which][a:b], a + shift, b + shift))
-        new = {}
-        for t, todo in terms.items():
-            buf = new[t] = self._free.pop() if self._free else self._new_buffer()
-            if not todo:
-                buf.fill(0)
-                continue
-            # 0 + x is x for every x >= 0, so the first term is copied in
-            (first, a0, b0), *rest = todo
-            for s in range(0, len(buf), _DP_BLOCK):
-                e = min(s + _DP_BLOCK, len(buf))
+                    terms[t].append((products[r][which][src + a:src + b], a + shift, b + shift))
+        # atom 0 alone takes the sources to as many distinct targets, so
+        # every source buffer takes a target and only new classes need new ones
+        spare = list(self._bufs.values())
+        bufs = {t: spare.pop() if spare else self._new_buffer() for t in terms}
+        outs = {t: buf[dst:dst + cells] for t, buf in bufs.items()}
+        # block-major: target cell i reads source cells i - D, so a block
+        # written lag cells behind (ascending) or ahead of (descending) the
+        # read front lands on source cells that no later block reads
+        blocks = range(0, cells, self._block)
+        for s in (blocks if dst < src else reversed(blocks)):
+            e = min(s + self._block, cells)
+            for t, todo in terms.items():
+                out = outs[t]
+                if not todo:
+                    out[s:e] = 0
+                    continue
+                # 0 + x is x for every x >= 0, so the first term is copied in
+                (first, a0, b0), *rest = todo
                 lo, hi = max(a0, s), min(b0, e)
                 if lo < hi:
-                    buf[s:lo] = 0
-                    buf[lo:hi] = first[lo - a0:hi - a0]
-                    buf[hi:e] = 0
+                    out[s:lo] = 0
+                    out[lo:hi] = first[lo - a0:hi - a0]
+                    out[hi:e] = 0
                 else:
-                    buf[s:e] = 0
+                    out[s:e] = 0
                 for term, a, b in rest:
                     lo, hi = max(a, s), min(b, e)
                     if lo < hi:
-                        buf[lo:hi] += term[lo - a:hi - a]
-        return new
+                        out[lo:hi] += term[lo - a:hi - a]
+        self._bufs, self._base = bufs, dst
 
     def step(self) -> None:
         new_shape = tuple(n + hi - lo for n, lo, hi in zip(self.shape, self.mins, self.maxs))
@@ -409,9 +453,7 @@ class DenseEvolver:
                 f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
         if self.m >= self.frame_end:
             self._reframe()
-        new = self._convolve()
-        self._free.extend(self._src.values())
-        self._src = new
+        self._convolve()
         self.lo = tuple(l + mn for l, mn in zip(self.lo, self.mins))
         self.shape = new_shape
         self.m += 1
@@ -451,8 +493,8 @@ class DenseEvolver:
         self.lo = tuple(int(c) for c in np.min([a for a, _ in spans], axis=0))
         hi = np.max([b for _, b in spans], axis=0)
         self.shape = tuple(int(c) - l + 1 for c, l in zip(hi, self.lo))
+        # the next step reframes, so no frame is built after the last one
         self._bind()
-        self._reframe()
 
     def mass(self, num) -> Mass:
         """The probability a box numerator stands for at the current step."""
@@ -652,8 +694,8 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     sequence.  x and -x share a residue, so the sums run over the stored
     classes, residues in sorted order (see _cross_sum).  A parity the law
     cannot reach has no class in common and comes out as an exact zero.
-    The evolver's step scales the classes it reads in place, so p_m is
-    copied before the step that makes p_m+1.
+    The evolver's step overwrites the classes it reads, so p_m is copied
+    before the step that makes p_m+1.
     """
     r = np.empty(n + 1)
     prev = None

@@ -45,9 +45,11 @@ REFERENCE = json.loads((BENCH / "reference.json").read_text())["full"]
 # their floats match to 1e-12 relative, all else exactly.
 CLOSE = {"variance-scan", "verify-geometric", "verify-slln"}
 # Peak RSS limits, MB.  The dp leg stores only the parity classes mass
-# lands in (about 54 MB; the whole box took 98 MB).  The green-diag3 leg
-# copies each step's classes for the next cross-sum (about 41 MB) and the
-# mc leg peaks at 35-39 MB, so neither may pass the dp leg as the gamma
+# lands in, one buffer each, stepped in place (about 45 MB; two buffer
+# sets took 51-56 MB, the whole box 98 MB), and heap layout alone moves
+# one command's peak by up to about 6 MB.  The green-diag3 leg copies each
+# step's classes for the next cross-sum (about 39.5 MB) and the mc leg
+# peaks at 35-39 MB, so neither may pass the dp leg as the gamma
 # workload's peak.  The path kernel
 # holds about 9 bytes per step of the 1e7-step path, the int64 keys and
 # one narrow array (about 127 MB in all; a second full-length 8-byte
@@ -56,7 +58,7 @@ CLOSE = {"variance-scan", "verify-geometric", "verify-slln"}
 # keys, as np.unique makes, would pass 62 MB.  The oracle leg enumerates
 # its 2^17 paths in reused blocks of 2^14 positions and peaks about 1 MB
 # above the 31 MB that importing walklab.cli takes.
-PEAK_MB = {"dp": 75, "green-diag3": 50, "mc": 45, "verify-slln": 160,
+PEAK_MB = {"dp": 51, "green-diag3": 46, "mc": 45, "verify-slln": 160,
            "verify-geometric": 62, "oracle": 36}
 
 CASES = [(w, c, 2) for w in workloads.WORKLOADS for c in workloads.commands(w, "full")]

@@ -106,13 +106,19 @@ def test_dense_return_sequence(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_blocked_adds(name, monkeypatch):
     """A step fills each target buffer _DP_BLOCK cells at a time; 97-cell
-    blocks cut the terms of every law at many places, and no bit moves."""
-    monkeypatch.setattr(wl.gamma, "_DP_BLOCK", 97)
-    make, n, _ = LAWS[name]
-    law, n = make(), n // 2
-    assert wl.taboo_survival(law, n).gamma_seq == ref.taboo_survival(law, n)[0]
-    assert list(wl.pmf_evolve(law, n).masses.items()) == list(ref.pmf_masses(law, n).items())
-    assert np.array_equal(_dense_return_sequence(law, n), ref._dense_return_sequence(law, n))
+    blocks cut the terms of every law at many places, and no bit moves.
+    One-cell blocks leave the in-place step no slack: each block is
+    written max|D| + 1 cells behind the read front, the least lag at
+    which no block overwrites a source cell that it or a later block
+    still reads.  They cost one Python-level pass per cell, so they run
+    a third of the horizon."""
+    make, horizon, _ = LAWS[name]
+    law = make()
+    for block, n in ((97, horizon // 2), (1, horizon // 6)):
+        monkeypatch.setattr(wl.gamma, "_DP_BLOCK", block)
+        assert wl.taboo_survival(law, n).gamma_seq == ref.taboo_survival(law, n)[0]
+        assert list(wl.pmf_evolve(law, n).masses.items()) == list(ref.pmf_masses(law, n).items())
+        assert np.array_equal(_dense_return_sequence(law, n), ref._dense_return_sequence(law, n))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -148,8 +154,9 @@ def test_budget_refusal_step_and_message(name, monkeypatch):
 
 def test_return_sequence_holds_only_the_stored_classes():
     """The cross-sums of diag3, an eighth of whose box is stored, peak at
-    about 5 MiB on the classes alone; rebuilding the whole box each step
-    took about 40 MiB."""
+    about 5.4 MiB on the classes alone (7.3 MiB with a second buffer set
+    for the targets); rebuilding the whole box each step took about
+    40 MiB."""
     law = diag3()
     tracemalloc.start()
     try:
@@ -157,12 +164,14 @@ def test_return_sequence_holds_only_the_stored_classes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+    assert peak < 6.5 * 2 ** 20
 
 
 def test_taboo_survival_peak_memory():
-    """The bench's DP leg: two frame-sized buffer sets of srw(3)'s four
-    stored classes, about 19.3 MiB."""
+    """The bench's DP leg: one buffer per stored class of srw(3), four of
+    frame + lag cells, and a fifth while a reframe moves them, about
+    12.9 MiB.  Two frame-sized buffer sets, sources and targets, took
+    about 19.4 MiB."""
     law = wl.srw(3)
     tracemalloc.start()
     try:
@@ -170,7 +179,7 @@ def test_taboo_survival_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2 ** 20
+    assert peak <= 14 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", NAMES)

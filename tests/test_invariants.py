@@ -70,7 +70,7 @@ def test_package_has_no_assert():
     # python -O strips assert statements, so no invariant may rest on one
     package = Path(walklab.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(package.glob("*.py"))
+             for path in sorted(package.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
