@@ -32,9 +32,9 @@ class ResourceLimit(WalklabError):
     """A computation would exceed a fixed size limit.
 
     The limits are gamma.CELL_BUDGET, the cells of any pmf evolution box,
-    oracle.PATH_BUDGET, the paths enumerate_paths enumerates, and
-    path.STEP_BUDGET, the steps of one simulated path, which bounds the
-    horizon of each mc_escape replica and of enumerate_paths too.
+    oracle.PATH_BUDGET, the paths enumerate_paths enumerates and its
+    horizon, and path.STEP_BUDGET, the steps of one simulated path, which
+    bounds the horizon of each mc_escape replica too.
     """
 
 

@@ -25,11 +25,12 @@ period, one buffer per class, so a step is one contiguous slice add per
 is written a lag behind the block being read, in a direction that
 alternates from step to step.  The return-probability sequence
 P(S_m = 0) has two engines, and the law picks one: an
-axis-decomposition recursion for laws whose atoms are signed unit
-vectors and optionally the zero vector (simple and drifted simple
-walks), and a half-horizon box DP for every other law.  The recursion
-folds in one axis at a time; row m of a fold touches a 10-sigma band of
-O(sqrt(m)) binomial terms, so a fold costs O(N^1.5).  Rows whose bands
+axis-decomposition recursion for laws whose nonzero atoms are
++-b_1..+-b_d for d independent b_j (simple and drifted simple walks, in
+any basis), optionally with a zero atom, and a half-horizon box DP for
+every other law.  The recursion folds in one axis at a time; row m of a
+fold touches a 10-sigma band of O(sqrt(m)) binomial terms, so a fold
+costs O(N^1.5).  Rows whose bands
 have the same width are evaluated as one 2-D block, and when the walk
 has no zero atom its odd rows are exact zeros and are not evaluated;
 every value keeps the bits of a one-row-at-a-time fold.  The box DP
@@ -550,28 +551,35 @@ def pmf_evolve(law: StepLaw, m: int) -> PmfField:
 # ---------------------------------------------------------------------------
 
 def _axis_decomposition(law: StepLaw):
-    """If every atom is a signed unit vector or zero, return per-axis data.
+    """If the nonzero atoms are +-b_1..+-b_d, return per-line data.
+
+    The lines b_j are the distinct atoms up to sign; there must be d of
+    them, and validate's rank check makes them independent.  So the walk
+    is at 0 exactly when every line has taken as many + steps as - steps,
+    and its return sequence is that of the unit-vector law with the same
+    masses.  The lines are ordered by the index of their first nonzero
+    coordinate, ties broken lexicographically, and b_j, the + direction,
+    is the atom whose leading coordinate is positive; for a law of signed
+    unit vectors that is axis j and +e_j.
 
     Returns (axis_mass, axis_up, zero_mass) where axis_mass[j] is the
-    total probability of moving along axis j and axis_up[j] the
+    total probability of moving along line j and axis_up[j] the
     conditional probability of the + direction, or None if the law does
     not decompose.
     """
-    d = law.d
-    up = np.zeros(d)
-    down = np.zeros(d)
+    lines: dict[tuple, list[float]] = {}   # b_j -> [mass of +b_j, of -b_j]
     zero_mass = 0.0
     for point, mass in law.atoms:
-        nz = [j for j, c in enumerate(point) if c != 0]
-        if not nz:
+        lead = next((c for c in point if c != 0), 0)
+        if lead == 0:
             zero_mass += float(mass)
             continue
-        if len(nz) > 1 or abs(point[nz[0]]) != 1:
-            return None
-        if point[nz[0]] == 1:
-            up[nz[0]] += float(mass)
-        else:
-            down[nz[0]] += float(mass)
+        b = tuple(c if lead > 0 else -c for c in point)
+        lines.setdefault(b, [0.0, 0.0])[lead < 0] += float(mass)
+    if len(lines) != law.d:
+        return None
+    order = sorted(lines, key=lambda b: (next(j for j, c in enumerate(b) if c != 0), b))
+    up, down = np.array([lines[b] for b in order]).T
     axis_mass = up + down
     with np.errstate(invalid="ignore"):
         axis_up = np.where(axis_mass > 0, up / np.where(axis_mass > 0, axis_mass, 1), 0.0)
@@ -902,17 +910,6 @@ def _mc_lanes(coords: np.ndarray, n: int) -> list[tuple[list[int], list[int]]]:
     return lanes
 
 
-def _unpack(v: np.ndarray, radices: list[int]) -> list[np.ndarray]:
-    """The balanced digits of packed lane values v, first axis first."""
-    digits = []
-    for radix in reversed(radices):
-        half = radix // 2
-        x = (v + half) % radix - half
-        digits.append(x)
-        v = (v - x) // radix
-    return digits[::-1]
-
-
 def _escape_range(args) -> int:
     """How many of replicas lo..hi-1 stay off the origin for steps 1..n.
 
@@ -922,19 +919,23 @@ def _escape_range(args) -> int:
     path.STEP_BUDGET steps) one gather of the atoms' packed increments, one
     prefix sum along each row and one compare with 0, and-ed into a hit
     mask.  After each block a replica leaves the batch if it hit the origin
-    (a return) or if some axis, unpacked from its last position, is too
-    far out to cross back to 0 in the steps left (an escape), so its
-    verdict depends on its own stream alone.
+    (a return) or if some lane's packed position is farther from 0 than
+    the steps left times that lane's largest packed increment (an escape),
+    so its verdict depends on its own stream alone.  That bound needs no
+    unpacking: the lanes are exact, a return needs every lane at 0, and a
+    lane moves by at most its largest increment per step.  On a one-axis
+    lane it is the per-coordinate bound; on a lane of several axes it
+    fires whenever the per-coordinate bound of the lane's leading axis
+    does, since the axes after it add less than half its digit.
     """
     law, n, master_seed, lo, hi = args
     coords, cdf = _sampling_arrays(law)
-    lanes = _mc_lanes(coords, n)
     increments = []
-    for axes, radices in lanes:
+    for axes, radices in _mc_lanes(coords, n):
         weights = [math.prod(radices[i + 1:]) for i in range(len(axes))]
-        increments.append(np.array([sum(int(p[j]) * w for j, w in zip(axes, weights))
-                                    for p in coords], dtype=np.int64))
-    max_step = np.abs(coords).max(axis=0)
+        increments.append([sum(int(p[j]) * w for j, w in zip(axes, weights)) for p in coords])
+    increments = np.array(increments, dtype=np.int64)
+    reach = np.abs(increments).max(axis=1, keepdims=True)
     # one block's uniforms and packed positions, reused block after block
     u_buf = np.empty(_MC_BATCH * MC_BLOCK)
     x_buf = np.empty(_MC_BATCH * MC_BLOCK, dtype=np.int64)
@@ -942,7 +943,7 @@ def _escape_range(args) -> int:
     for b0 in range(lo, hi, _MC_BATCH):
         gens = [rnglib.generator(rnglib.mix64(master_seed, i))
                 for i in range(b0, min(b0 + _MC_BATCH, hi))]
-        pos = np.zeros((len(lanes), len(gens)), dtype=np.int64)
+        pos = np.zeros((len(increments), len(gens)), dtype=np.int64)
         done = 0
         while gens and done < n:
             b = min(MC_BLOCK, n - done)
@@ -963,8 +964,7 @@ def _escape_range(args) -> int:
             done += b
             returned = hit.any(axis=1)
             returns += int(returned.sum())
-            axes = [a for (_, radices), v in zip(lanes, pos) for a in _unpack(v, radices)]
-            settled = (np.abs(np.stack(axes, axis=1)) > (n - done) * max_step).any(axis=1)
+            settled = (np.abs(pos) > (n - done) * reach).any(axis=0)
             live = ~(returned | settled)
             gens = [gen for gen, keep in zip(gens, live) if keep]
             pos = pos[:, live]
@@ -981,8 +981,10 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
     gamma(n) >= gamma (upward bias by the walks that would return after
     n, reported as-is).  The replicas are split into threads contiguous
     blocks run by rng.replica_map; each block runs its replicas in
-    batches (see _escape_range).  A horizon over path.STEP_BUDGET, or one
-    whose walk leaves int64 on some axis, is refused before any work.
+    batches of packed lanes, and drops a replica once it returns or once
+    one of its lanes is too far out to come back to 0 (see _escape_range).
+    A horizon over path.STEP_BUDGET, or one whose walk leaves int64 on
+    some axis, is refused before any work.
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")

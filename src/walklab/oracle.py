@@ -32,10 +32,11 @@ import numpy as np
 
 from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
-from .path import _check_step_budget
 from .steps import StepLaw, _convert, integer
 
-# Most paths enumerate_paths enumerates; more are refused before the first block.
+# Most paths enumerate_paths enumerates, and its longest horizon (a
+# one-atom law has a single path at any horizon, held whole); more of
+# either are refused before the first allocation.
 PATH_BUDGET = 10 ** 7
 
 # Cells of one block's (B, n+1) position matrix: the suffix table takes
@@ -122,8 +123,8 @@ def enumerate_paths(law: StepLaw, n: int,
     if repeated:
         raise BadParam("alphas must be distinct; repeated: "
                        + ", ".join(map(str, repeated)))
-    # A one-atom law is a single path, held whole like a simulated one.
-    _check_step_budget(n)
+    if n > PATH_BUDGET:
+        raise ResourceLimit(f"a horizon of {n} steps exceeds PATH_BUDGET = {PATH_BUDGET}")
     paths = len(law.atoms) ** n
     if paths > PATH_BUDGET:
         raise ResourceLimit(
@@ -159,7 +160,7 @@ def enumerate_paths(law: StepLaw, n: int,
     # One row of int64 counts per composition: sites per (range, count),
     # paths per first-return time (n+1: none) and M[c, c'].  A count is at
     # most paths * (n+1)^2: PATH_BUDGET * 24^2 with two or more atoms (so
-    # n <= 23), (STEP_BUDGET + 1)^2 with one, both below 2^63.
+    # n <= 23), (PATH_BUDGET + 1)^2 with one, both below 2^63.
     v1, w = most + 1, t + 1
     at_tau, at_pairs = w * v1, w * v1 + w
     width = at_pairs + v1 * v1

@@ -29,11 +29,13 @@ _INT64_SAFE = 1 << 62
 # simulate holds the keys, a bool mask and one int64 run end per visited
 # site, at most 17 bytes per step (about 16 for srw(3)).  So 10**8 steps
 # is about 0.9 GB for a series and at most 1.7 GB for a field.  Keys that
-# pass the key budget of _walk_keys (srw(5) and srw(6) at 2**20 steps) are
-# ranked in place with a sorted copy beside them, which raises the peak to
-# about 18 bytes per step for a series and 21 for a field.  simulate,
-# simulate_series and variance_scan refuse longer paths before the first
-# allocation.
+# pass the budget of _walk_keys are ranked in place with a sorted copy
+# beside them, which raises the peak to about 18 bytes per step for a
+# series and 21 for a field.  A series gives its keys 63 - (n+1).bit_length()
+# bits, which srw(6) passes at 2**18 steps and srw(5) at 2**20; a field
+# gives them 63, which srw(6) passes at 2**20 and srw(5) at 2**22.
+# simulate, simulate_series and variance_scan refuse longer paths before
+# the first allocation; mc_escape refuses longer replicas.
 STEP_BUDGET = 10 ** 8
 
 # Steps per piece when drawing step indices, gathering an axis, tagging
@@ -48,51 +50,46 @@ def _check_step_budget(n: int) -> None:
         raise ResourceLimit(f"a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps")
 
 
-def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator,
-               bits: int | None = None) -> np.ndarray:
-    """One int64 key per time point of S_0..S_n, in site order.
+def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator, bits: int) -> np.ndarray:
+    """One int64 key per time point of S_0..S_n, in site order, below 2**bits.
 
     The step indices are drawn _CHUNK at a time (the same stream as one
     draw of n) into the smallest unsigned dtype that holds them.  Then
     the keys are built by one of two routes, both monotone in
     lexicographic order of the positions, so sorting keys sorts sites;
-    which one ran does not change the counts or occurrence numbers.
+    which one ran does not change the counts or occurrence numbers.  Both
+    keep the keys below 2**bits: simulate, which packs no time, passes
+    63, and simulate_series 63 - (n+1).bit_length(), so that a key and
+    its time index share one int64 (see _occurrence_numbers).
 
-    The lane pass (_lane_keys) packs every axis into one int64, so one
-    gather and one prefix sum per piece walk the whole path.  Keys stay
-    below 2**bits; bits defaults to 63 - tbits, tbits = (n+1).bit_length(),
-    so a key and its time index share one int64 (see _occurrence_numbers).
-    simulate, which packs no time, passes 63.  The pass is tried only when
-    every axis is likely to fit its lane (_lane_fits); its guard bits catch
-    any lane that leaves its range, and then the fold below runs instead.
+    The lane pass (_lane_keys) packs every axis into a lane of bits // d
+    bits, so one gather and one prefix sum per piece walk the whole path.
+    It is tried only when every axis is likely to fit its lane
+    (_lane_fits); its guard bits catch any lane that leaves its range, and
+    then the fold below runs instead.
 
     The fold builds the keys one axis at a time, last axis first.  The key
     is sum_j (x_j - lo_j) * W_j, W_j the product of the spans of the axes
     after j, so W_j is known before axis j is read.  Each _CHUNK piece of
     the axis is gathered from the step indices and prefix-summed (carrying
     the previous piece's end), lo and hi are tracked, and piece * W_j is
-    added to the keys; after the pass the keys drop lo_j * W_j.
+    added to the keys; after the pass the keys drop lo_j * W_j.  When the
+    keys pass 2**bits they are replaced by their dense rank (same order,
+    at most n+1 values).  Before an axis whose raw sums times W_j could
+    leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first; if
+    that is still too wide, the axis is built in full and ranked too.
+    Ranks keep the order, and no caller needs the coordinates back, so the
+    rank tables are dropped; each rank is taken in place (_rank_in_place).
 
     Either way there is no (n+1, d) positions array or full-length axis
     buffer: besides the keys only the indices are full length (and an
-    axis too wide to fold, below, while it is ranked).
-
-    The fold keeps its keys below 2**(63 - tbits), whatever bits is: when
-    the keys pass that budget they are replaced by their dense rank (same
-    order, at most n+1 values).  Before an axis whose raw sums times W_j
-    could leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first;
-    if that is still too wide, the axis is built in full and ranked too.
-    Ranks keep the order, and no caller needs the coordinates back, so the
-    rank tables are dropped; each rank is taken in place (_rank_in_place).
+    axis too wide to fold while it is ranked).
     """
     coords, _ = _sampling_arrays(law)
-    budget = 1 << (63 - (n + 1).bit_length())
     idx = np.empty(n, dtype=np.min_scalar_type(len(coords) - 1))
     for s in range(0, n, _CHUNK):
         e = min(s + _CHUNK, n)
         idx[s:e] = sample_indices(law, gen, e - s)
-    if bits is None:
-        bits = 63 - (n + 1).bit_length()
     keys = np.zeros(n + 1, dtype=np.int64)
     if _lane_fits(law, n, bits):
         if _lane_keys(law, idx, keys, bits):
@@ -123,7 +120,7 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator,
                 keys[1 + s:1 + s + len(piece)] += piece
             keys -= lo * radix
             radix *= hi - lo + 1
-        if radix > budget:
+        if radix > 1 << bits:
             radix = _rank_in_place(keys)
     return keys
 
@@ -380,7 +377,8 @@ class CheckpointSeries:
 def _occurrence_numbers(keys: np.ndarray) -> np.ndarray:
     """k[t] = how many times keys[t] has appeared among keys[0..t].
 
-    keys come from _walk_keys, so key << tbits | t fits in int64 and one
+    keys are below 2**(63 - tbits), the budget simulate_series gives
+    _walk_keys, so key << tbits | t fits in int64 and one
     in-place sort of those distinct composites orders the times by key,
     then by t.  The sorted composites are then walked a piece at a time:
     a time's rank is its position minus the start of its key's run, plus
@@ -523,7 +521,7 @@ def simulate_series(law: StepLaw, checkpoints: Sequence[int],
     n_max = checkpoints[-1]
     _check_step_budget(n_max)
     gen = rnglib.generator(seed)
-    k = _occurrence_numbers(_walk_keys(law, n_max, gen))
+    k = _occurrence_numbers(_walk_keys(law, n_max, gen, 63 - (n_max + 1).bit_length()))
     sums = iter(_checkpoint_sums(k, checkpoints, [0.0] + [a for a in alphas if a != 0]))
     running_range = next(sums)
     ranges = tuple(int(v) for v in running_range)

@@ -2,9 +2,12 @@
 
 This is the loop walklab.gamma._escape_range replaced: one replica at a
 time, MC_BLOCK steps per block drawn by steps.sample_indices, positions
-as a (block, d) prefix sum, with the same early exits (a hit of the
-origin, or a coordinate too far out to cross back to 0).  The tests
-compare the batched kernel against it for equal escape counts.
+as a (block, d) prefix sum.  A replica stops at a hit of the origin, or
+once a coordinate is too far out to cross back to 0.  The kernel stops
+a replica by a bound on its packed lanes instead, which may fire at
+another block; both bounds stop only replicas that cannot return, so the
+escape counts agree.  The tests compare the batched kernel against it for
+equal escape counts.
 """
 
 from __future__ import annotations

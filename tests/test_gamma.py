@@ -43,6 +43,14 @@ def far3():
                        False)
 
 
+def drift3z():
+    """srw(3) drifting along its last axis: one Monte Carlo lane holds all
+    three axes up to n = 4 MC_BLOCK, and the drifting axis is not its
+    leading one."""
+    return wl.make_law(3, [((0, 0, 1), 0.5), ((0, 0, -1), 0.1), ((1, 0, 0), 0.1),
+                           ((-1, 0, 0), 0.1), ((0, 1, 0), 0.1), ((0, -1, 0), 0.1)], False)
+
+
 def long2():
     """Exact 2-D law with atoms (3,0), (0,3), (-1,-1): it fills about 1/30 of its box."""
     return wl.make_law(2, [((3, 0), Fraction(1, 3)), ((0, 3), Fraction(1, 3)),
@@ -176,9 +184,18 @@ class TestReturnSequenceEngines:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (cells, n)
 
     def test_non_unit_steps_use_dense(self):
-        law = wl.make_law(1, [((2,), 0.5), ((-2,), 0.5)], False)
+        # steps of 1 and 2 lie on one line but are not +-b: no axis law
+        law = wl.make_law(1, [((2,), 0.25), ((-2,), 0.25), ((1,), 0.25), ((-1,), 0.25)],
+                          False)
+        assert gamma._axis_decomposition(law) is None
         r = wl.return_sequence(law, 8)
-        assert r[2] == pytest.approx(0.5)  # +2 then -2 or vice versa
+        assert r[2] == pytest.approx(0.25)  # a step, then its opposite
+
+    def test_scaled_unit_steps_use_axis(self):
+        # +-2 is srw(1) in the basis (2): the axis engine, with srw(1)'s bits
+        law = wl.make_law(1, [((2,), 0.5), ((-2,), 0.5)], False)
+        assert gamma._axis_decomposition(law) is not None
+        assert np.array_equal(wl.return_sequence(law, 64), wl.return_sequence(wl.srw(1), 64))
 
     def test_bernoulli_band(self, bern07):
         r = wl.return_sequence(bern07, 6)
@@ -344,15 +361,30 @@ class TestMcEscape:
     @pytest.mark.parametrize("law", [
         wl.srw(1), wl.srw(3), wl.srw(5), wl.bernoulli(0.7),
         wl.bernoulli("7/10", exact=True), wl.drifted_srw(2, 0.3), diag3(),
-        wl.deterministic([1]), long2(), far3()],
+        wl.deterministic([1]), long2(), far3(), wl.bernoulli(0.9), drift3z()],
         ids=["srw1", "srw3", "srw5", "bern07", "bern07-exact", "drifted2", "diag3",
-             "det1", "long2", "far3"])
+             "det1", "long2", "far3", "bern09", "drift3z"])
     def test_batched_kernel_matches_per_replica_reference(self, law):
-        for n in (1, 5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 3):
+        # at 4 MC_BLOCK the escape bound settles bern09's replicas, and the
+        # reference's per-coordinate bound settles drift3z's before the
+        # kernel's lane bound does
+        for n in (1, 5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 3, 4 * MC_BLOCK):
             for seed in (0, 7):
                 for lo, hi in ((3, 3 + _MC_BATCH + 5), (_MC_BATCH - 1, _MC_BATCH)):
                     want = mc_reference.escape_range(law, n, seed, lo, hi)
                     assert gamma._escape_range((law, n, seed, lo, hi)) == want, (n, seed, lo)
+
+    def test_escape_bound_keeps_a_last_step_return(self):
+        # steps +1 and -MC_BLOCK can meet 0 only every MC_BLOCK + 1 steps,
+        # and about 1/e of these walks stand at -1 after the first block,
+        # one step from 0 with one step left; a bound one step too tight
+        # would count their returns as escapes
+        law = wl.make_law(1, [((1,), MC_BLOCK / (MC_BLOCK + 1)),
+                              ((-MC_BLOCK,), 1 / (MC_BLOCK + 1))], False)
+        n, m = MC_BLOCK + 1, 200
+        want = mc_reference.escape_range(law, n, 0, 0, m)
+        assert want < 0.7 * m
+        assert gamma._escape_range((law, n, 0, 0, m)) == want
 
     def test_lanes_pack_consecutive_axes_below_int64(self):
         # srw(d) at the step budget: two axes per lane, each lane's radix

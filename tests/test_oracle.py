@@ -8,7 +8,6 @@ import pytest
 import oracle_reference as ref
 import walklab as wl
 from walklab import oracle, rng
-from walklab.path import STEP_BUDGET
 from walklab.steps import _sampling_arrays
 
 
@@ -48,16 +47,17 @@ class TestEnumerate:
         assert s.expected_q == {1: Fraction(n + 1)}
         assert s.joint_law == {(n + 1, 1): Fraction(1)}
 
-    def test_horizon_past_step_budget_refused(self):
-        # a one-atom law passes PATH_BUDGET at any horizon; its single path
-        # is held whole, so STEP_BUDGET bounds it before any allocation
+    def test_horizon_past_path_budget_refused(self, monkeypatch):
+        # a one-atom law passes the path count at any horizon; its single
+        # path is held whole, so PATH_BUDGET bounds its horizon before any
+        # allocation
+        monkeypatch.setattr(oracle, "PATH_BUDGET", 100)
         det = wl.deterministic([1], exact=True)
-        n = STEP_BUDGET + 1
         tracemalloc.start()
         try:
             with pytest.raises(wl.ResourceLimit, match=(
-                    f"^a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps$")):
-                wl.enumerate_paths(det, n)
+                    "^a horizon of 101 steps exceeds PATH_BUDGET = 100$")):
+                wl.enumerate_paths(det, 101)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

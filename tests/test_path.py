@@ -51,7 +51,7 @@ class TestSimulate:
     def test_simulate_checks_its_field(self, srw3, monkeypatch):
         walk_keys = path._walk_keys
         monkeypatch.setattr(path, "_walk_keys",
-                            lambda law, n, gen, bits=None: walk_keys(law, n, gen, bits)[:-1])
+                            lambda law, n, gen, bits: walk_keys(law, n, gen, bits)[:-1])
         with pytest.raises(wl.InvariantViolation, match="not n\\+1"):
             wl.simulate(srw3, 100, seed=0)
 
@@ -228,9 +228,9 @@ def _ranked(law, pos: np.ndarray) -> tuple[str | None, np.ndarray]:
     a rank.  Before axis j it ranks the keys if radix * (n * max|c_j| + 1)
     reaches 2**63, and ranks the axis too if that is still too wide
     ("axis"); after axis j it ranks the keys if the radix passes the key
-    budget 2**(63 - (n+1).bit_length()) ("key").  The row ranks are the
-    dense ranks of the positions in lexicographic order, built the same
-    way from the last axis on.
+    budget of a series, 2**(63 - (n+1).bit_length()) ("key").  The row
+    ranks are the dense ranks of the positions in lexicographic order,
+    built the same way from the last axis on.
     """
     n = len(pos) - 1
     budget = 1 << (63 - len(pos).bit_length())
@@ -254,7 +254,8 @@ def _ranked(law, pos: np.ndarray) -> tuple[str | None, np.ndarray]:
 
 def _check_occurrence_numbers(law, n: int, seed: int) -> np.ndarray:
     """The kernel's k equals the reference's, in the narrowest dtype; returns k."""
-    k = path._occurrence_numbers(path._walk_keys(law, n, rng.generator(seed)))
+    bits = 63 - (n + 1).bit_length()
+    k = path._occurrence_numbers(path._walk_keys(law, n, rng.generator(seed), bits))
     want = ref.occurrence_numbers(ref.pack_rows(ref.positions(law, n, seed)))
     assert k.dtype == np.min_scalar_type(want.max())
     assert np.array_equal(k, want)
@@ -572,3 +573,18 @@ def test_ranked_series_peak_memory_per_step():
     assert taken == "key"
     s = run()
     assert (s.l_table, s.ranges) == ref.series(row_rank, cks, alphas)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_field_keys_ranked_only_past_int64(seed, monkeypatch):
+    # srw(6) at 2^18 steps is too wide for 10-bit lanes, so its keys are
+    # folded; a field packs no time index, so its keys may take all 63 bits
+    # and are not ranked, while a series, at 63 - 19 bits, ranks them once
+    law, n, ranks = wl.srw(6), 2 ** 18, []
+    rank = path._rank_in_place
+    monkeypatch.setattr(path, "_rank_in_place", lambda a: ranks.append(len(a)) or rank(a))
+    f = wl.simulate(law, n, seed)
+    assert ranks == []
+    s = wl.simulate_series(law, [n], [0.0], seed)
+    assert ranks == [n + 1]
+    assert s.ranges == (f.range,)
