@@ -194,11 +194,6 @@ class TailDiagnostic:
 # Evolution engines
 # ---------------------------------------------------------------------------
 
-def _window(start, shape) -> tuple[slice, ...]:
-    """The slices of the block of the given shape at index start."""
-    return tuple(slice(a, a + n) for a, n in zip(start, shape))
-
-
 def _nonzero_span(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """First and last index per axis of the nonzero cells of a nonnegative
     array, or None if it has none."""
@@ -243,7 +238,11 @@ class DenseEvolver:
     most CELL_BUDGET cells, down to the one step being taken (whose frame
     is the next box, or for a drifting law the union of this box and the
     next).  classes maps each stored residue to a view of its window in
-    the frame, valid until the next step.
+    the frame, valid until the next step.  The geometry has one owner:
+    _bind, run after every step, trim and reframe, records each stored
+    class's first point and flat span beside that view, and every reader
+    (the step, the origin kill, the trim, the reframe, to_masses and the
+    return sequence's cross-sums) uses those records.
 
     A step scales each source class and adds it into its target classes
     with flat slices: atom o takes class r to t = (r + o) mod 2 by
@@ -269,16 +268,19 @@ class DenseEvolver:
     weight scales the source in place, so an equal-mass law (srw(d), the
     diagonal steps) does one multiply per class and holds no product
     buffer, and a law with k distinct weights holds k - 1 product buffers
-    per class, read-only during a step and at the same base.  A step thus
-    overwrites the classes it reads.
+    per stored class (one set per slot of the class dict, reused by
+    whichever residues fill it), read-only during a step and at the same
+    base.  A step thus overwrites the classes it reads.
 
     A rational law keeps exact integer numerators over denom**m in object
     arrays, where denom is the lcm of the atom denominators and each
     weight is mass * denom; mass() turns a numerator into a Fraction.  A
     float law keeps float64 arrays with denom 1; cells below
-    PRUNE_THRESHOLD are dropped (and accounted class by class, residues in
-    sorted order) when the box is re-trimmed, which keeps the box at the
-    diffusive scale instead of the ballistic one.
+    PRUNE_THRESHOLD are dropped when the box is re-trimmed, which keeps
+    the box at the diffusive scale instead of the ballistic one.  The trim
+    walks the classes once, residues in sorted order: it prunes each
+    class, adding its dropped cells to the pruned mass in that order, and
+    then takes the class's nonzero span.
     """
 
     TRIM_EVERY = 8
@@ -309,26 +311,21 @@ class DenseEvolver:
         self.m = 0
         self._reframe()
 
-    @staticmethod
-    def _class_box(r: tuple, lo: tuple, shape: tuple) -> tuple[tuple, tuple]:
-        """(first point congruent to r mod 2, array shape) of class r in a box."""
-        first = tuple(l + (c - l) % 2 for c, l in zip(r, lo))
-        return first, tuple((n - f + l + 1) // 2 for n, f, l in zip(shape, first, lo))
-
-    def _frame_window(self, r: tuple) -> tuple[tuple, tuple]:
-        """(frame index of the first point, shape) of class r's window in the box."""
-        first, cshape = self._class_box(r, self.lo, self.shape)
-        return tuple((f - g) // 2 for f, g in zip(first, self.frame_lo)), cshape
-
-    def _frame(self, buf: np.ndarray) -> np.ndarray:
-        """The frame-shaped view of a buffer at the current base."""
-        return buf[self._base:self._base + self._cells].reshape(self.frame_shape)
-
     def _bind(self) -> None:
-        """Point classes at the windows of the current box in the frame."""
-        self._windows = {r: self._frame_window(r) for r in self._bufs}
-        self.classes = {r: self._frame(buf)[_window(*self._windows[r])]
-                        for r, buf in self._bufs.items()}
+        """Record each stored class's first point and flat span in the
+        current box, and point classes at its window in the frame."""
+        self._first, self._spans, self.classes = {}, {}, {}
+        for r, buf in self._bufs.items():
+            first = tuple(l + (c - l) % 2 for c, l in zip(r, self.lo))
+            cshape = tuple((n - f + l + 1) // 2 for n, f, l in zip(self.shape, first, self.lo))
+            start = tuple((f - g) // 2 for f, g in zip(first, self.frame_lo))
+            a = sum(i * s for i, s in zip(start, self._strides))
+            self._first[r] = first
+            # [a, b), the cells from the window's first to its last; None if empty
+            self._spans[r] = None if 0 in cshape else (
+                a, a + sum((n - 1) * s for n, s in zip(cshape, self._strides)) + 1)
+            frame = buf[self._base:self._base + self._cells].reshape(self.frame_shape)
+            self.classes[r] = frame[tuple(slice(i, i + n) for i, n in zip(start, cshape))]
 
     def _reframe(self) -> None:
         """Pick the frame from step m to the next trim, cut to CELL_BUDGET
@@ -349,28 +346,25 @@ class DenseEvolver:
         self._strides = [math.prod(self.frame_shape[j + 1:]) for j in range(self.d)]
         self._cells = math.prod(self.frame_shape)
         self._block = min(_DP_BLOCK, self._cells)
-        # the largest |D| of any atom on any residue: along axis j an atom
-        # moves the half-index by (p + o_j) // 2, p in {0, 1} the parity
-        reach = max(max(sum((o + 1) // 2 * s for o, s in zip(off, self._strides)),
-                        -sum(o // 2 * s for o, s in zip(off, self._strides)))
+        # the largest |D| of any atom on any residue: D never falls as a
+        # parity rises, so the all-one and all-zero parities bound it
+        reach = max(max(self._flat_shift((1,) * self.d, off),
+                        -self._flat_shift((0,) * self.d, off))
                     for off in self.offsets)
         self._lag = self._block + reach
         self._base = self._lag
-        # one class at a time, so at most one buffer beyond the classes is alive
+        # one class at a time, so at most one buffer beyond the classes is
+        # alive; each new buffer is bound, then its class is copied in
         old, self._bufs = self.classes, {}
         for r in list(old):
-            buf = np.zeros(self._cells + self._lag, dtype=self.dtype)
-            self._frame(buf)[_window(*self._frame_window(r))] = old.pop(r)
-            self._bufs[r] = buf
-        self._bind()
+            self._bufs[r] = np.zeros(self._cells + self._lag, dtype=self.dtype)
+            self._bind()
+            self.classes[r][...] = old.pop(r)
 
-    def _flat_span(self, r: tuple) -> tuple[int, int] | None:
-        """[a, b), the flat span of class r's window in its buffer, or None if empty."""
-        start, cshape = self._windows[r]
-        if 0 in cshape:
-            return None
-        a = sum(i * s for i, s in zip(start, self._strides))
-        return a, a + sum((n - 1) * s for n, s in zip(cshape, self._strides)) + 1
+    def _flat_shift(self, parity, off) -> int:
+        """D = sum_j (p_j + o_j) // 2 * stride_j: the flat shift of atom off
+        on a class whose points lie p_j past frame_lo_j mod 2 on axis j."""
+        return sum((p + o) // 2 * s for p, o, s in zip(parity, off, self._strides))
 
     def _shift(self, r: tuple, k: int) -> tuple[tuple, int]:
         """(target residue, flat shift D) of atom k applied to class r."""
@@ -378,9 +372,8 @@ class DenseEvolver:
         if key not in self._shifts:
             off = self.offsets[k]
             t = tuple((c + o) % 2 for c, o in zip(r, off))
-            shift = sum(((c - g) % 2 + o) // 2 * s
-                        for c, g, o, s in zip(r, self.frame_lo, off, self._strides))
-            self._shifts[key] = t, shift
+            parity = [(c - g) % 2 for c, g in zip(r, self.frame_lo)]
+            self._shifts[key] = t, self._flat_shift(parity, off)
         return self._shifts[key]
 
     def _new_buffer(self) -> np.ndarray:
@@ -392,18 +385,19 @@ class DenseEvolver:
         buffers, a lag behind the read front."""
         cells, src = self._cells, self._base
         dst = self._lag - src
-        spans = {r: self._flat_span(r) for r in self._bufs}
+        spans = self._spans
         products = {}
-        extra = len(self.scales) - 1
+        # one set of product buffers per class slot, not per residue: a
+        # periodic walk stores different residues at odd and even steps
         for i, (r, buf) in enumerate(self._bufs.items()):
-            while len(self._products) < (i + 1) * extra:
-                self._products.append(self._new_buffer())
-            products[r] = [buf] + self._products[i * extra:(i + 1) * extra]
+            if i == len(self._products):
+                self._products.append([self._new_buffer() for _ in self.scales[1:]])
+            products[r] = [buf] + self._products[i]
             if spans[r] is not None:
                 a, b = spans[r]
                 a, b = a + src, b + src
                 # every product is taken before the source is scaled in place
-                for w, p in zip(self.scales[1:], products[r][1:]):
+                for w, p in zip(self.scales[1:], self._products[i]):
                     np.multiply(buf[a:b], w, out=p[a:b])
                 buf[a:b] *= self.scales[0]
         # the terms of each target in atom order, which is each cell's order
@@ -451,7 +445,8 @@ class DenseEvolver:
         if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
-                f"exceeds CELL_BUDGET = {CELL_BUDGET} cells")
+                f"exceeds CELL_BUDGET = {CELL_BUDGET} cells; "
+                "lower the horizon (--N, --n or --gamma-n)")
         if self.m >= self.frame_end:
             self._reframe()
         self._convolve()
@@ -463,31 +458,29 @@ class DenseEvolver:
             self.killed *= self.denom
             origin = (0,) * self.d
             if origin in self.classes:
-                first, cshape = self._class_box(origin, self.lo, self.shape)
-                idx = tuple(-f // 2 for f in first)
-                if all(0 <= i < n for i, n in zip(idx, cshape)):
-                    self.killed += self.classes[origin][idx]
-                    self.classes[origin][idx] = 0
+                arr = self.classes[origin]
+                idx = tuple(-f // 2 for f in self._first[origin])
+                if all(0 <= i < n for i, n in zip(idx, arr.shape)):
+                    self.killed += arr[idx]
+                    arr[idx] = 0
         if self.m % self.TRIM_EVERY == 0:
             self._trim()
 
-    def _prune(self) -> None:
-        # class by class, residues in sorted order: a float sum depends on its order
+    def _trim(self) -> None:
+        """Prune a float box and tighten the box to its support, class by
+        class with residues in sorted order: the pruned mass is a float
+        sum, so it depends on its order."""
+        spans = []
         for r in sorted(self.classes):
             arr = self.classes[r]
-            small = (arr < PRUNE_THRESHOLD) & (arr > 0)
-            if small.any():
-                self.pruned += float(arr[small].sum())
-                arr[small] = 0.0
-
-    def _trim(self) -> None:
-        if not self.exact:
-            self._prune()
-        spans = []
-        for r, arr in self.classes.items():
+            if not self.exact:
+                small = (arr < PRUNE_THRESHOLD) & (arr > 0)
+                if small.any():
+                    self.pruned += float(arr[small].sum())
+                    arr[small] = 0.0
             span = _nonzero_span(arr)
             if span is not None:
-                first = np.array(self._class_box(r, self.lo, self.shape)[0])
+                first = np.array(self._first[r])
                 spans.append((first + 2 * span[0], first + 2 * span[1]))
         if not spans:
             return
@@ -514,7 +507,7 @@ class DenseEvolver:
         # is nonzero; the points come out in lexicographic order
         cells = []
         for r, arr in self.classes.items():
-            first = self._class_box(r, self.lo, self.shape)[0]
+            first = self._first[r]
             for idx in zip(*np.nonzero(arr >= PRUNE_THRESHOLD)):
                 point = tuple(f + 2 * int(i) for f, i in zip(first, idx))
                 cells.append((point, arr[idx]))
@@ -708,7 +701,7 @@ def _dense_return_sequence(law: StepLaw, n: int) -> np.ndarray:
     r = np.empty(n + 1)
     prev = None
     for ev in _evolution(law.to_float(), (n + 1) // 2):
-        cur = {c: (arr, tuple(f // 2 for f in ev._class_box(c, ev.lo, ev.shape)[0]))
+        cur = {c: (arr, tuple(f // 2 for f in ev._first[c]))
                for c, arr in sorted(ev.classes.items())}
         if 2 * ev.m <= n:
             r[2 * ev.m] = _cross_sum(cur, cur)
@@ -916,12 +909,17 @@ def _escape_range(args) -> int:
     Replica i draws its uniforms from mix64(master_seed, i), MC_BLOCK per
     block.  _MC_BATCH replicas run together: one atom-index call per
     block, then per packed lane (see _mc_lanes; srw(3) needs one up to
-    path.STEP_BUDGET steps) one gather of the atoms' packed increments, one
-    prefix sum along each row and one compare with 0, and-ed into a hit
-    mask.  After each block a replica leaves the batch if it hit the origin
-    (a return) or if some lane's packed position is farther from 0 than
-    the steps left times that lane's largest packed increment (an escape),
-    so its verdict depends on its own stream alone.  That bound needs no
+    path.STEP_BUDGET steps) one gather of the atoms' packed increments, the
+    replica's packed position carried into the first increment of its row,
+    one prefix sum along each row and one compare with 0, and-ed into a hit
+    mask.  The carry is the one the path kernels use (path._lane_keys,
+    path._axis_pieces), and the lanes are exact integers, so every position
+    is the one a single prefix sum over all blocks would give.
+
+    After each block a replica leaves the batch if it hit the origin (a
+    return) or if some lane's packed position is farther from 0 than the
+    steps left times that lane's largest packed increment (an escape), so
+    its verdict depends on its own stream alone.  That bound needs no
     unpacking: the lanes are exact, a return needs every lane at 0, and a
     lane moves by at most its largest increment per step.  On a one-axis
     lane it is the per-coordinate bound; on a lane of several axes it
@@ -954,8 +952,8 @@ def _escape_range(args) -> int:
             x = x_buf[:u.size].reshape(u.shape)
             for lane, inc in enumerate(increments):
                 np.take(inc, idx, out=x, mode="clip")
+                x[:, 0] += pos[lane]
                 np.cumsum(x, axis=1, out=x)
-                x += pos[lane, :, None]
                 if lane:
                     hit &= x == 0
                 else:

@@ -125,10 +125,12 @@ def enumerate_paths(law: StepLaw, n: int,
                        + ", ".join(map(str, repeated)))
     if n > PATH_BUDGET:
         raise ResourceLimit(f"a horizon of {n} steps exceeds PATH_BUDGET = {PATH_BUDGET}")
-    paths = len(law.atoms) ** n
-    if paths > PATH_BUDGET:
+    # a ** n past PATH_BUDGET's bit length exceeds it for a >= 2, so a
+    # long horizon is refused without computing (or printing) a ** n
+    atoms = len(law.atoms)
+    if atoms ** min(n, PATH_BUDGET.bit_length()) > PATH_BUDGET:
         raise ResourceLimit(
-            f"{paths} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
+            f"{atoms}^{n} paths of {n} steps exceed PATH_BUDGET = {PATH_BUDGET} paths")
 
     denom = law.denom
     # Balanced mixed radix: every coordinate of a reachable site lies in

@@ -78,7 +78,8 @@ class DenseEvolver:
         if math.prod(new_shape) > gamma.CELL_BUDGET:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
-                f"exceeds CELL_BUDGET = {gamma.CELL_BUDGET} cells")
+                f"exceeds CELL_BUDGET = {gamma.CELL_BUDGET} cells; "
+                "lower the horizon (--N, --n or --gamma-n)")
         new = np.zeros(new_shape, dtype=self.arr.dtype)
         for off, w in zip(self.offsets, self.weights):
             dest = tuple(slice(int(o - mn), int(o - mn + s))

@@ -5,6 +5,12 @@ set of walklab invocations at test sizes.
 
 reruns every case in CASES and rewrites tests/golden/<case>/ together with
 fingerprint.json (numpy version and machine of the recording).
+
+    PYTHONPATH=src python tests/golden/regen.py --check CASE...
+
+reruns the named cases and writes nothing: it exits 1 and names each
+case file, exit_code or stdout, that differs from the recorded one.
+
 tests/test_golden.py reruns the same cases and compares them with these
 files: byte for byte where the fingerprint matches, else through parsed
 JSON and CSV, with floats to a relative 1e-12 and everything else exact.
@@ -15,6 +21,7 @@ so; the diff of the golden files shows what moved.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -126,7 +133,28 @@ def recorded(case: str) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def check(cases: list[str]) -> int:
+    """1 if some case's exit code or stdout differs from its golden files,
+    each such file named on stderr, else 0."""
+    bad = []
+    for case in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_case(CASES[case], Path(tmp))
+        want = recorded(case)
+        bad += [f"{case}/{name}" for name in ("exit_code", "stdout") if got[name] != want[name]]
+    for name in bad:
+        print(f"{name} differs from tests/golden", file=sys.stderr)
+    return 1 if bad else 0
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(
+        description="Rewrite tests/golden, or check cases against it.")
+    parser.add_argument("--check", nargs="+", choices=sorted(CASES), metavar="CASE",
+                        help="rerun these cases and compare their exit code and stdout")
+    args = parser.parse_args()
+    if args.check:
+        sys.exit(check(args.check))
     for case, argv in CASES.items():
         target = HERE / case
         with tempfile.TemporaryDirectory() as tmp:

@@ -53,7 +53,8 @@ class TestEstimateGamma:
         assert res.exit_code == 1
         assert isinstance(res.exception, walklab.ResourceLimit)
         assert str(res.exception) == ("dense pmf box (5, 5, 5, 5, 5) at step 2 "
-                                      "exceeds CELL_BUDGET = 1000 cells")
+                                      "exceeds CELL_BUDGET = 1000 cells; "
+                                      "lower the horizon (--N, --n or --gamma-n)")
 
     @pytest.mark.parametrize("args", [
         ["estimate-gamma", "--method", "green", "--N", "2"],

@@ -150,6 +150,7 @@ def test_budget_refusal_step_and_message(name, monkeypatch):
     with pytest.raises(wl.ResourceLimit) as got:
         wl.pmf_evolve(law, n)
     assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(" cells; lower the horizon (--N, --n or --gamma-n)")
 
 
 def test_return_sequence_holds_only_the_stored_classes():
@@ -184,6 +185,22 @@ def test_taboo_survival_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= TABOO_PEAK_MIB * 2 ** 20
+
+
+def test_product_buffers_per_class_slot():
+    """drifted_srw(3, 0.5) has three distinct weights, so each stored
+    class needs two product buffers.  Its walk is periodic: the four
+    classes it stores are four residues at odd steps and four others at
+    even ones.  One set of products per class slot peaks at about
+    9.9 MiB; a set per residue seen peaked at about 16.4 MiB."""
+    law = wl.drifted_srw(3, 0.5)
+    tracemalloc.start()
+    try:
+        wl.taboo_survival(law, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", NAMES)

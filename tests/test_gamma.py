@@ -109,12 +109,13 @@ class TestPmfEvolve:
 
     def test_budget(self, monkeypatch):
         # the evolver reads the constant at step time, for exact and float
-        # laws alike; the message names the constant, its value and the
-        # step that went over it
+        # laws alike; the message names the constant, its value, the step
+        # that went over it and the horizons to lower
         monkeypatch.setattr(wl.gamma, "CELL_BUDGET", 1000)
         for law in (wl.srw(3, exact=True), wl.srw(3)):
             with pytest.raises(wl.ResourceLimit, match=(
-                    r"box \(11, 11, 11\) at step 5 exceeds CELL_BUDGET = 1000 cells")):
+                    r"box \(11, 11, 11\) at step 5 exceeds CELL_BUDGET = 1000 cells; "
+                    r"lower the horizon \(--N, --n or --gamma-n\)$")):
                 wl.pmf_evolve(law, 300)
 
     @pytest.mark.parametrize("law", [long2(), diag3(exact=True)], ids=["long2", "diag3"])

@@ -7,7 +7,10 @@ L_n(alpha), R(n), Q_j(n) and gamma is therefore the same for both laws
 lower-triangular A with a positive diagonal also keeps the lexicographic
 order of sites, which make_law sorts the atoms by: atom i maps to atom
 i, the same seed draws the same walk, and sites keep their order.  So
-the relations below are equalities, with no tolerance.
+the relations below are equalities, with no tolerance, except for float
+return probabilities, which the mapped laws may sum in another order.  A
+signed permutation P of the axes reorders the atoms, so it is applied
+only to the engines that draw nothing.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ import pytest
 
 import walklab as wl
 from walklab import path
-from walklab.gamma import MC_BLOCK, _axis_decomposition
+from walklab.gamma import MC_BLOCK, _axis_decomposition, _mc_lanes
+from walklab.steps import _sampling_arrays
 
 SHEAR = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+# a signed permutation of the axes per dimension
+SIGNED_PERMUTATION = {2: np.array([[0, 1], [-1, 0]]),
+                      3: np.array([[0, -1, 0], [0, 0, 1], [1, 0, 0]])}
+# units in the last place a mapped law's return probability may move by:
+# the box DP sums its cross terms over other boxes, and P folds an axis
+# law's lines in another order (at most 5 ulps here)
+RETURN_ULPS = 8
 
 
 def _maps(d: int) -> dict[str, np.ndarray]:
@@ -47,9 +58,11 @@ LAWS = {
 AXIS_LAWS = ["srw3", "drifted3"]
 
 
-def _family(name: str) -> dict[str, object]:
+def _family(name: str, permuted: bool = False) -> dict[str, object]:
+    """The law under each map of _maps, and under P if permuted."""
     law = LAWS[name]
-    return {m: mapped(law, a) for m, a in _maps(law.d).items()}
+    maps = _maps(law.d) | ({"P": SIGNED_PERMUTATION[law.d]} if permuted else {})
+    return {m: mapped(law, a) for m, a in maps.items()}
 
 
 @pytest.mark.parametrize("name", LAWS)
@@ -90,25 +103,54 @@ def test_paths_equal(name, monkeypatch):
     assert crossed or LAWS[name].d == 2
 
 
-@pytest.mark.parametrize("name", LAWS)
-def test_mc_escape_equal(name):
-    # two blocks, so the escape bound is read once on every lane layout
-    values = {m: wl.mc_escape(law, MC_BLOCK + 64, 1000, seed=7).value
-              for m, law in _family(name).items()}
+# two blocks, so the escape bound is read once on every lane layout
+MC_STEPS = MC_BLOCK + 64
+
+
+def _assert_mc_equal(family: dict) -> None:
+    values = {m: wl.mc_escape(law, MC_STEPS, 1000, seed=7).value for m, law in family.items()}
     assert len(set(values.values())) == 1, values
 
 
 @pytest.mark.parametrize("name", LAWS)
+def test_mc_escape_equal(name):
+    _assert_mc_equal(_family(name))
+
+
+def test_mc_escape_equal_across_lane_counts():
+    # 300 srw(3) packs its three axes into one lane, and under 2I and 3S
+    # into two, so a return must be read from every lane
+    law = mapped(wl.srw(3), 300 * np.eye(3, dtype=np.int64))
+    family = {m: mapped(law, a) for m, a in _maps(3).items()}
+    lanes = {m: len(_mc_lanes(_sampling_arrays(image)[0], MC_STEPS))
+             for m, image in family.items()}
+    assert lanes == {"I": 1, "S": 1, "2I": 2, "3S": 2}
+    _assert_mc_equal(family)
+
+
+@pytest.mark.parametrize("name", LAWS)
 def test_taboo_survival_bitwise(name):
-    seqs = {m: wl.taboo_survival(law, 24).gamma_seq for m, law in _family(name).items()}
+    seqs = {m: wl.taboo_survival(law, 24).gamma_seq
+            for m, law in _family(name, permuted=True).items()}
     assert len(set(seqs.values())) == 1, seqs
 
 
+@pytest.mark.parametrize("name", LAWS)
+def test_return_sequence_within_ulps(name):
+    # an axis law takes the axis fold under every map, the others the
+    # half-horizon box DP, whose boxes the maps reshape
+    seqs = {m: wl.return_sequence(law, 64) for m, law in _family(name, permuted=True).items()}
+    want = seqs["I"]
+    for m, got in seqs.items():
+        ulps = np.abs(got - want) / np.spacing(np.maximum(got, want))
+        assert ulps.max() <= RETURN_ULPS, (m, ulps.max())
+
+
 def test_exact_engines_equal():
-    # exact srw(3): the oracle's Fractions and the exact taboo DP
+    # exact srw(3): the oracle's Fractions and the exact taboo DP, under P too
     law = wl.srw(3, exact=True)
     summaries, seqs = set(), set()
-    for a in _maps(3).values():
+    for a in [*_maps(3).values(), SIGNED_PERMUTATION[3]]:
         image = mapped(law, a)
         s = wl.enumerate_paths(image, 5, (2, 3))
         summaries.add((tuple(s.expected_q.items()), tuple(s.expected_l.items()),

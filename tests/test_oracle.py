@@ -8,7 +8,13 @@ import pytest
 import oracle_reference as ref
 import walklab as wl
 from walklab import oracle, rng
+from walklab.cli import main
 from walklab.steps import _sampling_arrays
+
+# Traced bytes per step of a one-atom law's enumeration (README quotes it):
+# its single path is held whole, mostly its n+1 exact no-return
+# probabilities.
+ONE_ATOM_PEAK_BYTES = 192
 
 
 class TestEnumerate:
@@ -65,15 +71,31 @@ class TestEnumerate:
 
     def test_one_atom_memory_linear_in_horizon(self):
         # its sites are all distinct, so counts stay O(n), not O(n^2)
-        det = wl.deterministic([1], exact=True)
+        det, n = wl.deterministic([1], exact=True), 2048
         tracemalloc.start()
         try:
-            s = wl.enumerate_paths(det, 2048, (2,))
+            s = wl.enumerate_paths(det, n, (2,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert s.variance_l == {2: 0}
-        assert peak <= 1 << 20
+        assert peak <= ONE_ATOM_PEAK_BYTES * n
+
+    @pytest.mark.parametrize("law,n,count", [
+        ('{"family": "bernoulli", "p": "7/10"}', 20000, "2^20000"),
+        ('{"family": "custom", "d": 1, "atoms": [{"x": [-1], "p": "1/4"}, '
+         '{"x": [0], "p": "1/4"}, {"x": [1], "p": "1/2"}]}', 10 ** 7, "3^10000000"),
+    ], ids=["two-atoms", "three-atoms"])
+    def test_cli_refuses_path_count_in_one_line(self, capsys, law, n, count):
+        # the count is printed as A^n, never computed in full: 2^20000 has
+        # more digits than int() may print, and 3^(10^7) takes seconds
+        with pytest.raises(SystemExit) as done:
+            main(["oracle", "--law", law, "--n", str(n)])
+        assert done.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {count} paths of {n} steps exceed "
+                       "PATH_BUDGET = 10000000 paths\n")
 
     def test_memory_peak(self, bern07_exact):
         # one reused block of at most _CELLS positions and its temporaries;

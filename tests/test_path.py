@@ -485,6 +485,14 @@ class TestStepBudget:
             wl.variance_scan(srw3, 2, grid, m=3, seed=0)
 
 
+# Traced bytes per step that a path may allocate at its peak (README quotes
+# them): a checkpoint series, a field (simulate), and either one once its
+# keys pass their budget and are ranked in place.
+SERIES_PEAK_BYTES = 12
+FIELD_PEAK_BYTES = 20
+RANKED_PEAK_BYTES = 32
+
+
 def _peak_bytes_per_step(run, n: int) -> float:
     """tracemalloc peak of run(), after one warm-up call, per step of n."""
     run()
@@ -504,7 +512,7 @@ def test_series_peak_memory_per_step():
     # buffer, or a full-length temporary per alpha, would show here.
     law, cks, alphas = wl.srw(3), [2 ** 20, 2 ** 21], [0.0, 2.0, 3.0, 0.5]
     run = lambda: wl.simulate_series(law, cks, alphas, seed=0)
-    assert _peak_bytes_per_step(run, cks[-1]) <= 12
+    assert _peak_bytes_per_step(run, cks[-1]) <= SERIES_PEAK_BYTES
 
 
 def test_simulate_peak_memory_per_step():
@@ -512,7 +520,7 @@ def test_simulate_peak_memory_per_step():
     # mask and the run ends, about 16 bytes per step.  A sorted copy of the
     # keys, as np.unique makes, would show here.
     n = 2 ** 21
-    assert _peak_bytes_per_step(lambda: wl.simulate(wl.srw(3), n, seed=0), n) <= 20
+    assert _peak_bytes_per_step(lambda: wl.simulate(wl.srw(3), n, seed=0), n) <= FIELD_PEAK_BYTES
 
 
 def test_checkpoint_stage_memory_per_step(monkeypatch):
@@ -568,11 +576,22 @@ def test_ranked_series_peak_memory_per_step():
     # bytes per step.  np.unique(return_inverse=True) peaked at about 56.
     law, cks, alphas = wl.srw(6), [2 ** 20], [0.0, 2.0]
     run = lambda: wl.simulate_series(law, cks, alphas, seed=0)
-    assert _peak_bytes_per_step(run, cks[-1]) <= 32
+    assert _peak_bytes_per_step(run, cks[-1]) <= RANKED_PEAK_BYTES
     taken, row_rank = _ranked(law, ref.positions(law, cks[-1], 0))
     assert taken == "key"
     s = run()
     assert (s.l_table, s.ranges) == ref.series(row_rank, cks, alphas)
+
+
+def test_ranked_field_peak_memory_per_step(monkeypatch):
+    # a field of srw(6) passes its 63-bit key budget at 2^20 steps, so its
+    # keys are ranked in place too, at about 21 bytes per step
+    law, n, ranks = wl.srw(6), 2 ** 20, []
+    rank = path._rank_in_place
+    monkeypatch.setattr(path, "_rank_in_place", lambda a: ranks.append(len(a)) or rank(a))
+    assert _peak_bytes_per_step(lambda: wl.simulate(law, n, seed=0), n) <= RANKED_PEAK_BYTES
+    # once in the warm-up call and once in the traced one
+    assert ranks == [n + 1] * 2
 
 
 @pytest.mark.parametrize("seed", [0, 7])

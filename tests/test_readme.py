@@ -10,6 +10,8 @@ from pathlib import Path
 
 from test_bench_pins import PEAK_MB
 from test_evolver import TABOO_PEAK_MIB
+from test_oracle import ONE_ATOM_PEAK_BYTES
+from test_path import FIELD_PEAK_BYTES, RANKED_PEAK_BYTES, SERIES_PEAK_BYTES
 
 README = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
 
@@ -31,3 +33,21 @@ def test_measured_peaks_within_the_pins():
                                r"under the (\d+) MiB that `tests/test_evolver.py` allows it",
                                README)
     assert float(dp) <= int(limit) == TABOO_PEAK_MIB
+
+
+# Each bytes-per-step figure README states, as a measurement, and its pin.
+BYTES_PER_STEP = {
+    r"That path is held whole, at about (\d+) bytes per step": ONE_ATOM_PEAK_BYTES,
+    r"A checkpoint series costs about (\d+) bytes per step": SERIES_PEAK_BYTES,
+    r"one int64 run end per visited site, about (\d+) bytes per step": FIELD_PEAK_BYTES,
+    r"about (\d+) bytes per step for a series and \d+ for a field": RANKED_PEAK_BYTES,
+    r"about \d+ bytes per step for a series and (\d+) for a field": RANKED_PEAK_BYTES,
+}
+
+
+def test_bytes_per_step_within_the_pins():
+    for pattern, pin in BYTES_PER_STEP.items():
+        [figure] = re.findall(pattern, README)
+        assert int(figure) <= pin, pattern
+    # and README states no bytes-per-step figure beyond these
+    assert README.count("bytes per step") == 4
