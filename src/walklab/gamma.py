@@ -38,6 +38,9 @@ engine uses the iid split of S_2m into two independent copies of S_m,
 P(S_2m = 0) = sum_x p_m(x) p_m(-x) (and likewise for odd times), summed
 class by class, so it evolves only to ceil(N/2).  Both engines agree
 with exact convolution to float precision; the tests cross-check them.
+Both engines, and the taboo DP, run on the law with each axis divided by
+the gcd of its atom coordinates (_gcd_reduced), which has the same
+returns and a box smaller by those gcds.
 """
 
 from __future__ import annotations
@@ -543,6 +546,22 @@ def pmf_evolve(law: StepLaw, m: int) -> PmfField:
 # Return-probability sequence P(S_m = 0), m = 0..N
 # ---------------------------------------------------------------------------
 
+def _gcd_reduced(law: StepLaw) -> StepLaw:
+    """The law with each axis divided by the gcd of its atom coordinates.
+
+    The walk is at 0 exactly when the reduced walk is, so both have the
+    same return probabilities and no-return probabilities, and the
+    reduced one's box is smaller by the gcds.  Dividing an axis by a
+    positive number keeps the lexicographic order of the atoms.  A law
+    whose gcds are all 1 comes back as itself.
+    """
+    gcds = [math.gcd(*(p[j] for p, _ in law.atoms)) for j in range(law.d)]
+    if all(g == 1 for g in gcds):
+        return law
+    return StepLaw(law.d, tuple((tuple(c // g for c, g in zip(p, gcds)), m)
+                                for p, m in law.atoms), law.exact)
+
+
 def _axis_decomposition(law: StepLaw):
     """If the nonzero atoms are +-b_1..+-b_d, return per-line data.
 
@@ -715,10 +734,12 @@ def return_sequence(law: StepLaw, n: int) -> np.ndarray:
     """P(S_m = 0) for m = 0..n, in doubles.
 
     Laws that decompose along the axes use the axis recursion, every other
-    law the half-horizon box DP.
+    law the half-horizon box DP.  Either runs on the law's gcd reduction
+    (_gcd_reduced).
     """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
+    law = _gcd_reduced(law)
     if _axis_decomposition(law) is not None:
         return _axis_return_sequence(law, n)
     return _dense_return_sequence(law, n)
@@ -845,10 +866,11 @@ def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
 
     Rational laws are evolved exactly and never pruned; float laws drop
     cells below PRUNE_THRESHOLD, with the pruned mass reported in
-    prune_loss.
+    prune_loss.  The DP runs on the law's gcd reduction (_gcd_reduced).
     """
     if n < 0:
         raise BadParam(f"horizon must be >= 0, got {n}")
+    law = _gcd_reduced(law)
     seq = []
     for ev in _evolution(law, n, kill_origin=True):
         seq.append(ev.surviving_mass())

@@ -172,3 +172,21 @@ def test_non_axis_laws_stay_dense():
     # diag3 has four lines in Z^3, the long-atom law three in Z^2
     for name in ("diag3", "long-atoms"):
         assert all(_axis_decomposition(law) is None for law in _family(name).values())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_scaled_law_runs_as_its_gcd_reduction(k):
+    # k diag3 has gcd k on every axis, so the deterministic engines run on
+    # diag3 itself: the same box, the same sums, bit for bit.  Unreduced,
+    # the box DP would keep a box about k^3 times larger (3 diag3 passes
+    # CELL_BUDGET at N = 128) and sum in another order
+    law, image = LAWS["diag3"], mapped(LAWS["diag3"], k * np.eye(3, dtype=np.int64))
+    assert wl.return_sequence(image, 128).tobytes() == wl.return_sequence(law, 128).tobytes()
+    assert wl.taboo_survival(image, 64) == wl.taboo_survival(law, 64)
+
+
+def test_auto_gamma_of_scaled_dense_law_bitwise():
+    # unreduced, 2 diag3's box would pass CELL_BUDGET at auto_gamma's horizon
+    law = LAWS["diag3"]
+    want, got = wl.auto_gamma(law), wl.auto_gamma(mapped(law, 2 * np.eye(3, dtype=np.int64)))
+    assert (got.value, got.error, got.params) == (want.value, want.error, want.params)
