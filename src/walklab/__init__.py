@@ -5,18 +5,21 @@ local-time functionals (range, power sums, visit-multiplicity counts),
 estimates the escape probability by three independent methods, evaluates
 the closed-form limit predictions, and cross-checks everything against an
 exhaustive small-horizon oracle.
+
+Importing walklab sets OPENBLAS_NUM_THREADS to "1" in os.environ unless it
+is already set.  That holds for the whole process, not only for walklab: a
+host application that imports walklab before numpy gets single-threaded
+OpenBLAS, and so do the child processes it starts.
 """
 
 import os
 
 # One OpenBLAS thread unless the user set a count.  This must run before any
 # submodule imports numpy, whose OpenBLAS starts a worker thread per extra
-# CPU as it loads.  walklab's only BLAS calls are the binomial fold's row
-# dots (at most about 700 terms), theory's three np.dot sums and two-column
-# polyfits, none of which gains from a second thread.  The idle worker
-# still cost CPU: `import numpy` took 0.17 s of CPU with it and 0.10 s
-# without (medians of 9, 2-vCPU x86-64 Xeon, OpenBLAS 0.3.31).  It also split
-# every dot of more than 10 000 terms, so those sums, and the report bytes
+# CPU as it loads.  The idle worker cost CPU: `import numpy` took 0.17 s of
+# CPU with it and 0.10 s without (medians of 9, 2-vCPU x86-64 Xeon,
+# OpenBLAS 0.3.31).  It also split every dot of more than 10 000 terms
+# (theory.py's np.dot sums at large n), so those sums, and the report bytes
 # built from them, depended on the number of CPUs.  And with one thread the
 # --threads pool forks from a single-threaded process.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

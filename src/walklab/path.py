@@ -73,14 +73,11 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator, bits: int) -> np.
     after j, so W_j is known before axis j is read.  Each _CHUNK piece of
     the axis is gathered from the step indices and prefix-summed (carrying
     the previous piece's end), lo and hi are tracked, and piece * W_j is
-    added to the keys.  The keys drop sum_j lo_j * W_j once, at the end,
-    not after each axis: since lo_j <= 0 <= hi_j, a key stays within W_j
-    of 0 before axis j is added, so it stays below W_j * (n max|c_j| + 1)
-    in size while it is.  When the keys pass 2**bits they are replaced by
-    their dense rank (same order, at most n+1 values), which also drops
-    that offset.  Before an axis whose raw sums times W_j could leave
-    int64 (|S_j| <= n * max|c_j|), the keys are ranked first; if that is
-    still too wide, the axis is built in full and ranked too.
+    added to the keys; after the pass the keys drop lo_j * W_j.  When the
+    keys pass 2**bits they are replaced by their dense rank (same order,
+    at most n+1 values).  Before an axis whose raw sums times W_j could
+    leave int64 (|S_j| <= n * max|c_j|), the keys are ranked first; if
+    that is still too wide, the axis is built in full and ranked too.
     Ranks keep the order, and no caller needs the coordinates back, so the
     rank tables are dropped; each rank is taken in place (_rank_in_place).
 
@@ -99,13 +96,12 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator, bits: int) -> np.
             return keys
         keys.fill(0)
     buf = np.empty(min(n, _CHUNK), dtype=np.int64)
-    radix, offset = 1, 0
+    radix = 1
     for j in reversed(range(law.d)):
         col = coords[:, j]
         reach = n * int(np.abs(col).max()) + 1
         if radix * reach >= 1 << 63:
             radix = _rank_in_place(keys)
-            offset = 0
         if radix * reach >= 1 << 63:
             x = np.zeros(n + 1, dtype=np.int64)
             for s, piece in _axis_pieces(col, idx, buf):
@@ -122,13 +118,10 @@ def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator, bits: int) -> np.
                 hi = max(hi, int(piece.max()))
                 piece *= radix
                 keys[1 + s:1 + s + len(piece)] += piece
-            offset += lo * radix
+            keys -= lo * radix
             radix *= hi - lo + 1
         if radix > 1 << bits:
             radix = _rank_in_place(keys)
-            offset = 0
-    if offset:
-        keys -= offset
     return keys
 
 
@@ -440,15 +433,6 @@ def _visit_increments(k: np.ndarray, alpha: float, wide: bool) -> np.ndarray:
     return np.power(kf, alpha) - np.power(kf - 1.0, alpha)
 
 
-def _increment_table(alpha: float, size: int) -> np.ndarray:
-    """_visit_increments of the visit counts 0..size-1 for a non-integer
-    alpha; entry 0, which no visit count takes, is that of 1, so that no
-    power of -1 is taken."""
-    v = np.arange(size)
-    v[0] = 1
-    return _visit_increments(v, alpha, False)
-
-
 def _value_counts(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of k, as int64, and how often each occurs.
 
@@ -480,16 +464,11 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
     with their number.  A non-integer alpha is summed in time order: each
     piece's cumsum starts from the previous piece's last sum, added into
     its first increment, so every value is that of one full-length cumsum,
-    bit for bit.  Its increments are gathered from a table of inc(v) per
-    visit count v, built by the same _visit_increments call and so
-    bit-identical to computing them per time point; the table grows to the
-    next power of two past the piece's top, and a piece whose top reaches
-    _CHUNK, the table's cap, computes them per time point instead.
+    bit for bit.
     """
     exact = [float(a).is_integer() for a in alphas]
     rows = [[] for _ in alphas]
     carries = [0] * len(alphas)
-    tables = [np.empty(0)] * len(alphas)
     cks = np.asarray(checkpoints)
     for s in range(0, len(k), _CHUNK):
         piece = k[s:s + _CHUNK]
@@ -504,12 +483,7 @@ def _checkpoint_sums(k: np.ndarray, checkpoints: Sequence[int],
             top = int(part.max())
         for j, a in enumerate(alphas):
             if not exact[j]:
-                if top < _CHUNK:
-                    if top >= len(tables[j]):
-                        tables[j] = _increment_table(a, min(_CHUNK, 1 << top.bit_length()))
-                    run = tables[j][piece]
-                else:
-                    run = _visit_increments(piece, a, False)
+                run = _visit_increments(piece, a, False)
                 run[0] += carries[j]
                 np.cumsum(run, out=run)
                 carries[j] = run[-1]

@@ -570,29 +570,6 @@ def test_checkpoint_stage_counts_only_pieces_without_checkpoints(monkeypatch, ck
     assert (s.l_table, s.ranges) == ref.series(keys, cks, alphas)
 
 
-@pytest.mark.parametrize("dtype, kmax", [(np.uint8, 255), (np.uint16, 2000)])
-def test_increment_table_matches_per_step_increments(monkeypatch, dtype, kmax):
-    # A non-integer alpha's increments come from a table per visit count
-    # while a piece's top is below _CHUNK, and are computed per time point
-    # above it.  k's bound rises through the pieces, so the table grows
-    # (to 256 entries for uint8) and, for uint16, the cap of 512 is passed;
-    # either way every row is one full-length cumsum's, bit for bit.
-    monkeypatch.setattr(path, "_CHUNK", 512)
-    sizes, table = [], path._increment_table
-    monkeypatch.setattr(path, "_increment_table",
-                        lambda a, size: sizes.append(size) or table(a, size))
-    n = 8 * 512
-    gen = np.random.default_rng(1)
-    k = gen.integers(1, 2 + np.linspace(0, kmax - 1, n).astype(int)).astype(dtype)
-    cks, alphas = [1, 700, 2000, 3500, n - 1], [0.1, 0.5, 1.5, 2.5]
-    rows = path._checkpoint_sums(k, cks, alphas)
-    for a, row in zip(alphas, rows):
-        want = np.cumsum(path._visit_increments(k, a, False))[cks]
-        assert np.array(row).tobytes() == want.tobytes()
-    assert len(set(sizes)) > 1 and max(sizes) == min(kmax + 1, 512)
-    assert int(k.max()) >= 512 or dtype == np.uint8
-
-
 def test_ranked_series_peak_memory_per_step():
     # srw(6) at 2^20 steps passes the key budget, so its keys are ranked in
     # place: a sorted copy beside the keys and the step indices, about 18
