@@ -18,10 +18,7 @@ import os
 # submodule imports numpy, whose OpenBLAS starts a worker thread per extra
 # CPU as it loads.  The idle worker cost CPU: `import numpy` took 0.17 s of
 # CPU with it and 0.10 s without (medians of 9, 2-vCPU x86-64 Xeon,
-# OpenBLAS 0.3.31).  It also split every dot of more than 10 000 terms
-# (theory.py's np.dot sums at large n), so those sums, and the report bytes
-# built from them, depended on the number of CPUs.  And with one thread the
-# --threads pool forks from a single-threaded process.
+# OpenBLAS 0.3.31).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (

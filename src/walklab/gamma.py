@@ -9,9 +9,9 @@ Three independent routes to the escape probability gamma:
 * mc_escape: fraction of simulated walks that avoid the origin up to a
   horizon n (estimates gamma(n), an upper bound for gamma).  Replicas
   run in batches, MC_BLOCK steps per block, with their coordinates packed
-  into as few int64 lanes as fit (one for srw(3)), and leave the batch
-  once they return or can no longer return; each one's verdict is a pure
-  function of its own stream, mix64(seed, i).
+  into as few int64 lanes as fit (one for srw(3) below 2**20 steps), and
+  leave the batch once they return or can no longer return; each one's
+  verdict is a pure function of its own stream, mix64(seed, i).
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -55,7 +55,7 @@ from . import path
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
 from .steps import (FLOAT_MASS_TOL, LatticePoint, Mass, StepLaw, _atom_indices,
-                    _sampling_arrays, mean_and_second_moment)
+                    _check_horizon, _sampling_arrays, mean_and_second_moment)
 
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
@@ -536,8 +536,7 @@ def pmf_evolve(law: StepLaw, m: int) -> PmfField:
     Rational laws give exact Fractions; float laws drop only cells below
     PRUNE_THRESHOLD (total drift < 1e-12 in practice).
     """
-    if m < 0:
-        raise BadParam(f"step count must be >= 0, got {m}")
+    _check_horizon(m)
     *_, ev = _evolution(law, m)
     return PmfField(m=m, masses=ev.to_masses())
 
@@ -737,8 +736,7 @@ def return_sequence(law: StepLaw, n: int) -> np.ndarray:
     law the half-horizon box DP.  Either runs on the law's gcd reduction
     (_gcd_reduced).
     """
-    if n < 0:
-        raise BadParam(f"horizon must be >= 0, got {n}")
+    _check_horizon(n)
     law = _gcd_reduced(law)
     if _axis_decomposition(law) is not None:
         return _axis_return_sequence(law, n)
@@ -868,8 +866,7 @@ def taboo_survival(law: StepLaw, n: int) -> ReturnLaw:
     cells below PRUNE_THRESHOLD, with the pruned mass reported in
     prune_loss.  The DP runs on the law's gcd reduction (_gcd_reduced).
     """
-    if n < 0:
-        raise BadParam(f"horizon must be >= 0, got {n}")
+    _check_horizon(n)
     law = _gcd_reduced(law)
     seq = []
     for ev in _evolution(law, n, kill_origin=True):
@@ -928,15 +925,14 @@ def _mc_lanes(coords: np.ndarray, n: int) -> list[tuple[list[int], list[int]]]:
 def _escape_range(args) -> int:
     """How many of replicas lo..hi-1 stay off the origin for steps 1..n.
 
-    Replica i draws its uniforms from mix64(master_seed, i), MC_BLOCK per
-    block.  _MC_BATCH replicas run together: one atom-index call per
-    block, then per packed lane (see _mc_lanes; srw(3) needs one up to
-    path.STEP_BUDGET steps) one gather of the atoms' packed increments, the
-    replica's packed position carried into the first increment of its row,
-    one prefix sum along each row and one compare with 0, and-ed into a hit
-    mask.  The carry is the one the path kernels use (path._lane_keys,
-    path._axis_pieces), and the lanes are exact integers, so every position
-    is the one a single prefix sum over all blocks would give.
+    Replica i draws its uniforms from rng.replica_generator(master_seed,
+    i), MC_BLOCK per block.  _MC_BATCH replicas run together: one
+    atom-index call per block, then per packed lane (see _mc_lanes; srw(3)
+    needs one below 2**20 steps and two from 2**20 steps on) one
+    path._carry of the atoms' packed increments, which walks each row from
+    its replica's packed position, and one compare with 0, and-ed into a
+    hit mask.  The lanes are exact integers, so every position is the one
+    a single prefix sum over all blocks would give.
 
     After each block a replica leaves the batch if it hit the origin (a
     return) or if some lane's packed position is farther from 0 than the
@@ -961,7 +957,7 @@ def _escape_range(args) -> int:
     x_buf = np.empty(_MC_BATCH * MC_BLOCK, dtype=np.int64)
     returns = 0
     for b0 in range(lo, hi, _MC_BATCH):
-        gens = [rnglib.generator(rnglib.mix64(master_seed, i))
+        gens = [rnglib.replica_generator(master_seed, i)
                 for i in range(b0, min(b0 + _MC_BATCH, hi))]
         pos = np.zeros((len(increments), len(gens)), dtype=np.int64)
         done = 0
@@ -973,9 +969,7 @@ def _escape_range(args) -> int:
             idx = _atom_indices(cdf, u)
             x = x_buf[:u.size].reshape(u.shape)
             for lane, inc in enumerate(increments):
-                np.take(inc, idx, out=x, mode="clip")
-                x[:, 0] += pos[lane]
-                np.cumsum(x, axis=1, out=x)
+                path._carry(inc, idx, x, pos[lane])
                 if lane:
                     hit &= x == 0
                 else:
@@ -1008,10 +1002,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
     """
     if n < 1 or m < 1:
         raise BadParam("mc_escape needs n >= 1 and m >= 1")
-    if n > path.STEP_BUDGET:
-        raise ResourceLimit(
-            f"mc_escape replicas of {n} steps exceed STEP_BUDGET = "
-            f"{path.STEP_BUDGET} steps per path; lower --n")
+    path._check_step_budget(n)
     _mc_lanes(_sampling_arrays(law)[0], n)
     tasks = [(law, n, seed, lo, hi)
              for lo, hi in rnglib.replica_blocks(m, threads)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -150,34 +149,26 @@ def fit_exponent(points: Sequence[tuple[float, float]]) -> FitResult:
 # Reports
 # ---------------------------------------------------------------------------
 
-def _finite_or_none(obj):
-    """obj with every non-finite float replaced by None (JSON has no NaN)."""
+def _json_values(obj):
+    """obj as plain JSON values: numpy arrays as lists, numpy scalars as
+    Python numbers and every non-finite float as None (JSON has no NaN)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _finite_or_none(v) for k, v in obj.items()}
+        return {k: _json_values(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_none(v) for v in obj]
+        return [_json_values(v) for v in obj]
     return obj
-
-
-def _to_py(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _finite_or_none(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _finite_or_none(obj.tolist())
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def json_bytes(obj) -> bytes:
     """The report format: strict JSON (non-finite floats as null), sorted
     keys, indent 2, one trailing newline."""
-    text = json.dumps(_finite_or_none(obj), sort_keys=True, indent=2,
-                      default=_to_py, allow_nan=False)
+    text = json.dumps(_json_values(obj), sort_keys=True, indent=2, allow_nan=False)
     return text.encode() + b"\n"
 
 

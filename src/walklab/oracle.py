@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadParam, InvariantViolation, ResourceLimit
 from .gamma import ReturnLaw
-from .steps import StepLaw, _convert, integer
+from .steps import StepLaw, _check_horizon, _convert, integer
 
 # Most paths enumerate_paths enumerates, and its longest horizon (a
 # one-atom law has a single path at any horizon, held whole); more of
@@ -114,8 +114,7 @@ def enumerate_paths(law: StepLaw, n: int,
     """Enumerate every path of length n and tally exact statistics."""
     if not law.exact:
         raise BadParam("the oracle needs a law with rational masses")
-    if n < 0:
-        raise BadParam(f"horizon must be >= 0, got {n}")
+    _check_horizon(n)
     alphas = tuple(_convert("alpha", a, integer, BadParam) for a in alphas)
     if any(a < 0 for a in alphas):
         raise BadParam("alphas must be nonnegative integers")

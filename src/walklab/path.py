@@ -17,7 +17,8 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit
-from .steps import StepLaw, _sampling_arrays, mean_and_second_moment, sample_indices
+from .steps import (StepLaw, _check_alpha, _check_horizon, _sampling_arrays,
+                    mean_and_second_moment, sample_indices)
 
 _INT64_SAFE = 1 << 62
 
@@ -48,6 +49,20 @@ def _check_step_budget(n: int) -> None:
     """Refuse a path of more than STEP_BUDGET steps before anything is allocated."""
     if n > STEP_BUDGET:
         raise ResourceLimit(f"a path of {n} steps exceeds STEP_BUDGET = {STEP_BUDGET} steps")
+
+
+def _carry(steps: np.ndarray, idx: np.ndarray, out: np.ndarray, start: int | np.ndarray) -> None:
+    """Walk each row of out from start: out = start + prefix sums of steps[idx].
+
+    The packed steps steps[idx] are gathered into out, the carried
+    position start (one per row) is added into the first of them, and
+    out is prefix-summed in place along its last axis.  With start the
+    last position of the previous piece, every piece of a walk cut into
+    pieces holds the positions one prefix sum over the whole walk gives.
+    """
+    np.take(steps, idx, out=out, mode="clip")
+    out[..., 0] += start
+    np.cumsum(out, axis=-1, out=out)
 
 
 def _walk_keys(law: StepLaw, n: int, gen: np.random.Generator, bits: int) -> np.ndarray:
@@ -177,8 +192,8 @@ def _lane_keys(law: StepLaw, idx: np.ndarray, keys: np.ndarray, bits: int) -> bo
     moves every axis at once.
 
     Axis j's lane holds 2**(f-2) + x_j and must stay in [0, 2**(f-1)): its
-    top bit is a guard.  Each _CHUNK piece of keys is gathered from the
-    packed steps and prefix-summed, carrying the previous piece's end.
+    top bit is a guard.  Each _CHUNK piece of keys is walked by _carry
+    from the previous piece's end.
     Needs max|c| < 2**(f-2).  Then a lane that leaves its range moves by
     less than a quarter of its field, and at the first such time the least
     significant such lane gets no carry or borrow from the lanes below it,
@@ -192,9 +207,7 @@ def _lane_keys(law: StepLaw, idx: np.ndarray, keys: np.ndarray, bits: int) -> bo
     keys[0] = end = origin
     for s in range(0, len(idx), _CHUNK):
         piece = keys[1 + s:1 + s + min(_CHUNK, len(idx) - s)]
-        np.take(deltas, idx[s:s + len(piece)], out=piece, mode="clip")
-        piece[0] += end
-        np.cumsum(piece, out=piece)
+        _carry(deltas, idx[s:s + len(piece)], piece, end)
         if np.bitwise_or.reduce(piece) & guard:
             return False
         end = int(piece[-1])
@@ -230,15 +243,13 @@ def _rank_in_place(a: np.ndarray) -> int:
 def _axis_pieces(col: np.ndarray, idx: np.ndarray, buf: np.ndarray):
     """(s, S_{s+1..e} of one axis) per _CHUNK piece of the step indices idx.
 
-    col holds the axis's coordinate of each atom.  Every piece is written
-    into buf, so it is valid until the next one is drawn.
+    col holds the axis's coordinate of each atom.  Every piece is walked
+    by _carry into buf, so it is valid until the next one is drawn.
     """
     end = 0
     for s in range(0, len(idx), _CHUNK):
         piece = buf[:min(_CHUNK, len(idx) - s)]
-        np.take(col, idx[s:s + len(piece)], out=piece, mode="clip")
-        piece[0] += end
-        np.cumsum(piece, out=piece)
+        _carry(col, idx[s:s + len(piece)], piece, end)
         end = int(piece[-1])
         yield s, piece
 
@@ -288,8 +299,7 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
     The keys are sorted in place, with no sorted copy, and the counts are
     the gaps between the ends of their runs of equal keys.
     """
-    if n < 0:
-        raise BadParam(f"horizon must be >= 0, got {n}")
+    _check_horizon(n)
     _check_step_budget(n)
     gen = rnglib.generator(seed)
     keys = _walk_keys(law, n, gen, 63)
@@ -301,12 +311,6 @@ def simulate(law: StepLaw, n: int, seed: int) -> LocalTimeField:
     field = LocalTimeField(n=n, counts=counts)
     field.check_invariants()
     return field
-
-
-def _check_alpha(alpha: float) -> None:
-    """BadParam unless alpha is a finite power >= 0."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise BadParam(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def l_alpha(field: LocalTimeField, alpha: float):

@@ -286,6 +286,22 @@ def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Checks shared by the engines
+# ---------------------------------------------------------------------------
+
+def _check_horizon(n: int) -> None:
+    """BadParam unless the horizon n, a number of steps, is >= 0."""
+    if n < 0:
+        raise BadParam(f"horizon must be >= 0, got {n}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """BadParam unless alpha is a finite power >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise BadParam(f"alpha must be finite and >= 0, got {alpha}")
+
+
+# ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
 

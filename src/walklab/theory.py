@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParam, InvariantViolation
 from .gamma import ReturnLaw, _evolution, return_sequence
-from .steps import StepLaw
+from .steps import StepLaw, _check_alpha, _check_horizon
 
 MOMENT_MAX_TERMS = 10 ** 7
 
@@ -74,8 +75,7 @@ def moment_limit(alpha: float, gamma: float, tol: float = 1e-10) -> Prediction:
     not met tol after MOMENT_MAX_TERMS terms.
     """
     gamma = _check_gamma(gamma)
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise BadParam(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     if not (math.isfinite(tol) and tol > 0):
         raise BadParam(f"tol must be finite and > 0, got {tol}")
     one_minus = 1.0 - gamma
@@ -130,7 +130,9 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     a product of j+1 such sequences is at most (m+1)**j D**m, so a slot
     of bits(D**n) + j bits(n+1) + 1 bits, rounded up to whole bytes,
     never carries into the next.  A float ReturnLaw runs the direct
-    O(j n^2) convolution in doubles and returns a float.
+    O(j n^2) convolution in doubles and returns a float; its sums are
+    np.einsum and math.fsum, which call no BLAS, so the value does not
+    depend on the BLAS thread count.
     """
     _check_j(j)
     if ret.horizon < n:
@@ -141,8 +143,10 @@ def expected_qj_formula(ret: ReturnLaw, j: int, n: int):
     tau = np.array([0, *ret.tau_pmf()[:n]], dtype=np.float64)
     conv = g
     for _ in range(j - 1):
-        conv = np.convolve(conv, tau)[:n + 1]
-    return float(np.dot(conv, g[::-1]))
+        # row k of the window is conv[k - n..k], zero before conv[0]
+        rows = sliding_window_view(np.concatenate([np.zeros(n), conv]), n + 1)
+        conv = np.einsum("kj,j->k", rows, tau[::-1])
+    return math.fsum((conv * g[::-1]).tolist())
 
 
 def _kronecker_qj(ret: ReturnLaw, j: int, n: int) -> Fraction:
@@ -184,8 +188,8 @@ def qj_generating(ret: ReturnLaw, j: int, s: float, n: int) -> Prediction:
     powers = np.power(s, np.arange(n + 1))
     g = np.asarray([float(x) for x in ret.gamma_seq[:n + 1]])
     tau = np.asarray([0.0] + [float(x) for x in ret.tau_pmf()[:n]])
-    a_val = float(np.dot(powers, g))
-    b_val = float(np.dot(powers, tau))
+    a_val = math.fsum((powers * g).tolist())
+    b_val = math.fsum((powers * tau).tolist())
     value = a_val ** 2 * b_val ** (j - 1)
     delta = s ** (n + 1) / (1.0 - s)
     factor_tail = (a_val + delta) ** 2 * (b_val + delta) ** (j - 1) - value
@@ -201,18 +205,18 @@ def green_cross_sum(law: StepLaw, n: int) -> float:
     Because increments are iid, G_n(0,y) G_n(0,-y) summed over y equals
     sum over m, m' in [1,n] of P(S_{m+m'} = 0), and s = m+m' arises
     min(s-1, 2n+1-s) times; so only the return-probability sequence up to
-    2n is needed, for rational and float laws alike.
+    2n is needed, for rational and float laws alike.  The weighted terms
+    are summed by math.fsum, correctly rounded and free of BLAS.
     """
     if n < 1:
         raise BadParam(f"n must be >= 1, got {n}")
     r = return_sequence(law, 2 * n)
     s = np.arange(2, 2 * n + 1)
     weights = np.minimum(s - 1, 2 * n + 1 - s)
-    return float(np.dot(weights, r[2:]))
+    return math.fsum((weights * r[2:]).tolist())
 
 
 def sup_pmf_sequence(law: StepLaw, m_max: int) -> np.ndarray:
     """sup_x P(S_m = x) for every m = 0..m_max in one float DP sweep."""
-    if m_max < 0:
-        raise BadParam(f"m_max must be >= 0, got {m_max}")
+    _check_horizon(m_max)
     return np.array([ev.sup() for ev in _evolution(law.to_float(), m_max)])

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import walklab
@@ -105,6 +107,11 @@ def test_documented_surface_loads_no_scipy():
     assert child["scipy"] == []
 
 
+def _moment_limit_within(terms: int):
+    with mock.patch.object(walklab.theory, "MOMENT_MAX_TERMS", terms):
+        return walklab.moment_limit(2.0, 0.5)
+
+
 # Refusals of out-of-range arguments that no other test reaches: each
 # raises its class with its message.
 REFUSALS = [
@@ -117,7 +124,7 @@ REFUSALS = [
     ("enumerate_paths", lambda law: walklab.enumerate_paths(law, -1),
      walklab.BadParam, "^horizon must be >= 0, got -1$"),
     ("pmf_evolve", lambda law: walklab.pmf_evolve(law, -1),
-     walklab.BadParam, "^step count must be >= 0, got -1$"),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
     ("mc_escape", lambda law: walklab.mc_escape(law, 0, 10, 0),
      walklab.BadParam, "^mc_escape needs n >= 1 and m >= 1$"),
     ("simulate_series", lambda law: walklab.simulate_series(law, [0, 4], [2], 0),
@@ -127,11 +134,51 @@ REFUSALS = [
     ("return_tail", lambda law: walklab.return_tail(law, 8, 8),
      walklab.BadParam, "^need 0 <= n < N$"),
     ("sup_pmf_sequence", lambda law: walklab.sup_pmf_sequence(law, -1),
-     walklab.BadParam, "^m_max must be >= 0, got -1$"),
+     walklab.BadParam, "^horizon must be >= 0, got -1$"),
     ("green_cross_sum", lambda law: walklab.green_cross_sum(law, 0),
      walklab.BadParam, "^n must be >= 1, got 0$"),
     ("law_from_json", lambda law: walklab.law_from_json([]),
      walklab.ConfigError, "^law descriptor must be an object, got list$"),
+    ("law_from_json-family", lambda law: walklab.law_from_json({}),
+     walklab.ConfigError, "^law descriptor needs a 'family' key$"),
+    ("law_from_json-custom", lambda law: walklab.law_from_json({"family": "custom", "d": 1}),
+     walklab.ConfigError, "^custom law needs 'd' and 'atoms'$"),
+    ("law_from_json-atoms",
+     lambda law: walklab.law_from_json({"family": "custom", "d": 1, "atoms": []}),
+     walklab.ConfigError, "^'atoms' must be a nonempty list$"),
+    ("make_law-dimension", lambda law: walklab.make_law(2, [((1,), 1.0)], False),
+     walklab.BadParam, r"^atom \(1,\) has dimension 1, law has d=2$"),
+    ("make_law-coordinate", lambda law: walklab.make_law(1, [(((1 << 22) + 1,), 1.0)], False),
+     walklab.BadParam, r"^atom coordinate exceeds \|c\| <= 4194304: \(4194305,\)$"),
+    ("make_law-d", lambda law: walklab.make_law(0, [], False),
+     walklab.BadParam, "^dimension must be >= 1, got 0$"),
+    ("make_law-atoms", lambda law: walklab.make_law(1, [], False),
+     walklab.BadParam, "^empty atom list$"),
+    ("srw", lambda law: walklab.srw(0),
+     walklab.BadParam, "^srw and drifted_srw need d >= 1, got 0$"),
+    ("enumerate_paths-alphas", lambda law: walklab.enumerate_paths(law, 2, (-1,)),
+     walklab.BadParam, "^alphas must be nonnegative integers$"),
+    ("sample_visited_local_time",
+     lambda law: walklab.sample_visited_local_time(walklab.simulate(law, 4, 0),
+                                                   walklab.generator(0), 0),
+     walklab.BadParam, "^resample count must be >= 1, got 0$"),
+    ("qj_generating", lambda law: walklab.qj_generating(walklab.taboo_survival(law, 4),
+                                                        1, 0.5, 5),
+     walklab.BadParam, "^ReturnLaw horizon 4 < N=5$"),
+    ("moment_limit", lambda law: _moment_limit_within(3),
+     walklab.BadParam, "^moment_limit did not converge within 3 terms$"),
+    ("_geometric_tail", lambda law: walklab.gamma._geometric_tail(
+        np.array([2, 4, 6]), np.array([0.1, 0.2, 0.4]), 6, law),
+     walklab.BadParam, "^return probabilities are not decaying; Green tail unbounded; "
+                       "the law is transient"),
+    ("tv_distance", lambda law: walklab.tv_distance({}, 0.5),
+     walklab.BadParam, "^empty law$"),
+    ("geometric_chi_square", lambda law: walklab.geometric_chi_square({}, 0.5),
+     walklab.BadParam, "^need at least one observation$"),
+    ("run_slln", lambda law: walklab.run_slln(law, [2], [8], []),
+     walklab.BadParam, "^run_slln needs at least one seed$"),
+    ("run_geometric", lambda law: walklab.run_geometric(law, 8, 4, []),
+     walklab.BadParam, "^run_geometric needs at least one seed$"),
 ]
 
 

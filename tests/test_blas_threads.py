@@ -50,6 +50,20 @@ def test_green_cross_bytes_do_not_depend_on_blas_threads():
     assert _python(argv, None).stdout == _python(argv, "1").stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["--what", "green-cross", "--law", SRW3, "--n", "6000"],
+    ["--what", "qj-exact", "--law", '{"family": "bernoulli", "p": 0.7}', "--n", "15000",
+     "--j", "2"],
+], ids=["green-cross", "qj-exact-float"])
+def test_theory_sums_do_not_depend_on_blas_threads(args):
+    # sums of more than 10 000 terms through np.dot or np.convolve were
+    # split across OpenBLAS threads: on two CPUs green-cross printed
+    # ...9560939 with one thread and ...956094 with two, and the float
+    # E Q_2(15000) ...0182 and ...006
+    argv = ["-m", "walklab.cli", "predict", *args]
+    assert _python(argv, "1").stdout == _python(argv, "2").stdout
+
+
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and "openblas" in _blas_name()),
                     reason="counts threads in /proc/self/task, with OpenBLAS")
 def test_import_starts_no_blas_thread():

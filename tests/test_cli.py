@@ -105,6 +105,13 @@ class TestPredict:
         out = json.loads(res.output)
         assert out["value"]["rational"] == "21/50"
 
+    def test_qj_exact_float_law_gives_decimal_only(self, runner):
+        res = runner.invoke(cli, ["predict", "--what", "qj-exact",
+                                  "--law", BERN, "--j", "2", "--n", "2"])
+        value = json.loads(res.output)["value"]
+        assert list(value) == ["decimal"]
+        assert abs(value["decimal"] - 0.42) < 1e-12
+
     def test_gf(self, runner):
         res = runner.invoke(cli, ["predict", "--what", "gf", "--law", BERN_EXACT,
                                   "--j", "1", "--s", "0.0", "--N", "4"])
@@ -344,6 +351,26 @@ class TestConfig:
         res = runner.invoke(cli, ["--config", str(cfg), "simulate",
                                   "--law", DET, "--n", "4"])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("config,message", [
+        ([1], "config root must be a JSON object"),
+        ({"experiment": []}, "config 'experiment' and 'tolerances' must be objects"),
+        ({"tolerances": 3}, "config 'experiment' and 'tolerances' must be objects"),
+    ], ids=["root", "experiment", "tolerances"])
+    def test_section_not_an_object_rejected(self, runner, tmp_path, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        res = runner.invoke(cli, ["--config", str(cfg), "simulate",
+                                  "--law", DET, "--n", "4"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == message
+
+    def test_no_law_rejected(self, runner):
+        res = runner.invoke(cli, ["simulate", "--n", "4"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ConfigError)
+        assert str(res.exception) == "no law given: pass --law '<json>' or a --config with a law"
 
     def test_law_from_config(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

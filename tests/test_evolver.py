@@ -168,6 +168,26 @@ def test_return_sequence_holds_only_the_stored_classes():
     assert peak < 6.5 * 2 ** 20
 
 
+def test_class_pruned_to_zeros(monkeypatch):
+    """The 1e-20 atom at 2 feeds the parity class the walk is not in with
+    mass far below PRUNE_THRESHOLD, so each trim prunes that class to all
+    zeros and finds no span in it."""
+    law = wl.make_law(1, [((-1,), 0.5), ((1,), 0.5), ((2,), 1e-20)], False)
+    seq, pruned = ref.taboo_survival(law, 40)
+    masses = ref.pmf_masses(law, 40)
+    nonzero_span, empty = wl.gamma._nonzero_span, []
+
+    def spy(arr):
+        span = nonzero_span(arr)
+        empty.append(span is None and arr.size > 0)
+        return span
+    monkeypatch.setattr(wl.gamma, "_nonzero_span", spy)
+    got = wl.taboo_survival(law, 40)
+    assert (got.gamma_seq, got.prune_loss) == (seq, pruned)
+    assert list(wl.pmf_evolve(law, 40).masses.items()) == list(masses.items())
+    assert any(empty)
+
+
 # Traced MiB that the bench's DP leg may allocate at its peak (README quotes it).
 TABOO_PEAK_MIB = 14
 

@@ -399,6 +399,12 @@ class TestMcEscape:
         assert len(gamma._mc_lanes(far, 5)) == 2
         assert len(gamma._mc_lanes(far, MC_BLOCK - 1)) == 3
 
+    def test_srw3_needs_one_lane_below_2_to_20_steps(self, srw3):
+        # each axis's radix is 2n + 1, and (2n + 1)**3 < 2**63 iff n < 2**20
+        coords = _sampling_arrays(srw3)[0]
+        assert [axes for axes, _ in gamma._mc_lanes(coords, 2 ** 20 - 1)] == [[0, 1, 2]]
+        assert [axes for axes, _ in gamma._mc_lanes(coords, 2 ** 20)] == [[0, 1], [2]]
+
     def test_axis_wider_than_int64_refused_before_work(self, monkeypatch):
         # atoms of at most 2^22 keep an axis inside int64 up to STEP_BUDGET,
         # so the budget is raised for the guard to be reached
@@ -426,7 +432,7 @@ class TestMcEscape:
         monkeypatch.setattr(rng, "generator", refuse)
         monkeypatch.setattr(rng, "replica_blocks", refuse)
         with pytest.raises(wl.ResourceLimit,
-                           match=r"11 steps exceed STEP_BUDGET = 10 steps per path; lower --n"):
+                           match=r"^a path of 11 steps exceeds STEP_BUDGET = 10 steps$"):
             wl.mc_escape(srw3, 11, 4, seed=0, threads=2)
 
     def test_consistency_with_taboo_same_horizon(self, bern07):
