@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -178,6 +179,9 @@ def drifted_srw(d: int, bias, exact: bool = False) -> StepLaw:
     d = _convert("d", d, integer, BadParam)
     if d < 1:
         raise BadParam(f"srw and drifted_srw need d >= 1, got {d}")
+    if d > sys.maxsize:
+        # an atom is a tuple of d coordinates, and no tuple is that long
+        raise BadParam(f"srw and drifted_srw need d <= {sys.maxsize}, got {d}")
     b = _parse_param("bias", bias, exact)
     if not -1 < b < 1:
         raise BadParam(f"drifted_srw needs bias in (-1,1), got {b}")

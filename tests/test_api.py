@@ -156,6 +156,10 @@ REFUSALS = [
      walklab.BadParam, "^empty atom list$"),
     ("srw", lambda law: walklab.srw(0),
      walklab.BadParam, "^srw and drifted_srw need d >= 1, got 0$"),
+    ("law_from_json-d", lambda law: walklab.law_from_json({"family": "srw", "d": 10 ** 30}),
+     walklab.BadParam, f"^srw and drifted_srw need d <= {sys.maxsize}, got {10 ** 30}$"),
+    ("drifted_srw", lambda law: walklab.drifted_srw(2 ** 63, 0.1),
+     walklab.BadParam, f"^srw and drifted_srw need d <= {sys.maxsize}, got {2 ** 63}$"),
     ("enumerate_paths-alphas", lambda law: walklab.enumerate_paths(law, 2, (-1,)),
      walklab.BadParam, "^alphas must be nonnegative integers$"),
     ("sample_visited_local_time",

@@ -305,6 +305,13 @@ class TestMalformedJson:
                                         "--method", "dp", "--N", "8"])
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize("d", [10 ** 30, 2 ** 63])
+    def test_srw_dimension_beyond_a_tuple(self, capsys, d):
+        err = self._main_error(capsys, ["estimate-gamma", "--law",
+                                        f'{{"family": "srw", "d": {d}}}', "--method", "dp",
+                                        "--N", "8"])
+        assert err == f"error: srw and drifted_srw need d <= {sys.maxsize}, got {d}\n"
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{bad")

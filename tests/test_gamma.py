@@ -14,7 +14,8 @@ import gamma_reference
 import mc_reference
 import walklab as wl
 from walklab import gamma, path, rng
-from walklab.gamma import MC_BLOCK, _MC_BATCH, _axis_return_sequence, _dense_return_sequence
+from walklab.gamma import (MC_BLOCK, _MC_BATCH, _MC_FIRST_BLOCK, _axis_return_sequence,
+                          _dense_return_sequence)
 from walklab.steps import _sampling_arrays
 
 SRW3_GAMMA = 0.6594626  # 1 - 1/G for the d=3 simple walk
@@ -368,21 +369,26 @@ class TestMcEscape:
     def test_batched_kernel_matches_per_replica_reference(self, law):
         # at 4 MC_BLOCK the escape bound settles bern09's replicas, and the
         # reference's per-coordinate bound settles drift3z's before the
-        # kernel's lane bound does
-        for n in (1, 5, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 2 * MC_BLOCK + 3, 4 * MC_BLOCK):
+        # kernel's lane bound does; the kernel's blocks end at
+        # _MC_FIRST_BLOCK + k MC_BLOCK, the reference's at k MC_BLOCK
+        first = _MC_FIRST_BLOCK
+        for n in (1, 5, first - 1, first, first + 1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+                  first + MC_BLOCK - 1, first + MC_BLOCK, first + MC_BLOCK + 1,
+                  2 * MC_BLOCK + 3, 4 * MC_BLOCK):
             for seed in (0, 7):
                 for lo, hi in ((3, 3 + _MC_BATCH + 5), (_MC_BATCH - 1, _MC_BATCH)):
                     want = mc_reference.escape_range(law, n, seed, lo, hi)
                     assert gamma._escape_range((law, n, seed, lo, hi)) == want, (n, seed, lo)
 
     def test_escape_bound_keeps_a_last_step_return(self):
-        # steps +1 and -MC_BLOCK can meet 0 only every MC_BLOCK + 1 steps,
-        # and about 1/e of these walks stand at -1 after the first block,
-        # one step from 0 with one step left; a bound one step too tight
-        # would count their returns as escapes
-        law = wl.make_law(1, [((1,), MC_BLOCK / (MC_BLOCK + 1)),
-                              ((-MC_BLOCK,), 1 / (MC_BLOCK + 1))], False)
-        n, m = MC_BLOCK + 1, 200
+        # the kernel's second block ends at step L = _MC_FIRST_BLOCK +
+        # MC_BLOCK; steps +1 and -L can meet 0 only every L + 1 steps, and
+        # about 1/e of these walks stand at -1 after the second block, one
+        # step from 0 with one step left; a bound one step too tight would
+        # count their returns as escapes
+        jump = _MC_FIRST_BLOCK + MC_BLOCK
+        law = wl.make_law(1, [((1,), jump / (jump + 1)), ((-jump,), 1 / (jump + 1))], False)
+        n, m = jump + 1, 200
         want = mc_reference.escape_range(law, n, 0, 0, m)
         assert want < 0.7 * m
         assert gamma._escape_range((law, n, 0, 0, m)) == want
