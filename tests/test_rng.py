@@ -13,7 +13,9 @@ from walklab import rng
 # --seed -1 and --seed 2**64 + 5 reach mix64 as they are; the others are
 # the edges of the one- and two-word SeedSequence entropy
 MASTERS = [0, 1, -1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5]
-BLOCKS = [(0, 40), (37, 70), (1000, 1003), (2 ** 20 - 1, 2 ** 20 + 1)]
+# the last block spans two seed-word passes
+BLOCKS = [(0, 40), (37, 70), (1000, 1003), (2 ** 20 - 1, 2 ** 20 + 1),
+          (7, 7 + rng._SEED_PASS + 5)]
 
 
 @pytest.mark.parametrize("master", MASTERS)
