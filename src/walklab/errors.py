@@ -8,7 +8,8 @@ per kind of failure a caller could handle differently:
   horizon, gamma or data set),
 * ConfigError: a bad config file, law descriptor or CLI flag,
 * ResourceLimit: a computation would exceed a fixed budget,
-* SuspectedRecurrence: Green's series diverges, and the law is recurrent,
+* SuspectedRecurrence: a Green or DP gamma estimate asked of a recurrent
+  law (gamma = 0), refused from the law before any work,
 * InvariantViolation: a result breaks an invariant of its type (a bug).
 """
 
@@ -39,7 +40,14 @@ class ResourceLimit(WalklabError):
 
 
 class SuspectedRecurrence(WalklabError):
-    """Green's series shows no sign of converging, and the law is recurrent."""
+    """A Green or DP gamma estimate was asked of a recurrent law.
+
+    A genuinely d-dimensional walk with finite support is recurrent iff
+    d <= 2 and its mean is zero (Chung & Fuchs 1951), exactly for a
+    rational law and within FLOAT_MASS_TOL for a float one.  Its gamma is
+    0 and Green's series diverges, so the estimate is refused from the law
+    alone, before any series or DP runs.
+    """
 
 
 class InvariantViolation(WalklabError):

@@ -14,6 +14,11 @@ Three independent routes to the escape probability gamma:
   no longer return; each one's verdict is a pure function of its own
   stream, mix64(seed, i).
 
+The Green and DP routes refuse a recurrent law (d <= 2 and mean zero,
+where gamma = 0) from the law, before any work, and share one tail fit,
+_fitted_tail, which refuses a horizon too short for it; the Monte Carlo
+route reports gamma(n) on any law.
+
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
 pruned float box otherwise.  The box DP stores a mod-2 class of its box
@@ -760,11 +765,27 @@ def return_sequence(law: StepLaw, n: int) -> np.ndarray:
 # First index of the Green tail-fit window; a shorter horizon leaves no
 # terms to fit, so its tail, and the error derived from it, would read 0.
 TAIL_FIT_START = 4
+# How a refusal of a horizon too short for the tail fit ends
+_RAISE_N = "the law is transient, so the horizon N = {} is too short for the tail fit: raise --N"
+
+
+def _refuse_recurrent(law: StepLaw) -> None:
+    """SuspectedRecurrence for a recurrent law, decided from the law alone:
+    a genuinely d-dimensional walk with finite support is recurrent iff
+    d <= 2 and its mean is zero (Chung & Fuchs 1951; Spitzer, Principles of
+    Random Walk), exactly for a rational law and within FLOAT_MASS_TOL for
+    a float one.  Its gamma is 0, and Green's series diverges."""
+    mean, _ = mean_and_second_moment(law)
+    tol = 0 if law.exact else FLOAT_MASS_TOL
+    if law.d <= 2 and all(abs(c) <= tol for c in mean):
+        raise SuspectedRecurrence(
+            f"the law is recurrent (d = {law.d} <= 2 and mean zero; Chung & Fuchs 1951): "
+            "gamma = 0 and Green's series diverges")
 
 
 def _fit_window(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(m values, r values, window length) of the nonzero terms in the
-    last decade [max(TAIL_FIT_START, n/10), n]."""
+    """(m values, r values) of the nonzero terms in the last decade
+    [start, n], and start = max(TAIL_FIT_START, n/10)."""
     if n < TAIL_FIT_START:
         raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
                        "the first term of the tail fit")
@@ -772,7 +793,7 @@ def _fit_window(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     ms = np.arange(start, n + 1)
     rv = r[start:n + 1]
     nz = rv > 0
-    return ms[nz], rv[nz], len(ms)
+    return ms[nz], rv[nz], start
 
 
 def _diffusive_tail(ms, rv, window_len, n, d) -> float:
@@ -782,39 +803,46 @@ def _diffusive_tail(ms, rv, window_len, n, d) -> float:
     return occupancy * math.exp(log_c) * (n + 0.5) ** (1 - d / 2.0) / (d / 2.0 - 1.0)
 
 
-def _no_convergence(law: StepLaw, n: int, why: str) -> BadParam | SuspectedRecurrence:
-    """SuspectedRecurrence for a recurrent law, else BadParam naming the
-    horizon: a genuinely d-dimensional walk with finite support is
-    recurrent iff d <= 2 and its mean is zero (Chung & Fuchs 1951; Spitzer,
-    Principles of Random Walk), a float law's within FLOAT_MASS_TOL."""
-    mean, _ = mean_and_second_moment(law)
-    tol = 0 if law.exact else FLOAT_MASS_TOL
-    if law.d <= 2 and all(abs(c) <= tol for c in mean):
-        return SuspectedRecurrence(why)
-    return BadParam(f"{why}; the law is transient, so the horizon N = {n} is "
-                    "too short for the tail fit: raise --N")
-
-
-def _geometric_tail(ms, rv, n, law: StepLaw) -> float:
-    """Fitted tail for geometrically decaying return probabilities (d<3)."""
-    if len(ms) < 2:
-        return 0.0
+def _geometric_tail(ms, rv, n) -> float:
+    """Fitted tail for geometrically decaying return probabilities (d<3),
+    a line through log P(S_m=0) at three or more nonzero terms."""
     b, a = np.polyfit(ms.astype(float), np.log(rv), 1)
     if b >= 0:
-        raise _no_convergence(
-            law, n, "return probabilities are not decaying; Green tail unbounded")
+        raise BadParam("return probabilities are not decaying; Green tail unbounded; "
+                       + _RAISE_N.format(n))
     p = int(np.gcd.reduce(np.diff(ms)))  # the lattice period of the nonzero terms
     return math.exp(a + b * (n + p)) / (1.0 - math.exp(b * p))
 
 
-def _fitted_tail(r: np.ndarray, n: int, law: StepLaw) -> float:
-    """Fitted sum_{m>n} P(S_m = 0): diffusive in d >= 3, geometric below."""
-    ms, rv, window_len = _fit_window(r, n)
-    if len(ms) == 0:
+def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
+    """Fitted sum_{m>n} P(S_m = 0) of a transient walk in d dimensions:
+    diffusive in d >= 3, geometric below.
+
+    Both the Green and the DP leg call it once per estimate, on a law
+    that _refuse_recurrent has passed, so it owns their refusals of a
+    horizon too short for the fit, each a BadParam that asks to raise
+    --N: partial sums still growing (a power-law decay exponent, fitted
+    over the window, of at most 1.05 while the window holds over 1e-3 of
+    the sum); fewer than three nonzero window terms in d <= 2, which a
+    line would fit exactly, so that the tail and its error would read 0
+    or rounding; and an empty window after an earlier return.  A walk
+    that never returns by step n has tail 0, and the diffusive fit works
+    from one nonzero term.
+    """
+    ms, rv, start = _fit_window(r, n)
+    if ms.size >= 3:
+        eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
+        if eta_hat <= 1.05 and (r.sum() - r[:start].sum()) / r.sum() > 1e-3:
+            raise BadParam(f"partial sums of P(S_m=0) still growing at N={n} (fitted decay "
+                           f"exponent {eta_hat:.3f} <= 1); " + _RAISE_N.format(n))
+    elif (d < 3 or not ms.size) and r[1:].any():
+        raise BadParam(f"{ms.size} nonzero P(S_m=0) in the tail-fit window m = {start}..{n}; "
+                       + _RAISE_N.format(n))
+    if not ms.size:
         return 0.0
-    if law.d >= 3:
-        return _diffusive_tail(ms, rv, window_len, n, law.d)
-    return _geometric_tail(ms, rv, n, law)
+    if d >= 3:
+        return _diffusive_tail(ms, rv, n + 1 - start, n, d)
+    return _geometric_tail(ms, rv, n)
 
 
 def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
@@ -822,29 +850,24 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
 
     Works in doubles even for exact laws (the tail is an estimate, so
     exact masses gain nothing).  The truncated series over m <= n is
-    completed with a fitted tail: the diffusive C m^{-d/2} form in d >= 3,
-    a fitted geometric envelope otherwise (the polynomial form is not
-    summable below d = 3; a transient low-dimensional walk has drift and
-    geometric return decay).  The reported error is the larger of the tail
-    propagated to the gamma scale and (k - 1) eps gamma, a first-order
-    bound on the rounding of the sum of its k positive terms, which
-    dominates when the tail is negligible (bernoulli(0.7) at N = 2048).
+    completed with a fitted tail (_fitted_tail): the diffusive C m^{-d/2}
+    form in d >= 3, a fitted geometric envelope otherwise (the polynomial
+    form is not summable below d = 3; a transient low-dimensional walk has
+    drift and geometric return decay).  The reported error is the larger
+    of the tail propagated to the gamma scale and (k - 1) eps gamma, a
+    first-order bound on the rounding of the sum of its k positive terms,
+    which dominates when the tail is negligible (bernoulli(0.7) at N =
+    2048).
 
-    Raises SuspectedRecurrence (a recurrent law) or BadParam (a transient
-    one, such as bernoulli(0.6) at N = 64) when the last decade of partial
-    sums keeps growing and the fitted decay exponent of P(S_m=0) is <= 1.
+    Raises SuspectedRecurrence for a recurrent law, decided from the law
+    before any work (_refuse_recurrent), and BadParam when the horizon is
+    too short for the tail fit of a transient one, such as bernoulli(0.6)
+    at N = 64 (see _fitted_tail).
     """
+    _refuse_recurrent(law)
     r = return_sequence(law, n)
     total = float(r.sum())
-    ms, rv, _ = _fit_window(r, n)
-    if len(ms) >= 3:
-        eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
-        head = float(r[:max(TAIL_FIT_START, n // 10)].sum())
-        if eta_hat <= 1.05 and (total - head) / total > 1e-3:
-            raise _no_convergence(
-                law, n, f"partial sums of P(S_m=0) still growing at N={n} "
-                f"(fitted decay exponent {eta_hat:.3f} <= 1)")
-    tail = _fitted_tail(r, n, law)
+    tail = _fitted_tail(r, n, law.d)
     value = 1.0 / (total + tail)
     rounding = float(np.count_nonzero(r > 0) - 1) * np.finfo(np.float64).eps * value
     return GammaEstimate(value=value, error=max(value * value * tail, rounding),
@@ -893,11 +916,14 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     The value is gamma(n), which exceeds gamma by P(n < tau < infinity);
     the reported error estimates that truncation bias via the fitted
     return-probability tail (renewal: P(tau = m) ~ gamma^2 P(S_m = 0)),
-    plus any pruned mass.
+    plus any pruned mass.  It refuses what green_at_origin refuses, the
+    same way: a recurrent law before any work (SuspectedRecurrence), and a
+    horizon too short for the tail fit (BadParam, from _fitted_tail).
     """
+    _refuse_recurrent(law)
     ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
-    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law)
+    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d)
     return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
                          method="taboo_dp", params={"N": n})
 

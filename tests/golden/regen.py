@@ -9,7 +9,9 @@ fingerprint.json (numpy version and machine of the recording).
     PYTHONPATH=src python tests/golden/regen.py --check CASE...
 
 reruns the named cases and writes nothing: it exits 1 and names each
-case file, exit_code or stdout, that differs from the recorded one.
+case file, exit_code, stdout or stderr, that differs from the recorded
+one.  A refusal's output is its stderr, so stderr is compared byte for
+byte, as tests/test_golden.py compares it.
 
 tests/test_golden.py reruns the same cases and compares them with these
 files: byte for byte where the fingerprint matches, else through parsed
@@ -37,6 +39,7 @@ HERE = Path(__file__).resolve().parent
 
 SRW3 = '{"family": "srw", "d": 3}'
 SRW1 = '{"family": "srw", "d": 1}'
+SRW2 = '{"family": "srw", "d": 2}'
 BERN = '{"family": "bernoulli", "p": 0.7}'
 BERN_EXACT = '{"family": "bernoulli", "p": "7/10"}'
 DET = '{"family": "deterministic", "d": 1, "v": [1]}'
@@ -64,6 +67,8 @@ CASES = {
                           "--method", "mc", "--n", "200", "--M", "500"],
     "estimate-gamma-recurrent": ["estimate-gamma", "--law", SRW1, "--method", "green",
                                  "--N", "1024"],
+    "estimate-gamma-dp-recurrent": ["estimate-gamma", "--law", SRW2, "--method", "dp",
+                                    "--N", "64"],
     "predict-moment": ["predict", "--what", "moment", "--law", SRW3, "--alpha", "2"],
     "predict-qj": ["predict", "--what", "qj", "--gamma", "0.4", "--j", "2"],
     "predict-geom": ["predict", "--what", "geom", "--law", BERN, "--u", "3"],
@@ -134,14 +139,15 @@ def recorded(case: str) -> dict[str, bytes]:
 
 
 def check(cases: list[str]) -> int:
-    """1 if some case's exit code or stdout differs from its golden files,
-    each such file named on stderr, else 0."""
+    """1 if some case's exit code, stdout or stderr differs from its golden
+    files, each such file named on stderr, else 0."""
     bad = []
     for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
             got = run_case(CASES[case], Path(tmp))
         want = recorded(case)
-        bad += [f"{case}/{name}" for name in ("exit_code", "stdout") if got[name] != want[name]]
+        bad += [f"{case}/{name}" for name in ("exit_code", "stdout", "stderr")
+                if got[name] != want[name]]
     for name in bad:
         print(f"{name} differs from tests/golden", file=sys.stderr)
     return 1 if bad else 0
@@ -151,7 +157,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(
         description="Rewrite tests/golden, or check cases against it.")
     parser.add_argument("--check", nargs="+", choices=sorted(CASES), metavar="CASE",
-                        help="rerun these cases and compare their exit code and stdout")
+                        help="rerun these cases and compare their exit code, stdout "
+                        "and stderr")
     args = parser.parse_args()
     if args.check:
         sys.exit(check(args.check))

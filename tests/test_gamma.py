@@ -238,23 +238,12 @@ class TestGreen:
         assert est.value == pytest.approx(SRW3_GAMMA, abs=1e-3)
         assert est.value + est.error >= SRW3_GAMMA >= est.value - est.error
 
-    def test_recurrent_guard(self):
-        with pytest.raises(wl.SuspectedRecurrence):
-            wl.green_at_origin(wl.srw(1), 1024)
-        with pytest.raises(wl.SuspectedRecurrence):
-            wl.green_at_origin(wl.srw(2), 1024)
-
     def test_transient_short_horizon_is_bad_param(self):
         # gamma = 0.2, but at N = 64 the returns' slow geometric decay
         # (4pq = 0.96 per two steps) fits a power law of exponent <= 1
         with pytest.raises(wl.BadParam, match="the law is transient, so the horizon "
                            "N = 64 is too short for the tail fit: raise --N"):
             wl.green_at_origin(wl.bernoulli(0.6), 64)
-
-    def test_recurrent_lazy_walk_guard(self):
-        lazy = wl.make_law(1, [((1,), 0.4), ((-1,), 0.4), ((0,), 0.2)], False)
-        with pytest.raises(wl.SuspectedRecurrence):
-            wl.green_at_origin(lazy, 1024)
 
     def test_drifted_2d_transient(self):
         est = wl.green_at_origin(wl.drifted_srw(2, 0.5), 256)
@@ -266,6 +255,101 @@ class TestGreen:
         assert (wl.return_sequence(diag3(), 128)[1::2] == 0).all()
         est = wl.green_at_origin(diag3(), 128)
         assert est.value == pytest.approx(DIAG3_GAMMA_128, rel=1e-9)
+
+
+def _estimators(n):
+    """The Green and DP legs at horizon n, and auto_gamma, by name."""
+    return {"green": lambda law: wl.green_at_origin(law, n),
+            "dp": lambda law: wl.taboo_gamma_estimate(law, n), "auto": wl.auto_gamma}
+
+
+def _answer(estimate, law):
+    """The estimate's (value, error), or the class of the WalklabError it raised."""
+    try:
+        est = estimate(law)
+    except wl.WalklabError as exc:
+        return type(exc)
+    return est.value, est.error
+
+
+# Recurrent laws (d <= 2, mean zero), whose gamma is 0, and the horizons
+# each is refused at: the exact srw(2) only at N = 8, so that a leg which
+# wrongly runs its exact DP still fails the test quickly.
+RECURRENT = {
+    "srw1": (wl.srw(1), (4, 6, 10, 64, 1024)),
+    "srw2": (wl.srw(2), (4, 6, 10, 64, 1024)),
+    "srw2-exact": (wl.srw(2, exact=True), (8,)),
+    "lazy1": (wl.make_law(1, [((1,), 0.4), ((-1,), 0.4), ((0,), 0.2)], False),
+              (4, 6, 10, 64, 1024)),
+    "triangle2": (wl.make_law(2, [((1, 0), 1 / 3), ((0, 1), 1 / 3), ((-1, -1), 1 / 3)],
+                              False), (4, 6, 10, 64, 1024)),
+    "up2-down1-mean0": (wl.make_law(1, [((2,), 1 / 3), ((-1,), 2 / 3)], False),
+                        (4, 6, 10, 64, 1024)),
+}
+
+# Transient (law, N) pairs whose fit window holds too few nonzero terms:
+# a fit through them gives a bar at rounding level, or 0.312 +- 0.107 for
+# bernoulli(0.6)'s gamma 0.2.
+SHORT_WINDOWS = [("bernoulli(0.7)", 4), ("up2_down1", 4), ("up2_down1", 5),
+                 ("bernoulli(0.6)", 6)]
+
+# A grid of transient laws and horizons short enough for tier-1
+AGREEMENT_LAWS = ("bernoulli(0.6)", "bernoulli(0.7)", "bernoulli(0.9)", "up2_down1",
+                  "drifted_srw(2,0.1)", "srw3", "diag3")
+AGREEMENT_NS = (4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 64)
+
+
+class TestRefusals:
+    """The Green and DP legs refuse the same (law, N): a recurrent law from
+    the law itself, before any work, and a horizon too short for the tail
+    fit that both legs share."""
+
+    @pytest.mark.parametrize("name", sorted(RECURRENT))
+    def test_recurrent_law_is_refused(self, name):
+        law, horizons = RECURRENT[name]
+        for n in horizons:
+            for leg, estimate in _estimators(n).items():
+                assert _answer(estimate, law) is wl.SuspectedRecurrence, (leg, n)
+
+    @pytest.mark.parametrize("leg", ["green", "dp", "auto"])
+    def test_recurrence_is_decided_before_any_work(self, monkeypatch, leg):
+        def work(*args):
+            raise AssertionError("an engine ran on a recurrent law")
+        monkeypatch.setattr(gamma, "return_sequence", work)
+        monkeypatch.setattr(gamma, "taboo_survival", work)
+        for law in (wl.srw(1), wl.srw(2)):
+            with pytest.raises(wl.SuspectedRecurrence):
+                _estimators(64)[leg](law)
+
+    def test_float_mean_within_tolerance_is_recurrent(self):
+        tol = wl.steps.FLOAT_MASS_TOL
+        near = wl.make_law(1, [((1,), 0.5 + 0.4 * tol), ((-1,), 0.5 - 0.4 * tol)], False)
+        assert 0 < wl.mean_and_second_moment(near)[0][0] <= tol
+        for leg, estimate in _estimators(64).items():
+            assert _answer(estimate, near) is wl.SuspectedRecurrence, leg
+            # a mean of 2e-6 is a drift: the horizon may be too short, but
+            # the law is not called recurrent
+            assert _answer(estimate, wl.bernoulli(0.500001)) is not wl.SuspectedRecurrence, leg
+
+    @pytest.mark.parametrize("name,n", SHORT_WINDOWS)
+    def test_short_fit_window_is_bad_param(self, name, n):
+        law = gamma_reference.KNOWN[name].law
+        for leg in ("green", "dp"):
+            with pytest.raises(wl.BadParam, match=f"nonzero P\\(S_m=0\\) in the tail-fit "
+                               f"window m = 4\\.\\.{n}; the law is transient, so the "
+                               f"horizon N = {n} is too short for the tail fit: raise --N"):
+                _estimators(n)[leg](law)
+
+    def test_legs_refuse_the_same_pairs_and_cover_gamma(self):
+        for name in AGREEMENT_LAWS:
+            known = gamma_reference.KNOWN[name]
+            for n in AGREEMENT_NS:
+                legs = {leg: _answer(_estimators(n)[leg], known.law) for leg in ("green", "dp")}
+                refused = {leg: not isinstance(a, tuple) for leg, a in legs.items()}
+                assert refused["green"] == refused["dp"], (name, n, legs)
+                for a in legs.values():
+                    assert a is wl.BadParam or gamma_reference.covers(*a, known.gamma), \
+                        (name, n, legs)
 
 
 class TestTaboo:
