@@ -825,20 +825,25 @@ def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
     over the window, of at most 1.05 while the window holds over 1e-3 of
     the sum); fewer than three nonzero window terms in d <= 2, which a
     line would fit exactly, so that the tail and its error would read 0
-    or rounding; and an empty window after an earlier return.  A walk
-    that never returns by step n has tail 0, and the diffusive fit works
-    from one nonzero term.
+    or rounding; and an empty window after an earlier return.  The last
+    two are refused only while the last nonzero P(S_m=0) is above eps
+    times the sum: below it the series has decayed to rounding level or
+    underflowed to 0 (bernoulli(0.999) from m = 270 on), a longer horizon
+    would not help, and the tail is 0.  A walk that never returns by step
+    n also has tail 0, and the diffusive fit works from one nonzero term.
     """
     ms, rv, start = _fit_window(r, n)
+    total = float(r.sum())
     if ms.size >= 3:
         eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
-        if eta_hat <= 1.05 and (r.sum() - r[:start].sum()) / r.sum() > 1e-3:
+        if eta_hat <= 1.05 and r[start:].sum() / total > 1e-3:
             raise BadParam(f"partial sums of P(S_m=0) still growing at N={n} (fitted decay "
                            f"exponent {eta_hat:.3f} <= 1); " + _RAISE_N.format(n))
-    elif (d < 3 or not ms.size) and r[1:].any():
-        raise BadParam(f"{ms.size} nonzero P(S_m=0) in the tail-fit window m = {start}..{n}; "
-                       + _RAISE_N.format(n))
-    if not ms.size:
+    elif d < 3 or not ms.size:
+        returns = np.flatnonzero(r[1:])
+        if returns.size and r[returns[-1] + 1] > np.finfo(np.float64).eps * total:
+            raise BadParam(f"{ms.size} nonzero P(S_m=0) in the tail-fit window "
+                           f"m = {start}..{n}; " + _RAISE_N.format(n))
         return 0.0
     if d >= 3:
         return _diffusive_tail(ms, rv, n + 1 - start, n, d)

@@ -293,6 +293,14 @@ RECURRENT = {
 SHORT_WINDOWS = [("bernoulli(0.7)", 4), ("up2_down1", 4), ("up2_down1", 5),
                  ("bernoulli(0.6)", 6)]
 
+# Drifted laws whose return probabilities underflow to 0 before the fit
+# window ends, with gamma and horizons: bernoulli(0.999)'s last nonzero
+# P(S_m=0) is at m = 268, so N = 2665 leaves two nonzero window terms,
+# N = 2685 one and N = 4096 (auto_gamma's horizon) none.  Their tail is 0;
+# a longer horizon would not fill the window, so it is no refusal.
+UNDERFLOWED = [(wl.bernoulli(0.999), 0.998, (2665, 2685, 4096)),
+               (wl.make_law(1, [((1,), 0.999), ((0,), 0.001)], False), 0.999, (4096,))]
+
 # A grid of transient laws and horizons short enough for tier-1
 AGREEMENT_LAWS = ("bernoulli(0.6)", "bernoulli(0.7)", "bernoulli(0.9)", "up2_down1",
                   "drifted_srw(2,0.1)", "srw3", "diag3")
@@ -339,6 +347,14 @@ class TestRefusals:
                                f"window m = 4\\.\\.{n}; the law is transient, so the "
                                f"horizon N = {n} is too short for the tail fit: raise --N"):
                 _estimators(n)[leg](law)
+
+    @pytest.mark.parametrize("law,want,horizons", UNDERFLOWED,
+                             ids=["bernoulli(0.999)", "up-or-stay(0.999)"])
+    def test_underflowed_series_has_tail_zero(self, law, want, horizons):
+        for n in horizons:
+            for leg, estimate in _estimators(n).items():
+                est = estimate(law)
+                assert gamma_reference.covers(est.value, est.error, want), (leg, n, est)
 
     def test_legs_refuse_the_same_pairs_and_cover_gamma(self):
         for name in AGREEMENT_LAWS:
