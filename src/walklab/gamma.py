@@ -15,9 +15,11 @@ Three independent routes to the escape probability gamma:
   stream, mix64(seed, i).
 
 The Green and DP routes refuse a recurrent law (d <= 2 and mean zero,
-where gamma = 0) from the law, before any work, and share one tail fit,
-_fitted_tail, which refuses a horizon too short for it; the Monte Carlo
-route reports gamma(n) on any law.
+where gamma = 0) from the law, before any work, and share one tail model
+for every transient law, C m^{-d/2} rho^m with rho the law's Chernoff
+rate inf_theta E exp(theta . X) (1 exactly at zero mean) and only C
+fitted, in _fitted_tail, which refuses a horizon too short for it; the
+Monte Carlo route reports gamma(n) on any law.
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -769,85 +771,121 @@ TAIL_FIT_START = 4
 _RAISE_N = "the law is transient, so the horizon N = {} is too short for the tail fit: raise --N"
 
 
-def _refuse_recurrent(law: StepLaw) -> None:
-    """SuspectedRecurrence for a recurrent law, decided from the law alone:
-    a genuinely d-dimensional walk with finite support is recurrent iff
-    d <= 2 and its mean is zero (Chung & Fuchs 1951; Spitzer, Principles of
-    Random Walk), exactly for a rational law and within FLOAT_MASS_TOL for
-    a float one.  Its gamma is 0, and Green's series diverges."""
-    mean, _ = mean_and_second_moment(law)
-    tol = 0 if law.exact else FLOAT_MASS_TOL
-    if law.d <= 2 and all(abs(c) <= tol for c in mean):
+def _chernoff_rho(law: StepLaw) -> float:
+    """rho = inf over theta of f(theta) = E exp(theta . X), the exponential
+    rate of the return probabilities (Cramer 1938; Chernoff 1952).
+
+    On {S_m = 0} the factor exp(theta . S_m) is 1, so P(S_m = 0) <=
+    f(theta)^m for every theta.  rho is 1.0 exactly when the mean is zero,
+    exactly for a rational law and within FLOAT_MASS_TOL for a float one:
+    f has its minimum at theta = 0 (from where Newton would read srw(3)'s
+    rho as 1 - 1e-16).  Otherwise up to 100 damped Newton steps run from
+    theta = 0, each to the least f over 40 halvings of the step, until f
+    stops falling, and the last f, a proven rate, is returned below 1.
+    When 0 lies outside the convex hull of the atoms f has no minimum and
+    tends to 0, by about a factor e per step (e^-100 for the deterministic
+    law).
+    """
+    mean = mean_and_second_moment(law)[0]
+    if all(abs(c) <= (0 if law.exact else FLOAT_MASS_TOL) for c in mean):
+        return 1.0
+    x, w = (np.array(a, dtype=float) for a in zip(*law.atoms))
+    theta, f = np.zeros(law.d), float(w.sum())
+    for _ in range(100):
+        e = w * np.exp(x @ theta)
+        step = np.linalg.lstsq((x.T * e) @ x, e @ x, rcond=None)[0]
+        trials = theta - np.multiply.outer(0.5 ** np.arange(40), step)
+        # an exponent above 700 makes f far above 1, and exp would overflow
+        fs = np.exp(np.minimum(trials @ x.T, 700.0)) @ w
+        if fs.min() >= f:
+            break
+        theta, f = trials[fs.argmin()], float(fs.min())
+    return min(f, math.nextafter(1.0, 0.0))
+
+
+def _refuse_recurrent(law: StepLaw) -> float:
+    """The law's _chernoff_rho, or SuspectedRecurrence for a recurrent law,
+    decided from the law alone: a genuinely d-dimensional walk with finite
+    support is recurrent iff d <= 2 and its mean is zero, that is rho = 1
+    (Chung & Fuchs 1951; Spitzer, Principles of Random Walk).  Its gamma
+    is 0, and Green's series diverges."""
+    rho = _chernoff_rho(law)
+    if law.d <= 2 and rho == 1.0:
         raise SuspectedRecurrence(
             f"the law is recurrent (d = {law.d} <= 2 and mean zero; Chung & Fuchs 1951): "
             "gamma = 0 and Green's series diverges")
+    return rho
 
 
-def _fit_window(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(m values, r values) of the nonzero terms in the last decade
-    [start, n], and start = max(TAIL_FIT_START, n/10)."""
+def _upper_gamma(a: float, z: float) -> float:
+    """Gamma(a, z) = int_z^inf u^(a-1) e^-u du for a half-integer a <= 1/2
+    and z > 0, to about 1e-14.  Above z = 1, Legendre's continued fraction,
+    summed from its 100th level up; below, Gamma(1/2, z) = sqrt(pi)
+    erfc(sqrt(z)) or Gamma(0, z) = E1(z) by its series, stepped down to a
+    by Gamma(b - 1, z) = (Gamma(b, z) - z^(b-1) e^-z) / (b - 1), which
+    cancels little there."""
+    if z > 1.0:
+        c = 0.0
+        for i in range(100, 0, -1):
+            c = i * (i - a) / (z + 2 * i + 1 - a - c)
+        return z ** a * math.exp(-z) / (z + 1 - a - c)
+    b = a % 1
+    if b:
+        g = math.sqrt(math.pi) * math.erfc(math.sqrt(z))
+    else:
+        # E1(z) = -euler - ln z - sum_k (-z)^k / (k k!)
+        g = -0.5772156649015329 - math.log(z) - sum(
+            (-z) ** k / k / math.factorial(k) for k in range(1, 25))
+    while b > a:
+        b -= 1.0
+        g = (g - z ** b * math.exp(-z)) / b
+    return g
+
+
+def _fitted_tail(r: np.ndarray, n: int, d: int, rho: float) -> float:
+    """Fitted sum_{m>n} P(S_m = 0) of a transient walk in d dimensions,
+    whose return probabilities decay like C m^{-d/2} rho^m, rho the law's
+    _chernoff_rho.
+
+    Only C is fitted, from the nonzero terms in the last decade [start, n]
+    of the series, start = max(TAIL_FIT_START, n/10) (one term is
+    enough), de-tilted to P(S_m = 0) m^{d/2} rho^-m.  The tail is C times
+    the window's share of nonzero terms times the integral of x^{-d/2}
+    rho^x over [n + 1/2, inf): (n + 1/2)^{1-d/2} / (d/2 - 1) at rho = 1,
+    lambda^{d/2-1} Gamma(1 - d/2, lambda (n + 1/2)) with lambda = -log rho
+    below.  Both the Green and the DP leg call it once per estimate, on a
+    law that _refuse_recurrent has passed, so it owns their refusals of a
+    horizon too short for the fit, each a BadParam: n below
+    TAIL_FIT_START; in d >= 3, partial sums still growing (a power-law
+    exponent of the de-tilted series, fitted over the window, of at most
+    1.05 while the window holds over 1e-3 of the sum); and an empty window
+    whose Chernoff cap rho^{n+1} / (1 - rho) on the tail is above eps
+    times the series sum.  Below it (a law that cannot return, or a series
+    that underflowed to 0, bernoulli(0.999) from m = 270 on) a longer
+    horizon would not help, and the tail is 0.
+    """
     if n < TAIL_FIT_START:
         raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
                        "the first term of the tail fit")
     start = max(TAIL_FIT_START, n // 10)
-    ms = np.arange(start, n + 1)
-    rv = r[start:n + 1]
-    nz = rv > 0
-    return ms[nz], rv[nz], start
-
-
-def _diffusive_tail(ms, rv, window_len, n, d) -> float:
-    """Fitted tail sum_{m>n} C m^{-d/2}, slope pinned at the diffusive value."""
-    log_c = float(np.mean(np.log(rv) + (d / 2.0) * np.log(ms)))
-    occupancy = len(ms) / window_len
-    return occupancy * math.exp(log_c) * (n + 0.5) ** (1 - d / 2.0) / (d / 2.0 - 1.0)
-
-
-def _geometric_tail(ms, rv, n) -> float:
-    """Fitted tail for geometrically decaying return probabilities (d<3),
-    a line through log P(S_m=0) at three or more nonzero terms."""
-    b, a = np.polyfit(ms.astype(float), np.log(rv), 1)
-    if b >= 0:
-        raise BadParam("return probabilities are not decaying; Green tail unbounded; "
-                       + _RAISE_N.format(n))
-    p = int(np.gcd.reduce(np.diff(ms)))  # the lattice period of the nonzero terms
-    return math.exp(a + b * (n + p)) / (1.0 - math.exp(b * p))
-
-
-def _fitted_tail(r: np.ndarray, n: int, d: int) -> float:
-    """Fitted sum_{m>n} P(S_m = 0) of a transient walk in d dimensions:
-    diffusive in d >= 3, geometric below.
-
-    Both the Green and the DP leg call it once per estimate, on a law
-    that _refuse_recurrent has passed, so it owns their refusals of a
-    horizon too short for the fit, each a BadParam that asks to raise
-    --N: partial sums still growing (a power-law decay exponent, fitted
-    over the window, of at most 1.05 while the window holds over 1e-3 of
-    the sum); fewer than three nonzero window terms in d <= 2, which a
-    line would fit exactly, so that the tail and its error would read 0
-    or rounding; and an empty window after an earlier return.  The last
-    two are refused only while the last nonzero P(S_m=0) is above eps
-    times the sum: below it the series has decayed to rounding level or
-    underflowed to 0 (bernoulli(0.999) from m = 270 on), a longer horizon
-    would not help, and the tail is 0.  A walk that never returns by step
-    n also has tail 0, and the diffusive fit works from one nonzero term.
-    """
-    ms, rv, start = _fit_window(r, n)
+    ms = start + np.flatnonzero(r[start:] > 0)
     total = float(r.sum())
-    if ms.size >= 3:
-        eta_hat = -float(np.polyfit(np.log(ms), np.log(rv), 1)[0])
+    if not ms.size:
+        if rho ** (n + 1) <= np.finfo(np.float64).eps * total * (1.0 - rho):
+            return 0.0
+        raise BadParam(f"no nonzero P(S_m=0) in the tail-fit window m = {start}..{n}; "
+                       + _RAISE_N.format(n))
+    lam = -math.log(rho)
+    log_r = np.log(r[ms]) + ms * lam
+    if d >= 3 and ms.size >= 3:
+        eta_hat = -float(np.polyfit(np.log(ms), log_r, 1)[0])
         if eta_hat <= 1.05 and r[start:].sum() / total > 1e-3:
             raise BadParam(f"partial sums of P(S_m=0) still growing at N={n} (fitted decay "
                            f"exponent {eta_hat:.3f} <= 1); " + _RAISE_N.format(n))
-    elif d < 3 or not ms.size:
-        returns = np.flatnonzero(r[1:])
-        if returns.size and r[returns[-1] + 1] > np.finfo(np.float64).eps * total:
-            raise BadParam(f"{ms.size} nonzero P(S_m=0) in the tail-fit window "
-                           f"m = {start}..{n}; " + _RAISE_N.format(n))
-        return 0.0
-    if d >= 3:
-        return _diffusive_tail(ms, rv, n + 1 - start, n, d)
-    return _geometric_tail(ms, rv, n)
+    scale = len(ms) / (n + 1 - start) * math.exp(float(np.mean(log_r + d / 2.0 * np.log(ms))))
+    if rho == 1.0:
+        return scale * (n + 0.5) ** (1 - d / 2.0) / (d / 2.0 - 1.0)
+    return scale * lam ** (d / 2.0 - 1.0) * _upper_gamma(1 - d / 2.0, lam * (n + 0.5))
 
 
 def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
@@ -855,10 +893,9 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
 
     Works in doubles even for exact laws (the tail is an estimate, so
     exact masses gain nothing).  The truncated series over m <= n is
-    completed with a fitted tail (_fitted_tail): the diffusive C m^{-d/2}
-    form in d >= 3, a fitted geometric envelope otherwise (the polynomial
-    form is not summable below d = 3; a transient low-dimensional walk has
-    drift and geometric return decay).  The reported error is the larger
+    completed with a fitted tail (_fitted_tail), C m^{-d/2} rho^m with
+    rho the law's Chernoff rate: the diffusive C m^{-d/2} for a zero-mean
+    law, a tilted one for a drifted law.  The reported error is the larger
     of the tail propagated to the gamma scale and (k - 1) eps gamma, a
     first-order bound on the rounding of the sum of its k positive terms,
     which dominates when the tail is negligible (bernoulli(0.7) at N =
@@ -866,13 +903,12 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
 
     Raises SuspectedRecurrence for a recurrent law, decided from the law
     before any work (_refuse_recurrent), and BadParam when the horizon is
-    too short for the tail fit of a transient one, such as bernoulli(0.6)
-    at N = 64 (see _fitted_tail).
+    too short for the tail fit of a transient one (see _fitted_tail).
     """
-    _refuse_recurrent(law)
+    rho = _refuse_recurrent(law)
     r = return_sequence(law, n)
     total = float(r.sum())
-    tail = _fitted_tail(r, n, law.d)
+    tail = _fitted_tail(r, n, law.d, rho)
     value = 1.0 / (total + tail)
     rounding = float(np.count_nonzero(r > 0) - 1) * np.finfo(np.float64).eps * value
     return GammaEstimate(value=value, error=max(value * value * tail, rounding),
@@ -921,14 +957,15 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     The value is gamma(n), which exceeds gamma by P(n < tau < infinity);
     the reported error estimates that truncation bias via the fitted
     return-probability tail (renewal: P(tau = m) ~ gamma^2 P(S_m = 0)),
-    plus any pruned mass.  It refuses what green_at_origin refuses, the
-    same way: a recurrent law before any work (SuspectedRecurrence), and a
-    horizon too short for the tail fit (BadParam, from _fitted_tail).
+    at most gamma(n) itself since gamma >= 0, plus any pruned mass.  It
+    refuses what green_at_origin refuses, the same way: a recurrent law
+    before any work (SuspectedRecurrence), and a horizon too short for the
+    tail fit (BadParam, from _fitted_tail).
     """
-    _refuse_recurrent(law)
+    rho = _refuse_recurrent(law)
     ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
-    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d)
+    bias = min(g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d, rho), g_n)
     return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
                          method="taboo_dp", params={"N": n})
 

@@ -83,7 +83,9 @@ KNOWN = {
                             "Graham, Knuth & Patashnik, Concrete Mathematics (5.61)"),
     **{name: KnownGamma(law, axis_integral(law), "axis_integral")
        for name, law in (("srw4", wl.srw(4)), ("srw5", wl.srw(5)),
-                         ("drifted_srw(2,0.1)", wl.drifted_srw(2, 0.1)))},
+                         *((f"drifted_srw({d},{b})", wl.drifted_srw(d, b))
+                           for d, b in ((2, 0.1), (2, 0.01), (3, 0.02), (3, 0.05),
+                                        (3, 0.1))))},
 }
 
 

@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 import walklab
@@ -171,16 +170,14 @@ REFUSALS = [
      walklab.BadParam, "^ReturnLaw horizon 4 < N=5$"),
     ("moment_limit", lambda law: _moment_limit_within(3),
      walklab.BadParam, "^moment_limit did not converge within 3 terms$"),
-    ("_geometric_tail", lambda law: walklab.gamma._geometric_tail(
-        np.array([2, 4, 6]), np.array([0.1, 0.2, 0.4]), 6),
-     walklab.BadParam, "^return probabilities are not decaying; Green tail unbounded; "
-                       "the law is transient"),
     ("_refuse_recurrent", lambda law: walklab.green_at_origin(walklab.srw(2), 64),
      walklab.SuspectedRecurrence, r"^the law is recurrent \(d = 2 <= 2 and mean zero; "
                                   r"Chung & Fuchs 1951\): gamma = 0 and Green's series "
                                   "diverges$"),
-    ("_fitted_tail-window", lambda law: walklab.taboo_gamma_estimate(law, 4),
-     walklab.BadParam, r"^1 nonzero P\(S_m=0\) in the tail-fit window m = 4\.\.4; the law is "
+    # +2 or -1, each with mass 1/2: returns only at multiples of 3
+    ("_fitted_tail-window", lambda law: walklab.taboo_gamma_estimate(
+        walklab.make_law(1, [((2,), 0.5), ((-1,), 0.5)], False), 4),
+     walklab.BadParam, r"^no nonzero P\(S_m=0\) in the tail-fit window m = 4\.\.4; the law is "
                        "transient, so the horizon N = 4 is too short for the tail fit: "
                        "raise --N$"),
     ("tv_distance", lambda law: walklab.tv_distance({}, 0.5),

@@ -665,12 +665,14 @@ def test_return_tail_too_few_blocks_is_not_infinite_decay(runner):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the package itself never imports it
+    # scipy is a test-only dependency; the package itself never imports it,
+    # nor numpy.polynomial, also not for a drifted law's tilted tail
     src = str(Path(walklab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, walklab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
-            "if m in sys.modules))")
+            "walklab.green_at_origin(walklab.drifted_srw(2, 0.1), 64); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

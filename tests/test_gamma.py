@@ -1,13 +1,16 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 import evolver_reference
 import gamma_reference
@@ -238,13 +241,6 @@ class TestGreen:
         assert est.value == pytest.approx(SRW3_GAMMA, abs=1e-3)
         assert est.value + est.error >= SRW3_GAMMA >= est.value - est.error
 
-    def test_transient_short_horizon_is_bad_param(self):
-        # gamma = 0.2, but at N = 64 the returns' slow geometric decay
-        # (4pq = 0.96 per two steps) fits a power law of exponent <= 1
-        with pytest.raises(wl.BadParam, match="the law is transient, so the horizon "
-                           "N = 64 is too short for the tail fit: raise --N"):
-            wl.green_at_origin(wl.bernoulli(0.6), 64)
-
     def test_drifted_2d_transient(self):
         est = wl.green_at_origin(wl.drifted_srw(2, 0.5), 256)
         assert 0 < est.value <= 1
@@ -287,11 +283,16 @@ RECURRENT = {
                         (4, 6, 10, 64, 1024)),
 }
 
-# Transient (law, N) pairs whose fit window holds too few nonzero terms:
-# a fit through them gives a bar at rounding level, or 0.312 +- 0.107 for
-# bernoulli(0.6)'s gamma 0.2.
-SHORT_WINDOWS = [("bernoulli(0.7)", 4), ("up2_down1", 4), ("up2_down1", 5),
-                 ("bernoulli(0.6)", 6)]
+# Transient (law, N) pairs whose fit window holds no nonzero term after
+# an earlier return (up2_down1 returns at multiples of 3)
+SHORT_WINDOWS = [("up2_down1", 4), ("up2_down1", 5)]
+
+# The start of the refusal of an empty fit window
+EMPTY_WINDOW = "no nonzero P(S_m=0) in the tail-fit window"
+
+# {+1: 4/5, -9: 1/5} first returns at m = 10, and rho = 0.964, so at N = 8
+# the Chernoff cap rho^9 / (1 - rho) on the tail is about 20
+FAR_RETURN = wl.make_law(1, [((-9,), 0.2), ((1,), 0.8)], False)
 
 # Drifted laws whose return probabilities underflow to 0 before the fit
 # window ends, with gamma and horizons: bernoulli(0.999)'s last nonzero
@@ -343,10 +344,27 @@ class TestRefusals:
     def test_short_fit_window_is_bad_param(self, name, n):
         law = gamma_reference.KNOWN[name].law
         for leg in ("green", "dp"):
-            with pytest.raises(wl.BadParam, match=f"nonzero P\\(S_m=0\\) in the tail-fit "
-                               f"window m = 4\\.\\.{n}; the law is transient, so the "
-                               f"horizon N = {n} is too short for the tail fit: raise --N"):
+            with pytest.raises(wl.BadParam, match=f"^{re.escape(EMPTY_WINDOW)} m = 4\\.\\.{n}; "
+                               f"the law is transient, so the horizon N = {n} is too short "
+                               "for the tail fit: raise --N$"):
                 _estimators(n)[leg](law)
+
+    def test_first_return_after_horizon_is_bad_param(self):
+        for leg in ("green", "dp"):
+            with pytest.raises(wl.BadParam,
+                               match=f"^{re.escape(EMPTY_WINDOW)} m = 4\\.\\.8; .* raise --N$"):
+                _estimators(8)[leg](FAR_RETURN)
+        green, dp = (_estimators(2048)[leg](FAR_RETURN) for leg in ("green", "dp"))
+        assert abs(green.value - dp.value) <= green.error + dp.error, (green, dp)
+
+    @pytest.mark.parametrize("law", [
+        wl.deterministic([1]), wl.make_law(1, [((1,), Fraction(1, 2)), ((2,), Fraction(1, 2))],
+                                           True)], ids=["det1", "up1-or-up2"])
+    def test_law_that_cannot_return_has_tail_zero(self, law):
+        # 0 is outside the hull of the atoms, so the cap is below rounding
+        for leg in ("green", "dp"):
+            est = _estimators(8)[leg](law)
+            assert (est.value, est.error) == (1.0, 0.0), leg
 
     @pytest.mark.parametrize("law,want,horizons", UNDERFLOWED,
                              ids=["bernoulli(0.999)", "up-or-stay(0.999)"])
@@ -357,15 +375,99 @@ class TestRefusals:
                 assert gamma_reference.covers(est.value, est.error, want), (leg, n, est)
 
     def test_legs_refuse_the_same_pairs_and_cover_gamma(self):
+        # the only refusal left for a transient law is an empty fit window
         for name in AGREEMENT_LAWS:
             known = gamma_reference.KNOWN[name]
             for n in AGREEMENT_NS:
-                legs = {leg: _answer(_estimators(n)[leg], known.law) for leg in ("green", "dp")}
-                refused = {leg: not isinstance(a, tuple) for leg, a in legs.items()}
-                assert refused["green"] == refused["dp"], (name, n, legs)
-                for a in legs.values():
-                    assert a is wl.BadParam or gamma_reference.covers(*a, known.gamma), \
-                        (name, n, legs)
+                legs = {}
+                for leg in ("green", "dp"):
+                    try:
+                        est = _estimators(n)[leg](known.law)
+                    except wl.BadParam as exc:
+                        assert str(exc).startswith(EMPTY_WINDOW), (name, n, leg, exc)
+                        legs[leg] = None
+                    else:
+                        assert gamma_reference.covers(est.value, est.error, known.gamma), \
+                            (name, n, leg, est)
+                        legs[leg] = est
+                assert (legs["green"] is None) == (legs["dp"] is None), (name, n, legs)
+
+
+# A drifted 2-D law with five atoms, not axis-decomposable, on which the
+# DP bar once fell short at N = 96
+FIVE_ATOM_2D = wl.make_law(2, [((-2, 1), Fraction(1, 5)), ((-1, 0), Fraction(1, 10)),
+                               ((-1, 1), Fraction(1, 10)), ((0, -2), Fraction(1, 5)),
+                               ((2, 1), Fraction(2, 5))], True)
+
+
+class TestChernoffRho:
+    """rho = inf over theta of E exp(theta . X), the return probabilities'
+    exponential rate, which the tilted tail of both gamma legs takes from
+    the law."""
+
+    @pytest.mark.parametrize("p", [0.51, 0.6, 0.7, 0.9, 0.999])
+    def test_bernoulli_closed_form(self, p):
+        assert abs(gamma._chernoff_rho(wl.bernoulli(p)) - 2 * math.sqrt(p * (1 - p))) <= 1e-14
+
+    @pytest.mark.parametrize("d,b", [(d, b) for d in (1, 2, 3, 5) for b in (0.01, 0.1, 0.5)])
+    def test_drifted_srw_closed_form(self, d, b):
+        want = (d - 1) / d + math.sqrt(1 - b * b) / d
+        assert abs(gamma._chernoff_rho(wl.drifted_srw(d, b)) - want) <= 1e-14
+
+    @pytest.mark.parametrize("law", [
+        *(wl.srw(d, exact=exact) for d in range(1, 6) for exact in (False, True)),
+        diag3(), diag3(exact=True), king2(), *(law for law, _ in RECURRENT.values()),
+        # a flat 3-D law, and a float mean within FLOAT_MASS_TOL of zero
+        wl.make_law(3, [((0, 0, 1), 2e-5), ((0, 0, -1), 2e-5),
+                        *((e, (1 - 4e-5) / 4) for e in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                                         (0, -1, 0)))], False),
+        wl.make_law(1, [((1,), 0.5 + 4e-13), ((-1,), 0.5 - 4e-13)], False)])
+    def test_zero_mean_is_exactly_one(self, law):
+        # from theta = 0 Newton would read srw(3) as 0.9999999999999999
+        assert gamma._chernoff_rho(law) == 1.0
+
+    def test_deterministic_law_is_below_1e_20(self, det1):
+        assert gamma._chernoff_rho(det1) < 1e-20
+
+    @pytest.mark.parametrize("law", [*(k.law for k in gamma_reference.KNOWN.values()),
+                                     FIVE_ATOM_2D],
+                             ids=[*gamma_reference.KNOWN, "five-atom-2d"])
+    def test_bounds_return_probabilities(self, law):
+        # on {S_m = 0}, exp(theta . S_m) = 1, so P(S_m = 0) <= f(theta)^m
+        rho = gamma._chernoff_rho(law)
+        r = wl.return_sequence(law, 256)
+        assert (r <= rho ** np.arange(257) * (1 + 1e-12)).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_upper_gamma_matches_scipy(self, d):
+        a = 1 - d / 2
+        for z in np.geomspace(1e-10, 50, 40):
+            z = float(z)
+            got = gamma._upper_gamma(a, z)
+            # the integral of u^(a-1) e^-u over [z, inf) in s = log u, to z + 50
+            want, _ = integrate.quad(lambda s: math.exp(a * s - math.exp(s)), math.log(z),
+                                     math.log(z + 50), epsabs=0, epsrel=1e-13, limit=200)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), z
+            closed = {1: math.sqrt(math.pi) * special.gammaincc(0.5, z),
+                      2: special.exp1(z), 4: special.expn(2, z) / z}
+            if d in closed:
+                assert got == pytest.approx(closed[d], rel=1e-12, abs=0), z
+
+    def test_five_atom_2d_dp_bar_covers(self):
+        # not axis-decomposable, so both legs run the box DP; at N = 96 the
+        # DP is 3.5e-4 off, and its bar must cover that
+        law = FIVE_ATOM_2D.to_float()
+        green = wl.green_at_origin(law, 512)
+        for n in (96, 192):
+            dp = wl.taboo_gamma_estimate(law, n)
+            assert abs(dp.value - green.value) <= dp.error + green.error, (n, dp, green)
+
+    def test_nearly_zero_drift_is_fast_and_covers(self):
+        # lambda = -log rho is 2e-12, so a tail summed term by term would not end
+        start = time.perf_counter()
+        est = wl.green_at_origin(wl.bernoulli(0.500001), 64)
+        assert time.perf_counter() - start < 0.1
+        assert gamma_reference.covers(est.value, est.error, 2e-6), est
 
 
 class TestTaboo:
@@ -575,10 +677,17 @@ class TestConsistencyTriangle:
 KNOWN_ANSWER_LEGS = [
     ("srw3", "green", (32, 128, 512)), ("srw3", "dp", (24, 96)),
     ("diag3", "green", (32, 128)), ("diag3", "dp", (24, 96)),
-    *((f"bernoulli({p})", leg, (64, 200, 2048))
-      for p in ("0.7", "0.9") for leg in ("green", "dp")),
-    # at N = 64 the bernoulli(0.6) Green leg refuses the horizon (BadParam)
-    *(("bernoulli(0.6)", leg, (200, 2048)) for leg in ("green", "dp")),
+    # bernoulli(0.7) at N = 4 and bernoulli(0.6) at N = 6 fit C from one
+    # window term, and at N = 64 bernoulli(0.6)'s returns (4pq = 0.96 per
+    # two steps) are still far from their geometric decay
+    *((f"bernoulli({p})", leg, ns)
+      for p, ns in (("0.7", (4, 64, 200, 2048)), ("0.9", (64, 200, 2048)),
+                    ("0.6", (6, 64, 200, 2048)))
+      for leg in ("green", "dp")),
+    # drifted 2-D laws, whose returns decay like m^{-1} rho^m
+    ("drifted_srw(2,0.1)", "green", (96, 128, 256, 512, 1024)),
+    ("drifted_srw(2,0.1)", "dp", (96, 128, 256)),
+    *(("drifted_srw(2,0.01)", leg, (256,)) for leg in ("green", "dp")),
 ]
 
 
@@ -592,11 +701,20 @@ class TestKnownAnswers:
         est = estimate(known.law, n)
         assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
 
-    @pytest.mark.parametrize("name", ["srw4", "srw5", "drifted_srw(2,0.1)"])
+    @pytest.mark.parametrize("name", ["srw4", "srw5", "drifted_srw(2,0.1)",
+                                      "drifted_srw(2,0.01)"])
     def test_auto_gamma_covers_true_gamma(self, name):
         known = gamma_reference.KNOWN[name]
         est = wl.auto_gamma(known.law)
         assert est.params["N"] == 4096
+        assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
+
+    @pytest.mark.parametrize("b", ["0.02", "0.05", "0.1"])
+    def test_auto_gamma_drifted_3d_within_1e_6(self, b):
+        # rho^4096 is 0.76 at b = 0.02, so the tail is only right with rho in it
+        known = gamma_reference.KNOWN[f"drifted_srw(3,{b})"]
+        est = wl.auto_gamma(known.law)
+        assert abs(est.value - known.gamma) <= 1e-6, (est, known)
         assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
 
     def test_auto_gamma_d1_non_axis_horizon(self):
