@@ -16,10 +16,12 @@ Three independent routes to the escape probability gamma:
 
 The Green and DP routes refuse a recurrent law (d <= 2 and mean zero,
 where gamma = 0) from the law, before any work, and share one tail model
-for every transient law, C m^{-d/2} rho^m with rho the law's Chernoff
-rate inf_theta E exp(theta . X) (1 exactly at zero mean) and only C
-fitted, in _fitted_tail, which refuses a horizon too short for it; the
-Monte Carlo route reports gamma(n) on any law.
+for every transient law, C m^{-k/2} rho^m with rho the law's Chernoff
+rate inf_theta E exp(theta . X) (1 exactly at zero mean), k = d unless 0
+is on the boundary of the hull of the atoms (then k is the dimension of
+the face that holds 0), and only C fitted, in _fitted_tail, which
+refuses a horizon too short for it; the Monte Carlo route reports
+gamma(n) on any law.
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -771,9 +773,11 @@ TAIL_FIT_START = 4
 _RAISE_N = "the law is transient, so the horizon N = {} is too short for the tail fit: raise --N"
 
 
-def _chernoff_rho(law: StepLaw) -> float:
-    """rho = inf over theta of f(theta) = E exp(theta . X), the exponential
-    rate of the return probabilities (Cramer 1938; Chernoff 1952).
+def _chernoff_rho(law: StepLaw) -> tuple[float, int]:
+    """(rho, k): rho = inf over theta of f(theta) = E exp(theta . X), the
+    exponential rate of the return probabilities (Cramer 1938; Chernoff
+    1952), and k the dimension of their power-law factor, P(S_m = 0) ~
+    C m^{-k/2} rho^m.
 
     On {S_m = 0} the factor exp(theta . S_m) is 1, so P(S_m = 0) <=
     f(theta)^m for every theta.  rho is 1.0 exactly when the mean is zero,
@@ -782,13 +786,24 @@ def _chernoff_rho(law: StepLaw) -> float:
     rho as 1 - 1e-16).  Otherwise up to 100 damped Newton steps run from
     theta = 0, each to the least f over 40 halvings of the step, until f
     stops falling, and the last f, a proven rate, is returned below 1.
-    When 0 lies outside the convex hull of the atoms f has no minimum and
-    tends to 0, by about a factor e per step (e^-100 for the deterministic
-    law).
+
+    k is law.d at zero mean and, otherwise, the rank of the atoms whose
+    tilted weight w e^{theta . x} / f at the last theta is above 1e-9.
+    When f attains its minimum (0 inside the convex hull of the atoms)
+    every atom keeps its weight, and k = law.d.  When 0 is on the
+    boundary of the hull, f has no minimum: a walk returns only by steps
+    in the face of the hull that holds 0 inside it, and Newton runs theta
+    off until the atoms off that face weigh below the rounding of f.  So k
+    is the face's dimension, that of the face walk's local limit law: 0
+    for {(1,0): 0.005, (0,1): 0.005, (0,0): 0.99}, which returns only by
+    staying, so P(S_m = 0) = 0.99^m, and 1 for {(1,0): 0.45, (-1,0): 0.45,
+    (0,1): 0.1}.  Outside the hull f tends to 0, by about a factor e per
+    step (e^-100 for the deterministic law), no return can happen, and k
+    is not used.
     """
     mean = mean_and_second_moment(law)[0]
     if all(abs(c) <= (0 if law.exact else FLOAT_MASS_TOL) for c in mean):
-        return 1.0
+        return 1.0, law.d
     x, w = (np.array(a, dtype=float) for a in zip(*law.atoms))
     theta, f = np.zeros(law.d), float(w.sum())
     for _ in range(100):
@@ -800,30 +815,33 @@ def _chernoff_rho(law: StepLaw) -> float:
         if fs.min() >= f:
             break
         theta, f = trials[fs.argmin()], float(fs.min())
-    return min(f, math.nextafter(1.0, 0.0))
+    face = x[w * np.exp(x @ theta) > 1e-9 * f]
+    return min(f, math.nextafter(1.0, 0.0)), int(np.linalg.matrix_rank(face))
 
 
-def _refuse_recurrent(law: StepLaw) -> float:
+def _refuse_recurrent(law: StepLaw) -> tuple[float, int]:
     """The law's _chernoff_rho, or SuspectedRecurrence for a recurrent law,
     decided from the law alone: a genuinely d-dimensional walk with finite
     support is recurrent iff d <= 2 and its mean is zero, that is rho = 1
     (Chung & Fuchs 1951; Spitzer, Principles of Random Walk).  Its gamma
     is 0, and Green's series diverges."""
-    rho = _chernoff_rho(law)
+    rho, k = _chernoff_rho(law)
     if law.d <= 2 and rho == 1.0:
         raise SuspectedRecurrence(
             f"the law is recurrent (d = {law.d} <= 2 and mean zero; Chung & Fuchs 1951): "
             "gamma = 0 and Green's series diverges")
-    return rho
+    return rho, k
 
 
 def _upper_gamma(a: float, z: float) -> float:
-    """Gamma(a, z) = int_z^inf u^(a-1) e^-u du for a half-integer a <= 1/2
-    and z > 0, to about 1e-14.  Above z = 1, Legendre's continued fraction,
-    summed from its 100th level up; below, Gamma(1/2, z) = sqrt(pi)
-    erfc(sqrt(z)) or Gamma(0, z) = E1(z) by its series, stepped down to a
-    by Gamma(b - 1, z) = (Gamma(b, z) - z^(b-1) e^-z) / (b - 1), which
-    cancels little there."""
+    """Gamma(a, z) = int_z^inf u^(a-1) e^-u du for a = 1 (e^-z) or a
+    half-integer a <= 1/2, and z > 0, to about 1e-14.  Above z = 1,
+    Legendre's continued fraction, summed from its 100th level up; below,
+    Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) or Gamma(0, z) = E1(z) by its
+    series, stepped down to a by Gamma(b - 1, z) = (Gamma(b, z) - z^(b-1)
+    e^-z) / (b - 1), which cancels little there."""
+    if a == 1:
+        return math.exp(-z)
     if z > 1.0:
         c = 0.0
         for i in range(100, 0, -1):
@@ -842,27 +860,29 @@ def _upper_gamma(a: float, z: float) -> float:
     return g
 
 
-def _fitted_tail(r: np.ndarray, n: int, d: int, rho: float) -> float:
-    """Fitted sum_{m>n} P(S_m = 0) of a transient walk in d dimensions,
-    whose return probabilities decay like C m^{-d/2} rho^m, rho the law's
+def _fitted_tail(r: np.ndarray, n: int, k: int, rho: float) -> float:
+    """Fitted sum_{m>n} P(S_m = 0) of a transient walk whose return
+    probabilities decay like C m^{-k/2} rho^m, (rho, k) the law's
     _chernoff_rho.
 
     Only C is fitted, from the nonzero terms in the last decade [start, n]
     of the series, start = max(TAIL_FIT_START, n/10) (one term is
-    enough), de-tilted to P(S_m = 0) m^{d/2} rho^-m.  The tail is C times
-    the window's share of nonzero terms times the integral of x^{-d/2}
-    rho^x over [n + 1/2, inf): (n + 1/2)^{1-d/2} / (d/2 - 1) at rho = 1,
-    lambda^{d/2-1} Gamma(1 - d/2, lambda (n + 1/2)) with lambda = -log rho
-    below.  Both the Green and the DP leg call it once per estimate, on a
-    law that _refuse_recurrent has passed, so it owns their refusals of a
-    horizon too short for the fit, each a BadParam: n below
-    TAIL_FIT_START; in d >= 3, partial sums still growing (a power-law
-    exponent of the de-tilted series, fitted over the window, of at most
-    1.05 while the window holds over 1e-3 of the sum); and an empty window
-    whose Chernoff cap rho^{n+1} / (1 - rho) on the tail is above eps
-    times the series sum.  Below it (a law that cannot return, or a series
-    that underflowed to 0, bernoulli(0.999) from m = 270 on) a longer
-    horizon would not help, and the tail is 0.
+    enough), de-tilted to P(S_m = 0) m^{k/2} rho^-m.  The tail is C times
+    the window's share of nonzero terms times the integral of x^{-k/2}
+    rho^x over [n + 1/2, inf): (n + 1/2)^{1-k/2} / (k/2 - 1) at rho = 1,
+    lambda^{k/2-1} Gamma(1 - k/2, lambda (n + 1/2)) with lambda = -log rho
+    below.  k < law.d (0 on the boundary of the hull) is the face walk's
+    dimension, and k = 0 reads the integral of rho^x, rho^{n+1/2} / lambda.
+    Both the Green and the DP leg call it once per estimate, on a law that
+    _refuse_recurrent has passed, so it owns their refusals of a horizon
+    too short for the fit, each a BadParam: n below TAIL_FIT_START; for k
+    >= 3, partial sums still growing (a power-law exponent of the
+    de-tilted series, fitted over the window, of at most 1.05 while the
+    window holds over 1e-3 of the sum); and an empty window whose Chernoff
+    cap rho^{n+1} / (1 - rho) on the tail is above eps times the series
+    sum.  Below it (a law that cannot return, or a series that underflowed
+    to 0, bernoulli(0.999) from m = 270 on) a longer horizon would not
+    help, and the tail is 0.
     """
     if n < TAIL_FIT_START:
         raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
@@ -877,15 +897,15 @@ def _fitted_tail(r: np.ndarray, n: int, d: int, rho: float) -> float:
                        + _RAISE_N.format(n))
     lam = -math.log(rho)
     log_r = np.log(r[ms]) + ms * lam
-    if d >= 3 and ms.size >= 3:
+    if k >= 3 and ms.size >= 3:
         eta_hat = -float(np.polyfit(np.log(ms), log_r, 1)[0])
         if eta_hat <= 1.05 and r[start:].sum() / total > 1e-3:
             raise BadParam(f"partial sums of P(S_m=0) still growing at N={n} (fitted decay "
                            f"exponent {eta_hat:.3f} <= 1); " + _RAISE_N.format(n))
-    scale = len(ms) / (n + 1 - start) * math.exp(float(np.mean(log_r + d / 2.0 * np.log(ms))))
+    scale = len(ms) / (n + 1 - start) * math.exp(float(np.mean(log_r + k / 2.0 * np.log(ms))))
     if rho == 1.0:
-        return scale * (n + 0.5) ** (1 - d / 2.0) / (d / 2.0 - 1.0)
-    return scale * lam ** (d / 2.0 - 1.0) * _upper_gamma(1 - d / 2.0, lam * (n + 0.5))
+        return scale * (n + 0.5) ** (1 - k / 2.0) / (k / 2.0 - 1.0)
+    return scale * lam ** (k / 2.0 - 1.0) * _upper_gamma(1 - k / 2.0, lam * (n + 0.5))
 
 
 def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
@@ -893,11 +913,12 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
 
     Works in doubles even for exact laws (the tail is an estimate, so
     exact masses gain nothing).  The truncated series over m <= n is
-    completed with a fitted tail (_fitted_tail), C m^{-d/2} rho^m with
-    rho the law's Chernoff rate: the diffusive C m^{-d/2} for a zero-mean
-    law, a tilted one for a drifted law.  The reported error is the larger
-    of the tail propagated to the gamma scale and (k - 1) eps gamma, a
-    first-order bound on the rounding of the sum of its k positive terms,
+    completed with a fitted tail (_fitted_tail), C m^{-k/2} rho^m with
+    (rho, k) from _chernoff_rho: the diffusive C m^{-d/2} for a zero-mean
+    law, a tilted one for a drifted law, with k below d when 0 is on the
+    boundary of the hull of the atoms.  The reported error is the larger
+    of the tail propagated to the gamma scale and (j - 1) eps gamma, a
+    first-order bound on the rounding of the sum of its j positive terms,
     which dominates when the tail is negligible (bernoulli(0.7) at N =
     2048).
 
@@ -905,10 +926,10 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     before any work (_refuse_recurrent), and BadParam when the horizon is
     too short for the tail fit of a transient one (see _fitted_tail).
     """
-    rho = _refuse_recurrent(law)
+    rho, k = _refuse_recurrent(law)
     r = return_sequence(law, n)
     total = float(r.sum())
-    tail = _fitted_tail(r, n, law.d, rho)
+    tail = _fitted_tail(r, n, k, rho)
     value = 1.0 / (total + tail)
     rounding = float(np.count_nonzero(r > 0) - 1) * np.finfo(np.float64).eps * value
     return GammaEstimate(value=value, error=max(value * value * tail, rounding),
@@ -921,12 +942,8 @@ def auto_gamma(law: StepLaw) -> GammaEstimate:
     return_sequence picks: 4096 for the axis recursion, else 2048 in d = 1
     and 512 above."""
     if _axis_decomposition(law) is not None:
-        n = 4096
-    elif law.d == 1:
-        n = 2048
-    else:
-        n = 512
-    return green_at_origin(law, n)
+        return green_at_origin(law, 4096)
+    return green_at_origin(law, 2048 if law.d == 1 else 512)
 
 
 # ---------------------------------------------------------------------------
@@ -957,16 +974,17 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     The value is gamma(n), which exceeds gamma by P(n < tau < infinity);
     the reported error estimates that truncation bias via the fitted
     return-probability tail (renewal: P(tau = m) ~ gamma^2 P(S_m = 0)),
-    at most gamma(n) itself since gamma >= 0, plus any pruned mass.  It
+    plus any pruned mass, and at most gamma(n) itself since gamma >= 0 (a
+    larger bar would put the value's lower end below 0).  It
     refuses what green_at_origin refuses, the same way: a recurrent law
     before any work (SuspectedRecurrence), and a horizon too short for the
     tail fit (BadParam, from _fitted_tail).
     """
-    rho = _refuse_recurrent(law)
+    rho, k = _refuse_recurrent(law)
     ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
-    bias = min(g_n * g_n * _fitted_tail(return_sequence(law, n), n, law.d, rho), g_n)
-    return GammaEstimate(value=g_n, error=bias + ret.prune_loss,
+    bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, k, rho)
+    return GammaEstimate(value=g_n, error=min(bias + ret.prune_loss, g_n),
                          method="taboo_dp", params={"N": n})
 
 

@@ -85,7 +85,21 @@ KNOWN = {
        for name, law in (("srw4", wl.srw(4)), ("srw5", wl.srw(5)),
                          *((f"drifted_srw({d},{b})", wl.drifted_srw(d, b))
                            for d, b in ((2, 0.1), (2, 0.01), (3, 0.02), (3, 0.05),
-                                        (3, 0.1))))},
+                                        (3, 0.1))),
+                         # 0 on an edge and on a face of the hull of the atoms:
+                         # the walk returns only along e1, or in the e1-e2 plane
+                         ("edge2(0.001)", wl.make_law(2, [((1, 0), 0.4995), ((-1, 0), 0.4995),
+                                                          ((0, 1), 0.001)], False)),
+                         ("face3(0.001)", wl.make_law(3, [
+                             *((e, 0.24975) for e in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                                      (0, -1, 0))),
+                             ((0, 0, 1), 0.001)], False)))},
+    # 0 is a vertex of the hull: the walk returns only by staying, so
+    # G(0) = sum_m s^m = 1 / (1 - s)
+    **{f"stay2({s})": KnownGamma(wl.make_law(2, [((1, 0), (1 - s) / 2), ((0, 1), (1 - s) / 2),
+                                                 ((0, 0), s)], False),
+                                 1 - s, "a geometric series")
+       for s in (0.99, 0.999)},
 }
 
 

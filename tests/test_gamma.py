@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,12 +406,14 @@ class TestChernoffRho:
 
     @pytest.mark.parametrize("p", [0.51, 0.6, 0.7, 0.9, 0.999])
     def test_bernoulli_closed_form(self, p):
-        assert abs(gamma._chernoff_rho(wl.bernoulli(p)) - 2 * math.sqrt(p * (1 - p))) <= 1e-14
+        rho, k = gamma._chernoff_rho(wl.bernoulli(p))
+        assert abs(rho - 2 * math.sqrt(p * (1 - p))) <= 1e-14 and k == 1
 
     @pytest.mark.parametrize("d,b", [(d, b) for d in (1, 2, 3, 5) for b in (0.01, 0.1, 0.5)])
     def test_drifted_srw_closed_form(self, d, b):
         want = (d - 1) / d + math.sqrt(1 - b * b) / d
-        assert abs(gamma._chernoff_rho(wl.drifted_srw(d, b)) - want) <= 1e-14
+        rho, k = gamma._chernoff_rho(wl.drifted_srw(d, b))
+        assert abs(rho - want) <= 1e-14 and k == d
 
     @pytest.mark.parametrize("law", [
         *(wl.srw(d, exact=exact) for d in range(1, 6) for exact in (False, True)),
@@ -424,21 +425,29 @@ class TestChernoffRho:
         wl.make_law(1, [((1,), 0.5 + 4e-13), ((-1,), 0.5 - 4e-13)], False)])
     def test_zero_mean_is_exactly_one(self, law):
         # from theta = 0 Newton would read srw(3) as 0.9999999999999999
-        assert gamma._chernoff_rho(law) == 1.0
+        assert gamma._chernoff_rho(law) == (1.0, law.d)
 
     def test_deterministic_law_is_below_1e_20(self, det1):
-        assert gamma._chernoff_rho(det1) < 1e-20
+        assert gamma._chernoff_rho(det1)[0] < 1e-20
+
+    @pytest.mark.parametrize("name,k", [("stay2(0.99)", 0), ("edge2(0.001)", 1),
+                                        ("face3(0.001)", 2), ("bernoulli(0.9)", 1),
+                                        ("drifted_srw(3,0.02)", 3)])
+    def test_k_is_the_dimension_of_the_face_holding_0(self, name, k):
+        # the returns of a walk with 0 on the boundary of its hull are those
+        # of the walk on the face that holds 0, of a lower dimension
+        assert gamma._chernoff_rho(gamma_reference.KNOWN[name].law)[1] == k
 
     @pytest.mark.parametrize("law", [*(k.law for k in gamma_reference.KNOWN.values()),
                                      FIVE_ATOM_2D],
                              ids=[*gamma_reference.KNOWN, "five-atom-2d"])
     def test_bounds_return_probabilities(self, law):
         # on {S_m = 0}, exp(theta . S_m) = 1, so P(S_m = 0) <= f(theta)^m
-        rho = gamma._chernoff_rho(law)
+        rho = gamma._chernoff_rho(law)[0]
         r = wl.return_sequence(law, 256)
         assert (r <= rho ** np.arange(257) * (1 + 1e-12)).all()
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5])
     def test_upper_gamma_matches_scipy(self, d):
         a = 1 - d / 2
         for z in np.geomspace(1e-10, 50, 40):
@@ -448,7 +457,7 @@ class TestChernoffRho:
             want, _ = integrate.quad(lambda s: math.exp(a * s - math.exp(s)), math.log(z),
                                      math.log(z + 50), epsabs=0, epsrel=1e-13, limit=200)
             assert got == pytest.approx(want, rel=1e-12, abs=0), z
-            closed = {1: math.sqrt(math.pi) * special.gammaincc(0.5, z),
+            closed = {0: math.exp(-z), 1: math.sqrt(math.pi) * special.gammaincc(0.5, z),
                       2: special.exp1(z), 4: special.expn(2, z) / z}
             if d in closed:
                 assert got == pytest.approx(closed[d], rel=1e-12, abs=0), z
@@ -462,11 +471,15 @@ class TestChernoffRho:
             dp = wl.taboo_gamma_estimate(law, n)
             assert abs(dp.value - green.value) <= dp.error + green.error, (n, dp, green)
 
-    def test_nearly_zero_drift_is_fast_and_covers(self):
-        # lambda = -log rho is 2e-12, so a tail summed term by term would not end
-        start = time.perf_counter()
+    def test_nearly_zero_drift_tail_is_one_upper_gamma(self, monkeypatch):
+        # lambda = -log rho is 2e-12, so a tail summed term by term would not
+        # end; it is one incomplete gamma function
+        calls = []
+        upper_gamma = gamma._upper_gamma
+        monkeypatch.setattr(gamma, "_upper_gamma",
+                            lambda a, z: calls.append((a, z)) or upper_gamma(a, z))
         est = wl.green_at_origin(wl.bernoulli(0.500001), 64)
-        assert time.perf_counter() - start < 0.1
+        assert len(calls) == 1
         assert gamma_reference.covers(est.value, est.error, 2e-6), est
 
 
@@ -688,6 +701,12 @@ KNOWN_ANSWER_LEGS = [
     ("drifted_srw(2,0.1)", "green", (96, 128, 256, 512, 1024)),
     ("drifted_srw(2,0.1)", "dp", (96, 128, 256)),
     *(("drifted_srw(2,0.01)", leg, (256,)) for leg in ("green", "dp")),
+    # 0 on the boundary of the hull: the returns decay like m^{-k/2} rho^m
+    # with k the dimension of the face that holds 0
+    *((name, leg, ns) for name, ns in (("stay2(0.99)", (512,)), ("edge2(0.001)", (64, 256)),
+                                       ("face3(0.001)", (64,)))
+      for leg in ("green", "dp")),
+    ("face3(0.001)", "green", (512,)),
 ]
 
 
@@ -702,7 +721,7 @@ class TestKnownAnswers:
         assert gamma_reference.covers(est.value, est.error, known.gamma), (est, known)
 
     @pytest.mark.parametrize("name", ["srw4", "srw5", "drifted_srw(2,0.1)",
-                                      "drifted_srw(2,0.01)"])
+                                      "drifted_srw(2,0.01)", "stay2(0.999)", "edge2(0.001)"])
     def test_auto_gamma_covers_true_gamma(self, name):
         known = gamma_reference.KNOWN[name]
         est = wl.auto_gamma(known.law)
