@@ -11,44 +11,17 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 import click
 
+from . import gamma, harness, path, steps, theory
+from . import oracle as oraclelib  # the oracle command takes the plain name
 from . import rng as rnglib
-from .errors import ConfigError, WalklabError
-from .gamma import (
-    auto_gamma,
-    green_at_origin,
-    mc_escape,
-    return_tail,
-    taboo_gamma_estimate,
-    taboo_survival,
-)
-from .harness import (
-    ExperimentReport,
-    csv_text,
-    json_bytes,
-    run_geometric,
-    run_slln,
-    variance_scan,
-)
-from .oracle import enumerate_paths, exact_zn_law
-from .path import simulate_series
-from .steps import StepLaw, _convert, _list_of, integer, law_from_json, law_to_json
-from .theory import (
-    _check_j,
-    _check_s,
-    expected_qj_formula,
-    geometric_pmf,
-    green_cross_sum,
-    moment_limit,
-    qj_generating,
-    qj_limit,
-    sup_pmf_sequence,
-)
+from .errors import ConfigError, ResourceLimit, WalklabError
 
 _CONFIG_KEYS = {"law", "experiment", "seeds", "tolerances"}
 _CSV_COMMANDS = ("simulate", "verify-slln", "verify-geometric", "variance-scan")
@@ -97,15 +70,15 @@ def _load_run(config, seed, out, fmt, threads) -> _Run:
     return run
 
 
-def _resolve_law(run: _Run, law_text: str | None) -> StepLaw:
+def _resolve_law(run: _Run, law_text: str | None) -> steps.StepLaw:
     if law_text:
         try:
             descriptor = json.loads(law_text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--law is not valid JSON: {exc}") from None
-        return law_from_json(descriptor)
+        return steps.law_from_json(descriptor)
     if run.law_cfg is not None:
-        return law_from_json(run.law_cfg)
+        return steps.law_from_json(run.law_cfg)
     raise ConfigError("no law given: pass --law '<json>' or a --config with a law")
 
 
@@ -138,7 +111,7 @@ def _options(run: _Run, table: dict, tolerances: dict | None = None) -> dict:
             raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
         for key, (flag, default, cast) in known.items():
             value = next((v for v in (flag, given.get(key)) if v is not None), default)
-            out[key] = None if value is None else _convert(key, value, cast)
+            out[key] = None if value is None else steps._convert(key, value, cast)
     return out
 
 
@@ -154,7 +127,7 @@ def _seeds(run: _Run, paths: int) -> list[int]:
     """The config's seed list, else paths seeds mixed from --seed; never empty."""
     if run.seeds_cfg is not None:
         key, value = "seeds", run.seeds_cfg
-        seeds = _convert(key, value, _list_of(integer))
+        seeds = steps._convert(key, value, steps._list_of(steps.integer))
     else:
         key, value = "paths", paths
         seeds = [rnglib.mix64(run.seed, i) for i in range(paths)]
@@ -178,14 +151,29 @@ def _write(run: _Run, name: str, body: bytes, csv: Callable[[], str] | None) -> 
 
 
 def _emit(run: _Run, name: str, payload: dict, csv: Callable[[], str] | None = None) -> None:
-    _write(run, name, json_bytes(payload), csv)
+    _write(run, name, steps.json_bytes(payload), csv)
 
 
-def _finish_report(run: _Run, name: str, report: ExperimentReport) -> None:
+def _finish_report(run: _Run, name: str, report: harness.ExperimentReport) -> None:
     _write(run, name, report.to_json_bytes(), report.to_csv)
     if not report.verdict:
         click.echo(f"FAIL: {', '.join(report.failures())}", err=True)
         sys.exit(2)
+
+
+@contextmanager
+def _auto_gamma_horizon(advice: str):
+    """Run a block that takes gamma from auto_gamma, whose horizon no flag
+    sets: a pmf box refusal raised in it says so and names advice, what the
+    command offers instead, in place of the horizon flags."""
+    try:
+        yield
+    except ResourceLimit as exc:
+        if gamma._LOWER_HORIZON not in str(exc):
+            raise
+        raise ResourceLimit(str(exc).replace(
+            gamma._LOWER_HORIZON, f"gamma comes from auto_gamma's fixed horizon: {advice}")
+        ) from None
 
 
 def _parse_list(text: str | None):
@@ -244,6 +232,10 @@ def cli(ctx, config, seed, out, fmt, threads):
         raise ConfigError(f"--format csv: {ctx.invoked_subcommand} has no CSV form; "
                           f"only {', '.join(_CSV_COMMANDS)} have one")
     ctx.obj = _load_run(config, seed, out, fmt, threads)
+    # Reading an attribute executes an engine module (walklab/__init__.py).
+    # gamma goes first, whichever command runs: compiled after numpy had
+    # loaded, gamma.py raised every command's peak RSS by 1.0-1.5 MB.
+    gamma.__name__
 
 
 @cli.command()
@@ -255,19 +247,19 @@ def cli(ctx, config, seed, out, fmt, threads):
 def simulate(run: _Run, law_text, n, alphas, checkpoints):
     """Simulate one path and report L_n(alpha), R(n) at checkpoints."""
     opt = _options(run, {
-        "n": (n, None, integer),
-        "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], _list_of(real)),
-        "checkpoints": (_parse_list(checkpoints), None, _list_of(integer))})
+        "n": (n, None, steps.integer),
+        "alphas": (_parse_list(alphas), [0.0, 1.0, 2.0], steps._list_of(real)),
+        "checkpoints": (_parse_list(checkpoints), None, steps._list_of(steps.integer))})
     checkpoints = _checkpoints(opt, 4096)
     law = _resolve_law(run, law_text)
-    series = simulate_series(law, checkpoints, opt["alphas"], run.seed)
+    series = path.simulate_series(law, checkpoints, opt["alphas"], run.seed)
     payload = {
-        "law": law_to_json(law), "seed": run.seed,
+        "law": steps.law_to_json(law), "seed": run.seed,
         "checkpoints": list(series.checkpoints),
         "alphas": list(series.alphas),
         "records": series.records(),
     }
-    _emit(run, "simulate", payload, lambda: csv_text(payload["records"]))
+    _emit(run, "simulate", payload, lambda: steps.csv_text(payload["records"]))
 
 
 @cli.command("estimate-gamma")
@@ -286,15 +278,16 @@ def estimate_gamma(run: _Run, law_text, method, n, big_n, replicas):
     reads = {"mc": {"n": 10_000, "M": 100_000}, "dp": {"N": 1000},
              "green": {"N": None}}[method]
     _reject_unread(f"estimate-gamma --method {method}", flags, reads)
-    opt = _options(run, {key: (flags[key], default, integer)
+    opt = _options(run, {key: (flags[key], default, steps.integer)
                          for key, default in reads.items()})
     law = _resolve_law(run, law_text)
     if method == "mc":
-        est = mc_escape(law, opt["n"], opt["M"], run.seed, threads=run.threads)
+        est = gamma.mc_escape(law, opt["n"], opt["M"], run.seed, threads=run.threads)
     elif method == "dp":
-        est = taboo_gamma_estimate(law, opt["N"])
+        est = gamma.taboo_gamma_estimate(law, opt["N"])
     else:
-        est = green_at_origin(law, opt["N"]) if opt["N"] is not None else auto_gamma(law)
+        est = (gamma.green_at_origin(law, opt["N"]) if opt["N"] is not None
+               else gamma.auto_gamma(law))
     _emit(run, "estimate-gamma", est.to_json_dict())
 
 
@@ -337,35 +330,37 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
     def gamma_value():
         if gamma_opt is not None:
             return gamma_opt
-        return auto_gamma(_resolve_law(run, law_text)).value
+        with _auto_gamma_horizon("pass --gamma instead"):
+            return gamma.auto_gamma(_resolve_law(run, law_text)).value
 
     error = 0.0  # closed forms and exact values carry no truncation error
     law = None if what in ("moment", "qj", "geom") else _resolve_law(run, law_text)
     if what == "moment":
-        pred = moment_limit(alpha, gamma_value(), **({} if tol is None else {"tol": tol}))
+        pred = theory.moment_limit(alpha, gamma_value(),
+                                   **({} if tol is None else {"tol": tol}))
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "qj":
         g = gamma_value()
-        inputs, value = {"j": j_idx, "gamma": g}, qj_limit(g, j_idx)
+        inputs, value = {"j": j_idx, "gamma": g}, theory.qj_limit(g, j_idx)
     elif what == "geom":
         g = gamma_value()
-        inputs, value = {"u": u, "gamma": g}, geometric_pmf(g, u)
+        inputs, value = {"u": u, "gamma": g}, theory.geometric_pmf(g, u)
     elif what == "qj-exact":
-        _check_j(j_idx)  # before the DP, which may take seconds
-        ret = taboo_survival(law, n)
-        value = _frac_json(expected_qj_formula(ret, j_idx, n))
+        theory._check_j(j_idx)  # before the DP, which may take seconds
+        ret = gamma.taboo_survival(law, n)
+        value = _frac_json(theory.expected_qj_formula(ret, j_idx, n))
         inputs = {"j": j_idx, "n": n}
     elif what == "gf":
-        _check_j(j_idx)
-        _check_s(s)
-        ret = taboo_survival(law, big_n)
-        pred = qj_generating(ret, j_idx, s, big_n)
+        theory._check_j(j_idx)
+        theory._check_s(s)
+        ret = gamma.taboo_survival(law, big_n)
+        pred = theory.qj_generating(ret, j_idx, s, big_n)
         inputs, value, error = pred.inputs, pred.value, pred.truncation_error
     elif what == "green-cross":
-        value = green_cross_sum(law, n)
+        value = theory.green_cross_sum(law, n)
         inputs = {"n": n}
     else:
-        value = float(sup_pmf_sequence(law, n)[n])
+        value = float(theory.sup_pmf_sequence(law, n)[n])
         inputs = {"m": n}
     _emit(run, "predict", {"what": what, "inputs": inputs, "value": value, "error": error})
 
@@ -378,17 +373,18 @@ def predict(run: _Run, law_text, what, alpha, j_idx, u, s, n, big_n, gamma_opt, 
 @click.pass_obj
 def oracle(run: _Run, law_text, n, alphas):
     """Exact enumeration of all paths at a small horizon."""
-    opt = _options(run, {"n": (n, 6, integer),
-                         "alphas": (_parse_list(alphas), [2, 3], _list_of(integer))})
+    opt = _options(run, {"n": (n, 6, steps.integer),
+                         "alphas": (_parse_list(alphas), [2, 3],
+                                    steps._list_of(steps.integer))})
     law = _resolve_law(run, law_text)
     n = opt["n"]
-    summary = enumerate_paths(law, n, tuple(opt["alphas"]))
+    summary = oraclelib.enumerate_paths(law, n, tuple(opt["alphas"]))
     payload = {
-        "law": law_to_json(law), "n": n,
+        "law": steps.law_to_json(law), "n": n,
         "expected_q": {str(j): _frac_json(v) for j, v in summary.expected_q.items()},
         "expected_l": {str(a): _frac_json(v) for a, v in summary.expected_l.items()},
         "variance_l": {str(a): _frac_json(v) for a, v in summary.variance_l.items()},
-        "zn_law": {str(u): _frac_json(p) for u, p in exact_zn_law(summary).items()},
+        "zn_law": {str(u): _frac_json(p) for u, p in oraclelib.exact_zn_law(summary).items()},
         "gamma_seq": [_frac_json(g) for g in summary.gamma_seq],
     }
     _emit(run, "oracle", payload)
@@ -405,19 +401,22 @@ def oracle(run: _Run, law_text, n, alphas):
 def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
     """Check L_n(alpha)/n against the geometric moment sum."""
     opt = _options(run, {
-        "n": (n, None, integer),
-        "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], _list_of(real)),
-        "paths": (paths, 3, integer), "gamma_n": (gamma_n, None, integer),
-        "checkpoints": (None, None, _list_of(integer))},
+        "n": (n, None, steps.integer),
+        "alphas": (_parse_list(alphas), [0.0, 2.0, 3.0, 0.5], steps._list_of(real)),
+        "paths": (paths, 3, steps.integer), "gamma_n": (gamma_n, None, steps.integer),
+        "checkpoints": (None, None, steps._list_of(steps.integer))},
         tolerances={"rel_tol": (None, 0.05, real)})
     checkpoints = _checkpoints(opt, 1_000_000)
     seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
-    gamma_est = (auto_gamma(law) if opt["gamma_n"] is None
-                 else green_at_origin(law, opt["gamma_n"]))
-    report = run_slln(law, opt["alphas"], checkpoints, seeds,
-                      gamma_est=gamma_est, rel_tol=opt["rel_tol"],
-                      threads=run.threads)
+    if opt["gamma_n"] is not None:
+        gamma_est = gamma.green_at_origin(law, opt["gamma_n"])
+    else:
+        with _auto_gamma_horizon("set a lower one with --gamma-n"):
+            gamma_est = gamma.auto_gamma(law)
+    report = harness.run_slln(law, opt["alphas"], checkpoints, seeds,
+                              gamma_est=gamma_est, rel_tol=opt["rel_tol"],
+                              threads=run.threads)
     _finish_report(run, "verify-slln", report)
 
 
@@ -429,14 +428,16 @@ def verify_slln(run: _Run, law_text, n, alphas, paths, gamma_n):
 @click.pass_obj
 def verify_geometric(run: _Run, law_text, n, resamples, paths):
     """Check the law of the visit count at a uniform visited site."""
-    opt = _options(run, {"n": (n, 100_000, integer), "M": (resamples, 100_000, integer),
-                         "paths": (paths, 1, integer)},
+    opt = _options(run, {"n": (n, 100_000, steps.integer),
+                         "M": (resamples, 100_000, steps.integer),
+                         "paths": (paths, 1, steps.integer)},
                    tolerances={"tv_bar": (None, 0.02, real), "p_floor": (None, 1e-4, real)})
     seeds = _seeds(run, opt["paths"])
     law = _resolve_law(run, law_text)
-    report = run_geometric(law, opt["n"], opt["M"], seeds,
-                           tv_bar=opt["tv_bar"], p_floor=opt["p_floor"],
-                           threads=run.threads)
+    with _auto_gamma_horizon("no flag sets it"):
+        report = harness.run_geometric(law, opt["n"], opt["M"], seeds,
+                                       tv_bar=opt["tv_bar"], p_floor=opt["p_floor"],
+                                       threads=run.threads)
     _finish_report(run, "verify-geometric", report)
 
 
@@ -450,10 +451,10 @@ def verify_geometric(run: _Run, law_text, n, resamples, paths):
 @click.pass_obj
 def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_cap):
     """Check the variance growth of L_n(alpha) against its envelope."""
-    opt = _options(run, {"alpha": (alpha, 2, integer),
-                         "n_min": (n_min, 1 << 10, integer),
-                         "n_max": (n_max, 1 << 16, integer),
-                         "M": (replicas, 200, integer)},
+    opt = _options(run, {"alpha": (alpha, 2, steps.integer),
+                         "n_min": (n_min, 1 << 10, steps.integer),
+                         "n_max": (n_max, 1 << 16, steps.integer),
+                         "M": (replicas, 200, steps.integer)},
                    tolerances={"safety": (None, 10.0, real),
                                "slope_cap": (slope_cap, None, real)})
     law = _resolve_law(run, law_text)
@@ -462,9 +463,9 @@ def variance_scan_cmd(run: _Run, law_text, alpha, n_min, n_max, replicas, slope_
         raise ConfigError(f"'n_min' = {opt['n_min']} and 'n_max' = {opt['n_max']} give "
                           f"the grid {grid}; variance-scan needs >= 3 points, "
                           "so n_max > 2 * n_min")
-    report = variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
-                           safety=opt["safety"], slope_cap=opt["slope_cap"],
-                           threads=run.threads)
+    report = harness.variance_scan(law, opt["alpha"], grid, opt["M"], run.seed,
+                                   safety=opt["safety"], slope_cap=opt["slope_cap"],
+                                   threads=run.threads)
     _finish_report(run, "variance-scan", report)
 
 
@@ -477,7 +478,7 @@ def return_tail_cmd(run: _Run, law_text, n, big_n):
     """Tail sum of return probabilities with fitted decay exponent."""
     _options(run, {})
     law = _resolve_law(run, law_text)
-    diag = return_tail(law, n, big_n)
+    diag = gamma.return_tail(law, n, big_n)
     payload = {
         "n": n, "N": big_n, "value": diag.value,
         "eta_hat": diag.eta_hat,

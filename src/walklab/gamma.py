@@ -73,6 +73,8 @@ PRUNE_THRESHOLD = 1e-16
 # the box grows: a box of at most CELL_BUDGET cells, float or exact,
 # counted over the whole box, whichever of its mod-2 classes are stored.
 CELL_BUDGET = 1 << 25
+# The advice of the CELL_BUDGET refusal: the CLI flags that set a horizon.
+_LOWER_HORIZON = "lower the horizon (--N, --n or --gamma-n)"
 MC_BLOCK = 2048
 # Steps in the first block of each Monte Carlo batch, before its MC_BLOCK
 # blocks: most returns come early, and a replica that returns leaves the
@@ -467,8 +469,7 @@ class DenseEvolver:
         if math.prod(new_shape) > CELL_BUDGET:
             raise ResourceLimit(
                 f"dense pmf box {new_shape} at step {self.m + 1} "
-                f"exceeds CELL_BUDGET = {CELL_BUDGET} cells; "
-                "lower the horizon (--N, --n or --gamma-n)")
+                f"exceeds CELL_BUDGET = {CELL_BUDGET} cells; {_LOWER_HORIZON}")
         if self.m >= self.frame_end:
             self._reframe()
         self._convolve()

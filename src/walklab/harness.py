@@ -8,7 +8,6 @@ reader can re-derive every verdict.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
@@ -20,7 +19,7 @@ from .errors import BadParam
 from .gamma import GammaEstimate, auto_gamma, return_tail
 from .path import (_check_step_budget, l_alpha, sample_visited_local_time, simulate,
                    simulate_series)
-from .steps import StepLaw, law_to_json, mean_and_second_moment
+from .steps import StepLaw, csv_text, json_bytes, law_to_json, mean_and_second_moment
 from .theory import _check_gamma, geometric_pmf, moment_limit
 
 # Bucketing rule of geometric_chi_square.
@@ -148,43 +147,6 @@ def fit_exponent(points: Sequence[tuple[float, float]]) -> FitResult:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-def _json_values(obj):
-    """obj as plain JSON values: numpy arrays as lists, numpy scalars as
-    Python numbers and every non-finite float as None (JSON has no NaN)."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    elif isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _json_values(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_values(v) for v in obj]
-    return obj
-
-
-def json_bytes(obj) -> bytes:
-    """The report format: strict JSON (non-finite floats as null), sorted
-    keys, indent 2, one trailing newline."""
-    text = json.dumps(_json_values(obj), sort_keys=True, indent=2, allow_nan=False)
-    return text.encode() + b"\n"
-
-
-def csv_text(records: Sequence[Mapping]) -> str:
-    """The CSV format: one row per record, the columns every record key in
-    first-seen order, floats as repr, missing cells empty."""
-    cols = list(dict.fromkeys(key for rec in records for key in rec))
-    lines = [",".join(cols)]
-    for rec in records:
-        cells = []
-        for key in cols:
-            v = rec.get(key, "")
-            cells.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
 
 @dataclass
 class ExperimentReport:

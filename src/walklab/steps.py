@@ -10,11 +10,16 @@ arithmetic modes that are never mixed silently:
 Atoms are kept sorted lexicographically by coordinates, which fixes the
 inverse-CDF sampling order and makes sample streams bit-reproducible for
 a given (seed, law) pair.
+
+The module also holds the report formats (json_bytes, csv_text), so a
+command that runs no experiment, such as estimate-gamma, prints its
+result without executing the harness.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -401,3 +406,44 @@ def law_from_json(obj: Mapping) -> StepLaw:
     if implied is not None and d is not None and d != implied:
         raise ConfigError(f"{family} law has d={implied}, descriptor says d={obj['d']!r}")
     return ctor(*(args[key] for key in keys), exact=exact)
+
+
+# ---------------------------------------------------------------------------
+# Report formats
+# ---------------------------------------------------------------------------
+
+def _json_values(obj):
+    """obj as plain JSON values: numpy arrays as lists, numpy scalars as
+    Python numbers and every non-finite float as None (JSON has no NaN)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_values(v) for v in obj]
+    return obj
+
+
+def json_bytes(obj) -> bytes:
+    """The report format: strict JSON (non-finite floats as null), sorted
+    keys, indent 2, one trailing newline."""
+    text = json.dumps(_json_values(obj), sort_keys=True, indent=2, allow_nan=False)
+    return text.encode() + b"\n"
+
+
+def csv_text(records: Sequence[Mapping]) -> str:
+    """The CSV format: one row per record, the columns every record key in
+    first-seen order, floats as repr, missing cells empty."""
+    cols = list(dict.fromkeys(key for rec in records for key in rec))
+    lines = [",".join(cols)]
+    for rec in records:
+        cells = []
+        for key in cols:
+            v = rec.get(key, "")
+            cells.append(repr(v) if isinstance(v, float) else str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -106,6 +106,72 @@ def test_documented_surface_loads_no_scipy():
     assert child["scipy"] == []
 
 
+# In a fresh interpreter: what `import walklab`, then the CLI's usage paths,
+# then one estimate leave executed.  An engine module registered but not yet
+# executed is still importlib.util's lazy module type, not a plain module.
+STARTUP = r"""
+import contextlib, io, json, sys, types
+import walklab
+
+def state():
+    return {"numpy": "numpy" in sys.modules,
+            "executed": sorted(name for name, m in sys.modules.items()
+                               if name.startswith("walklab.") and type(m) is types.ModuleType)}
+
+out = {"import": state()}
+import walklab.cli
+for key, argv in (("help", ["--help"]), ("unknown", ["no-such-command"]),
+                  ("green", ["estimate-gamma", "--law", '{"family": "srw", "d": 3}',
+                             "--method", "green", "--N", "64"])):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            walklab.cli.main(argv)
+        except SystemExit as exc:
+            out[key] = {**state(), "exit": exc.code}
+star = {}
+exec("from walklab import *", star)
+out["star"] = sorted(name for name in star if not name.startswith("_"))
+try:
+    walklab.no_such_name
+except AttributeError as exc:
+    out["missing"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def startup():
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", STARTUP], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_numpy(startup):
+    assert startup["import"] == {"numpy": False, "executed": ["walklab.errors"]}
+
+
+@pytest.mark.parametrize("key,code", [("help", 0), ("unknown", 1)])
+def test_usage_loads_no_numpy_and_no_engine(startup, key, code):
+    assert startup[key] == {"numpy": False, "executed": ["walklab.cli", "walklab.errors"],
+                            "exit": code}
+
+
+def test_estimate_gamma_leaves_harness_and_theory_unexecuted(startup):
+    assert startup["green"]["exit"] == 0 and startup["green"]["numpy"]
+    assert "walklab.gamma" in startup["green"]["executed"]
+    assert not {"walklab.harness", "walklab.theory"} & set(startup["green"]["executed"])
+
+
+def test_star_import_binds_every_public_name(startup):
+    assert set(startup["star"]) == PUBLIC_NAMES
+
+
+def test_unknown_name_is_attribute_error(startup):
+    assert startup["missing"] == "module 'walklab' has no attribute 'no_such_name'"
+
+
 def _moment_limit_within(terms: int):
     with mock.patch.object(walklab.theory, "MOMENT_MAX_TERMS", terms):
         return walklab.moment_limit(2.0, 0.5)

@@ -67,7 +67,8 @@ def test_theory_sums_do_not_depend_on_blas_threads(args):
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and "openblas" in _blas_name()),
                     reason="counts threads in /proc/self/task, with OpenBLAS")
 def test_import_starts_no_blas_thread():
-    code = "import os, walklab; print(len(os.listdir('/proc/self/task')))"
+    # walklab loads numpy with its first engine, so build a law to load it
+    code = "import os, walklab; walklab.srw(3); print(len(os.listdir('/proc/self/task')))"
     assert _python(["-c", code], None).stdout.strip() == "1"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,9 @@ BERN_EXACT = '{"family": "bernoulli", "p": "7/10"}'
 DET = '{"family": "deterministic", "d": 1, "v": [1]}'
 DET_EXACT = '{"family": "deterministic", "d": 1, "v": [1], "exact": true}'
 SRW3 = '{"family": "srw", "d": 3}'
+DIAG3 = json.dumps({"family": "custom", "d": 3,
+                    "atoms": [{"x": list(x), "p": 0.125}
+                              for x in itertools.product((1, -1), repeat=3)]})
 
 
 @pytest.fixture
@@ -87,6 +91,25 @@ class TestEstimateGamma:
         assert res.exit_code != 0
 
 
+class TestAutoGammaBudget:
+    @pytest.mark.parametrize("args,advice", [
+        (["predict", "--what", "qj", "--j", "2"], "pass --gamma instead"),
+        (["verify-slln", "--n", "64"], "set a lower one with --gamma-n"),
+        (["verify-geometric", "--n", "64", "--M", "10"], "no flag sets it"),
+    ], ids=["predict-qj", "verify-slln", "verify-geometric"])
+    def test_refusal_names_the_commands_knob(self, runner, monkeypatch, args, advice):
+        # auto_gamma's horizon is no flag, so --N, --n and --gamma-n do not
+        # apply; each command names what it offers instead
+        monkeypatch.setattr(walklab.gamma, "CELL_BUDGET", 1000)
+        res = runner.invoke(cli, [*args, "--law", DIAG3])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, walklab.ResourceLimit)
+        assert str(res.exception) == ("dense pmf box (11, 11, 11) at step 5 "
+                                      "exceeds CELL_BUDGET = 1000 cells; "
+                                      "gamma comes from auto_gamma's fixed horizon: "
+                                      f"{advice}")
+
+
 class TestPredict:
     def test_moment_with_gamma(self, runner):
         res = runner.invoke(cli, ["predict", "--what", "moment",
@@ -144,7 +167,7 @@ class TestPredict:
                                               error, message):
         def computed(*args):
             raise AssertionError("taboo_survival ran before the flags were checked")
-        monkeypatch.setattr(walklab.cli, "taboo_survival", computed)
+        monkeypatch.setattr(walklab.gamma, "taboo_survival", computed)
         res = runner.invoke(cli, ["predict", "--what", what, "--law", BERN_EXACT, *flags])
         assert res.exit_code == 1
         assert isinstance(res.exception, error)
@@ -227,17 +250,17 @@ class TestSimulateCommand:
     ], ids=lambda args: args[0])
     def test_csv_built_only_when_used(self, runner, monkeypatch, tmp_path, args):
         # JSON on stdout and no --out: the CSV is neither printed nor saved
-        build = walklab.harness.csv_text
+        build = walklab.steps.csv_text
 
         def refuse(records):
             raise AssertionError("CSV built for a JSON run without --out")
 
-        monkeypatch.setattr(walklab.cli, "csv_text", refuse)
+        monkeypatch.setattr(walklab.steps, "csv_text", refuse)
         monkeypatch.setattr(walklab.harness, "csv_text", refuse)
         res = runner.invoke(cli, ["--seed", "2", *args])
         assert res.exit_code == 0, res.output
         json.loads(res.output)
-        monkeypatch.setattr(walklab.cli, "csv_text", build)
+        monkeypatch.setattr(walklab.steps, "csv_text", build)
         monkeypatch.setattr(walklab.harness, "csv_text", build)
         out = tmp_path / "out"
         saved = runner.invoke(cli, ["--seed", "2", "--out", str(out), *args])
@@ -547,8 +570,8 @@ class TestNoVacuousVerdict:
         # the seeds are checked first: a long Green series can run for minutes
         def no_gamma(*args):
             raise AssertionError("gamma estimated before the seeds were checked")
-        monkeypatch.setattr(walklab.cli, "green_at_origin", no_gamma)
-        monkeypatch.setattr(walklab.cli, "auto_gamma", no_gamma)
+        monkeypatch.setattr(walklab.gamma, "green_at_origin", no_gamma)
+        monkeypatch.setattr(walklab.gamma, "auto_gamma", no_gamma)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         for gamma_flags in ([], ["--gamma-n", "1000000"]):
@@ -666,11 +689,12 @@ def test_return_tail_too_few_blocks_is_not_infinite_decay(runner):
 
 def test_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; the package itself never imports it,
-    # nor numpy.polynomial, also not for a drifted law's tilted tail
+    # nor numpy.polynomial, also not for a drifted law's tilted tail.  The
+    # star import executes every engine module, which walklab loads lazily
     src = str(Path(walklab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, walklab.cli; "
-            "walklab.green_at_origin(walklab.drifted_srw(2, 0.1), 64); "
+    code = ("import sys, walklab.cli; from walklab import *; "
+            "green_at_origin(drifted_srw(2, 0.1), 64); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
