@@ -206,6 +206,22 @@ def _checkpoints(opt: dict, default_n: int) -> list[int]:
     return given
 
 
+class _Command(click.Command):
+    """A subcommand that executes walklab.gamma once its arguments parse.
+
+    Reading an attribute executes an engine module (walklab/__init__.py).
+    gamma goes first, whichever command runs: compiled after numpy had
+    loaded, gamma.py raised every command's peak RSS by 1.0-1.5 MB.  click
+    calls invoke after the subcommand has parsed its arguments, so
+    `<command> --help` and usage errors execute no engine, and before the
+    body, whose option tables already read steps.
+    """
+
+    def invoke(self, ctx):
+        gamma.__name__
+        return super().invoke(ctx)
+
+
 @click.group()
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON config: {law, experiment, seeds, tolerances}.")
@@ -232,10 +248,10 @@ def cli(ctx, config, seed, out, fmt, threads):
         raise ConfigError(f"--format csv: {ctx.invoked_subcommand} has no CSV form; "
                           f"only {', '.join(_CSV_COMMANDS)} have one")
     ctx.obj = _load_run(config, seed, out, fmt, threads)
-    # Reading an attribute executes an engine module (walklab/__init__.py).
-    # gamma goes first, whichever command runs: compiled after numpy had
-    # loaded, gamma.py raised every command's peak RSS by 1.0-1.5 MB.
-    gamma.__name__
+
+
+# every subcommand below is a _Command
+cli.command_class = _Command
 
 
 @cli.command()

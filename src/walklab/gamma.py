@@ -14,14 +14,16 @@ Three independent routes to the escape probability gamma:
   no longer return; each one's verdict is a pure function of its own
   stream, mix64(seed, i).
 
-The Green and DP routes refuse a recurrent law (d <= 2 and mean zero,
-where gamma = 0) from the law, before any work, and share one tail model
-for every transient law, C m^{-k/2} rho^m with rho the law's Chernoff
-rate inf_theta E exp(theta . X) (1 exactly at zero mean), k = d unless 0
-is on the boundary of the hull of the atoms (then k is the dimension of
-the face that holds 0), and only C fitted, in _fitted_tail, which
-refuses a horizon too short for it; the Monte Carlo route reports
-gamma(n) on any law.
+The Green and DP routes decide two cases from the law, before any work:
+they refuse a recurrent law (d <= 2 and mean zero, where gamma = 0), and
+answer 1.0 +- 0.0 for a law whose walk cannot return (0 outside the hull
+of its atoms, certified in exact rationals by _chernoff_rho).  They
+share one tail model for every other transient law, C m^{-k/2} rho^m
+with rho the law's Chernoff rate inf_theta E exp(theta . X) (1 exactly
+at zero mean), k = d unless 0 is on the boundary of the hull of the
+atoms (then k is the dimension of the face that holds 0), and only C
+fitted, in _fitted_tail, which refuses a horizon too short for it; the
+Monte Carlo route reports gamma(n) on any law.
 
 Every evolution of the law of S_m runs through one step loop,
 _evolution, and one box DP: exact integer numerators for rational laws, a
@@ -66,7 +68,7 @@ from . import path
 from . import rng as rnglib
 from .errors import BadParam, InvariantViolation, ResourceLimit, SuspectedRecurrence
 from .steps import (FLOAT_MASS_TOL, LatticePoint, Mass, StepLaw, _atom_indices,
-                    _check_horizon, _sampling_arrays, mean_and_second_moment)
+                    _check_horizon, _rank_exact, _sampling_arrays, mean_and_second_moment)
 
 PRUNE_THRESHOLD = 1e-16
 # Memory budget of every pmf evolution, checked by DenseEvolver.step as
@@ -774,11 +776,11 @@ TAIL_FIT_START = 4
 _RAISE_N = "the law is transient, so the horizon N = {} is too short for the tail fit: raise --N"
 
 
-def _chernoff_rho(law: StepLaw) -> tuple[float, int]:
+def _chernoff_rho(law: StepLaw) -> tuple[float, int | None]:
     """(rho, k): rho = inf over theta of f(theta) = E exp(theta . X), the
     exponential rate of the return probabilities (Cramer 1938; Chernoff
     1952), and k the dimension of their power-law factor, P(S_m = 0) ~
-    C m^{-k/2} rho^m.
+    C m^{-k/2} rho^m, or None for a law that cannot return.
 
     On {S_m = 0} the factor exp(theta . S_m) is 1, so P(S_m = 0) <=
     f(theta)^m for every theta.  rho is 1.0 exactly when the mean is zero,
@@ -788,24 +790,32 @@ def _chernoff_rho(law: StepLaw) -> tuple[float, int]:
     theta = 0, each to the least f over 40 halvings of the step, until f
     stops falling, and the last f, a proven rate, is returned below 1.
 
-    k is law.d at zero mean and, otherwise, the rank of the atoms whose
-    tilted weight w e^{theta . x} / f at the last theta is above 1e-9.
-    When f attains its minimum (0 inside the convex hull of the atoms)
-    every atom keeps its weight, and k = law.d.  When 0 is on the
-    boundary of the hull, f has no minimum: a walk returns only by steps
-    in the face of the hull that holds 0 inside it, and Newton runs theta
-    off until the atoms off that face weigh below the rounding of f.  So k
-    is the face's dimension, that of the face walk's local limit law: 0
-    for {(1,0): 0.005, (0,1): 0.005, (0,0): 0.99}, which returns only by
-    staying, so P(S_m = 0) = 0.99^m, and 1 for {(1,0): 0.45, (-1,0): 0.45,
-    (0,1): 0.1}.  Outside the hull f tends to 0, by about a factor e per
-    step (e^-100 for the deterministic law), no return can happen, and k
-    is not used.
+    k is law.d at zero mean.  Otherwise, when theta . x < 0 for every atom
+    x, checked in exact rationals (the Fraction of each float theta_j),
+    theta separates the atoms from 0: theta . S_m < 0 for every m >= 1, so
+    the walk never returns, gamma = 1, and k is None.  It holds once f is
+    below the least atom mass w_min, as each w e^{theta . x} < w_min <= w
+    then; when 0 is outside the hull of the atoms f tends to 0 along a
+    separating direction, and Newton follows it down (by about a factor e
+    per step, to e^-100 for the deterministic law).  The check is
+    one-sided: a law it does not certify is treated as one that can
+    return.  Else k is
+    the rank (steps._rank_exact) of the atoms whose tilted weight w
+    e^{theta . x} / f at the last theta is above 1e-9.  When f attains its
+    minimum (0 inside the convex hull of the atoms) every atom keeps its
+    weight, and k = law.d.  When 0 is on the boundary of the hull, f has
+    no minimum: a walk returns only by steps in the face of the hull that
+    holds 0 inside it, and Newton runs theta off until the atoms off that
+    face weigh below the rounding of f.  So k is the face's dimension,
+    that of the face walk's local limit law: 0 for {(1,0): 0.005, (0,1):
+    0.005, (0,0): 0.99}, which returns only by staying, so P(S_m = 0) =
+    0.99^m, and 1 for {(1,0): 0.45, (-1,0): 0.45, (0,1): 0.1}.
     """
     mean = mean_and_second_moment(law)[0]
     if all(abs(c) <= (0 if law.exact else FLOAT_MASS_TOL) for c in mean):
         return 1.0, law.d
-    x, w = (np.array(a, dtype=float) for a in zip(*law.atoms))
+    points = [p for p, _ in law.atoms]
+    x, w = np.array(points, dtype=float), np.array(law.masses, dtype=float)
     theta, f = np.zeros(law.d), float(w.sum())
     for _ in range(100):
         e = w * np.exp(x @ theta)
@@ -816,16 +826,27 @@ def _chernoff_rho(law: StepLaw) -> tuple[float, int]:
         if fs.min() >= f:
             break
         theta, f = trials[fs.argmin()], float(fs.min())
-    face = x[w * np.exp(x @ theta) > 1e-9 * f]
-    return min(f, math.nextafter(1.0, 0.0)), int(np.linalg.matrix_rank(face))
+    rho = min(f, math.nextafter(1.0, 0.0))
+    # the float products screen; the exact ones decide
+    if (x @ theta < 0).all():
+        exact_theta = [Fraction(float(t)) for t in theta]
+        if all(sum(t * c for t, c in zip(exact_theta, p)) < 0 for p in points):
+            return rho, None
+    face = [p for p, keep in zip(points, w * np.exp(x @ theta) > 1e-9 * f) if keep]
+    return rho, _rank_exact(face, law.d)
 
 
-def _refuse_recurrent(law: StepLaw) -> tuple[float, int]:
-    """The law's _chernoff_rho, or SuspectedRecurrence for a recurrent law,
-    decided from the law alone: a genuinely d-dimensional walk with finite
-    support is recurrent iff d <= 2 and its mean is zero, that is rho = 1
-    (Chung & Fuchs 1951; Spitzer, Principles of Random Walk).  Its gamma
-    is 0, and Green's series diverges."""
+def _refuse_recurrent(law: StepLaw) -> tuple[float, int | None]:
+    """The law's _chernoff_rho (rho, k), decided from the law alone before
+    any work by both gamma legs, green_at_origin and taboo_gamma_estimate.
+
+    A genuinely d-dimensional walk with finite support is recurrent iff
+    d <= 2 and its mean is zero, that is rho = 1 (Chung & Fuchs 1951;
+    Spitzer, Principles of Random Walk); its gamma is 0 and Green's series
+    diverges, so it raises SuspectedRecurrence.  k = None certifies a walk
+    that cannot return (0 outside the hull of its atoms): gamma is 1
+    exactly, and both legs answer 1.0 +- 0.0 without running an engine.
+    """
     rho, k = _chernoff_rho(law)
     if law.d <= 2 and rho == 1.0:
         raise SuspectedRecurrence(
@@ -861,6 +882,15 @@ def _upper_gamma(a: float, z: float) -> float:
     return g
 
 
+def _check_fit_horizon(n: int) -> None:
+    """BadParam unless the horizon n of a gamma leg is at least
+    TAIL_FIT_START (a negative n gets _check_horizon's message)."""
+    _check_horizon(n)
+    if n < TAIL_FIT_START:
+        raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
+                       "the first term of the tail fit")
+
+
 def _fitted_tail(r: np.ndarray, n: int, k: int, rho: float) -> float:
     """Fitted sum_{m>n} P(S_m = 0) of a transient walk whose return
     probabilities decay like C m^{-k/2} rho^m, (rho, k) the law's
@@ -875,19 +905,18 @@ def _fitted_tail(r: np.ndarray, n: int, k: int, rho: float) -> float:
     below.  k < law.d (0 on the boundary of the hull) is the face walk's
     dimension, and k = 0 reads the integral of rho^x, rho^{n+1/2} / lambda.
     Both the Green and the DP leg call it once per estimate, on a law that
-    _refuse_recurrent has passed, so it owns their refusals of a horizon
-    too short for the fit, each a BadParam: n below TAIL_FIT_START; for k
+    _refuse_recurrent has passed and has not certified as unable to
+    return, so it owns their refusals of a horizon too short for the fit,
+    each a BadParam: n below TAIL_FIT_START (_check_fit_horizon); for k
     >= 3, partial sums still growing (a power-law exponent of the
     de-tilted series, fitted over the window, of at most 1.05 while the
     window holds over 1e-3 of the sum); and an empty window whose Chernoff
     cap rho^{n+1} / (1 - rho) on the tail is above eps times the series
-    sum.  Below it (a law that cannot return, or a series that underflowed
-    to 0, bernoulli(0.999) from m = 270 on) a longer horizon would not
-    help, and the tail is 0.
+    sum.  Below it (a series that underflowed to 0, bernoulli(0.999) from
+    m = 270 on, or a law that cannot return but that _chernoff_rho did not
+    certify) a longer horizon would not help, and the tail is 0.
     """
-    if n < TAIL_FIT_START:
-        raise BadParam(f"horizon N = {n} is below TAIL_FIT_START = {TAIL_FIT_START}, "
-                       "the first term of the tail fit")
+    _check_fit_horizon(n)
     start = max(TAIL_FIT_START, n // 10)
     ms = start + np.flatnonzero(r[start:] > 0)
     total = float(r.sum())
@@ -923,11 +952,18 @@ def green_at_origin(law: StepLaw, n: int) -> GammaEstimate:
     which dominates when the tail is negligible (bernoulli(0.7) at N =
     2048).
 
-    Raises SuspectedRecurrence for a recurrent law, decided from the law
-    before any work (_refuse_recurrent), and BadParam when the horizon is
-    too short for the tail fit of a transient one (see _fitted_tail).
+    _refuse_recurrent decides two cases from the law before any work: a
+    recurrent law raises SuspectedRecurrence, and a law certified unable
+    to return reads 1.0 +- 0.0, its series the single term P(S_0 = 0) = 1
+    with tail 0.  Either way a horizon below TAIL_FIT_START is a BadParam
+    (_check_fit_horizon), as is one too short for the tail fit of a
+    transient law that can return (see _fitted_tail).
     """
     rho, k = _refuse_recurrent(law)
+    if k is None:
+        _check_fit_horizon(n)
+        return GammaEstimate(value=1.0, error=0.0, method="green_series",
+                             params={"N": n, "series_sum": 1.0, "tail": 0.0})
     r = return_sequence(law, n)
     total = float(r.sum())
     tail = _fitted_tail(r, n, k, rho)
@@ -976,12 +1012,17 @@ def taboo_gamma_estimate(law: StepLaw, n: int) -> GammaEstimate:
     the reported error estimates that truncation bias via the fitted
     return-probability tail (renewal: P(tau = m) ~ gamma^2 P(S_m = 0)),
     plus any pruned mass, and at most gamma(n) itself since gamma >= 0 (a
-    larger bar would put the value's lower end below 0).  It
-    refuses what green_at_origin refuses, the same way: a recurrent law
-    before any work (SuspectedRecurrence), and a horizon too short for the
-    tail fit (BadParam, from _fitted_tail).
+    larger bar would put the value's lower end below 0).  It decides what
+    green_at_origin decides, the same way: a recurrent law is refused
+    before any work (SuspectedRecurrence), a law certified unable to
+    return reads 1.0 +- 0.0 without running the DP, and a horizon too
+    short for the tail fit is a BadParam (_check_fit_horizon,
+    _fitted_tail).
     """
     rho, k = _refuse_recurrent(law)
+    if k is None:
+        _check_fit_horizon(n)
+        return GammaEstimate(value=1.0, error=0.0, method="taboo_dp", params={"N": n})
     ret = taboo_survival(law, n)
     g_n = float(ret.gamma_seq[-1])
     bias = g_n * g_n * _fitted_tail(return_sequence(law, n), n, k, rho)
@@ -1115,7 +1156,7 @@ def mc_escape(law: StepLaw, n: int, m: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Tail diagnostic (the d in {1,2} assumption check)
+# Tail diagnostic (the return-tail command)
 # ---------------------------------------------------------------------------
 
 def return_tail(law: StepLaw, n: int, big_n: int) -> TailDiagnostic:

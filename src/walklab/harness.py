@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rnglib
 from .errors import BadParam
-from .gamma import GammaEstimate, auto_gamma, return_tail
+from .gamma import GammaEstimate, _chernoff_rho, auto_gamma
 from .path import (_check_step_budget, l_alpha, sample_visited_local_time, simulate,
                    simulate_series)
 from .steps import StepLaw, csv_text, json_bytes, law_to_json, mean_and_second_moment
@@ -183,17 +183,26 @@ class ExperimentReport:
 
 
 def _low_dim_notes(law: StepLaw) -> dict:
-    """The two alternative d in {1,2} assumptions, reported side by side."""
+    """For d <= 2, the facts of the law that make its walk transient.
+
+    A finite-support walk in d <= 2 is transient iff its drift is nonzero
+    (Chung & Fuchs 1951), that is iff rho = inf over theta of E exp(theta
+    . X) is below 1, and then P(S_m = 0) decays like C m^{-k/2} rho^m
+    (Spitzer, Principles of Random Walk).  The notes hold the drift and the
+    second moments, and (rho, k) from gamma._chernoff_rho, k null for a
+    law that cannot return; all of it comes from the law, without running
+    an engine.
+    """
     if law.d > 2:
         return {}
     mean, second = mean_and_second_moment(law.to_float())
-    tail = return_tail(law, 16, 512)
+    rho, k = _chernoff_rho(law)
     return {
         "low_dim_assumptions": {
-            "second_moment_finite": True,
             "drift": [float(x) for x in mean],
             "second_moment": [[float(x) for x in row] for row in second],
-            "return_tail_eta_hat": tail.eta_hat,
+            "rho": rho,
+            "k": k,
         }
     }
 

@@ -72,19 +72,29 @@ class StepLaw:
 
 
 def _rank_exact(vectors: Sequence[Sequence[int]], d: int) -> int:
-    """Rank of integer vectors over Q, by fraction-free Gaussian elimination."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
+    """Rank of integer vectors over Q, by fraction-free integer elimination.
+
+    Each row below the pivot row p becomes p[col] * row - row[col] * p and
+    is divided by the gcd of its entries, so every entry stays an integer
+    and no Fraction is built.  The package's one rank: validate's
+    genuine-dimension check and the face dimension k of
+    gamma._chernoff_rho both take it.
+    """
+    rows = [list(v) for v in vectors]
     rank = 0
     for col in range(d):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
+        a = pr[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+            b = rows[i][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(rows[i], pr)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == d:
             break
@@ -279,6 +289,11 @@ def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
     """(mean vector, matrix of second moments E[X_i X_j]), exact weighted sums.
 
     Exact laws yield object arrays of Fractions; float laws yield float64.
+    Each atom adds only its terms with both coordinates nonzero: every sum
+    starts at 0 and a skipped term is +-0, so the sums, the sign of a
+    float zero included, are those of a loop over every coordinate pair,
+    at a cost linear in the nonzero coordinates (srw(d) adds 2d terms, not
+    2d^3).
     """
     if law.exact:
         mean = np.full(law.d, Fraction(0), dtype=object)
@@ -287,9 +302,10 @@ def mean_and_second_moment(law: StepLaw) -> tuple[np.ndarray, np.ndarray]:
         mean = np.zeros(law.d)
         second = np.zeros((law.d, law.d))
     for point, mass in law.atoms:
-        for i, ci in enumerate(point):
+        nonzero = [(i, c) for i, c in enumerate(point) if c]
+        for i, ci in nonzero:
             mean[i] += mass * ci
-            for j, cj in enumerate(point):
+            for j, cj in nonzero:
                 second[i, j] += mass * ci * cj
     return mean, second
 

@@ -103,6 +103,13 @@ KNOWN = {
 }
 
 
+# A drifted 2-D law with five atoms, not axis-decomposable (so every gamma
+# leg runs the box DP), on which the DP bar once fell short at N = 96
+FIVE_ATOM_2D = wl.make_law(2, [((-2, 1), Fraction(1, 5)), ((-1, 0), Fraction(1, 10)),
+                               ((-1, 1), Fraction(1, 10)), ((0, -2), Fraction(1, 5)),
+                               ((2, 1), Fraction(2, 5))], True)
+
+
 def covers(value: float, error: float, gamma: float) -> bool:
     """|value - gamma| <= error, plus 4 eps * gamma of rounding, which the
     taboo DP's error bar, a Green tail, leaves out."""

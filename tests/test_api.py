@@ -121,6 +121,8 @@ def state():
 out = {"import": state()}
 import walklab.cli
 for key, argv in (("help", ["--help"]), ("unknown", ["no-such-command"]),
+                  *((f"{command} --help", [command, "--help"])
+                    for command in ("simulate", "estimate-gamma", "predict")),
                   ("green", ["estimate-gamma", "--law", '{"family": "srw", "d": 3}',
                              "--method", "green", "--N", "64"])):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -152,7 +154,8 @@ def test_import_loads_no_numpy(startup):
     assert startup["import"] == {"numpy": False, "executed": ["walklab.errors"]}
 
 
-@pytest.mark.parametrize("key,code", [("help", 0), ("unknown", 1)])
+@pytest.mark.parametrize("key,code", [("help", 0), ("unknown", 1), ("simulate --help", 0),
+                                      ("estimate-gamma --help", 0), ("predict --help", 0)])
 def test_usage_loads_no_numpy_and_no_engine(startup, key, code):
     assert startup[key] == {"numpy": False, "executed": ["walklab.cli", "walklab.errors"],
                             "exit": code}

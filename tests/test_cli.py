@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import gamma_reference
 import walklab
 from walklab.cli import _emit, _Run, cli, main
 
@@ -24,6 +25,21 @@ DIAG3 = json.dumps({"family": "custom", "d": 3,
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_verify_slln_low_dim_notes_run_no_second_engine(runner, monkeypatch):
+    # the d <= 2 notes come from the law; only auto_gamma runs the engine
+    calls = []
+    return_sequence = walklab.gamma.return_sequence
+    monkeypatch.setattr(walklab.gamma, "return_sequence",
+                        lambda law, n: calls.append(n) or return_sequence(law, n))
+    law = gamma_reference.FIVE_ATOM_2D
+    res = runner.invoke(cli, ["verify-slln", "--law", json.dumps(walklab.law_to_json(law)),
+                              "--n", "1024", "--paths", "1", "--alphas", "1"])
+    assert res.exit_code == 0, res.output
+    assert calls == [512]
+    notes = json.loads(res.output)["notes"]["low_dim_assumptions"]
+    assert (notes["rho"], notes["k"]) == walklab.gamma._chernoff_rho(law) == (notes["rho"], 2)
 
 
 class TestEstimateGamma:

@@ -360,7 +360,7 @@ class TestRefusals:
         wl.deterministic([1]), wl.make_law(1, [((1,), Fraction(1, 2)), ((2,), Fraction(1, 2))],
                                            True)], ids=["det1", "up1-or-up2"])
     def test_law_that_cannot_return_has_tail_zero(self, law):
-        # 0 is outside the hull of the atoms, so the cap is below rounding
+        # 0 is outside the hull of the atoms, so gamma is 1 with no error
         for leg in ("green", "dp"):
             est = _estimators(8)[leg](law)
             assert (est.value, est.error) == (1.0, 0.0), leg
@@ -392,11 +392,72 @@ class TestRefusals:
                 assert (legs["green"] is None) == (legs["dp"] is None), (name, n, legs)
 
 
-# A drifted 2-D law with five atoms, not axis-decomposable, on which the
-# DP bar once fell short at N = 96
-FIVE_ATOM_2D = wl.make_law(2, [((-2, 1), Fraction(1, 5)), ((-1, 0), Fraction(1, 10)),
-                               ((-1, 1), Fraction(1, 10)), ((0, -2), Fraction(1, 5)),
-                               ((2, 1), Fraction(2, 5))], True)
+FIVE_ATOM_2D = gamma_reference.FIVE_ATOM_2D
+
+# Laws whose walk cannot return, 0 outside the hull of the atoms, in d = 1
+# to 3.  ROADMAP item 8's law ran auto_gamma's box DP for 40 s into
+# ResourceLimit before gamma = 1 was decided from the law.
+ITEM8 = wl.make_law(3, [((-2, 0, -2), Fraction(3, 7)), ((1, 2, -1), Fraction(1, 7)),
+                        ((2, 0, -1), Fraction(1, 7)), ((2, 1, 2), Fraction(2, 7))], True)
+CANNOT_RETURN = {
+    "item8": ITEM8, "item8-float": ITEM8.to_float(),
+    "det1": wl.deterministic([1]), "det-3": wl.deterministic([-3], exact=True),
+    "up1-or-up2": wl.make_law(1, [((1,), 0.5), ((2,), 0.5)], False),
+    "e1-or-e2": wl.make_law(2, [((1, 0), Fraction(3, 4)), ((0, 1), Fraction(1, 4))], True),
+    "e1-e2-e3": wl.make_law(3, [((1, 0, 0), 0.5), ((0, 1, 0), 0.25), ((0, 0, 1), 0.25)],
+                            False),
+    "tilted3": wl.make_law(3, [((1, 0, 1), 0.5), ((0, 1, 1), 0.25), ((1, 1, -1), 0.25)],
+                           False),
+}
+
+
+class TestCannotReturn:
+    """A law whose atoms all lie in an open half-space theta . x < 0 can
+    never return to 0; _chernoff_rho certifies it in exact rationals, and
+    both gamma legs answer 1.0 +- 0.0 before any engine work."""
+
+    @pytest.mark.parametrize("name", CANNOT_RETURN)
+    def test_certified_with_k_none(self, name):
+        rho, k = gamma._chernoff_rho(CANNOT_RETURN[name])
+        assert k is None and 0 <= rho < 1
+
+    @pytest.mark.parametrize("name", CANNOT_RETURN)
+    def test_every_leg_is_one_without_an_engine(self, monkeypatch, name):
+        def work(*args):
+            raise AssertionError("an engine ran on a law that cannot return")
+        monkeypatch.setattr(gamma, "return_sequence", work)
+        monkeypatch.setattr(gamma, "taboo_survival", work)
+        law = CANNOT_RETURN[name]
+        green, dp, auto = (_estimators(64)[leg](law) for leg in ("green", "dp", "auto"))
+        assert green.to_json_dict() == {"value": 1.0, "error": 0.0, "method": "green_series",
+                                        "params": {"N": 64, "series_sum": 1.0, "tail": 0.0}}
+        assert dp.to_json_dict() == {"value": 1.0, "error": 0.0, "method": "taboo_dp",
+                                     "params": {"N": 64}}
+        assert (auto.value, auto.error, auto.params["tail"]) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("law", [
+        # a zero atom: the walk returns by staying
+        gamma_reference.KNOWN["stay2(0.99)"].law,
+        wl.make_law(1, [((1,), 0.5), ((0,), 0.5)], False),
+        # 0 on a face of the hull: the walk returns along e1
+        gamma_reference.KNOWN["edge2(0.001)"].law,
+        gamma_reference.KNOWN["face3(0.001)"].law,
+        # 0 inside the hull
+        wl.bernoulli(0.7), wl.srw(3), wl.drifted_srw(3, 0.1), FIVE_ATOM_2D],
+        ids=["stay2", "up-or-stay", "edge2", "face3", "bernoulli(0.7)", "srw3",
+             "drifted_srw(3,0.1)", "five-atom-2d"])
+    def test_a_law_that_can_return_is_not_certified(self, law):
+        assert gamma._chernoff_rho(law)[1] is not None
+
+    @pytest.mark.parametrize("leg", ["green", "dp"])
+    @pytest.mark.parametrize("n,message", [
+        (-1, "^horizon must be >= 0, got -1$"),
+        *((n, f"^horizon N = {n} is below TAIL_FIT_START = 4, the first term of the tail fit$")
+          for n in (0, 3))])
+    def test_short_horizons_are_still_refused(self, leg, n, message):
+        for law in (ITEM8, wl.deterministic([1])):
+            with pytest.raises(wl.BadParam, match=message):
+                _estimators(n)[leg](law)
 
 
 class TestChernoffRho:

@@ -127,9 +127,14 @@ class TestRunSlln:
     def test_low_dim_notes_present(self, bern07):
         rep = wl.run_slln(bern07, [1], [256], seeds=[1])
         notes = rep.notes["low_dim_assumptions"]
-        assert notes["second_moment_finite"] is True
         assert notes["drift"][0] == pytest.approx(0.4)
-        assert notes["return_tail_eta_hat"] > 2  # geometric decay
+        # rho = 2 sqrt(p q) < 1: the returns decay like m^{-1/2} rho^m
+        assert notes["rho"] == pytest.approx(2 * math.sqrt(0.21), abs=1e-14)
+        assert notes["k"] == 1
+
+    def test_low_dim_notes_of_a_walk_that_cannot_return(self, det1):
+        notes = wl.run_slln(det1, [1], [16], seeds=[1]).notes["low_dim_assumptions"]
+        assert notes["rho"] < 1e-20 and notes["k"] is None
 
     def test_impossible_tolerance_fails(self, bern07):
         rep = wl.run_slln(bern07, [2], [512], seeds=[1], rel_tol=1e-9)
@@ -277,11 +282,11 @@ class TestReportSerialization:
         assert rep.verdict == all(c["ok"] for c in rep.checks)
 
     def test_non_finite_floats_become_null(self, det1):
-        # the return-tail fit of a deterministic walk has eta_hat = inf
+        # plain Python floats, which _json_values' float branch handles
         rep = wl.run_slln(det1, [2.0], [100, 200], [1])
-        assert rep.notes["low_dim_assumptions"]["return_tail_eta_hat"] == math.inf
+        rep.notes["inf"], rep.notes["nan"] = math.inf, -math.nan
         out = json.loads(rep.to_json_bytes(), parse_constant=_reject_constant)
-        assert out["notes"]["low_dim_assumptions"]["return_tail_eta_hat"] is None
+        assert out["notes"]["inf"] is None and out["notes"]["nan"] is None
 
     def test_numpy_non_finite_become_null(self, det1):
         rep = wl.run_slln(det1, [0], [8], seeds=[1])

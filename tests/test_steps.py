@@ -7,9 +7,13 @@ from scipy.stats import chisquare
 
 import itertools
 
+from hypothesis import assume, given, seed, settings, strategies as st
+
+import gamma_reference
+import steps_reference
 import walklab as wl
 from walklab import rng
-from walklab.steps import _COUNT_MAX_ATOMS, _atom_indices, _sampling_arrays
+from walklab.steps import _COUNT_MAX_ATOMS, _atom_indices, _rank_exact, _sampling_arrays
 
 
 class TestValidate:
@@ -231,6 +235,72 @@ class TestMoments:
     def test_deterministic(self, det1):
         mean, _ = wl.mean_and_second_moment(det1)
         assert mean[0] == 1
+
+    @pytest.mark.parametrize("name", gamma_reference.KNOWN)
+    def test_known_laws_match_dense_loop_bytes(self, name):
+        law = gamma_reference.KNOWN[name].law
+        for got, want in zip(wl.mean_and_second_moment(law), steps_reference.moments_dense(law)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @seed(20261022)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+                           st.integers(-3, 3)).map(lambda p: p[:d]),
+                 min_size=d + 1, max_size=8, unique=True),
+        st.lists(st.integers(1, 50), min_size=8, max_size=8))))
+    def test_generated_laws_match_dense_loop(self, case):
+        # float sums byte for byte, signs of zero included; exact ones equal
+        d, points, weights = case
+        assume(steps_reference.rank_fraction(points, d) == d)
+        total = sum(weights[:len(points)])
+        for exact in (False, True):
+            masses = [Fraction(w, total) for w in weights[:len(points)]]
+            if not exact:
+                masses = [float(m) for m in masses[:-1]]
+                masses.append(1.0 - sum(masses))
+            law = wl.make_law(d, zip(points, masses), exact)
+            got, want = wl.mean_and_second_moment(law), steps_reference.moments_dense(law)
+            for g, w in zip(got, want):
+                if exact:
+                    assert (g == w).all()
+                else:
+                    assert g.tobytes() == w.tobytes()
+
+
+# integer coordinates: small ones, and ones near the +-2^22 coordinate bound
+_COORDS = st.one_of(st.integers(-3, 3), st.integers((1 << 22) - 3, 1 << 22),
+                    st.integers(-(1 << 22), 3 - (1 << 22)))
+
+
+class TestRankExact:
+    @seed(20261022)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.lists(_COORDS, min_size=d, max_size=d), max_size=10))))
+    def test_matches_fraction_elimination(self, case):
+        d, vectors = case
+        assert _rank_exact(vectors, d) == steps_reference.rank_fraction(vectors, d)
+
+    @seed(20261022)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.lists(_COORDS, min_size=d, max_size=d), min_size=1,
+                             max_size=3),
+        st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=10))))
+    def test_deficient_sets_match_fraction_elimination(self, case):
+        # integer combinations of at most 3 base vectors: rank at most 3
+        d, base, coefficients = case
+        vectors = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(d)]
+                   for cs in coefficients]
+        assert _rank_exact(vectors, d) == steps_reference.rank_fraction(vectors, d)
+
+    @pytest.mark.parametrize("vectors,d,rank", [
+        ([], 3, 0), ([[0, 0]], 2, 0), ([[2, 4], [1, 2]], 2, 1), ([[2, 4], [1, 3]], 2, 2),
+        ([[1, 1, 0], [1, 0, 1], [0, 1, -1]], 3, 2)])
+    def test_small_cases(self, vectors, d, rank):
+        assert _rank_exact(vectors, d) == rank
 
 
 class TestJson:
